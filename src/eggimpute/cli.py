@@ -2,19 +2,25 @@
 
 Subcommands compose the library into the benchmark protocol: corrupt a
 dataset, train a model, impute, evaluate, run a config grid, and
-aggregate results.  A JSON config drives everything; CLI flags override
-individual fields.  Artifacts land in
-``<out>/<dataset>/<mechanism>/<rate>/<method>/<seed>/``.
+aggregate results.  The stepwise subcommands and ``benchmark`` call the
+same stages (``_prepare``, ``_fit``, ``_impute_all``, ``_evaluate``); the
+former pass artifacts between them on disk, ``run_single`` in memory.
+A JSON config drives everything; CLI flags override individual fields.
+Artifacts land in ``<out>/<dataset>/<mechanism>/<rate>/<method>/<seed>/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
+import functools
+import itertools
 import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,35 +45,30 @@ def _stage_seed_int(master_seed, stage):
 
 
 def load_config(path, overrides=None):
+    """Defaults, then the config file, then ``EGGIMPUTE_OUT``, then flags."""
     cfg = {"rate": 0.2, "mechanism": "mcar", "method": "egg", "seed": 0, "runs": 1,
            "ensemble": 5, "out": "runs", "train_fraction": 0.7, "knn_k": 5,
            "train": {}}
     if path:
         with open(path) as fh:
             cfg.update(json.load(fh))
+    if "EGGIMPUTE_OUT" in os.environ:
+        cfg["out"] = os.environ["EGGIMPUTE_OUT"]
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg[key] = value
-    if "EGGIMPUTE_OUT" in os.environ:
-        cfg["out"] = os.environ["EGGIMPUTE_OUT"]
     return cfg
-
-
-def run_dir(cfg, dataset_name, mechanism=None, rate=None, method=None, seed=None):
-    path = Path(cfg["out"]) / dataset_name / (mechanism or cfg["mechanism"]) / \
-        str(rate if rate is not None else cfg["rate"]) / (method or cfg["method"]) / \
-        str(seed if seed is not None else cfg["seed"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _dataset_name(cfg):
     return cfg.get("name") or Path(cfg["dataset"]).stem
 
 
-def _load_dataset(cfg):
-    ds, load_mask = dataio.load_csv(cfg["dataset"], cfg["schema"])
-    return ds, load_mask
+def run_dir(cfg):
+    path = Path(cfg["out"]) / _dataset_name(cfg) / cfg["mechanism"] / str(cfg["rate"]) / \
+        cfg["method"] / str(cfg["seed"])
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _require(path, hint):
@@ -76,26 +77,94 @@ def _require(path, hint):
     return path
 
 
-def _train_config(cfg, method, seed):
-    raw = dict(cfg.get("train") or {})
-    model_raw = dict(raw.pop("model", {}))
-    model_raw["sampler"] = MODEL_METHODS[method]
-    if "k" not in model_raw and "knn_k" in cfg and method == "kegg":
-        model_raw["k"] = 5
-    tc = training.TrainConfig.from_dict({**raw, "model": model_raw,
-                                         "seed": _stage_seed_int(seed, "train")})
-    return tc
+# -- pipeline stages ----------------------------------------------------
+
+@dataclass
+class Prepared:
+    """One table ready for a method: loaded, masked, split and z-scored."""
+    ds: dataio.TabularDataset
+    ds_norm: dataio.TabularDataset  # z-scored with the training-split stats
+    mask: np.ndarray  # corruption mask times the cells present in the file
+    stats: dataio.ColumnStats  # raw-scale stats of the training split
+    train_rows: np.ndarray
+    val_rows: np.ndarray
 
 
-def _prepare(cfg, seed, mask_bits):
-    """Split, compute training-observed stats, z-score the whole table."""
-    ds, load_mask = _load_dataset(cfg)
+def _corrupt(cfg, ds):
+    return missingness.corrupt(ds, cfg["mechanism"], cfg["rate"],
+                               _seed_for(cfg["seed"], "corrupt"))
+
+
+def _prepare(cfg, mask_bits=None):
+    """Load the table, mask it (corrupting afresh unless ``mask_bits`` is
+    given), split, compute training-observed stats and z-score it."""
+    ds, load_mask = dataio.load_csv(cfg["dataset"], cfg["schema"])
+    if mask_bits is None:
+        mask_bits = _corrupt(cfg, ds).bits
+    elif mask_bits.shape != load_mask.shape:
+        raise ValueError(f"mask has shape {mask_bits.shape} but the table has shape "
+                         f"{load_mask.shape}; rerun `eggimpute corrupt` on this table")
     mask = (mask_bits * load_mask).astype(np.int8)
     train_rows, val_rows = dataio.split(ds, cfg["train_fraction"],
-                                        _stage_seed_int(seed, "split"))
+                                        _stage_seed_int(cfg["seed"], "split"))
     stats = dataio.compute_stats(ds.subset(train_rows), mask[train_rows])
-    ds_norm = dataio.normalize(ds, stats)
-    return ds, ds_norm, mask, stats, train_rows, val_rows
+    return Prepared(ds, dataio.normalize(ds, stats), mask, stats, train_rows, val_rows)
+
+
+def _load_run(cfg):
+    """The run directory and the table prepared with its saved mask."""
+    rd = run_dir(cfg)
+    mask_bits = missingness.load_mask(_require(rd / "mask.csv", "eggimpute corrupt")).bits
+    return rd, _prepare(cfg, mask_bits)
+
+
+def _fit(cfg, prep):
+    """Train the configured model method; returns the model and its seconds."""
+    raw = dict(cfg.get("train") or {})
+    model_raw = {**raw.pop("model", {}), "sampler": MODEL_METHODS[cfg["method"]]}
+    tc = training.TrainConfig.from_dict({**raw, "model": model_raw,
+                                         "seed": _stage_seed_int(cfg["seed"], "train")})
+    t0 = time.perf_counter()
+    trained = training.train(tc, prep.ds_norm.subset(prep.train_rows),
+                             prep.ds_norm.subset(prep.val_rows),
+                             prep.mask[prep.train_rows], prep.mask[prep.val_rows])
+    return trained, time.perf_counter() - t0
+
+
+def _impute_all(cfg, method, ds, ds_norm, mask, train_rows, val_rows, params):
+    """Impute the normalized table; model methods ensemble per split,
+    baselines fill from the z-scored training split."""
+    if method in ("mean", "knn"):
+        stats = dataio.compute_stats(ds_norm.subset(train_rows), mask[train_rows])
+        if method == "mean":
+            return baselines.mean_impute(ds_norm, mask, stats)
+        return baselines.knn_impute(ds_norm, mask, cfg.get("knn_k", 5), stats)
+    batch_size = (cfg.get("train") or {}).get("batch_size", 300)
+    imputed = ds_norm.values.copy()
+    for rows in (train_rows, val_rows):
+        sub = ds_norm.subset(rows)
+        res = ensemble.ensemble_impute(sub, mask[rows], params, cfg["ensemble"],
+                                       _stage_seed_int(cfg["seed"], "ensemble"),
+                                       batch_size=batch_size)
+        imputed[rows] = res.imputed
+    return imputed
+
+
+def _evaluate(cfg, prep, imputed_z):
+    truth = prep.ds_norm.values
+    numeric_idx, categorical_idx = prep.ds_norm.numeric_idx, prep.ds_norm.categorical_idx
+    eval_mask = prep.mask.copy()
+    eval_mask[prep.train_rows] = 1  # metrics concern the held-out rows only
+    rep = evaluation.MetricReport(_dataset_name(cfg), cfg["mechanism"], cfg["rate"],
+                                  cfg["method"], cfg["seed"])
+    rep.rmse = evaluation.rmse(truth, imputed_z, eval_mask, numeric_idx)
+    rep.mae = evaluation.mae(truth, imputed_z, eval_mask, numeric_idx)
+    rep.cat_accuracy = evaluation.cat_accuracy(truth, imputed_z, eval_mask, categorical_idx)
+    rep.downstream_accuracy = evaluation.downstream_accuracy(
+        imputed_z[prep.train_rows], prep.ds_norm.targets[prep.train_rows],
+        imputed_z[prep.val_rows], prep.ds_norm.targets[prep.val_rows], prep.ds_norm.schema,
+        seed=_stage_seed_int(cfg["seed"], "forest"))
+    return rep
 
 
 # -- subcommands --------------------------------------------------------
@@ -157,10 +226,9 @@ def convert_wireless_txt(txt_path, out_path):
 
 def cmd_corrupt(args):
     cfg = load_config(args.config, _overrides(args))
-    ds, _ = _load_dataset(cfg)
-    mask = missingness.corrupt(ds, cfg["mechanism"], cfg["rate"],
-                               _seed_for(cfg["seed"], "corrupt"))
-    rd = run_dir(cfg, _dataset_name(cfg))
+    ds, _ = dataio.load_csv(cfg["dataset"], cfg["schema"])
+    mask = _corrupt(cfg, ds)
+    rd = run_dir(cfg)
     missingness.save_mask(mask, rd / "mask.csv")
     print(f"wrote {rd / 'mask.csv'} (missing fraction {mask.missing_fraction:.4f})")
     return 0
@@ -168,67 +236,37 @@ def cmd_corrupt(args):
 
 def cmd_train(args):
     cfg = load_config(args.config, _overrides(args))
-    method = cfg["method"]
-    rd = run_dir(cfg, _dataset_name(cfg))
-    if method not in MODEL_METHODS:
-        print(f"method {method!r} needs no training; skipping")
+    if cfg["method"] not in MODEL_METHODS:
+        print(f"method {cfg['method']!r} needs no training; skipping")
         return 0
-    mask_path = _require(rd / "mask.csv", "eggimpute corrupt")
-    mask_bits = missingness.load_mask(mask_path).bits
-    ds, ds_norm, mask, stats, train_rows, val_rows = _prepare(cfg, cfg["seed"], mask_bits)
-    tc = _train_config(cfg, method, cfg["seed"])
-    t0 = time.perf_counter()
-    trained = training.train(tc, ds_norm.subset(train_rows), ds_norm.subset(val_rows),
-                             mask[train_rows], mask[val_rows])
-    seconds = time.perf_counter() - t0
+    rd, prep = _load_run(cfg)
+    trained, seconds = _fit(cfg, prep)
     model.save_checkpoint(rd / "checkpoint.npz", trained.params,
                           extra={"best_val_loss": trained.best_val_loss,
                                  "best_epoch": trained.best_epoch,
                                  "train_seconds": seconds})
     with open(rd / "history.json", "w") as fh:
-        json.dump({"config": tc.to_dict(), "train_seconds": seconds,
+        json.dump({"config": trained.config.to_dict(), "train_seconds": seconds,
                    "epochs": trained.history}, fh, indent=2)
     print(f"wrote {rd / 'checkpoint.npz'} (best val loss {trained.best_val_loss:.4f} "
           f"at epoch {trained.best_epoch}, {seconds:.1f}s)")
     return 0
 
 
-def _impute_all(cfg, method, ds, ds_norm, mask, stats, train_rows, val_rows, params):
-    """Impute the normalized table; model methods ensemble per split."""
-    if method == "mean":
-        return baselines.mean_impute(ds_norm, mask,
-                                     dataio.compute_stats(ds_norm.subset(train_rows),
-                                                          mask[train_rows]))
-    if method == "knn":
-        return baselines.knn_impute(ds_norm, mask, cfg.get("knn_k", 5))
-    batch_size = (cfg.get("train") or {}).get("batch_size", 300)
-    imputed = ds_norm.values.copy()
-    for rows in (train_rows, val_rows):
-        sub = ds_norm.subset(rows)
-        res = ensemble.ensemble_impute(sub, mask[rows], params, cfg["ensemble"],
-                                       _stage_seed_int(cfg["seed"], "ensemble"),
-                                       batch_size=batch_size)
-        imputed[rows] = res.imputed
-    return imputed
-
-
 def cmd_impute(args):
     cfg = load_config(args.config, _overrides(args))
-    method = cfg["method"]
-    rd = run_dir(cfg, _dataset_name(cfg))
-    mask_bits = missingness.load_mask(_require(rd / "mask.csv", "eggimpute corrupt")).bits
-    ds, ds_norm, mask, stats, train_rows, val_rows = _prepare(cfg, cfg["seed"], mask_bits)
+    rd, prep = _load_run(cfg)
+    ds = prep.ds
     params = None
-    if method in MODEL_METHODS:
+    if cfg["method"] in MODEL_METHODS:
         params, _ = model.load_checkpoint(_require(rd / "checkpoint.npz", "eggimpute train"),
                                           ds.schema)
-    imputed_z = _impute_all(cfg, method, ds, ds_norm, mask, stats, train_rows, val_rows, params)
+    imputed_z = _impute_all(cfg, cfg["method"], ds, prep.ds_norm, prep.mask, prep.train_rows,
+                            prep.val_rows, params)
     np.save(rd / "imputed_z.npy", imputed_z)
-    export = ds.values.copy()
+    export = imputed_z.copy()
     for j in ds.numeric_idx:
-        export[:, j] = dataio.denormalize_column(imputed_z[:, j], j, stats)
-    for j in ds.categorical_idx:
-        export[:, j] = imputed_z[:, j]
+        export[:, j] = dataio.denormalize_column(imputed_z[:, j], j, prep.stats)
     out_ds = dataio.TabularDataset(ds.schema, export, ds.targets, ds.num_classes,
                                    ds.target_categories)
     dataio.write_csv(out_ds, None, rd / "imputed.csv")
@@ -238,38 +276,15 @@ def cmd_impute(args):
 
 def cmd_evaluate(args):
     cfg = load_config(args.config, _overrides(args))
-    rd = run_dir(cfg, _dataset_name(cfg))
-    mask_bits = missingness.load_mask(_require(rd / "mask.csv", "eggimpute corrupt")).bits
-    ds, ds_norm, mask, stats, train_rows, val_rows = _prepare(cfg, cfg["seed"], mask_bits)
+    rd, prep = _load_run(cfg)
     imputed_z = np.load(_require(rd / "imputed_z.npy", "eggimpute impute"))
-    report = _evaluate(cfg, cfg["method"], ds_norm, mask, train_rows, val_rows, imputed_z,
-                       _dataset_name(cfg))
+    report = _evaluate(cfg, prep, imputed_z)
     with open(rd / "report.json", "w") as fh:
         json.dump(report.__dict__, fh, indent=2, default=str)
     _append_result(Path(cfg["out"]) / "results.csv", report)
     print(json.dumps({k: getattr(report, k) for k in
                       ("rmse", "mae", "cat_accuracy", "downstream_accuracy")}))
     return 0
-
-
-def _evaluate(cfg, method, ds_norm, mask, train_rows, val_rows, imputed_z, dataset_name,
-              train_seconds=None, inference_seconds=None):
-    truth = ds_norm.values
-    eval_mask = mask.copy()
-    eval_mask[train_rows] = 1  # metrics concern the held-out rows only
-    rep = evaluation.MetricReport(dataset_name, cfg["mechanism"], cfg["rate"], method,
-                                  cfg["seed"])
-    rep.rmse = evaluation.rmse(truth, imputed_z, eval_mask, ds_norm.numeric_idx)
-    rep.mae = evaluation.mae(truth, imputed_z, eval_mask, ds_norm.numeric_idx)
-    rep.cat_accuracy = evaluation.cat_accuracy(truth, imputed_z, eval_mask,
-                                               ds_norm.categorical_idx)
-    rep.downstream_accuracy = evaluation.downstream_accuracy(
-        imputed_z[train_rows], ds_norm.targets[train_rows],
-        imputed_z[val_rows], ds_norm.targets[val_rows], ds_norm.schema,
-        seed=_stage_seed_int(cfg["seed"], "forest"))
-    rep.train_seconds = train_seconds
-    rep.inference_seconds = inference_seconds
-    return rep
 
 
 def _format_cell(value):
@@ -288,30 +303,46 @@ def _append_result(path, report: evaluation.MetricReport):
         fh.write(",".join(_format_cell(getattr(report, c)) for c in RESULTS_COLUMNS) + "\n")
 
 
+def _parse_cell(column, text):
+    if column in ("dataset", "mechanism", "method"):
+        return text
+    if not text:
+        return None
+    return int(text) if column == "seed" else float(text)
+
+
+def _read_results(path):
+    with open(path, newline="") as fh:
+        return [evaluation.MetricReport(**{c: _parse_cell(c, row[c]) for c in RESULTS_COLUMNS})
+                for row in csv.DictReader(fh)]
+
+
 def run_single(cfg, dataset_spec, mechanism, rate, method, seed):
     """One full corrupt -> train -> impute -> evaluate pass, in memory."""
-    local = dict(cfg)
-    local.update({"dataset": dataset_spec["csv"], "schema": dataset_spec["schema"],
-                  "name": dataset_spec["name"], "mechanism": mechanism, "rate": rate,
-                  "method": method, "seed": seed})
-    ds, _ = _load_dataset(local)
-    mask_m = missingness.corrupt(ds, mechanism, rate, _seed_for(seed, "corrupt"))
-    ds, ds_norm, mask, stats, train_rows, val_rows = _prepare(local, seed, mask_m.bits)
-    params = None
-    train_seconds = None
+    cfg = {**cfg, "dataset": dataset_spec["csv"], "schema": dataset_spec["schema"],
+           "name": dataset_spec["name"], "mechanism": mechanism, "rate": rate,
+           "method": method, "seed": seed}
+    prep = _prepare(cfg)
+    params = train_seconds = None
     if method in MODEL_METHODS:
-        tc = _train_config(local, method, seed)
-        t0 = time.perf_counter()
-        trained = training.train(tc, ds_norm.subset(train_rows), ds_norm.subset(val_rows),
-                                 mask[train_rows], mask[val_rows])
-        train_seconds = time.perf_counter() - t0
+        trained, train_seconds = _fit(cfg, prep)
         params = trained.params
     t0 = time.perf_counter()
-    imputed_z = _impute_all(local, method, ds, ds_norm, mask, stats, train_rows, val_rows,
-                            params)
+    imputed_z = _impute_all(cfg, method, prep.ds, prep.ds_norm, prep.mask, prep.train_rows,
+                            prep.val_rows, params)
     inference_seconds = time.perf_counter() - t0
-    return _evaluate(local, method, ds_norm, mask, train_rows, val_rows, imputed_z,
-                     dataset_spec["name"], train_seconds, inference_seconds)
+    rep = _evaluate(cfg, prep, imputed_z)
+    rep.train_seconds, rep.inference_seconds = train_seconds, inference_seconds
+    return rep
+
+
+def _run_job(cfg, job):
+    """A grid job's report, or the error that stopped it (module level, so
+    worker processes can unpickle it)."""
+    try:
+        return run_single(cfg, *job), None
+    except Exception as err:  # record, keep going
+        return None, str(err)
 
 
 def _benchmark_grid(cfg):
@@ -324,14 +355,7 @@ def _benchmark_grid(cfg):
     rates = grid.get("rates", [cfg["rate"]])
     methods = grid.get("methods", [cfg["method"]])
     seeds = grid.get("seeds", [cfg["seed"] + i for i in range(cfg["runs"])])
-    jobs = []
-    for spec in datasets:
-        for mechanism in mechanisms:
-            for rate in rates:
-                for method in methods:
-                    for seed in seeds:
-                        jobs.append((spec, mechanism, rate, method, seed))
-    return jobs
+    return list(itertools.product(datasets, mechanisms, rates, methods, seeds))
 
 
 def cmd_benchmark(args):
@@ -342,53 +366,25 @@ def cmd_benchmark(args):
         return 1
     out_root = Path(cfg["out"])
     out_root.mkdir(parents=True, exist_ok=True)
-    results = [None] * len(jobs)
-    failures = []
-
-    def execute(i):
-        return i, run_single(cfg, *jobs[i])
-
-    if args.workers and args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(execute, i) for i in range(len(jobs))]
-            for fut in concurrent.futures.as_completed(futures):
-                i, rep = fut.result()
-                results[i] = rep
+    job = functools.partial(_run_job, cfg)
+    if args.workers > 1:
+        import multiprocessing  # only worker pools need it; keeps CLI start-up short
+        spawn = multiprocessing.get_context("spawn")  # fork may copy held BLAS locks
+        with concurrent.futures.ProcessPoolExecutor(args.workers, spawn) as pool:
+            outcomes = list(pool.map(job, jobs))
     else:
-        for i in range(len(jobs)):
-            try:
-                results[i] = execute(i)[1]
-            except Exception as err:  # record, keep going
-                failures.append((jobs[i], str(err)))
+        outcomes = list(map(job, jobs))
     results_path = out_root / "results.csv"
     if results_path.exists():
         results_path.unlink()
-    for rep in results:
+    for rep, _ in outcomes:
         if rep is not None:
             _append_result(results_path, rep)
-    for job, err in failures:
-        print(f"error: run {job} failed: {err}", file=sys.stderr)
-    print(f"wrote {results_path} ({sum(r is not None for r in results)} rows)")
+    failures = [(j, err) for j, (rep, err) in zip(jobs, outcomes) if rep is None]
+    for j, err in failures:
+        print(f"error: run {j} failed: {err}", file=sys.stderr)
+    print(f"wrote {results_path} ({len(jobs) - len(failures)} rows)")
     return 0 if not failures else 1
-
-
-def _read_results(path):
-    import csv as csvmod
-    reports = []
-    with open(path) as fh:
-        for row in csvmod.DictReader(fh):
-            reports.append(evaluation.MetricReport(
-                row["dataset"], row["mechanism"], float(row["rate"]), row["method"],
-                int(row["seed"]),
-                rmse=float(row["rmse"]) if row["rmse"] else None,
-                mae=float(row["mae"]) if row["mae"] else None,
-                cat_accuracy=float(row["cat_accuracy"]) if row["cat_accuracy"] else None,
-                downstream_accuracy=(float(row["downstream_accuracy"])
-                                     if row["downstream_accuracy"] else None),
-                train_seconds=float(row["train_seconds"]) if row["train_seconds"] else None,
-                inference_seconds=(float(row["inference_seconds"])
-                                   if row["inference_seconds"] else None)))
-    return reports
 
 
 def cmd_report(args):
@@ -438,7 +434,7 @@ def _add_common(p):
     p.add_argument("--seed", type=int)
     p.add_argument("--runs", type=int)
     p.add_argument("--ensemble", type=int, help="predictions per row at inference")
-    p.add_argument("--out", help="output root (or env EGGIMPUTE_OUT)")
+    p.add_argument("--out", help="output root; beats env EGGIMPUTE_OUT, which beats the config")
 
 
 def build_parser():

@@ -42,7 +42,6 @@ class ModelConfig:
 
 @dataclass
 class GraphSample:
-    probs: np.ndarray  # m x m edge probabilities P
     relaxed: Tensor  # differentiable relaxed edge values (candidate set only)
     adjacency: Tensor  # straight-through hard adjacency, m x m
     hard: np.ndarray  # binary adjacency with unit diagonal
@@ -169,15 +168,8 @@ class ParameterSet:
 
 # -- edge sampling ------------------------------------------------------
 
-def edge_probabilities(h_graph: Tensor) -> Tensor:
-    """P_ij = exp(-||h_i - h_j||^2); nearer nodes are likelier neighbors."""
-    if not np.all(np.isfinite(h_graph.data)):
-        raise ValueError("non-finite node projections")
-    return T.exp(T.scale(T.pairwise_sq_dist(h_graph), -1.0))
-
-
 def log_edge_probabilities(h_graph: Tensor) -> Tensor:
-    """log P computed directly from distances (numerically safe)."""
+    """log P_ij = -||h_i - h_j||^2; nearer nodes are likelier neighbors."""
     return T.scale(T.pairwise_sq_dist(h_graph), -1.0)
 
 
@@ -202,7 +194,7 @@ def sample_adjacency_egg(log_probs: Tensor, tau: float, rng) -> GraphSample:
     hard = hard_upper + hard_upper.T + np.eye(m)
     relaxed_sym = relaxed + T.transpose(relaxed) + Tensor(np.eye(m))
     adjacency = T.straight_through(relaxed_sym, hard)
-    return GraphSample(np.exp(np.minimum(log_probs.data, 0.0)), relaxed, adjacency, hard)
+    return GraphSample(relaxed, adjacency, hard)
 
 
 def sample_adjacency_kegg(log_probs: Tensor, tau: float, k: int, rng) -> GraphSample:
@@ -223,19 +215,13 @@ def sample_adjacency_kegg(log_probs: Tensor, tau: float, k: int, rng) -> GraphSa
     hard = np.minimum(selected + selected.T + np.eye(m), 1.0)
     relaxed_sym = relaxed + T.transpose(relaxed) + Tensor(np.eye(m))
     adjacency = T.straight_through(relaxed_sym, hard)
-    return GraphSample(np.exp(np.minimum(log_probs.data, 0.0)), relaxed, adjacency, hard)
-
-
-def identity_sample(m: int) -> GraphSample:
-    eye = np.eye(m)
-    relaxed = Tensor(np.zeros((m, m)))
-    return GraphSample(eye.copy(), relaxed, Tensor(eye.copy()), eye.copy())
+    return GraphSample(relaxed, adjacency, hard)
 
 
 def constant_sample(adjacency: np.ndarray) -> GraphSample:
     """Frozen adjacency with no gradient path (for ablations and checks)."""
     a = np.asarray(adjacency, dtype=np.float64)
-    return GraphSample(a.copy(), Tensor(np.zeros_like(a)), Tensor(a.copy()), a.copy())
+    return GraphSample(Tensor(np.zeros_like(a)), Tensor(a.copy()), a.copy())
 
 
 # -- graph convolution --------------------------------------------------
@@ -279,15 +265,17 @@ def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None
         if adjacency_override is not None:
             sample = constant_sample(adjacency_override[blk])
         elif cfg.sampler == "identity":
-            sample = identity_sample(m)
+            sample = constant_sample(np.eye(m))
         else:
             hg = params.mlp_proj[blk](h, training)
             projections.append(hg)
             log_p = log_edge_probabilities(hg)
             if cfg.sampler == "egg":
                 sample = sample_adjacency_egg(log_p, tau, rng)
+            elif m > 1:  # a short tail batch may hold k nodes or fewer
+                sample = sample_adjacency_kegg(log_p, tau, min(cfg.k, m - 1), rng)
             else:
-                sample = sample_adjacency_kegg(log_p, tau, cfg.k, rng)
+                sample = constant_sample(np.eye(1))
         samples.append(sample)
         h = gcn_update(h, sample, params.gcn_w[blk])
         block_outs.append(T.slice_rows(h, 0, n))

@@ -15,9 +15,9 @@ import numpy as np
 class Tensor:
     """A 2-D float64 matrix, optionally tracked on the autodiff tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None, name=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
@@ -28,24 +28,18 @@ class Tensor:
         self.grad = None
         self._parents = _parents
         self._backward_fn = _backward_fn
-        self.name = name
 
     @property
     def shape(self):
         return self.data.shape
 
     def __repr__(self):
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def item(self):
         if self.data.size != 1:
             raise ValueError(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
-
-    def detach(self):
-        """Value copy with no tape history."""
-        return Tensor(self.data.copy())
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -240,39 +234,12 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
     return _make(out_data, (a,), bwd)
 
 
-def reduce_mean(a: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        n = a.data.size
-        out_data = a.data.mean().reshape(1, 1)
-    else:
-        n = a.shape[axis]
-        out_data = a.data.mean(axis=axis, keepdims=True)
-
-    def bwd(g):
-        return [(a, np.broadcast_to(g, a.shape) / n)]
-
-    return _make(out_data, (a,), bwd)
-
-
-def row_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out_data).sum(axis=1, keepdims=True)
-        return [(a, out_data * (g - dot))]
-
-    return _make(out_data, (a,), bwd)
-
-
 def layer_norm_row(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row standardization without learnable affine parameters."""
     mean = a.data.mean(axis=1, keepdims=True)
     var = a.data.var(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (a.data - mean) * inv_std
-    n = a.shape[1]
 
     def bwd(g):
         gm = g.mean(axis=1, keepdims=True)
@@ -344,15 +311,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _make(a.data[start:stop, :].copy(), (a,), bwd)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        return [(a, full)]
-
-    return _make(a.data[:, start:stop].copy(), (a,), bwd)
-
-
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Embedding lookup: rows of ``table`` selected by integer indices."""
     idx = np.asarray(indices, dtype=np.int64).ravel()
@@ -389,12 +347,6 @@ class BatchNormState:
         self.running_var = np.ones((1, width))
         self.momentum = momentum
         self.eps = eps
-
-    def copy(self):
-        other = BatchNormState(self.running_mean.shape[1], self.momentum, self.eps)
-        other.running_mean = self.running_mean.copy()
-        other.running_var = self.running_var.copy()
-        return other
 
 
 def batch_norm_col(a: Tensor, state: BatchNormState, training: bool) -> Tensor:

@@ -95,8 +95,7 @@ def _batch_loss(ds, rows, initial_mask, surr, params, tau, mode, rng, weights, t
     batch = missingness.preprocess_batch(ds, rows, initial_mask, surr,
                                          params.embeddings, params.config.embed_width)
     out = model.forward(batch, params, tau, mode, rng)
-    parts = objectives.compute_losses(batch, out, weights, trip_rng)
-    return batch, out, parts
+    return objectives.compute_losses(batch, out, weights, trip_rng)
 
 
 def validation_loss(ds, initial_mask, val_surrogate, params, config, rng):
@@ -104,14 +103,14 @@ def validation_loss(ds, initial_mask, val_surrogate, params, config, rng):
     losses, counts = [], []
     for start in range(0, ds.n_rows, config.batch_size):
         rows = np.arange(start, min(start + config.batch_size, ds.n_rows))
-        _, _, parts = _batch_loss(ds, rows, initial_mask, val_surrogate[rows], params,
-                                  config.tau_end, "eval", rng, config.weights)
+        parts = _batch_loss(ds, rows, initial_mask, val_surrogate[rows], params,
+                            config.tau_end, "eval", rng, config.weights)
         losses.append(objectives.total_loss(parts, config.weights).item())
         counts.append(len(rows))
     return float(np.average(losses, weights=counts))
 
 
-def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask, log=None) -> TrainedModel:
+def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> TrainedModel:
     """Optimize on ``train_ds``; early-stop on validation loss.
 
     ``train_mask`` / ``val_mask`` are the dataset-level corruption masks
@@ -145,8 +144,8 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask, log=None)
             tau = temperature(step, total_steps, config.tau_start, config.tau_end)
             surr = missingness.surrogate_mask(train_mask[rows], config.surrogate_rate, surr_rng)
             try:
-                _, _, parts = _batch_loss(train_ds, rows, train_mask, surr, params, tau,
-                                          "train", gumbel_rng, config.weights, trip_rng)
+                parts = _batch_loss(train_ds, rows, train_mask, surr, params, tau,
+                                    "train", gumbel_rng, config.weights, trip_rng)
                 loss = objectives.total_loss(parts, config.weights)
                 loss.backward()
                 rmsprop_step(params.named_parameters(), opt, config.learning_rate)
@@ -167,8 +166,6 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask, log=None)
                   "val_loss": val_loss, "seconds": time.perf_counter() - t0}
         record.update({f"train_{k}": v for k, v in epoch_parts.items()})
         history.append(record)
-        if log:
-            log(record)
         if val_loss < best["loss"]:
             best = {"loss": val_loss, "epoch": epoch, "state": params.snapshot()}
             stale = 0

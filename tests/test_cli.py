@@ -160,3 +160,96 @@ def test_missing_artifact_message(workspace, capsys):
     assert cli.main(["impute", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert "corrupt" in err
+
+
+def test_explicit_out_beats_env(workspace, monkeypatch):
+    _, cfg = workspace
+    monkeypatch.setenv("EGGIMPUTE_OUT", "envout")
+    assert cli.load_config(cfg, {"out": "flagout"})["out"] == "flagout"
+    assert cli.load_config(cfg, {"out": None})["out"] == "envout"
+
+
+def test_mask_of_another_table_fails_with_both_shapes(workspace, capsys):
+    _, cfg = workspace
+    assert cli.main(["corrupt", "--config", cfg]) == 0
+    assert cli.main(["make-synthetic", "--rows", "50", "--cols", "4",
+                     "--output", "data/synth.csv"]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "(60, 4)" in err and "(50, 4)" in err and "eggimpute corrupt" in err
+
+
+def test_knn_fallback_uses_training_split_stats():
+    """Rows 0 and 1 are each other's only donor and both miss column 1, so
+    KNN falls back to the column mean: 1.5 over the training rows, not
+    8.25 over all rows."""
+    schema = [dataio.ColumnSchema("a", dataio.NUMERICAL),
+              dataio.ColumnSchema("b", dataio.NUMERICAL)]
+    values = np.array([[0.0, np.nan], [0.1, np.nan], [5.0, 1.0], [6.0, 2.0],
+                       [10.0, 10.0], [11.0, 20.0]])
+    ds = dataio.TabularDataset(schema, values, np.array([0, 0, 1, 1, 0, 1]), 2)
+    mask = np.isfinite(values).astype(np.int8)
+    train_rows, val_rows = np.arange(4), np.arange(4, 6)
+    for method in ("knn", "mean"):
+        imputed = cli._impute_all({"knn_k": 1}, method, ds, ds, mask, train_rows, val_rows,
+                                  None)
+        assert imputed[0, 1] == imputed[1, 1] == 1.5
+
+
+@pytest.fixture
+def mixed_config(tmp_path, monkeypatch):
+    """A 90-row table with a categorical column and a two-job-per-method grid."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EGGIMPUTE_OUT", raising=False)
+    ds = dataio.make_two_cluster(n=90, d=4, seed=1)
+    ds.values[:, 3] = np.digitize(ds.values[:, 3], [-1.0, 1.0])
+    ds.schema[3] = dataio.ColumnSchema("f3", dataio.CATEGORICAL, 3, ["lo", "mid", "hi"])
+    dataio.write_csv(ds, None, "mixed.csv", "mixed.schema.json")
+    config = {"dataset": "mixed.csv", "schema": "mixed.schema.json", "mechanism": "mcar",
+              "rate": 0.2, "seed": 0, "out": "runs", "ensemble": 2, "train": FAST_TRAIN,
+              "grid": {"methods": ["egg", "kegg", "mean", "knn"]}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return tmp_path, "config.json"
+
+
+def _results(path):
+    """results.csv rows without the timing columns."""
+    return [line.split(",")[:-2] for line in path.read_text().splitlines()]
+
+
+def test_stepwise_commands_and_benchmark_agree(mixed_config):
+    root, cfg = mixed_config
+    assert cli.main(["benchmark", "--config", cfg, "--out", "grid"]) == 0
+    grid = {r.method: r for r in cli._read_results(root / "grid/results.csv")}
+    metrics = ("rmse", "mae", "cat_accuracy", "downstream_accuracy")
+    for method in ("egg", "kegg", "mean", "knn"):
+        for step in ("corrupt", "train", "impute", "evaluate"):
+            assert cli.main([step, "--config", cfg, "--method", method]) == 0
+        report = json.loads((root / f"runs/mixed/mcar/0.2/{method}/0/report.json").read_text())
+        assert report["cat_accuracy"] is not None
+        assert {k: report[k] for k in metrics} == \
+            {k: getattr(grid[method], k) for k in metrics}, method
+
+
+def test_benchmark_workers_match_serial_run(mixed_config):
+    root, cfg = mixed_config
+    assert cli.main(["benchmark", "--config", cfg, "--runs", "2", "--out", "serial"]) == 0
+    assert cli.main(["benchmark", "--config", cfg, "--runs", "2", "--out", "pool",
+                     "--workers", "2"]) == 0
+    serial = _results(root / "serial/results.csv")
+    assert len(serial) == 1 + 4 * 2
+    assert _results(root / "pool/results.csv") == serial
+
+
+def test_benchmark_workers_record_failures_and_keep_going(mixed_config, capsys):
+    """MAR keeps one of the 4 columns observed, so a rate of 0.95 is unreachable."""
+    root, cfg = mixed_config
+    config = json.loads((root / cfg).read_text())
+    config["grid"] = {"mechanisms": ["mar"], "rates": [0.2, 0.95], "methods": ["mean"]}
+    (root / cfg).write_text(json.dumps(config))
+    assert cli.main(["benchmark", "--config", cfg, "--runs", "2", "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: run") == 2 and err.count("unreachable") == 2
+    rows = _results(root / "runs/results.csv")[1:]
+    assert sorted((r[2], r[4]) for r in rows) == [("0.2", "0"), ("0.2", "1")]

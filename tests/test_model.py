@@ -20,22 +20,26 @@ def test_config_validation():
         model.ModelConfig(blocks=0).validate()
 
 
+def edge_probabilities(h):
+    return np.exp(model.log_edge_probabilities(h).data)
+
+
 def test_edge_probabilities_identical_rows():
-    p = model.edge_probabilities(Tensor(np.ones((3, 4))))
-    assert np.allclose(p.data, 1.0)
+    p = edge_probabilities(Tensor(np.ones((3, 4))))
+    assert np.allclose(p, 1.0)
 
 
 def test_edge_probabilities_hand_example():
     h = Tensor([[0.0, 0.0], [1.0, 0.0]])
-    p = model.edge_probabilities(h)
-    assert p.data[0, 1] == pytest.approx(np.exp(-1.0))
-    assert p.data[0, 0] == 1.0
+    p = edge_probabilities(h)
+    assert p[0, 1] == pytest.approx(np.exp(-1.0))
+    assert p[0, 0] == 1.0
 
 
 def test_edge_probabilities_monotone_in_distance(rng):
     h = Tensor(rng.normal(size=(6, 3)))
     d = T.pairwise_sq_dist(h).data
-    p = model.edge_probabilities(h).data
+    p = edge_probabilities(h)
     order_d = np.argsort(d.ravel())
     assert np.all(np.diff(p.ravel()[order_d]) <= 1e-15)
 
@@ -135,7 +139,7 @@ def test_sampler_determinism():
 
 
 def test_identity_sample():
-    s = model.identity_sample(5)
+    s = model.constant_sample(np.eye(5))
     assert np.array_equal(s.hard, np.eye(5))
     assert np.array_equal(s.adjacency.data, np.eye(5))
 
@@ -144,7 +148,7 @@ def test_gcn_update_identity_adjacency_zero_weight(rng):
     """With A = I and W = 0 the update reduces to row layer norm of H."""
     h_data = rng.normal(size=(4, 6))
     h = Tensor(h_data)
-    out = model.gcn_update(h, model.identity_sample(4), Tensor(np.zeros((6, 6))))
+    out = model.gcn_update(h, model.constant_sample(np.eye(4)), Tensor(np.zeros((6, 6))))
     expected = T.layer_norm_row(Tensor(h_data)).data
     assert np.allclose(out.data, expected)
 
@@ -296,3 +300,16 @@ def test_checkpoint_version_guard(tmp_path, small_mixed_dataset):
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match="version"):
         model.load_checkpoint(path, ds.schema)
+
+
+@pytest.mark.parametrize("rows,prototypes", [(1, 0), (2, 0), (2, 2), (4, 1)])
+def test_kegg_forward_on_k_nodes_or_fewer_links_every_pair(small_mixed_dataset, rows,
+                                                           prototypes):
+    """With m <= k nodes, k is capped at m - 1, so the graph is complete."""
+    ds = small_mixed_dataset
+    params = small_params(ds, sampler="kegg", prototypes=prototypes, k=5)
+    mask = np.ones(ds.values.shape, dtype=np.int8)
+    batch = make_batch(ds, np.arange(rows), mask, 0.0, params)
+    out = model.forward(batch, params, 0.3, "train", np.random.default_rng(0))
+    m = rows + prototypes
+    assert np.array_equal(out.samples[0].hard, np.ones((m, m)))

@@ -96,16 +96,14 @@ def test_homophily_hand_example():
     both directions), m = 4 -> loss = 1.6 / 16."""
     relaxed = np.zeros((4, 4))
     relaxed[0, 2] = relaxed[2, 0] = 0.8
-    sample = model.GraphSample(np.ones((4, 4)), Tensor(relaxed),
-                               Tensor(np.eye(4)), np.eye(4))
+    sample = model.GraphSample(Tensor(relaxed), Tensor(np.eye(4)), np.eye(4))
     loss = objectives.homophily_loss([sample], [0, 0, 1, 1])
     assert loss.data[0, 0] == pytest.approx(1.6 / 16)
 
 
 def test_homophily_zero_when_single_class():
     relaxed = np.full((3, 3), 0.5)
-    sample = model.GraphSample(np.ones((3, 3)), Tensor(relaxed),
-                               Tensor(np.eye(3)), np.eye(3))
+    sample = model.GraphSample(Tensor(relaxed), Tensor(np.eye(3)), np.eye(3))
     loss = objectives.homophily_loss([sample], [1, 1, 1])
     assert loss.data[0, 0] == 0.0
 
@@ -115,8 +113,7 @@ def test_homophily_ignores_prototype_rows():
     relaxed = np.zeros((5, 5))
     relaxed[3, 4] = relaxed[4, 3] = 1.0  # prototype-prototype edges
     relaxed[0, 3] = 1.0                  # data-prototype edge
-    sample = model.GraphSample(np.ones((5, 5)), Tensor(relaxed),
-                               Tensor(np.eye(5)), np.eye(5))
+    sample = model.GraphSample(Tensor(relaxed), Tensor(np.eye(5)), np.eye(5))
     loss = objectives.homophily_loss([sample], [0, 1, 0])
     assert loss.data[0, 0] == 0.0
 
@@ -126,14 +123,13 @@ def test_homophily_gradient(rng):
     relaxed_data = rng.uniform(size=(4, 4))
 
     def build(x):
-        return [model.GraphSample(np.ones((4, 4)), Tensor(x, requires_grad=True),
-                                  Tensor(np.eye(4)), np.eye(4))]
+        return [model.GraphSample(Tensor(x, requires_grad=True), Tensor(np.eye(4)), np.eye(4))]
 
     samples = build(relaxed_data)
     objectives.homophily_loss(samples, labels).backward()
     fd = central_difference(
         lambda x: float(objectives.homophily_loss(
-            [model.GraphSample(np.ones((4, 4)), Tensor(x), Tensor(np.eye(4)), np.eye(4))],
+            [model.GraphSample(Tensor(x), Tensor(np.eye(4)), np.eye(4))],
             labels).data[0, 0]),
         relaxed_data)
     assert rel_error(samples[0].relaxed.grad, fd) < 1e-5

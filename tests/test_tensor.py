@@ -29,17 +29,13 @@ UNARY_CASES = [
     ("log", lambda t: T.log(t), lambda r: r.uniform(0.5, 3.0, size=(4, 5))),
     ("relu", lambda t: T.relu(t), lambda r: r.normal(size=(4, 5)) + 0.3),
     ("sigmoid", lambda t: T.sigmoid(t), lambda r: r.normal(size=(4, 5))),
-    ("row_softmax", lambda t: T.row_softmax(t), lambda r: r.normal(size=(4, 5))),
     ("layer_norm_row", lambda t: T.layer_norm_row(t), lambda r: r.normal(size=(4, 5))),
     ("reduce_sum", lambda t: T.reduce_sum(t), lambda r: r.normal(size=(4, 5))),
     ("reduce_sum_rows", lambda t: T.reduce_sum(t, axis=0), lambda r: r.normal(size=(4, 5))),
     ("reduce_sum_cols", lambda t: T.reduce_sum(t, axis=1), lambda r: r.normal(size=(4, 5))),
-    ("reduce_mean", lambda t: T.reduce_mean(t), lambda r: r.normal(size=(4, 5))),
-    ("reduce_mean_cols", lambda t: T.reduce_mean(t, axis=1), lambda r: r.normal(size=(4, 5))),
     ("pairwise_sq_dist", lambda t: T.pairwise_sq_dist(t), lambda r: r.normal(size=(5, 3))),
     ("transpose", lambda t: T.transpose(t), lambda r: r.normal(size=(4, 5))),
     ("slice_rows", lambda t: T.slice_rows(t, 1, 3), lambda r: r.normal(size=(4, 5))),
-    ("slice_cols", lambda t: T.slice_cols(t, 0, 2), lambda r: r.normal(size=(4, 5))),
     ("scale", lambda t: T.scale(t, -2.5), lambda r: r.normal(size=(4, 5))),
     ("add_scalar", lambda t: T.add_scalar(t, 1.7), lambda r: r.normal(size=(4, 5))),
 ]
@@ -157,11 +153,6 @@ def test_layer_norm_row_standardizes():
     out = T.layer_norm_row(Tensor([[1.0, 2.0, 3.0]])).data
     assert out.mean() == pytest.approx(0.0, abs=1e-9)
     assert out.var() == pytest.approx(1.0, rel=1e-4)
-
-
-def test_row_softmax_rows_sum_to_one(rng):
-    out = T.row_softmax(Tensor(rng.normal(size=(4, 6)))).data
-    assert np.allclose(out.sum(axis=1), 1.0)
 
 
 def test_concat_and_gather_gradients(rng):

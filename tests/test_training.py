@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eggimpute import dataio, missingness, model, objectives, training
+from eggimpute import dataio, ensemble, missingness, model, objectives, training
 from eggimpute.tensor import Tensor
 
 
@@ -163,3 +163,24 @@ def test_train_history_records_loss_parts():
                 "val_loss", "tau", "seconds"):
         assert key in rec
     assert rec["tau"] < 0.5  # annealing moved during the first epoch
+
+
+@pytest.mark.parametrize("prototypes", [0, 2])
+def test_kegg_handles_tail_batches_of_at_most_k_nodes(prototypes):
+    """Training, validation and ensembling each end on a short batch whose
+    graph (rows plus prototypes) has at most k = 5 nodes, down to one."""
+    ds = dataio.make_two_cluster(n=84, d=4, seed=3)
+    train_rows, val_rows = np.arange(43), np.arange(43, 84)  # tails of 3 and 1 rows
+    mask = np.ones(ds.values.shape, dtype=np.int8)
+    mask[::3, 1] = 0
+    cfg = training.TrainConfig(batch_size=40, max_epochs=2, patience=5,
+                               model=model.ModelConfig(hidden=8, prototypes=prototypes,
+                                                       embed_width=4, sampler="kegg", k=5))
+    trained = training.train(cfg, ds.subset(train_rows), ds.subset(val_rows),
+                             mask[train_rows], mask[val_rows])
+    assert len(trained.history) == 2
+    assert np.isfinite(trained.best_val_loss)
+    for rows in (train_rows, val_rows):
+        res = ensemble.ensemble_impute(ds.subset(rows), mask[rows], trained.params, 2, 0,
+                                       batch_size=40)
+        assert np.isfinite(res.imputed).all()
