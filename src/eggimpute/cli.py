@@ -65,10 +65,8 @@ def _dataset_name(cfg):
 
 
 def run_dir(cfg):
-    path = Path(cfg["out"]) / _dataset_name(cfg) / cfg["mechanism"] / str(cfg["rate"]) / \
+    return Path(cfg["out"]) / _dataset_name(cfg) / cfg["mechanism"] / str(cfg["rate"]) / \
         cfg["method"] / str(cfg["seed"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _require(path, hint):
@@ -229,6 +227,7 @@ def cmd_corrupt(args):
     ds, _ = dataio.load_csv(cfg["dataset"], cfg["schema"])
     mask = _corrupt(cfg, ds)
     rd = run_dir(cfg)
+    rd.mkdir(parents=True, exist_ok=True)
     missingness.save_mask(mask, rd / "mask.csv")
     print(f"wrote {rd / 'mask.csv'} (missing fraction {mask.missing_fraction:.4f})")
     return 0
@@ -247,9 +246,9 @@ def cmd_train(args):
                                  "train_seconds": seconds})
     with open(rd / "history.json", "w") as fh:
         json.dump({"config": trained.config.to_dict(), "train_seconds": seconds,
-                   "epochs": trained.history}, fh, indent=2)
+                   "stop_reason": trained.stop_reason, "epochs": trained.history}, fh, indent=2)
     print(f"wrote {rd / 'checkpoint.npz'} (best val loss {trained.best_val_loss:.4f} "
-          f"at epoch {trained.best_epoch}, {seconds:.1f}s)")
+          f"at epoch {trained.best_epoch}, stopped on {trained.stop_reason}, {seconds:.1f}s)")
     return 0
 
 

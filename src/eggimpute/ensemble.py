@@ -34,7 +34,7 @@ def impute_once(ds, rows, initial_mask, params, tau, rng):
     surr = np.ones((len(rows), ds.n_cols), dtype=np.int8)
     batch = missingness.preprocess_batch(ds, rows, initial_mask, surr,
                                          params.embeddings, params.config.embed_width)
-    return batch, model.forward(batch, params, tau, "eval", rng)
+    return model.forward(batch, params, tau, "eval", rng)
 
 
 def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size=300,
@@ -56,7 +56,7 @@ def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size=300,
         order = rng.permutation(n)
         for start in range(0, n, size):
             rows = order[start:start + size]
-            _, out = impute_once(ds, rows, initial_mask, params, tau, rng)
+            out = impute_once(ds, rows, initial_mask, params, tau, rng)
             num_sum[rows] += out.numeric_pred.data[:, :len(num_idx)]
             for c, logits in enumerate(out.cat_logits):
                 cat_sum[c][rows] += _softmax(logits.data)

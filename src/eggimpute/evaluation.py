@@ -84,32 +84,27 @@ class _TreeNode:
         self.prediction = prediction
 
 
-def _gini(counts):
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return 1.0 - (p ** 2).sum()
-
-
-def _best_split(x, y, feature_ids, num_classes, rng):
+def _best_split(x, y, feature_ids, num_classes):
+    """Gini split search in scan order (features as given, positions left to
+    right); a split replaces the running best only if lower by over 1e-12."""
     n = len(y)
-    parent_counts = np.bincount(y, minlength=num_classes)
-    best = (None, None, _gini(parent_counts))
+    parent = np.bincount(y, minlength=num_classes)
+    best_f, best_thr, best = None, None, 1.0 - ((parent / n) ** 2).sum()
+    n_left = np.arange(1, n)
+    n_right = n - n_left
     for f in feature_ids:
         order = np.argsort(x[:, f], kind="stable")
-        xs, ys = x[order, f], y[order]
-        left = np.zeros(num_classes)
-        right = parent_counts.astype(np.float64).copy()
-        for i in range(n - 1):
-            left[ys[i]] += 1
-            right[ys[i]] -= 1
-            if xs[i + 1] <= xs[i]:
-                continue
-            score = (i + 1) / n * _gini(left) + (n - i - 1) / n * _gini(right)
-            if score < best[2] - 1e-12:
-                best = (f, 0.5 * (xs[i] + xs[i + 1]), score)
-    return best[0], best[1]
+        xs = x[order, f]
+        left = np.cumsum(np.eye(num_classes)[y[order][:-1]], axis=0)
+        right = parent - left
+        score = n_left / n * (1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)) + \
+            n_right / n * (1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1))
+        score[xs[1:] <= xs[:-1]] = np.inf
+        prior_min = np.minimum.accumulate(np.concatenate(([best], score)))[:-1]
+        for i in np.flatnonzero(score < prior_min):  # only new minima can be accepted
+            if score[i] < best - 1e-12:
+                best_f, best_thr, best = f, 0.5 * (xs[i] + xs[i + 1]), score[i]
+    return best_f, best_thr
 
 
 def _grow(x, y, depth, max_depth, n_features, num_classes, rng):
@@ -118,7 +113,7 @@ def _grow(x, y, depth, max_depth, n_features, num_classes, rng):
     if depth >= max_depth or len(np.unique(y)) < 2 or len(y) < 2:
         return node
     feature_ids = rng.choice(x.shape[1], size=n_features, replace=False)
-    feature, threshold = _best_split(x, y, feature_ids, num_classes, rng)
+    feature, threshold = _best_split(x, y, feature_ids, num_classes)
     if feature is None:
         return node
     go_left = x[:, feature] <= threshold

@@ -29,10 +29,8 @@ class MaskMatrix:
 
 @dataclass
 class MiniBatch:
-    row_indices: np.ndarray
     x: "T.Tensor"  # n x (d_n + d_c * e) model input
     surrogate_mask: np.ndarray  # n x d, 1 = observed
-    initial_mask: np.ndarray  # n x d slice of the dataset-level mask
     truth_numeric: np.ndarray  # n x d_n z-scored ground truth (NaN where unknown)
     truth_categorical: np.ndarray  # n x d_c class indices (-1 where unknown)
     labels: np.ndarray
@@ -167,7 +165,7 @@ def preprocess_batch(ds, rows, initial_mask, surr_mask, embeddings, embed_width)
                              np.nan_to_num(values[:, cat_idx]), -1).astype(np.int64)
     else:
         truth_cat = np.zeros((len(rows), 0), dtype=np.int64)
-    return MiniBatch(rows, x, surr_mask, init, truth_num, truth_cat, ds.targets[rows],
+    return MiniBatch(x, surr_mask, truth_num, truth_cat, ds.targets[rows],
                      num_idx, cat_idx)
 
 

@@ -124,20 +124,12 @@ def triplet_regularizer(h_graph: Tensor, labels, margin, rng, n_triplets=None) -
         negatives.append(neg)
     if not anchors:
         return Tensor(np.zeros((1, 1)))
-    total = None
-    m = h_graph.shape[0]
-    # the hinge applies per triplet, so build one selector per triplet
-    terms = []
-    for a, p, ng in zip(anchors, positives, negatives):
-        sel_p = np.zeros((m, m))
-        sel_p[a, p] = 1.0
-        sel_n = np.zeros((m, m))
-        sel_n[a, ng] = 1.0
-        d_pos = T.reduce_sum(T.mul(dist, Tensor(sel_p)))
-        d_neg = T.reduce_sum(T.mul(dist, Tensor(sel_n)))
-        terms.append(T.relu(T.add_scalar(d_pos - d_neg, margin)))
-        total = terms[-1] if total is None else total + terms[-1]
-    return T.scale(total, 1.0 / len(terms))
+    t = len(anchors)
+    sign = np.zeros((t, dist.shape[1]))  # +1 at each triplet's positive, -1 at its negative
+    sign[np.arange(t), positives] = 1.0
+    sign[np.arange(t), negatives] = -1.0
+    gap = T.reduce_sum(T.mul(T.gather_rows(dist, anchors), Tensor(sign)), axis=1)
+    return T.scale(T.reduce_sum(T.relu(T.add_scalar(gap, margin))), 1.0 / t)
 
 
 @dataclass

@@ -84,6 +84,7 @@ class TrainedModel:
     best_val_loss: float
     best_epoch: int
     history: list  # per-epoch dicts
+    stop_reason: str  # "patience", "max_epochs" or "non_finite" (rolled back to the best)
 
 
 def _epoch_batches(n_rows, batch_size, rng):
@@ -152,7 +153,8 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
                 params.check_finite()
             except FloatingPointError:
                 params.load_state_arrays(best["state"])
-                return TrainedModel(params, config, best["loss"], best["epoch"], history)
+                return TrainedModel(params, config, best["loss"], best["epoch"], history,
+                                    "non_finite")
             epoch_parts["total"] += loss.item()
             for name, term in parts.named().items():
                 epoch_parts[name] += term.item()
@@ -174,4 +176,5 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
             if stale > config.patience:
                 break
     params.load_state_arrays(best["state"])
-    return TrainedModel(params, config, best["loss"], best["epoch"], history)
+    return TrainedModel(params, config, best["loss"], best["epoch"], history,
+                        "patience" if stale > config.patience else "max_epochs")

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from eggimpute import dataio, missingness
+
+# fixed examples and no per-example deadline: every run tries the same
+# cases, and a busy host cannot fail one on timing
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def central_difference(f, x, h=1e-6):

@@ -61,13 +61,22 @@ def test_train_requires_mask(workspace):
     assert cli.main(["train", "--config", cfg]) == 1  # corrupt not run yet
 
 
-def test_full_pipeline_model_method(workspace):
+@pytest.mark.parametrize("command", ["train", "impute", "evaluate"])
+def test_commands_before_corrupt_create_nothing(workspace, command):
+    root, cfg = workspace
+    assert cli.main([command, "--config", cfg, "--out", "fresh"]) == 1
+    assert not (root / "fresh").exists()
+
+
+def test_full_pipeline_model_method(workspace, capsys):
     root, cfg = workspace
     assert cli.main(["corrupt", "--config", cfg]) == 0
     assert cli.main(["train", "--config", cfg]) == 0
+    assert "stopped on max_epochs" in capsys.readouterr().out
     rd = root / "runs/synth/mcar/0.2/egg/0"
     assert (rd / "checkpoint.npz").exists()
-    assert (rd / "history.json").exists()
+    history = json.loads((rd / "history.json").read_text())
+    assert history["stop_reason"] == "max_epochs" and len(history["epochs"]) == 2
     assert cli.main(["impute", "--config", cfg]) == 0
     assert (rd / "imputed.csv").exists()
     imputed_z = np.load(rd / "imputed_z.npy")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eggimpute import dataio, evaluation
 
@@ -43,16 +44,47 @@ def test_metrics_skip_unknown_truth():
 
 # -- random forest ------------------------------------------------------
 
+# scalar CART scan, one gini call per candidate threshold: the oracle for
+# the array split search in ``evaluation._best_split``
+
+def _gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return 1.0 - (p ** 2).sum()
+
+
+def _scalar_best_split(x, y, feature_ids, num_classes):
+    n = len(y)
+    parent_counts = np.bincount(y, minlength=num_classes)
+    best = (None, None, _gini(parent_counts))
+    for f in feature_ids:
+        order = np.argsort(x[:, f], kind="stable")
+        xs, ys = x[order, f], y[order]
+        left = np.zeros(num_classes)
+        right = parent_counts.astype(np.float64).copy()
+        for i in range(n - 1):
+            left[ys[i]] += 1
+            right[ys[i]] -= 1
+            if xs[i + 1] <= xs[i]:
+                continue
+            score = (i + 1) / n * _gini(left) + (n - i - 1) / n * _gini(right)
+            if score < best[2] - 1e-12:
+                best = (f, 0.5 * (xs[i] + xs[i + 1]), score)
+    return best[0], best[1]
+
+
 def test_gini_oracle():
-    assert evaluation._gini(np.array([5, 0])) == 0.0
-    assert evaluation._gini(np.array([5, 5])) == pytest.approx(0.5)
-    assert evaluation._gini(np.array([0, 0])) == 0.0
+    assert _gini(np.array([5, 0])) == 0.0
+    assert _gini(np.array([5, 5])) == pytest.approx(0.5)
+    assert _gini(np.array([0, 0])) == 0.0
 
 
 def test_best_split_on_separable_data():
     x = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([0, 0, 1, 1])
-    f, thr = evaluation._best_split(x, y, [0], 2, np.random.default_rng(0))
+    f, thr = evaluation._best_split(x, y, [0], 2)
     assert f == 0
     assert 1.0 < thr < 10.0
 
@@ -60,8 +92,54 @@ def test_best_split_on_separable_data():
 def test_best_split_none_when_uninformative():
     x = np.ones((4, 1))
     y = np.array([0, 1, 0, 1])
-    f, _ = evaluation._best_split(x, y, [0], 2, np.random.default_rng(0))
+    f, _ = evaluation._best_split(x, y, [0], 2)
     assert f is None
+
+
+@st.composite
+def split_fixtures(draw):
+    """Small tables with many ties: few distinct values per column, or
+    continuous values; 2-10 classes, not all of them present."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    num_classes = draw(st.integers(2, 10))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    gen = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        x = gen.integers(0, draw(st.integers(1, 6)), size=(n, d)).astype(np.float64)
+    else:
+        x = np.round(gen.normal(size=(n, d)), draw(st.integers(0, 3)))
+    y = gen.integers(0, draw(st.integers(1, num_classes)), size=n)
+    feature_ids = gen.permutation(d)[:draw(st.integers(1, d))]
+    return x, y, feature_ids, num_classes
+
+
+@settings(max_examples=300)
+@given(split_fixtures())
+def test_best_split_matches_scalar_scan(fixture):
+    assert evaluation._best_split(*fixture) == _scalar_best_split(*fixture)
+
+
+def test_best_split_keeps_the_first_of_near_ties():
+    """Three splits score 0.4 up to rounding: feature 0 at 7.5 gives 0.4,
+    feature 1 at 0.5 and 4.5 give 0.4 - 5.6e-17 and 0.4 - 1.1e-16.  The
+    later ones beat the running best by less than 1e-12, so feature 0
+    stays; a plain argmin would pick feature 1."""
+    x = np.array([[5.0, 9.0], [1.0, 0.0], [6.0, 8.0], [7.0, 3.0], [0.0, 2.0],
+                  [9.0, 6.0], [8.0, 1.0], [3.0, 4.0], [2.0, 5.0], [4.0, 7.0]])
+    y = np.array([1, 0, 0, 0, 1, 1, 1, 0, 1, 1])
+    assert evaluation._best_split(x, y, [0, 1], 2) == (0, 7.5)
+    assert _scalar_best_split(x, y, [0, 1], 2) == (0, 7.5)
+
+
+def test_forest_matches_scalar_split_forest(monkeypatch):
+    gen = np.random.default_rng(3)
+    x = np.round(gen.normal(size=(60, 5)), 1)
+    y = gen.integers(0, 3, 60)
+    fast = evaluation.rf_predict(evaluation.rf_fit(x, y, n_trees=5, seed=2), x)
+    monkeypatch.setattr(evaluation, "_best_split", _scalar_best_split)
+    slow = evaluation.rf_predict(evaluation.rf_fit(x, y, n_trees=5, seed=2), x)
+    assert np.array_equal(fast, slow)
 
 
 def test_forest_learns_separable_problem():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eggimpute import dataio, missingness, model
 
@@ -112,6 +113,35 @@ def test_surrogate_mask_rate_zero_is_identity(rng):
     init = (rng.random((50, 4)) > 0.2).astype(np.int8)
     surr = missingness.surrogate_mask(init, 0.0, rng)
     assert surr.all()
+
+
+@settings(max_examples=50)
+@given(rows=st.integers(1, 30), cols=st.integers(1, 8), missing=st.floats(0.0, 1.0),
+       rate=st.floats(0.0, 0.99), seed=st.integers(0, 2 ** 32 - 1))
+def test_surrogate_mask_never_removes_initially_missing_cells(rows, cols, missing, rate, seed):
+    gen = np.random.default_rng(seed)
+    init = (gen.random((rows, cols)) >= missing).astype(np.int8)
+    surr = missingness.surrogate_mask(init, rate, gen)
+    assert surr.shape == init.shape and set(np.unique(surr)) <= {0, 1}
+    assert (surr[init == 0] == 1).all()
+
+
+@settings(max_examples=20)
+@given(mechanism=st.sampled_from(["mar", "mnar"]), cols=st.integers(2, 8),
+       rate=st.floats(0.05, 0.45), skewed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_mar_and_mnar_hit_their_calibrated_rate(mechanism, cols, rate, skewed, seed):
+    """The intercept is calibrated so the expected missing fraction is the
+    rate; the realized one stays within five binomial standard errors."""
+    gen = np.random.default_rng(seed)
+    n = 3000
+    values = gen.exponential(size=(n, cols)) if skewed else gen.normal(size=(n, cols))
+    schema = [dataio.ColumnSchema(f"c{i}", dataio.NUMERICAL) for i in range(cols)]
+    ds = dataio.TabularDataset(schema, values, gen.integers(0, 2, n), 2)
+    mask = missingness.corrupt(ds, mechanism, rate, seed)
+    corruptible = n * cols if mechanism == "mnar" else n * (cols - max(1, round(0.3 * cols)))
+    per_cell = rate * n * cols / corruptible
+    std_err = np.sqrt(per_cell * (1 - per_cell) / corruptible) * corruptible / (n * cols)
+    assert abs(mask.missing_fraction - rate) < 5 * std_err
 
 
 def make_params(embed_width=4):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import central_difference, make_batch, rel_error
 from eggimpute import model, objectives
@@ -171,6 +172,63 @@ def test_triplet_gradient(rng):
     # stochastic sampling depends on distances, so perturbations can flip
     # a chosen negative; use a loose tolerance and require agreement in shape
     assert rel_error(h.grad, fd, floor=1e-4) < 1e-2
+
+
+def _selector_triplet_regularizer(h_graph, labels, margin, rng, n_triplets=None):
+    """The hinge built per triplet from two m x m selector matrices: the
+    oracle for the batched hinge in ``objectives.triplet_regularizer``."""
+    labels = np.asarray(labels)
+    n = len(labels)
+    if len(np.unique(labels)) < 2:
+        return Tensor(np.zeros((1, 1)))
+    if n_triplets is None:
+        n_triplets = n
+    dist = T.pairwise_sq_dist(h_graph)
+    triplets = []
+    for _ in range(n_triplets):
+        a = int(rng.integers(n))
+        same = np.flatnonzero((labels == labels[a]) & (np.arange(n) != a))
+        other = np.flatnonzero(labels != labels[a])
+        if same.size == 0 or other.size == 0:
+            continue
+        pos = int(rng.choice(same))
+        w = 1.0 / np.clip(np.sqrt(dist.data[a, other]), 0.1, 10.0)
+        triplets.append((a, pos, int(rng.choice(other, p=w / w.sum()))))
+    if not triplets:
+        return Tensor(np.zeros((1, 1)))
+    m = h_graph.shape[0]
+    total = None
+    for a, p, ng in triplets:
+        sel_p = np.zeros((m, m))
+        sel_p[a, p] = 1.0
+        sel_n = np.zeros((m, m))
+        sel_n[a, ng] = 1.0
+        d_pos = T.reduce_sum(T.mul(dist, Tensor(sel_p)))
+        d_neg = T.reduce_sum(T.mul(dist, Tensor(sel_n)))
+        term = T.relu(T.add_scalar(d_pos - d_neg, margin))
+        total = term if total is None else total + term
+    return T.scale(total, 1.0 / len(triplets))
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 14), width=st.integers(1, 4), n_classes=st.integers(1, 3),
+       margin=st.floats(0.0, 3.0), spread=st.floats(0.01, 5.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_triplet_matches_per_triplet_selector_oracle(n, width, n_classes, margin, spread, seed):
+    gen = np.random.default_rng(seed)
+    h_data = gen.normal(size=(n, width)) * spread
+    labels = gen.integers(0, n_classes, size=n)
+    fast_h = Tensor(h_data, requires_grad=True)
+    fast = objectives.triplet_regularizer(fast_h, labels, margin, np.random.default_rng(seed))
+    slow_h = Tensor(h_data, requires_grad=True)
+    slow = _selector_triplet_regularizer(slow_h, labels, margin, np.random.default_rng(seed))
+    assert abs(fast.item() - slow.item()) <= 1e-12 * max(1.0, abs(slow.item()))
+    fast.backward()
+    slow.backward()
+    if slow_h.grad is None:  # no triplet drawn: the loss is a constant
+        assert fast_h.grad is None
+    else:
+        assert np.array_equal(fast_h.grad, slow_h.grad)
 
 
 def test_total_loss_weighting():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import central_difference, rel_error
 from eggimpute import tensor as T
@@ -62,6 +63,73 @@ def test_binary_gradients_match_finite_differences(binop, shape_b, rng):
                               b_data)
     assert rel_error(a.grad, fd_a) < 1e-5
     assert rel_error(b.grad, fd_b) < 1e-5
+
+
+BROADCAST_SHAPES = {"full": lambda m, n: (m, n), "row": lambda m, n: (1, n),
+                    "col": lambda m, n: (m, 1), "scalar": lambda m, n: (1, 1)}
+
+
+@settings(max_examples=80)
+@given(binop=st.sampled_from([T.add, T.sub, T.mul]), rows=st.integers(1, 5),
+       cols=st.integers(1, 5), kind_a=st.sampled_from(list(BROADCAST_SHAPES)),
+       kind_b=st.sampled_from(list(BROADCAST_SHAPES)), seed=st.integers(0, 2 ** 32 - 1))
+def test_binary_gradients_over_random_shapes(binop, rows, cols, kind_a, kind_b, seed):
+    """Either operand may be a full matrix, a (1 x n) row, an (m x 1)
+    column or a (1 x 1) scalar."""
+    gen = np.random.default_rng(seed)
+    a_data = gen.normal(size=BROADCAST_SHAPES[kind_a](rows, cols))
+    b_data = gen.normal(size=BROADCAST_SHAPES[kind_b](rows, cols))
+    a = Tensor(a_data, requires_grad=True)
+    b = Tensor(b_data, requires_grad=True)
+    out = binop(a, b)
+    w = gen.normal(size=out.shape)
+    T.reduce_sum(T.mul(out, Tensor(w))).backward()
+    fd_a = central_difference(lambda x: float((binop(Tensor(x), Tensor(b_data)).data * w).sum()),
+                              a_data)
+    fd_b = central_difference(lambda x: float((binop(Tensor(a_data), Tensor(x)).data * w).sum()),
+                              b_data)
+    assert a.grad.shape == a_data.shape and b.grad.shape == b_data.shape
+    assert rel_error(a.grad, fd_a) < 1e-5
+    assert rel_error(b.grad, fd_b) < 1e-5
+
+
+def _away_from_zero(gen, shape):
+    return gen.choice([-1.0, 1.0], size=shape) * gen.uniform(0.2, 2.0, size=shape)
+
+
+RANDOM_SHAPE_CASES = {
+    "exp": (T.exp, lambda g, s: g.normal(size=s)),
+    "log": (T.log, lambda g, s: g.uniform(0.5, 3.0, size=s)),
+    "relu": (T.relu, _away_from_zero),
+    "sigmoid": (T.sigmoid, lambda g, s: g.normal(size=s)),
+    "reduce_sum": (T.reduce_sum, lambda g, s: g.normal(size=s)),
+    "reduce_sum_rows": (lambda t: T.reduce_sum(t, axis=0), lambda g, s: g.normal(size=s)),
+    "reduce_sum_cols": (lambda t: T.reduce_sum(t, axis=1), lambda g, s: g.normal(size=s)),
+    "pairwise_sq_dist": (T.pairwise_sq_dist, lambda g, s: g.normal(size=s)),
+    "transpose": (T.transpose, lambda g, s: g.normal(size=s)),
+    "scale": (lambda t: T.scale(t, -1.3), lambda g, s: g.normal(size=s)),
+    "add_scalar": (lambda t: T.add_scalar(t, 0.7), lambda g, s: g.normal(size=s)),
+}
+
+
+@settings(max_examples=80)
+@given(name=st.sampled_from(sorted(RANDOM_SHAPE_CASES)), rows=st.integers(1, 5),
+       cols=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_unary_gradients_over_random_shapes(name, rows, cols, seed):
+    op, make = RANDOM_SHAPE_CASES[name]
+    gen = np.random.default_rng(seed)
+    check_unary(op, make(gen, (rows, cols)), gen)
+
+
+@settings(max_examples=30)
+@given(m=st.integers(1, 4), k=st.integers(1, 4), n=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_matmul_gradients_over_random_shapes(m, k, n, seed):
+    gen = np.random.default_rng(seed)
+    b_data = gen.normal(size=(k, n))
+    check_unary(lambda t: T.matmul(t, Tensor(b_data)), gen.normal(size=(m, k)), gen)
+    a_data = gen.normal(size=(m, k))
+    check_unary(lambda t: T.matmul(Tensor(a_data), t), b_data, gen)
 
 
 def test_matmul_identity():

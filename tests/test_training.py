@@ -146,8 +146,43 @@ def test_train_early_stops_when_no_progress():
     if len(losses) < cfg.max_epochs:  # stopped early
         # exactly patience + 1 stale epochs follow the last improvement
         assert len(losses) - 1 - best_epoch == cfg.patience + 1
+        assert result.stop_reason == "patience"
     else:
         pytest.fail("expected early stop within 60 epochs on this fixture")
+
+
+def test_train_stop_reason_max_epochs():
+    result = training.train(tiny_config(max_epochs=2), *tiny_setup())
+    assert len(result.history) == 2
+    assert result.stop_reason == "max_epochs"
+
+
+def test_train_non_finite_step_rolls_back_to_best_snapshot(monkeypatch):
+    """A step that raises FloatingPointError ends training: the reason says
+    so and the parameters are those of the best validated epoch."""
+    real_step, real_validation = training.rmsprop_step, training.validation_loss
+    steps, snapshots = [], []
+
+    def failing_step(params, state, lr):
+        steps.append(len(steps))
+        if len(steps) == 5:  # 42 training rows in batches of 32: epoch 2, first step
+            raise FloatingPointError("non-finite gradient for parameter 'w'")
+        real_step(params, state, lr)
+
+    def recording_validation(ds, initial_mask, val_surrogate, params, config, rng):
+        snapshots.append(params.snapshot())
+        return real_validation(ds, initial_mask, val_surrogate, params, config, rng)
+
+    monkeypatch.setattr(training, "rmsprop_step", failing_step)
+    monkeypatch.setattr(training, "validation_loss", recording_validation)
+    result = training.train(tiny_config(max_epochs=6), *tiny_setup())
+    assert result.stop_reason == "non_finite"
+    assert len(result.history) == len(snapshots) == 2
+    best = snapshots[result.best_epoch]
+    restored = result.params.state_arrays()
+    assert restored.keys() == best.keys()
+    for name in best:
+        assert np.array_equal(restored[name], best[name]), name
 
 
 def test_train_kegg_sampler_runs():
