@@ -9,6 +9,11 @@ import numpy as np
 from .dataio import ColumnStats, compute_stats
 
 
+def _fill_value(col, j, stats: ColumnStats):
+    """The column mean for a numerical column, else its modal class."""
+    return stats.means.get(j, 0.0) if col.kind == "numerical" else stats.modes.get(j, 0)
+
+
 def mean_impute(ds, mask, stats: ColumnStats = None):
     """Missing numerics get the column mean, categoricals the modal class.
 
@@ -19,13 +24,7 @@ def mean_impute(ds, mask, stats: ColumnStats = None):
         stats = compute_stats(ds, mask)
     imputed = ds.values.copy()
     for j, col in enumerate(ds.schema):
-        missing = mask[:, j] == 0
-        if not missing.any():
-            continue
-        if col.kind == "numerical":
-            imputed[missing, j] = stats.means.get(j, 0.0)
-        else:
-            imputed[missing, j] = stats.modes.get(j, 0)
+        imputed[mask[:, j] == 0, j] = _fill_value(col, j, stats)
     return imputed
 
 
@@ -69,12 +68,8 @@ def knn_impute(ds, mask, k_nn=5, stats: ColumnStats = None):
             col = ds.schema[j]
             giving = donors[obs[donors, j]]
             if giving.size == 0:
-                if col.kind == "numerical":
-                    imputed[i, j] = stats.means.get(j, 0.0)
-                else:
-                    imputed[i, j] = stats.modes.get(j, 0)
-                continue
-            if col.kind == "numerical":
+                imputed[i, j] = _fill_value(col, j, stats)
+            elif col.kind == "numerical":
                 imputed[i, j] = values[giving, j].mean()
             else:
                 votes = np.bincount(values[giving, j].astype(np.int64),

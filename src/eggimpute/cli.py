@@ -386,23 +386,24 @@ def cmd_benchmark(args):
     return 0 if not failures else 1
 
 
+def _mean_by_method(reports, column):
+    """Per-method mean of a results column; None where no row sets it."""
+    values = {r.method: [] for r in reports}
+    for r in reports:
+        if getattr(r, column) is not None:
+            values[r.method].append(getattr(r, column))
+    return {m: float(np.mean(v)) if v else None for m, v in values.items()}
+
+
 def cmd_report(args):
     reports = _read_results(_require(args.results, "eggimpute benchmark"))
     wins = evaluation.count_of_wins(reports)
     ranking = evaluation.unified_average_ranking(reports)
-    timing = {}
-    for r in reports:
-        entry = timing.setdefault(r.method, {"train": [], "inference": []})
-        if r.train_seconds is not None:
-            entry["train"].append(r.train_seconds)
-        if r.inference_seconds is not None:
-            entry["inference"].append(r.inference_seconds)
-    timing_summary = {m: {"mean_train_seconds": float(np.mean(v["train"])) if v["train"] else None,
-                          "mean_inference_seconds": (float(np.mean(v["inference"]))
-                                                     if v["inference"] else None)}
-                      for m, v in timing.items()}
+    train = _mean_by_method(reports, "train_seconds")
+    inference = _mean_by_method(reports, "inference_seconds")
     summary = {"count_of_wins": wins, "unified_average_ranking": ranking,
-               "timing": timing_summary}
+               "timing": {m: {"mean_train_seconds": train[m],
+                              "mean_inference_seconds": inference[m]} for m in train}}
     out = Path(args.output) if args.output else Path(args.results).parent / "summary.json"
     with open(out, "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -476,7 +477,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as err:
+    except (FileNotFoundError, ValueError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

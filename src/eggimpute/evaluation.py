@@ -197,29 +197,29 @@ def downstream_accuracy(imputed_train, y_train, imputed_test, y_test, schema,
 METRIC_NAMES = ("rmse", "mae", "cat_accuracy", "downstream_accuracy")
 
 
-def _grouped(reports):
+def _scored_cells(reports):
+    """Yield (mechanism, rate, metric, [(method, value)]) for every
+    dataset/mechanism/rate group and metric that scores two methods or more."""
     groups = {}
     for r in reports:
         groups.setdefault((r.dataset, r.mechanism, r.rate), []).append(r)
-    return groups
+    for (_, mechanism, rate), group in groups.items():
+        for metric in METRIC_NAMES:
+            scored = [(r.method, getattr(r, metric)) for r in group
+                      if getattr(r, metric) is not None]
+            if len(scored) >= 2:
+                yield mechanism, rate, metric, scored
 
 
 def count_of_wins(reports):
     """Per-method tally of best-metric finishes across groups; ties credit
     every tied method."""
     wins = {}
-    for group in _grouped(reports).values():
-        for metric in METRIC_NAMES:
-            scored = [(r.method, getattr(r, metric)) for r in group
-                      if getattr(r, metric) is not None]
-            if len(scored) < 2:
-                continue
-            values = [v for _, v in scored]
-            best = min(values) if LOWER_IS_BETTER[metric] else max(values)
-            for method, v in scored:
-                wins.setdefault(method, 0)
-                if v == best:
-                    wins[method] += 1
+    for _, _, metric, scored in _scored_cells(reports):
+        values = [v for _, v in scored]
+        best = min(values) if LOWER_IS_BETTER[metric] else max(values)
+        for method, v in scored:
+            wins[method] = wins.get(method, 0) + int(v == best)
     return wins
 
 
@@ -247,16 +247,11 @@ def unified_average_ranking(reports):
     noise levels.  Methods absent from a group are excluded from it.
     """
     per_cell = {}  # (metric, mechanism, rate) -> {method: [ranks]}
-    for (dataset, mechanism, rate), group in _grouped(reports).items():
-        for metric in METRIC_NAMES:
-            scored = [(r.method, getattr(r, metric)) for r in group
-                      if getattr(r, metric) is not None]
-            if len(scored) < 2:
-                continue
-            ranks = _average_ranks([v for _, v in scored], LOWER_IS_BETTER[metric])
-            cell = per_cell.setdefault((metric, mechanism, rate), {})
-            for (method, _), rank in zip(scored, ranks):
-                cell.setdefault(method, []).append(rank)
+    for mechanism, rate, metric, scored in _scored_cells(reports):
+        ranks = _average_ranks([v for _, v in scored], LOWER_IS_BETTER[metric])
+        cell = per_cell.setdefault((metric, mechanism, rate), {})
+        for (method, _), rank in zip(scored, ranks):
+            cell.setdefault(method, []).append(rank)
     summary = {}  # method -> list of per-cell average ranks
     for cell in per_cell.values():
         for method, ranks in cell.items():

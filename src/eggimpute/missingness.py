@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .dataio import CATEGORICAL, NUMERICAL
 
 
 @dataclass
@@ -135,9 +134,12 @@ def preprocess_batch(ds, rows, initial_mask, surr_mask, embeddings, embed_width)
     0, the z-scored mean.  Masked categorical cells take the auxiliary
     missing-token index C_d before the embedding lookup.
     """
+    if initial_mask.shape != ds.values.shape:
+        raise ValueError(f"initial mask has shape {initial_mask.shape}, "
+                         f"but the table has shape {ds.values.shape}")
     rows = np.asarray(rows)
     values = ds.values[rows]
-    init = initial_mask[rows] if initial_mask.shape[0] == ds.n_rows else initial_mask
+    init = initial_mask[rows]
     if surr_mask.shape != init.shape:
         raise ValueError("surrogate mask shape must match the batch")
     visible = (init == 1) & (surr_mask == 1)

@@ -14,7 +14,7 @@ through the relaxed edge values via a straight-through estimator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -179,42 +179,32 @@ def _gumbel(rng, shape):
     return -np.log(-np.log(u))
 
 
-def sample_adjacency_egg(log_probs: Tensor, tau: float, rng) -> GraphSample:
-    """Independent Bernoulli edges over the strict upper triangle."""
+def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSample:
+    """Gumbel-sigmoid edges over a candidate set, then OR-symmetrization.
+
+    Candidates are the strict upper triangle, each kept when its relaxed
+    value passes 0.5 (independent edges), or with ``k`` each node's k top
+    perturbed logits (Gumbel-top-k, the restricted kEGG sampler), all kept.
+    """
     if tau <= 0:
         raise ValueError("temperature must be positive")
     m = log_probs.shape[0]
     if log_probs.shape != (m, m):
         raise ValueError("log_probs must be square")
-    upper = np.triu(np.ones((m, m)), k=1)
-    noise = _gumbel(rng, (m, m))
-    logits = T.scale(log_probs + Tensor(noise), 1.0 / tau)
-    relaxed = T.mul(T.sigmoid(logits), Tensor(upper))
-    hard_upper = (relaxed.data > 0.5) * upper
-    hard = hard_upper + hard_upper.T + np.eye(m)
-    relaxed_sym = relaxed + T.transpose(relaxed) + Tensor(np.eye(m))
-    adjacency = T.straight_through(relaxed_sym, hard)
-    return GraphSample(relaxed, adjacency, hard)
-
-
-def sample_adjacency_kegg(log_probs: Tensor, tau: float, k: int, rng) -> GraphSample:
-    """Exactly k outgoing neighbors per node, then OR-symmetrization."""
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    m = log_probs.shape[0]
-    if not 1 <= k < m:
+    if k is not None and not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < m, got k={k}, m={m}")
-    offdiag = 1.0 - np.eye(m)
-    noise = _gumbel(rng, (m, m))
-    logits = T.scale(log_probs + Tensor(noise), 1.0 / tau)
-    perturbed = logits.data + np.where(offdiag == 1, 0.0, -np.inf)
-    top = np.argpartition(-perturbed, k - 1, axis=1)[:, :k]
-    selected = np.zeros((m, m))
-    selected[np.repeat(np.arange(m), k), top.ravel()] = 1.0
-    relaxed = T.mul(T.sigmoid(logits), Tensor(selected))
-    hard = np.minimum(selected + selected.T + np.eye(m), 1.0)
-    relaxed_sym = relaxed + T.transpose(relaxed) + Tensor(np.eye(m))
-    adjacency = T.straight_through(relaxed_sym, hard)
+    eye = np.eye(m)
+    logits = T.scale(log_probs + Tensor(_gumbel(rng, (m, m))), 1.0 / tau)
+    if k is None:
+        candidates = np.triu(np.ones((m, m)), k=1)
+    else:
+        top = np.argpartition(-np.where(eye, -np.inf, logits.data), k - 1, axis=1)[:, :k]
+        candidates = np.zeros((m, m))
+        candidates[np.repeat(np.arange(m), k), top.ravel()] = 1.0
+    relaxed = T.mul(T.sigmoid(logits), Tensor(candidates))
+    chosen = (relaxed.data > 0.5) * candidates if k is None else candidates
+    hard = np.minimum(chosen + chosen.T + eye, 1.0)
+    adjacency = T.straight_through(relaxed + T.transpose(relaxed) + Tensor(eye), hard)
     return GraphSample(relaxed, adjacency, hard)
 
 
@@ -270,12 +260,11 @@ def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None
             hg = params.mlp_proj[blk](h, training)
             projections.append(hg)
             log_p = log_edge_probabilities(hg)
-            if cfg.sampler == "egg":
-                sample = sample_adjacency_egg(log_p, tau, rng)
-            elif m > 1:  # a short tail batch may hold k nodes or fewer
-                sample = sample_adjacency_kegg(log_p, tau, min(cfg.k, m - 1), rng)
-            else:
-                sample = constant_sample(np.eye(1))
+            # kegg caps k at m - 1 for short tail batches; a one-node batch
+            # (k == 0) keeps the identity graph and draws no Gumbel noise
+            k = min(cfg.k, m - 1) if cfg.sampler == "kegg" else None
+            sample = (constant_sample(np.eye(1)) if k == 0
+                      else sample_adjacency_egg(log_p, tau, rng, k))
         samples.append(sample)
         h = gcn_update(h, sample, params.gcn_w[blk])
         block_outs.append(T.slice_rows(h, 0, n))

@@ -234,19 +234,24 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
     return _make(out_data, (a,), bwd)
 
 
-def layer_norm_row(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row standardization without learnable affine parameters."""
-    mean = a.data.mean(axis=1, keepdims=True)
-    var = a.data.var(axis=1, keepdims=True)
+def _standardize(a: Tensor, axis: int, eps: float):
+    """Zero mean, unit variance along ``axis``; returns (out, mean, var)."""
+    mean = a.data.mean(axis=axis, keepdims=True)
+    var = a.data.var(axis=axis, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (a.data - mean) * inv_std
 
     def bwd(g):
-        gm = g.mean(axis=1, keepdims=True)
-        gx = (g * xhat).mean(axis=1, keepdims=True)
+        gm = g.mean(axis=axis, keepdims=True)
+        gx = (g * xhat).mean(axis=axis, keepdims=True)
         return [(a, inv_std * (g - gm - xhat * gx))]
 
-    return _make(xhat, (a,), bwd)
+    return _make(xhat, (a,), bwd), mean, var
+
+
+def layer_norm_row(a: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-row standardization without learnable affine parameters."""
+    return _standardize(a, 1, eps)[0]
 
 
 def pairwise_sq_dist(a: Tensor) -> Tensor:
@@ -355,19 +360,10 @@ def batch_norm_col(a: Tensor, state: BatchNormState, training: bool) -> Tensor:
     if a.shape[1] != state.running_mean.shape[1]:
         raise ValueError(f"batch norm width mismatch: {a.shape[1]} vs {state.running_mean.shape[1]}")
     if training:
-        mean = a.data.mean(axis=0, keepdims=True)
-        var = a.data.var(axis=0, keepdims=True)
+        out, mean, var = _standardize(a, 0, state.eps)
         state.running_mean = (1 - state.momentum) * state.running_mean + state.momentum * mean
         state.running_var = (1 - state.momentum) * state.running_var + state.momentum * var
-        inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = (a.data - mean) * inv_std
-
-        def bwd(g):
-            gm = g.mean(axis=0, keepdims=True)
-            gx = (g * xhat).mean(axis=0, keepdims=True)
-            return [(a, inv_std * (g - gm - xhat * gx))]
-
-        return _make(xhat, (a,), bwd)
+        return out
 
     inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
     out_data = (a.data - state.running_mean) * inv_std

@@ -116,7 +116,8 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
 
     ``train_mask`` / ``val_mask`` are the dataset-level corruption masks
     (1 = observed).  Datasets must already be normalized with training
-    statistics.
+    statistics.  A non-finite step rolls back to the best epoch, or raises
+    ``FloatingPointError`` when no epoch has completed yet.
     """
     config.validate()
     root = np.random.SeedSequence(config.seed)
@@ -127,9 +128,8 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
     surr_rng = np.random.default_rng(surr_seed)
     gumbel_rng = np.random.default_rng(gumbel_seed)
     trip_rng = np.random.default_rng(trip_seed)
-    val_rng_seed = val_seed  # fixed surrogate + per-epoch eval streams
     val_surrogate = missingness.surrogate_mask(val_mask, config.surrogate_rate,
-                                              np.random.default_rng(val_rng_seed))
+                                              np.random.default_rng(val_seed))
     opt = RmsPropState(params.named_parameters())
 
     batches_per_epoch = int(np.ceil(train_ds.n_rows / config.batch_size))
@@ -151,7 +151,10 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
                 loss.backward()
                 rmsprop_step(params.named_parameters(), opt, config.learning_rate)
                 params.check_finite()
-            except FloatingPointError:
+            except FloatingPointError as err:
+                if not history:
+                    raise FloatingPointError(f"training failed before its first epoch "
+                                             f"completed: {err}") from err
                 params.load_state_arrays(best["state"])
                 return TrainedModel(params, config, best["loss"], best["epoch"], history,
                                     "non_finite")
@@ -162,7 +165,7 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
         for key in epoch_parts:
             epoch_parts[key] /= batches_per_epoch
         val_loss = validation_loss(val_ds, val_mask, val_surrogate, params, config,
-                                   np.random.default_rng(val_rng_seed.spawn(1)[0]))
+                                   np.random.default_rng(val_seed.spawn(1)[0]))
         record = {"epoch": epoch, "tau": temperature(step, total_steps, config.tau_start,
                                                      config.tau_end),
                   "val_loss": val_loss, "seconds": time.perf_counter() - t0}

@@ -135,7 +135,7 @@ def test_criterion_2_adjacency_invariants_over_1000_graphs():
         if i % 2 == 0:
             hard = model.sample_adjacency_egg(log_p, tau, gen).hard
         else:
-            hard = model.sample_adjacency_kegg(log_p, tau, k, gen).hard
+            hard = model.sample_adjacency_egg(log_p, tau, gen, k).hard
             sums = hard.sum(axis=1)
             if not (np.all(sums >= k + 1) and np.all(sums <= m)):
                 violations += 1

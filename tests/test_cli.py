@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eggimpute import cli, dataio, evaluation, missingness
+from eggimpute import cli, dataio, evaluation, missingness, training
 
 
 FAST_TRAIN = {"batch_size": 32, "max_epochs": 2, "patience": 5,
@@ -162,6 +162,20 @@ def test_stage_seeds_are_distinct():
     seeds = {cli._stage_seed_int(0, stage)
              for stage in ("corrupt", "split", "train", "ensemble", "forest")}
     assert len(seeds) == 5
+
+
+def test_train_fails_when_the_first_step_is_non_finite(workspace, monkeypatch, capsys):
+    """No epoch completed, so there is no trained model to save."""
+    root, cfg = workspace
+    assert cli.main(["corrupt", "--config", cfg]) == 0
+
+    def failing_step(params, state, lr):
+        raise FloatingPointError("non-finite gradient for parameter 'w'")
+
+    monkeypatch.setattr(training, "rmsprop_step", failing_step)
+    assert cli.main(["train", "--config", cfg]) == 1
+    assert "before its first epoch completed" in capsys.readouterr().err
+    assert not (root / "runs/synth/mcar/0.2/egg/0/checkpoint.npz").exists()
 
 
 def test_missing_artifact_message(workspace, capsys):

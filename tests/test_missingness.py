@@ -207,6 +207,18 @@ def test_preprocess_batch_shape_validation(small_mixed_dataset):
                                      params.embeddings, cfg.embed_width)
 
 
+def test_preprocess_batch_rejects_batch_shaped_mask(small_mixed_dataset):
+    """The initial mask covers the whole table and is indexed by ``rows``;
+    a mask cut to the batch is refused with both shapes named."""
+    ds = small_mixed_dataset
+    cfg = model.ModelConfig(hidden=8, prototypes=2, embed_width=4)
+    params = model.ParameterSet(cfg, ds.schema, num_classes=2, seed=0)
+    batch_mask = np.ones((6, 4), dtype=np.int8)
+    with pytest.raises(ValueError, match=r"\(6, 4\).*\(24, 4\)"):
+        missingness.preprocess_batch(ds, np.arange(6), batch_mask, batch_mask.copy(),
+                                     params.embeddings, cfg.embed_width)
+
+
 def test_mask_save_load_round_trip(tmp_path):
     ds = big_numeric_dataset(n=40, d=5)
     mask = missingness.corrupt_mcar(ds, 0.25, seed=8)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import central_difference, make_batch, rel_error
 from eggimpute import model
@@ -64,7 +65,7 @@ def sample_many(sampler, n_samples=200, m=9, k=3, tau=0.3, seed=0):
         if sampler == "egg":
             yield model.sample_adjacency_egg(log_p, tau, rng)
         else:
-            yield model.sample_adjacency_kegg(log_p, tau, k, rng)
+            yield model.sample_adjacency_egg(log_p, tau, rng, k)
 
 
 @pytest.mark.parametrize("sampler", ["egg", "kegg"])
@@ -108,7 +109,7 @@ def test_egg_gradient_reaches_log_probs(rng):
 
 def test_kegg_selects_exactly_k_per_row(rng):
     log_p = Tensor(rng.normal(size=(8, 8)))
-    s = model.sample_adjacency_kegg(log_p, 0.4, 3, rng)
+    s = model.sample_adjacency_egg(log_p, 0.4, rng, 3)
     # relaxed support: exactly k off-diagonal candidates per row
     support = (s.relaxed.data > 0).sum(axis=1)
     assert np.all(support == 3)
@@ -118,13 +119,13 @@ def test_kegg_selects_exactly_k_per_row(rng):
 def test_kegg_rejects_bad_k(rng):
     log_p = Tensor(np.zeros((4, 4)))
     with pytest.raises(ValueError):
-        model.sample_adjacency_kegg(log_p, 0.4, 4, rng)
+        model.sample_adjacency_egg(log_p, 0.4, rng, 4)
     with pytest.raises(ValueError):
-        model.sample_adjacency_kegg(log_p, 0.4, 0, rng)
+        model.sample_adjacency_egg(log_p, 0.4, rng, 0)
 
 
 @pytest.mark.parametrize("fn", [lambda t, r: model.sample_adjacency_egg(t, 0.0, r),
-                                lambda t, r: model.sample_adjacency_kegg(t, -1.0, 2, r)],
+                                lambda t, r: model.sample_adjacency_egg(t, -1.0, r, 2)],
                          ids=["egg", "kegg"])
 def test_samplers_reject_nonpositive_temperature(fn, rng):
     with pytest.raises(ValueError):
@@ -136,6 +137,70 @@ def test_sampler_determinism():
     a = model.sample_adjacency_egg(log_p, 0.3, np.random.default_rng(77)).hard
     b = model.sample_adjacency_egg(log_p, 0.3, np.random.default_rng(77)).hard
     assert np.array_equal(a, b)
+
+
+# The two samplers as they were before they became one function with an
+# optional k; the merged sampler must reproduce them bit for bit.
+
+def oracle_egg(log_probs, tau, rng):
+    m = log_probs.shape[0]
+    upper = np.triu(np.ones((m, m)), k=1)
+    noise = model._gumbel(rng, (m, m))
+    logits = T.scale(log_probs + Tensor(noise), 1.0 / tau)
+    relaxed = T.mul(T.sigmoid(logits), Tensor(upper))
+    hard_upper = (relaxed.data > 0.5) * upper
+    hard = hard_upper + hard_upper.T + np.eye(m)
+    relaxed_sym = relaxed + T.transpose(relaxed) + Tensor(np.eye(m))
+    return relaxed, T.straight_through(relaxed_sym, hard), hard
+
+
+def oracle_kegg(log_probs, tau, k, rng):
+    m = log_probs.shape[0]
+    offdiag = 1.0 - np.eye(m)
+    noise = model._gumbel(rng, (m, m))
+    logits = T.scale(log_probs + Tensor(noise), 1.0 / tau)
+    perturbed = logits.data + np.where(offdiag == 1, 0.0, -np.inf)
+    top = np.argpartition(-perturbed, k - 1, axis=1)[:, :k]
+    selected = np.zeros((m, m))
+    selected[np.repeat(np.arange(m), k), top.ravel()] = 1.0
+    relaxed = T.mul(T.sigmoid(logits), Tensor(selected))
+    hard = np.minimum(selected + selected.T + np.eye(m), 1.0)
+    relaxed_sym = relaxed + T.transpose(relaxed) + Tensor(np.eye(m))
+    return relaxed, T.straight_through(relaxed_sym, hard), hard
+
+
+def bits(a):
+    return np.asarray(a).dtype, np.asarray(a).shape, np.asarray(a).tobytes()
+
+
+@settings(max_examples=300)
+@given(data=st.data(), m=st.integers(2, 30), tau=st.floats(0.005, 1.0),
+       spread=st.sampled_from([1.0, 1e18]), seed=st.integers(0, 2 ** 32 - 1))
+def test_merged_sampler_matches_both_oracles(data, m, tau, spread, seed):
+    """Log-probabilities rounded to one decimal repeat across pairs; scaled
+    by 1e18 they swamp the Gumbel noise, so the top-k logits tie."""
+    k = data.draw(st.none() | st.integers(1, m - 1), label="k")
+    gen = np.random.default_rng(seed)
+    log_p = np.round(-gen.uniform(0, 4, size=(m, m)), 1) * spread
+    weights = Tensor(gen.normal(size=(m, m)))
+
+    def run(sampler):
+        inputs = Tensor(log_p, requires_grad=True)
+        rng = np.random.default_rng(seed)
+        relaxed, adjacency, hard = sampler(inputs, rng)
+        T.reduce_sum(T.mul(adjacency, weights)).backward()
+        return [bits(v) for v in (hard, relaxed.data, adjacency.data, inputs.grad,
+                                  rng.random())]
+
+    def merged(inputs, rng):
+        s = model.sample_adjacency_egg(inputs, tau, rng, k)
+        return s.relaxed, s.adjacency, s.hard
+
+    if k is None:
+        want = run(lambda inputs, rng: oracle_egg(inputs, tau, rng))
+    else:
+        want = run(lambda inputs, rng: oracle_kegg(inputs, tau, k, rng))
+    assert run(merged) == want
 
 
 def test_identity_sample():

@@ -119,21 +119,26 @@ def test_train_improves_over_initialization():
         min(h["val_loss"] for h in result.history))
 
 
-def test_train_restores_best_checkpoint():
-    train_ds, val_ds, tm, vm = tiny_setup()
-    result = training.train(tiny_config(max_epochs=6), train_ds, val_ds, tm, vm)
-    cfg = result.config
-    val = training.validation_loss(val_ds, vm,
-                                   missingness.surrogate_mask(
-                                       vm, cfg.surrogate_rate,
-                                       np.random.default_rng(
-                                           np.random.SeedSequence(cfg.seed).spawn(6)[4])),
-                                   result.params, cfg,
-                                   np.random.default_rng(0))
-    # restored parameters evaluate near the recorded best (eval sampling is
-    # stochastic, so allow slack)
-    assert np.isfinite(val)
-    assert result.best_epoch >= 0
+def test_train_restores_best_checkpoint(monkeypatch):
+    """The returned parameters are the best epoch's snapshot, bit for bit,
+    not the last epoch's."""
+    real_validation = training.validation_loss
+    snapshots = []
+
+    def recording_validation(ds, initial_mask, val_surrogate, params, config, rng):
+        snapshots.append(params.snapshot())
+        return real_validation(ds, initial_mask, val_surrogate, params, config, rng)
+
+    monkeypatch.setattr(training, "validation_loss", recording_validation)
+    result = training.train(tiny_config(max_epochs=6), *tiny_setup())
+    assert len(result.history) == len(snapshots) == 6
+    assert 0 <= result.best_epoch < len(result.history) - 1
+    best = snapshots[result.best_epoch]
+    restored = result.params.state_arrays()
+    assert restored.keys() == best.keys()
+    for name in best:
+        assert np.array_equal(restored[name], best[name]), name
+    assert any(not np.array_equal(snapshots[-1][name], best[name]) for name in best)
 
 
 def test_train_early_stops_when_no_progress():
