@@ -34,10 +34,7 @@ def _row_distances(values, mask, target_row, d):
     diff = np.where(overlap, values - values[target_row], 0.0)
     sq = (diff ** 2).sum(axis=1)
     counts = overlap.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dist = np.where(counts > 0, sq * d / np.maximum(counts, 1), np.inf)
-    dist[counts == 0] = np.inf
-    return dist
+    return np.where(counts > 0, sq * d / np.maximum(counts, 1), np.inf)
 
 
 def knn_impute(ds, mask, k_nn=5, stats: ColumnStats = None):

@@ -187,7 +187,7 @@ def cmd_fetch_wireless(args):
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.from_txt:
-        convert_wireless_txt(args.from_txt, out)
+        _write_wireless_csv(Path(args.from_txt).read_text(), out)
         print(f"wrote {out}")
         return 0
     try:
@@ -215,11 +215,6 @@ def _write_wireless_csv(text, out: Path):
               "target": "room"}
     with open(out.with_suffix(".schema.json"), "w") as fh:
         json.dump(schema, fh, indent=2)
-
-
-def convert_wireless_txt(txt_path, out_path):
-    with open(txt_path) as fh:
-        _write_wireless_csv(fh.read(), Path(out_path))
 
 
 def cmd_corrupt(args):

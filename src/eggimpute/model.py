@@ -38,6 +38,8 @@ class ModelConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.hidden < 1 or self.blocks < 1 or self.prototypes < 0:
             raise ValueError("hidden/blocks must be >= 1 and prototypes >= 0")
+        if self.sampler == "kegg" and self.k < 1:
+            raise ValueError(f"kegg needs k >= 1 neighbors per node, got k={self.k}")
 
 
 @dataclass
@@ -208,6 +210,12 @@ def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSam
     return GraphSample(relaxed, adjacency, hard)
 
 
+def sample_adjacency_kegg(log_probs: Tensor, tau: float, k: int, rng) -> GraphSample:
+    """``sample_adjacency_egg`` with ``k``, under its earlier name and argument
+    order; ``forward`` calls ``sample_adjacency_egg`` for both samplers."""
+    return sample_adjacency_egg(log_probs, tau, rng, k)
+
+
 def constant_sample(adjacency: np.ndarray) -> GraphSample:
     """Frozen adjacency with no gradient path (for ablations and checks)."""
     a = np.asarray(adjacency, dtype=np.float64)
@@ -260,8 +268,8 @@ def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None
             hg = params.mlp_proj[blk](h, training)
             projections.append(hg)
             log_p = log_edge_probabilities(hg)
-            # kegg caps k at m - 1 for short tail batches; a one-node batch
-            # (k == 0) keeps the identity graph and draws no Gumbel noise
+            # kegg caps k (>= 1 by validation) at m - 1 for short tail batches;
+            # a one-node batch (k == 0) keeps the identity graph, no Gumbel noise
             k = min(cfg.k, m - 1) if cfg.sampler == "kegg" else None
             sample = (constant_sample(np.eye(1)) if k == 0
                       else sample_adjacency_egg(log_p, tau, rng, k))

@@ -124,6 +124,15 @@ def test_kegg_rejects_bad_k(rng):
         model.sample_adjacency_egg(log_p, 0.4, rng, 0)
 
 
+def test_kegg_name_is_the_merged_sampler_with_k():
+    log_p = Tensor(np.random.default_rng(3).normal(size=(9, 9)))
+    a = model.sample_adjacency_kegg(log_p, 0.4, 3, np.random.default_rng(5))
+    b = model.sample_adjacency_egg(log_p, 0.4, np.random.default_rng(5), 3)
+    for x, y in ((a.hard, b.hard), (a.relaxed.data, b.relaxed.data),
+                 (a.adjacency.data, b.adjacency.data)):
+        assert np.array_equal(x, y)
+
+
 @pytest.mark.parametrize("fn", [lambda t, r: model.sample_adjacency_egg(t, 0.0, r),
                                 lambda t, r: model.sample_adjacency_egg(t, -1.0, r, 2)],
                          ids=["egg", "kegg"])

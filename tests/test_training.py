@@ -67,6 +67,14 @@ def test_config_validation():
         training.TrainConfig(surrogate_rate=1.0).validate()
 
 
+def test_kegg_config_rejects_k_below_one():
+    """k = 0 fails at validation, before any batch is built; egg ignores k."""
+    cfg = training.TrainConfig.from_dict({"model": {"sampler": "kegg", "k": 0}})
+    with pytest.raises(ValueError, match="kegg needs k >= 1 neighbors per node, got k=0"):
+        cfg.validate()
+    training.TrainConfig.from_dict({"model": {"sampler": "egg", "k": 0}}).validate()
+
+
 def test_config_dict_round_trip():
     cfg = training.TrainConfig(batch_size=64, seed=9,
                                model=model.ModelConfig(hidden=32, sampler="kegg"))
