@@ -73,7 +73,8 @@ def temperature(step, total_steps, tau_start, tau_end):
     """Linear anneal from tau_start to tau_end, clamped afterwards."""
     if total_steps <= 0 or step >= total_steps:
         return tau_end
-    return tau_start + (tau_end - tau_start) * (step / total_steps)
+    frac = step / total_steps
+    return tau_start + (tau_end - tau_start) * frac
 
 
 @dataclass
