@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .dataio import ColumnStats, compute_stats
+from .dataio import ColumnStats
 
 
 def _fill_value(col, j, stats: ColumnStats):
@@ -14,14 +14,9 @@ def _fill_value(col, j, stats: ColumnStats):
     return stats.means.get(j, 0.0) if col.kind == "numerical" else stats.modes.get(j, 0)
 
 
-def mean_impute(ds, mask, stats: ColumnStats = None):
-    """Missing numerics get the column mean, categoricals the modal class.
-
-    Statistics default to the observed cells of ``ds`` itself; pass
-    training-split stats to avoid leakage.
-    """
-    if stats is None:
-        stats = compute_stats(ds, mask)
+def mean_impute(ds, mask, stats: ColumnStats):
+    """Missing numerics get the column mean, categoricals the modal class
+    (pass training-split stats to avoid leakage)."""
     imputed = ds.values.copy()
     for j, col in enumerate(ds.schema):
         imputed[mask[:, j] == 0, j] = _fill_value(col, j, stats)
@@ -37,7 +32,7 @@ def _row_distances(values, mask, target_row, d):
     return np.where(counts > 0, sq * d / np.maximum(counts, 1), np.inf)
 
 
-def knn_impute(ds, mask, k_nn=5, stats: ColumnStats = None):
+def knn_impute(ds, mask, k_nn, stats: ColumnStats):
     """Donor-based imputation.
 
     Distances use coordinates observed in both rows, scaled by d/overlap;
@@ -47,8 +42,6 @@ def knn_impute(ds, mask, k_nn=5, stats: ColumnStats = None):
     """
     if k_nn < 1:
         raise ValueError("k_nn must be >= 1")
-    if stats is None:
-        stats = compute_stats(ds, mask)
     values = np.nan_to_num(ds.values)
     obs = (mask == 1) & np.isfinite(ds.values)
     n, d = values.shape

@@ -57,6 +57,9 @@ def load_config(path, overrides=None):
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg[key] = value
+    for key in ("ensemble", "knn_k"):
+        if not isinstance(cfg[key], int) or cfg[key] < 1:
+            raise ValueError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
     return cfg
 
 
@@ -116,34 +119,37 @@ def _load_run(cfg):
     return rd, _prepare(cfg, mask_bits)
 
 
-def _fit(cfg, prep):
-    """Train the configured model method; returns the model and its seconds."""
+def _train_config(cfg):
+    """The config's ``train`` section for its model method, seeded from the run."""
     raw = dict(cfg.get("train") or {})
     model_raw = {**raw.pop("model", {}), "sampler": MODEL_METHODS[cfg["method"]]}
-    tc = training.TrainConfig.from_dict({**raw, "model": model_raw,
-                                         "seed": _stage_seed_int(cfg["seed"], "train")})
+    return training.TrainConfig.from_dict({**raw, "model": model_raw,
+                                           "seed": _stage_seed_int(cfg["seed"], "train")})
+
+
+def _fit(cfg, prep):
+    """Train the configured model method; returns the model and its seconds."""
     t0 = time.perf_counter()
-    trained = training.train(tc, prep.ds_norm.subset(prep.train_rows),
+    trained = training.train(_train_config(cfg), prep.ds_norm.subset(prep.train_rows),
                              prep.ds_norm.subset(prep.val_rows),
                              prep.mask[prep.train_rows], prep.mask[prep.val_rows])
     return trained, time.perf_counter() - t0
 
 
 def _impute_all(cfg, method, ds, ds_norm, mask, train_rows, val_rows, params):
-    """Impute the normalized table; model methods ensemble per split,
-    baselines fill from the z-scored training split."""
+    """Impute the normalized table: model methods ensemble each split in
+    ``train.batch_size`` batches, baselines fill from training-split stats."""
     if method in ("mean", "knn"):
         stats = dataio.compute_stats(ds_norm.subset(train_rows), mask[train_rows])
         if method == "mean":
             return baselines.mean_impute(ds_norm, mask, stats)
-        return baselines.knn_impute(ds_norm, mask, cfg.get("knn_k", 5), stats)
-    batch_size = (cfg.get("train") or {}).get("batch_size", 300)
+        return baselines.knn_impute(ds_norm, mask, cfg["knn_k"], stats)
+    batch_size = _train_config(cfg).batch_size
     imputed = ds_norm.values.copy()
     for rows in (train_rows, val_rows):
         sub = ds_norm.subset(rows)
         res = ensemble.ensemble_impute(sub, mask[rows], params, cfg["ensemble"],
-                                       _stage_seed_int(cfg["seed"], "ensemble"),
-                                       batch_size=batch_size)
+                                       _stage_seed_int(cfg["seed"], "ensemble"), batch_size)
         imputed[rows] = res.imputed
     return imputed
 

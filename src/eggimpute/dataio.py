@@ -224,11 +224,12 @@ def make_two_cluster(n=600, d=6, seed=0, separation=3.0):
     return TabularDataset(schema, values, labels.astype(np.int64), 2, ["c0", "c1"])
 
 
-def write_csv(ds: TabularDataset, mask, path, schema_path=None, target_name="target"):
-    """Export a dataset (optionally with missing cells blanked) to CSV."""
+def write_csv(ds: TabularDataset, mask, path, schema_path=None):
+    """Export a dataset (optionally with missing cells blanked) to CSV, its
+    label in a last column named ``target``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([c.name for c in ds.schema] + [target_name])
+        writer.writerow([c.name for c in ds.schema] + ["target"])
         for i in range(ds.n_rows):
             row = []
             for j, col in enumerate(ds.schema):
@@ -244,6 +245,6 @@ def write_csv(ds: TabularDataset, mask, path, schema_path=None, target_name="tar
             writer.writerow(row)
     if schema_path is not None:
         payload = {"columns": [{"name": c.name, "kind": c.kind} for c in ds.schema],
-                   "target": target_name}
+                   "target": "target"}
         with open(schema_path, "w") as fh:
             json.dump(payload, fh, indent=2)

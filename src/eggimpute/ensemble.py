@@ -29,16 +29,16 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def impute_once(ds, rows, initial_mask, params, tau, rng):
+def impute_once(ds, rows, initial_mask, params, rng):
     """One stochastic eval-mode forward for a set of rows."""
     surr = np.ones((len(rows), ds.n_cols), dtype=np.int8)
     batch = missingness.preprocess_batch(ds, rows, initial_mask, surr,
                                          params.embeddings, params.config.embed_width)
-    return model.forward(batch, params, tau, "eval", rng)
+    # any tau > 0 gives these outputs: the hard graph is the logits' sign (egg) or rank (kegg)
+    return model.forward(batch, params, 0.01, "eval", rng)
 
 
-def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size=300,
-                    tau=0.01) -> EnsembleResult:
+def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size) -> EnsembleResult:
     """Average ``n_passes`` stochastic predictions per row."""
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
@@ -51,12 +51,11 @@ def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size=300,
     task_sum = np.zeros((n, params.num_classes))
     counts = np.zeros(n, dtype=np.int64)
 
-    size = min(batch_size, n)
     for _ in range(n_passes):
         order = rng.permutation(n)
-        for start in range(0, n, size):
-            rows = order[start:start + size]
-            out = impute_once(ds, rows, initial_mask, params, tau, rng)
+        for start in range(0, n, batch_size):
+            rows = order[start:start + batch_size]
+            out = impute_once(ds, rows, initial_mask, params, rng)
             num_sum[rows] += out.numeric_pred.data[:, :len(num_idx)]
             for c, logits in enumerate(out.cat_logits):
                 cat_sum[c][rows] += _softmax(logits.data)

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-UNDEFINED = None  # marker for metrics with empty support
-
 LOWER_IS_BETTER = {"rmse": True, "mae": True, "cat_accuracy": False,
                    "downstream_accuracy": False}
 
@@ -49,14 +47,14 @@ def _numeric_support(truth, imputed, eval_mask, numeric_idx):
 def rmse(truth, imputed, eval_mask, numeric_idx):
     t, p = _numeric_support(truth, imputed, eval_mask, numeric_idx)
     if t.size == 0:
-        return UNDEFINED
+        return None
     return float(np.sqrt(((t - p) ** 2).mean()))
 
 
 def mae(truth, imputed, eval_mask, numeric_idx):
     t, p = _numeric_support(truth, imputed, eval_mask, numeric_idx)
     if t.size == 0:
-        return UNDEFINED
+        return None
     return float(np.abs(t - p).mean())
 
 
@@ -67,11 +65,14 @@ def cat_accuracy(truth, imputed, eval_mask, categorical_idx):
         hits += int((imputed[missing, j] == truth[missing, j]).sum())
         total += int(missing.sum())
     if total == 0:
-        return UNDEFINED
+        return None
     return hits / total
 
 
 # -- random forest ------------------------------------------------------
+
+MAX_DEPTH = 12  # depth cap of every forest tree
+
 
 class _TreeNode:
     __slots__ = ("feature", "threshold", "left", "right", "prediction")
@@ -107,10 +108,10 @@ def _best_split(x, y, feature_ids, num_classes):
     return best_f, best_thr
 
 
-def _grow(x, y, depth, max_depth, n_features, num_classes, rng):
+def _grow(x, y, depth, n_features, num_classes, rng):
     counts = np.bincount(y, minlength=num_classes)
     node = _TreeNode(prediction=int(counts.argmax()))
-    if depth >= max_depth or len(np.unique(y)) < 2 or len(y) < 2:
+    if depth >= MAX_DEPTH or len(np.unique(y)) < 2 or len(y) < 2:
         return node
     feature_ids = rng.choice(x.shape[1], size=n_features, replace=False)
     feature, threshold = _best_split(x, y, feature_ids, num_classes)
@@ -120,8 +121,8 @@ def _grow(x, y, depth, max_depth, n_features, num_classes, rng):
     if not go_left.any() or go_left.all():
         return node
     node.feature, node.threshold = feature, threshold
-    node.left = _grow(x[go_left], y[go_left], depth + 1, max_depth, n_features, num_classes, rng)
-    node.right = _grow(x[~go_left], y[~go_left], depth + 1, max_depth, n_features, num_classes, rng)
+    node.left = _grow(x[go_left], y[go_left], depth + 1, n_features, num_classes, rng)
+    node.right = _grow(x[~go_left], y[~go_left], depth + 1, n_features, num_classes, rng)
     return node
 
 
@@ -160,7 +161,7 @@ def one_hot_features(values, schema):
     return np.concatenate(parts, axis=1) if parts else np.zeros((len(values), 0))
 
 
-def rf_fit(x, y, n_trees=100, max_depth=12, seed=0) -> RandomForest:
+def rf_fit(x, y, n_trees=100, seed=0) -> RandomForest:
     """Bagged CART forest: gini splits, sqrt(d) features per split."""
     y = np.asarray(y, dtype=np.int64)
     num_classes = int(y.max()) + 1 if len(y) else 1
@@ -172,7 +173,7 @@ def rf_fit(x, y, n_trees=100, max_depth=12, seed=0) -> RandomForest:
     for s in seeds:
         rng = np.random.default_rng(s)
         rows = rng.integers(0, len(y), size=len(y))
-        trees.append(_grow(x[rows], y[rows], 0, max_depth, n_features, num_classes, rng))
+        trees.append(_grow(x[rows], y[rows], 0, n_features, num_classes, rng))
     return RandomForest(trees, num_classes)
 
 
@@ -184,11 +185,11 @@ def rf_predict(forest: RandomForest, x):
     return votes.argmax(axis=1)
 
 
-def downstream_accuracy(imputed_train, y_train, imputed_test, y_test, schema,
-                        n_trees=100, max_depth=12, seed=0):
+def downstream_accuracy(imputed_train, y_train, imputed_test, y_test, schema, n_trees=100,
+                        seed=0):
     x_train = one_hot_features(imputed_train, schema)
     x_test = one_hot_features(imputed_test, schema)
-    forest = rf_fit(x_train, y_train, n_trees, max_depth, seed)
+    forest = rf_fit(x_train, y_train, n_trees, seed)
     return float((rf_predict(forest, x_test) == np.asarray(y_test)).mean())
 
 

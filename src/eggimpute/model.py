@@ -59,18 +59,19 @@ class ForwardOutput:
     projections: list  # per block node-projector output (for regularizers)
 
 
+def _kaiming(rng, in_dim, out_dim):
+    """Kaiming-uniform weights, fan-in."""
+    bound = np.sqrt(6.0 / in_dim)
+    return rng.uniform(-bound, bound, size=(in_dim, out_dim))
+
+
 class Linear:
     def __init__(self, in_dim, out_dim, rng, weight_scale=1.0):
-        bound = np.sqrt(6.0 / in_dim)  # Kaiming-uniform, fan-in
-        self.w = Tensor(rng.uniform(-bound, bound, size=(in_dim, out_dim)) * weight_scale,
-                        requires_grad=True)
+        self.w = Tensor(_kaiming(rng, in_dim, out_dim) * weight_scale, requires_grad=True)
         self.b = Tensor(np.zeros((1, out_dim)), requires_grad=True)
 
     def __call__(self, x):
         return T.matmul(x, self.w) + self.b
-
-    def parameters(self):
-        return [self.w, self.b]
 
 
 class MlpBlock:
@@ -83,9 +84,6 @@ class MlpBlock:
 
     def __call__(self, x, training):
         return self.lin2(T.relu(T.batch_norm_col(self.lin1(x), self.bn, training)))
-
-    def parameters(self):
-        return self.lin1.parameters() + self.lin2.parameters()
 
 
 class ParameterSet:
@@ -107,7 +105,7 @@ class ParameterSet:
         # small projector output keeps initial pairwise distances O(1),
         # so the edge sampler does not start saturated
         self.mlp_proj = [MlpBlock(h, h, h, rng, out_scale=0.05) for _ in range(config.blocks)]
-        self.gcn_w = [Tensor(self._kaiming(rng, h, h), requires_grad=True)
+        self.gcn_w = [Tensor(_kaiming(rng, h, h), requires_grad=True)
                       for _ in range(config.blocks)]
         self.prototypes = (Tensor(rng.normal(0, 0.01, size=(config.prototypes, h)),
                                   requires_grad=True)
@@ -116,11 +114,6 @@ class ParameterSet:
         self.head_num = Linear(out_dim, max(self.d_n, 1), rng)
         self.head_cat = [Linear(out_dim, card, rng) for card in self.cat_cardinalities]
         self.head_task = Linear(out_dim, num_classes, rng)
-
-    @staticmethod
-    def _kaiming(rng, in_dim, out_dim):
-        bound = np.sqrt(6.0 / in_dim)
-        return rng.uniform(-bound, bound, size=(in_dim, out_dim))
 
     def named_parameters(self):
         out = {}

@@ -8,7 +8,7 @@ its weight is batch-size independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,8 +95,8 @@ def homophily_loss(samples, labels) -> Tensor:
     return total if total is not None else Tensor(np.zeros((1, 1)))
 
 
-def triplet_regularizer(h_graph: Tensor, labels, margin, rng, n_triplets=None) -> Tensor:
-    """Hinge loss over sampled (anchor, positive, negative) triplets.
+def triplet_regularizer(h_graph: Tensor, labels, margin, rng) -> Tensor:
+    """Hinge loss over as many sampled (anchor, positive, negative) triplets as rows.
 
     Negatives are drawn with probability proportional to clamped inverse
     distance to the anchor (distance-weighted sampling).
@@ -106,11 +106,9 @@ def triplet_regularizer(h_graph: Tensor, labels, margin, rng, n_triplets=None) -
     classes = np.unique(labels)
     if len(classes) < 2:
         return Tensor(np.zeros((1, 1)))
-    if n_triplets is None:
-        n_triplets = n
     dist = T.pairwise_sq_dist(h_graph)
     anchors, positives, negatives = [], [], []
-    for _ in range(n_triplets):
+    for _ in range(n):
         a = int(rng.integers(n))
         same = np.flatnonzero((labels == labels[a]) & (np.arange(n) != a))
         other = np.flatnonzero(labels != labels[a])
@@ -141,8 +139,7 @@ class LossParts:
     triplet: Tensor
 
     def named(self):
-        return {"task": self.task, "numeric": self.numeric, "categorical": self.categorical,
-                "homophily": self.homophily, "triplet": self.triplet}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
@@ -161,11 +158,9 @@ def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
 def compute_losses(batch, out, weights: LossWeights, rng=None) -> LossParts:
     """All loss parts for one forward output."""
     num_mask = batch.surrogate_mask[:, batch.numeric_cols]
-    numeric = numeric_imputation_loss(batch.truth_numeric, out.numeric_pred, num_mask) \
-        if batch.truth_numeric.shape[1] else Tensor(np.zeros((1, 1)))
+    numeric = numeric_imputation_loss(batch.truth_numeric, out.numeric_pred, num_mask)
     cat_mask = batch.surrogate_mask[:, batch.categorical_cols]
-    categorical = categorical_imputation_loss(batch.truth_categorical, out.cat_logits, cat_mask) \
-        if out.cat_logits else Tensor(np.zeros((1, 1)))
+    categorical = categorical_imputation_loss(batch.truth_categorical, out.cat_logits, cat_mask)
     task = task_loss(out.task_logits, batch.labels)
     homophily = homophily_loss(out.samples, batch.labels)
     if weights.triplet > 0 and out.projections:

@@ -51,12 +51,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _lift(other))
 
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def backward(self):
         """Accumulate gradients of this scalar into all reachable leaves."""
         if self.data.shape != (1, 1):

@@ -9,11 +9,19 @@ bitwise-identical trajectories.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from . import missingness, model, objectives
+
+
+def _build(kind, raw, where):
+    """``kind(**raw)``, or a ValueError naming each key ``kind`` has no field for."""
+    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
+    if unknown:
+        raise ValueError(f"unknown {where} setting(s): {', '.join(unknown)}")
+    return kind(**raw)
 
 
 @dataclass
@@ -34,6 +42,8 @@ class TrainConfig:
             raise ValueError("need tau_start > tau_end > 0")
         if not 0 <= self.surrogate_rate < 1:
             raise ValueError("surrogate_rate must be in [0, 1)")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ValueError("batch_size and max_epochs must be >= 1")
         self.weights.validate()
         self.model.validate()
 
@@ -43,9 +53,9 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, raw):
         raw = dict(raw)
-        weights = objectives.LossWeights(**raw.pop("weights", {}))
-        mcfg = model.ModelConfig(**raw.pop("model", {}))
-        return cls(weights=weights, model=mcfg, **raw)
+        weights = _build(objectives.LossWeights, raw.pop("weights", {}), "train.weights")
+        mcfg = _build(model.ModelConfig, raw.pop("model", {}), "train.model")
+        return _build(cls, {**raw, "weights": weights, "model": mcfg}, "train")
 
 
 class RmsPropState:
@@ -140,7 +150,7 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
     stale = 0
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
-        epoch_parts = {k: 0.0 for k in ("total", "task", "numeric", "categorical", "homophily", "triplet")}
+        epoch_parts = {}  # "total", then the LossParts names
         for rows in _epoch_batches(train_ds.n_rows, config.batch_size, order_rng):
             tau = temperature(step, total_steps, config.tau_start, config.tau_end)
             surr = missingness.surrogate_mask(train_mask[rows], config.surrogate_rate, surr_rng)
@@ -158,9 +168,8 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
                 params.load_state_arrays(best["state"])
                 return TrainedModel(params, config, best["loss"], best["epoch"], history,
                                     "non_finite")
-            epoch_parts["total"] += loss.item()
-            for name, term in parts.named().items():
-                epoch_parts[name] += term.item()
+            for name, term in {"total": loss, **parts.named()}.items():
+                epoch_parts[name] = epoch_parts.get(name, 0.0) + term.item()
             step += 1
         for key in epoch_parts:
             epoch_parts[key] /= batches_per_epoch

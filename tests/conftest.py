@@ -38,8 +38,7 @@ def rng():
     return np.random.default_rng(12345)
 
 
-@pytest.fixture
-def small_mixed_dataset():
+def mixed_dataset():
     """24-row table with 3 numeric and 1 categorical (3 classes) columns."""
     gen = np.random.default_rng(7)
     n = 24
@@ -53,6 +52,11 @@ def small_mixed_dataset():
                                   categories=["x", "y", "z"])]
     targets = gen.integers(0, 2, size=n)
     return dataio.TabularDataset(schema, values, targets, 2, ["no", "yes"])
+
+
+@pytest.fixture
+def small_mixed_dataset():
+    return mixed_dataset()
 
 
 def make_batch(ds, rows, initial_mask, surr_rate, params, seed=0):

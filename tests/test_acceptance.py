@@ -263,7 +263,7 @@ def test_criterion_8_ensemble_identity_and_trend(synthetic_run):
                                       batch_size=n)
     rng = np.random.default_rng(seed)
     rows = rng.permutation(n)
-    out = ensemble.impute_once(dsn, rows, bits, params, 0.01, rng)
+    out = ensemble.impute_once(dsn, rows, bits, params, rng)
     manual = dsn.values.copy()
     pred = np.empty((n, len(dsn.numeric_idx)))
     pred[rows] = out.numeric_pred.data

@@ -15,7 +15,7 @@ def numeric_ds(values):
 def test_mean_impute_hand_example():
     ds = numeric_ds([[1.0, 10.0], [3.0, np.nan], [np.nan, 30.0]])
     mask = np.array([[1, 1], [1, 0], [0, 1]], dtype=np.int8)
-    out = baselines.mean_impute(ds, mask)
+    out = baselines.mean_impute(ds, mask, dataio.compute_stats(ds, mask))
     assert out[2, 0] == pytest.approx(2.0)   # mean of observed {1, 3}
     assert out[1, 1] == pytest.approx(20.0)  # mean of observed {10, 30}
     assert out[0, 0] == 1.0                  # observed cells untouched
@@ -26,7 +26,7 @@ def test_mean_impute_categorical_mode():
     values = np.array([[0.0], [2.0], [2.0], [np.nan]])
     ds = dataio.TabularDataset(schema, values, np.zeros(4, dtype=np.int64), 1)
     mask = np.array([[1], [1], [1], [0]], dtype=np.int8)
-    out = baselines.mean_impute(ds, mask)
+    out = baselines.mean_impute(ds, mask, dataio.compute_stats(ds, mask))
     assert out[3, 0] == 2.0
 
 
@@ -79,7 +79,7 @@ def test_knn_hand_example():
     ds = numeric_ds([[0.0, 10.0], [0.1, 12.0], [50.0, 99.0], [0.05, np.nan]])
     mask = np.ones((4, 2), dtype=np.int8)
     mask[3, 1] = 0
-    out = baselines.knn_impute(ds, mask, k_nn=2)
+    out = baselines.knn_impute(ds, mask, k_nn=2, stats=dataio.compute_stats(ds, mask))
     assert out[3, 1] == pytest.approx(11.0)
 
 
@@ -104,25 +104,27 @@ def test_knn_categorical_majority_and_tie_break():
     ds = dataio.TabularDataset(schema, values, np.zeros(4, dtype=np.int64), 1)
     mask = np.ones((4, 2), dtype=np.int8)
     mask[3, 1] = 0
-    out = baselines.knn_impute(ds, mask, k_nn=3)
+    stats = dataio.compute_stats(ds, mask)
+    out = baselines.knn_impute(ds, mask, k_nn=3, stats=stats)
     assert out[3, 1] == 2.0  # majority vote among {2, 0, 2}
     # tie case: k=2 donors {2, 0} -> smallest class wins
-    out2 = baselines.knn_impute(ds, mask, k_nn=2)
+    out2 = baselines.knn_impute(ds, mask, k_nn=2, stats=stats)
     assert out2[3, 1] == 0.0
 
 
 def test_knn_falls_back_to_mean_without_donors():
     ds = numeric_ds([[1.0, np.nan], [2.0, np.nan], [3.0, 6.0]])
     mask = np.array([[1, 0], [1, 0], [1, 1]], dtype=np.int8)
-    out = baselines.knn_impute(ds, mask, k_nn=1)
+    out = baselines.knn_impute(ds, mask, k_nn=1, stats=dataio.compute_stats(ds, mask))
     # nearest donor of row 0 is row 1, which also misses column 1
     assert np.isfinite(out[0, 1])
 
 
 def test_knn_rejects_bad_k():
     ds = numeric_ds([[1.0], [2.0]])
+    mask = np.ones((2, 1), dtype=np.int8)
     with pytest.raises(ValueError):
-        baselines.knn_impute(ds, np.ones((2, 1), dtype=np.int8), k_nn=0)
+        baselines.knn_impute(ds, mask, k_nn=0, stats=dataio.compute_stats(ds, mask))
 
 
 def test_knn_deterministic():
@@ -130,6 +132,7 @@ def test_knn_deterministic():
     values = gen.normal(size=(10, 4))
     mask = (gen.random((10, 4)) > 0.25).astype(np.int8)
     ds = numeric_ds(values)
-    a = baselines.knn_impute(ds, mask, k_nn=3)
-    b = baselines.knn_impute(ds, mask, k_nn=3)
+    stats = dataio.compute_stats(ds, mask)
+    a = baselines.knn_impute(ds, mask, k_nn=3, stats=stats)
+    b = baselines.knn_impute(ds, mask, k_nn=3, stats=stats)
     assert np.array_equal(a, b)

@@ -158,6 +158,43 @@ def test_config_flag_overrides_file(workspace):
     assert loaded["seed"] == 0  # None overrides are ignored
 
 
+def test_benchmark_rejects_zero_ensemble_before_training(workspace, monkeypatch, capsys):
+    """Every job would fail at inference, so none may train first."""
+    _, cfg = workspace
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *args: calls.append(args))
+    assert cli.main(["benchmark", "--config", cfg, "--ensemble", "0"]) == 1
+    assert calls == []
+    assert "ensemble must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [0, 1.5])
+@pytest.mark.parametrize("key", ["ensemble", "knn_k"])
+def test_config_rejects_counts_that_are_not_positive_integers(workspace, key, value):
+    _, cfg = workspace
+    with pytest.raises(ValueError, match=f"{key} must be an integer >= 1"):
+        cli.load_config(cfg, {key: value})
+
+
+@pytest.mark.parametrize("train, message", [
+    ({"batch_sz": 32}, "unknown train setting(s): batch_sz"),
+    ({"model": {"hiden": 10}}, "unknown train.model setting(s): hiden"),
+    ({"weights": {"triplett": 0.1}}, "unknown train.weights setting(s): triplett"),
+    ({"batch_size": 0}, "batch_size and max_epochs must be >= 1"),
+    ({"max_epochs": 0}, "batch_size and max_epochs must be >= 1"),
+])
+def test_train_rejects_invalid_train_config(workspace, capsys, train, message):
+    root, cfg = workspace
+    config = json.loads(Path(cfg).read_text())
+    config["train"] = {**FAST_TRAIN, **train}
+    Path(cfg).write_text(json.dumps(config))
+    assert cli.main(["corrupt", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (root / "runs/synth/mcar/0.2/egg/0/checkpoint.npz").exists()
+
+
 def test_stage_seeds_are_distinct():
     seeds = {cli._stage_seed_int(0, stage)
              for stage in ("corrupt", "split", "train", "ensemble", "forest")}

@@ -89,4 +89,5 @@ def test_single_pass_matches_partition_semantics():
 def test_rejects_zero_passes():
     ds, mask, params = setup_model(n=8)
     with pytest.raises(ValueError):
-        ensemble.ensemble_impute(ds, mask.bits, params, n_passes=0, seed=0)
+        ensemble.ensemble_impute(ds, mask.bits, params, n_passes=0, seed=0,
+                                 batch_size=8)

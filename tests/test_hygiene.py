@@ -1,4 +1,5 @@
-"""Source hygiene: every library module uses each name it imports."""
+"""Source hygiene: every library module uses each name it imports, and
+something in the repository reads every name the library defines."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,85 @@ def test_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+ROOT = SRC.parents[1]
+# every file that may use a library name; this one is left out, because
+# its checker fixtures spell names as strings
+READERS = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
+           if p != Path(__file__).resolve()]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def defined_names(source):
+    """(qualified name, name) of every non-dunder function, method and class."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                if not _is_dunder(child.name):
+                    found.append((prefix + child.name, child.name))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def read_names(source):
+    """Names, attributes and string constants the source reads, each outside
+    the body of any definition of that same name (so recursion and a method
+    that delegates to a namesake do not count as a use)."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value  # getattr, setattr and tracing targets
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            found.add(name)
+        if isinstance(node, DEFINITIONS):
+            enclosing = enclosing | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def unreferenced_definitions(library_sources, reader_sources):
+    """Qualified names of library definitions whose name no reader reads."""
+    read = set().union(*map(read_names, reader_sources))
+    return sorted(qual for source in library_sources
+                  for qual, name in defined_names(source) if name not in read)
+
+
+def test_reference_checker_ignores_own_body_and_dunders():
+    library = ("class A:\n"
+               "    def __call__(self): return self.run()\n"
+               "    def run(self): return self.run()\n"
+               "    def parameters(self): return []\n"
+               "class B:\n"
+               "    def parameters(self): return self.inner.parameters()\n"
+               "def helper(): pass\n"
+               "def traced(): pass\n")
+    reader = "A()\nB()\nhelper()\ntargets = [('mod', 'traced')]\n"
+    assert unreferenced_definitions([library], [library, reader]) == ["A.parameters",
+                                                                       "B.parameters"]
+
+
+def test_every_library_definition_is_referenced():
+    library = [(SRC / module).read_text() for module in MODULES]
+    readers = [path.read_text() for path in READERS]
+    assert unreferenced_definitions(library, readers) == []

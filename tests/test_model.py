@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import central_difference, make_batch, rel_error
+from conftest import central_difference, make_batch, mixed_dataset, rel_error
 from eggimpute import model
 from eggimpute import tensor as T
 from eggimpute.tensor import Tensor
@@ -338,6 +338,30 @@ def test_zero_prototypes_supported(small_mixed_dataset, rng):
     batch = make_batch(ds, np.arange(5), init, 0.2, params)
     out = model.forward(batch, params, 0.3, "train", rng)
     assert out.samples[0].hard.shape == (5, 5)
+
+
+@settings(max_examples=80)
+@given(sampler=st.sampled_from(["egg", "kegg"]), blocks=st.integers(1, 2),
+       prototypes=st.integers(0, 3), rows=st.integers(1, 12), k=st.integers(1, 5),
+       taus=st.lists(st.floats(0.005, 1.0), min_size=2, max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_eval_forward_does_not_depend_on_temperature(sampler, blocks, prototypes, rows, k,
+                                                     taus, seed):
+    """The forward pass reads only the hard graph, whose edges follow the
+    sign (egg) or the rank (kegg) of the perturbed logits, so inference
+    outputs cannot depend on tau; that is why inference takes none."""
+    ds = mixed_dataset()
+    params = small_params(ds, sampler=sampler, prototypes=prototypes, k=k, blocks=blocks,
+                          seed=seed)
+    batch = make_batch(ds, np.arange(rows), np.ones(ds.values.shape, dtype=np.int8), 0.2,
+                       params, seed=seed)
+
+    def outputs(tau):
+        out = model.forward(batch, params, tau, "eval", np.random.default_rng(seed))
+        return [bits(t.data) for t in [out.numeric_pred, *out.cat_logits, out.task_logits]] + \
+            [bits(sample.hard) for sample in out.samples]
+
+    assert outputs(taus[0]) == outputs(taus[1])
 
 
 def test_checkpoint_round_trip(tmp_path, small_mixed_dataset):

@@ -174,18 +174,16 @@ def test_triplet_gradient(rng):
     assert rel_error(h.grad, fd, floor=1e-4) < 1e-2
 
 
-def _selector_triplet_regularizer(h_graph, labels, margin, rng, n_triplets=None):
+def _selector_triplet_regularizer(h_graph, labels, margin, rng):
     """The hinge built per triplet from two m x m selector matrices: the
     oracle for the batched hinge in ``objectives.triplet_regularizer``."""
     labels = np.asarray(labels)
     n = len(labels)
     if len(np.unique(labels)) < 2:
         return Tensor(np.zeros((1, 1)))
-    if n_triplets is None:
-        n_triplets = n
     dist = T.pairwise_sq_dist(h_graph)
     triplets = []
-    for _ in range(n_triplets):
+    for _ in range(n):
         a = int(rng.integers(n))
         same = np.flatnonzero((labels == labels[a]) & (np.arange(n) != a))
         other = np.flatnonzero(labels != labels[a])
