@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,7 @@ from . import baselines, dataio, ensemble, evaluation, missingness, model, train
 MODEL_METHODS = {"egg": "egg", "kegg": "kegg", "nn_ablation": "identity"}
 ALL_METHODS = list(MODEL_METHODS) + ["mean", "knn"]
 
-RESULTS_COLUMNS = ["dataset", "mechanism", "rate", "method", "seed", "rmse", "mae",
-                   "cat_accuracy", "downstream_accuracy", "train_seconds",
-                   "inference_seconds"]
+RESULTS_COLUMNS = [f.name for f in fields(evaluation.MetricReport)]
 
 
 def _seed_for(master_seed, stage):
@@ -57,9 +55,9 @@ def load_config(path, overrides=None):
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg[key] = value
-    for key in ("ensemble", "knn_k"):
-        if not isinstance(cfg[key], int) or cfg[key] < 1:
-            raise ValueError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
+    for key, low in (("ensemble", 1), ("knn_k", 1), ("runs", 1), ("seed", 0)):
+        if not isinstance(cfg[key], int) or cfg[key] < low:
+            raise ValueError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
     return cfg
 
 
@@ -122,7 +120,12 @@ def _load_run(cfg):
 def _train_config(cfg):
     """The config's ``train`` section for its model method, seeded from the run."""
     raw = dict(cfg.get("train") or {})
-    model_raw = {**raw.pop("model", {}), "sampler": MODEL_METHODS[cfg["method"]]}
+    model_raw = raw.pop("model", {})
+    if "seed" in raw:
+        raise ValueError("train.seed is set by the top-level 'seed'; remove it")
+    if "sampler" in model_raw:
+        raise ValueError("train.model.sampler is set by the top-level 'method'; remove it")
+    model_raw = {**model_raw, "sampler": MODEL_METHODS[cfg["method"]]}
     return training.TrainConfig.from_dict({**raw, "model": model_raw,
                                            "seed": _stage_seed_int(cfg["seed"], "train")})
 
@@ -145,12 +148,11 @@ def _impute_all(cfg, method, ds, ds_norm, mask, train_rows, val_rows, params):
             return baselines.mean_impute(ds_norm, mask, stats)
         return baselines.knn_impute(ds_norm, mask, cfg["knn_k"], stats)
     batch_size = _train_config(cfg).batch_size
+    seed = _stage_seed_int(cfg["seed"], "ensemble")
     imputed = ds_norm.values.copy()
     for rows in (train_rows, val_rows):
-        sub = ds_norm.subset(rows)
-        res = ensemble.ensemble_impute(sub, mask[rows], params, cfg["ensemble"],
-                                       _stage_seed_int(cfg["seed"], "ensemble"), batch_size)
-        imputed[rows] = res.imputed
+        imputed[rows] = ensemble.ensemble_impute(ds_norm.subset(rows), mask[rows], params,
+                                                 cfg["ensemble"], seed, batch_size)
     return imputed
 
 
@@ -282,8 +284,7 @@ def cmd_evaluate(args):
     with open(rd / "report.json", "w") as fh:
         json.dump(report.__dict__, fh, indent=2, default=str)
     _append_result(Path(cfg["out"]) / "results.csv", report)
-    print(json.dumps({k: getattr(report, k) for k in
-                      ("rmse", "mae", "cat_accuracy", "downstream_accuracy")}))
+    print(json.dumps({k: getattr(report, k) for k in evaluation.LOWER_IS_BETTER}))
     return 0
 
 

@@ -1,32 +1,17 @@
-"""Ensembled imputation and prediction.
+"""Ensembled imputation.
 
 Each pass shuffles the target rows, partitions them into batches and runs
 one stochastic forward per batch, so E passes give every row exactly E
 predictions.  Numeric imputations average the head outputs; categorical
-and task predictions take the argmax of averaged softmax probabilities.
-Only initially-missing cells are replaced.
+imputations take the argmax of averaged softmax probabilities.  Only
+initially-missing cells are replaced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import missingness, model
-
-
-@dataclass
-class EnsembleResult:
-    imputed: "np.ndarray"  # N x d, z-scored scale, observed cells untouched
-    task_pred: np.ndarray  # N predicted labels
-    task_probs: np.ndarray  # N x num_classes averaged softmax
-    prediction_counts: np.ndarray
-
-
-def _softmax(logits):
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def impute_once(ds, rows, initial_mask, params, rng):
@@ -38,8 +23,9 @@ def impute_once(ds, rows, initial_mask, params, rng):
     return model.forward(batch, params, 0.01, "eval", rng)
 
 
-def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size) -> EnsembleResult:
-    """Average ``n_passes`` stochastic predictions per row."""
+def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size):
+    """The N x d table with each initially-missing cell replaced by the
+    average of ``n_passes`` stochastic predictions (z-scored scale)."""
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
     rng = np.random.default_rng(seed)
@@ -48,8 +34,6 @@ def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size) -> Ens
     cat_idx = ds.categorical_idx
     num_sum = np.zeros((n, len(num_idx)))
     cat_sum = [np.zeros((n, ds.schema[j].cardinality)) for j in cat_idx]
-    task_sum = np.zeros((n, params.num_classes))
-    counts = np.zeros(n, dtype=np.int64)
 
     for _ in range(n_passes):
         order = rng.permutation(n)
@@ -58,16 +42,14 @@ def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size) -> Ens
             out = impute_once(ds, rows, initial_mask, params, rng)
             num_sum[rows] += out.numeric_pred.data[:, :len(num_idx)]
             for c, logits in enumerate(out.cat_logits):
-                cat_sum[c][rows] += _softmax(logits.data)
-            task_sum[rows] += _softmax(out.task_logits.data)
-            counts[rows] += 1
+                e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+                cat_sum[c][rows] += e / e.sum(axis=1, keepdims=True)
 
     imputed = ds.values.copy()
     for pos, j in enumerate(num_idx):
         missing = initial_mask[:, j] == 0
-        imputed[missing, j] = num_sum[missing, pos] / counts[missing]
+        imputed[missing, j] = num_sum[missing, pos] / n_passes
     for pos, j in enumerate(cat_idx):
         missing = initial_mask[:, j] == 0
-        imputed[missing, j] = (cat_sum[pos][missing] / counts[missing, None]).argmax(axis=1)
-    task_probs = task_sum / counts[:, None]
-    return EnsembleResult(imputed, task_probs.argmax(axis=1), task_probs, counts)
+        imputed[missing, j] = (cat_sum[pos][missing] / n_passes).argmax(axis=1)
+    return imputed

@@ -8,10 +8,11 @@ known ground truth, on the z-scored scale.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+# every scored metric, in results-column order
 LOWER_IS_BETTER = {"rmse": True, "mae": True, "cat_accuracy": False,
                    "downstream_accuracy": False}
 
@@ -29,7 +30,6 @@ class MetricReport:
     downstream_accuracy: float = None
     train_seconds: float = None
     inference_seconds: float = None
-    extra: dict = field(default_factory=dict)
 
 
 def _numeric_support(truth, imputed, eval_mask, numeric_idx):
@@ -195,9 +195,6 @@ def downstream_accuracy(imputed_train, y_train, imputed_test, y_test, schema, n_
 
 # -- aggregation --------------------------------------------------------
 
-METRIC_NAMES = ("rmse", "mae", "cat_accuracy", "downstream_accuracy")
-
-
 def _scored_cells(reports):
     """Yield (mechanism, rate, metric, [(method, value)]) for every
     dataset/mechanism/rate group and metric that scores two methods or more."""
@@ -205,7 +202,7 @@ def _scored_cells(reports):
     for r in reports:
         groups.setdefault((r.dataset, r.mechanism, r.rate), []).append(r)
     for (_, mechanism, rate), group in groups.items():
-        for metric in METRIC_NAMES:
+        for metric in LOWER_IS_BETTER:
             scored = [(r.method, getattr(r, metric)) for r in group
                       if getattr(r, metric) is not None]
             if len(scored) >= 2:

@@ -60,8 +60,6 @@ def _standardized(values):
 
 
 def corrupt_mcar(ds, rate, seed) -> MaskMatrix:
-    if not 0 <= rate < 1:
-        raise ValueError("rate must be in [0, 1)")
     rng = np.random.default_rng(seed)
     bits = (rng.random((ds.n_rows, ds.n_cols)) >= rate).astype(np.int8)
     return MaskMatrix(bits, "mcar", rate)
@@ -113,6 +111,8 @@ MECHANISMS = {"mcar": corrupt_mcar, "mar": corrupt_mar, "mnar": corrupt_mnar}
 def corrupt(ds, mechanism, rate, seed) -> MaskMatrix:
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
+    if not 0 <= rate < 1:
+        raise ValueError(f"rate must be in [0, 1), got {rate!r}")
     return MECHANISMS[mechanism](ds, rate, seed)
 
 

@@ -51,7 +51,6 @@ class GraphSample:
 
 @dataclass
 class ForwardOutput:
-    h_out: Tensor  # n x (K * hidden), prototype rows stripped
     numeric_pred: Tensor  # n x d_n
     cat_logits: list  # per categorical column, n x C_d
     task_logits: Tensor  # n x num_classes
@@ -274,7 +273,7 @@ def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None
     numeric_pred = params.head_num(h_out)
     cat_logits = [head(h_out) for head in params.head_cat]
     task_logits = params.head_task(h_out)
-    return ForwardOutput(h_out, numeric_pred, cat_logits, task_logits, samples, projections)
+    return ForwardOutput(numeric_pred, cat_logits, task_logits, samples, projections)
 
 
 # -- checkpointing ------------------------------------------------------

@@ -232,7 +232,7 @@ def test_criterion_7a_wireless_model_rmse():
                              mask.bits[tr], mask.bits[va])
     res = ensemble.ensemble_impute(dsn, mask.bits, trained.params, 5, seed=3,
                                    batch_size=300)
-    score = evaluation.rmse(dsn.values, res.imputed, eval_mask, dsn.numeric_idx)
+    score = evaluation.rmse(dsn.values, res, eval_mask, dsn.numeric_idx)
     assert score <= 0.80, f"model RMSE {score:.4f} above the 0.80 bar"
     assert time.perf_counter() - start < 1800.0
 
@@ -242,7 +242,7 @@ def test_criterion_7b_synthetic_model_beats_mean(synthetic_run):
     t0 = time.perf_counter()
     res = ensemble.ensemble_impute(run["dsn"], run["mask"].bits,
                                    run["trained"].params, 5, seed=3, batch_size=128)
-    score = evaluation.rmse(run["dsn"].values, res.imputed, run["eval_mask"],
+    score = evaluation.rmse(run["dsn"].values, res, run["eval_mask"],
                             run["dsn"].numeric_idx)
     elapsed = run["train_seconds"] + (time.perf_counter() - t0)
     assert score <= 0.8 * run["mean_rmse"], \
@@ -270,7 +270,7 @@ def test_criterion_8_ensemble_identity_and_trend(synthetic_run):
     for pos, j in enumerate(dsn.numeric_idx):
         missing = bits[:, j] == 0
         manual[missing, j] = pred[missing, pos]
-    assert np.array_equal(result.imputed, manual)
+    assert np.array_equal(result, manual)
 
     # non-degradation trend: averaging five passes never hurts materially
     scores = {1: [], 5: []}
@@ -278,7 +278,7 @@ def test_criterion_8_ensemble_identity_and_trend(synthetic_run):
         for e in (1, 5):
             res = ensemble.ensemble_impute(dsn, bits, params, n_passes=e,
                                            seed=100 + s, batch_size=128)
-            scores[e].append(evaluation.rmse(dsn.values, res.imputed,
+            scores[e].append(evaluation.rmse(dsn.values, res,
                                              run["eval_mask"], dsn.numeric_idx))
     assert np.mean(scores[5]) <= np.mean(scores[1]) + 0.005, \
         f"E=5 mean RMSE {np.mean(scores[5]):.4f} vs E=1 {np.mean(scores[1]):.4f}"

@@ -176,12 +176,35 @@ def test_config_rejects_counts_that_are_not_positive_integers(workspace, key, va
         cli.load_config(cfg, {key: value})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("runs", 1.5, "runs must be an integer >= 1, got 1.5"),
+    ("runs", 0, "runs must be an integer >= 1, got 0"),
+    ("seed", "3", "seed must be an integer >= 0, got '3'"),
+    ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
+])
+def test_benchmark_rejects_bad_runs_and_seed_before_training(workspace, monkeypatch, capsys,
+                                                             key, value, message):
+    root, cfg = workspace
+    config = json.loads(Path(cfg).read_text())
+    config[key] = value
+    Path(cfg).write_text(json.dumps(config))
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *args: calls.append(args))
+    assert cli.main(["benchmark", "--config", cfg]) == 1
+    assert calls == []
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (root / "runs").exists()
+
+
 @pytest.mark.parametrize("train, message", [
     ({"batch_sz": 32}, "unknown train setting(s): batch_sz"),
     ({"model": {"hiden": 10}}, "unknown train.model setting(s): hiden"),
     ({"weights": {"triplett": 0.1}}, "unknown train.weights setting(s): triplett"),
     ({"batch_size": 0}, "batch_size and max_epochs must be >= 1"),
     ({"max_epochs": 0}, "batch_size and max_epochs must be >= 1"),
+    ({"seed": 12345}, "train.seed is set by the top-level 'seed'"),
+    ({"model": {"sampler": "kegg"}}, "train.model.sampler is set by the top-level 'method'"),
 ])
 def test_train_rejects_invalid_train_config(workspace, capsys, train, message):
     root, cfg = workspace

@@ -1,5 +1,6 @@
-"""Source hygiene: every library module uses each name it imports, and
-something in the repository reads every name the library defines."""
+"""Source hygiene: every library module uses each name it imports,
+something in the repository reads every name the library defines, and
+the library itself reads every field of its records."""
 
 import ast
 from pathlib import Path
@@ -116,3 +117,54 @@ def test_every_library_definition_is_referenced():
     library = [(SRC / module).read_text() for module in MODULES]
     readers = [path.read_text() for path in READERS]
     assert unreferenced_definitions(library, readers) == []
+
+
+def _is_dataclass_decorator(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+
+def record_fields(source):
+    """(Class.field, field) of every annotated field of every dataclass."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator,
+                                                      node.decorator_list)):
+            found += [(f"{node.name}.{stmt.target.id}", stmt.target.id) for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return found
+
+
+def attribute_reads(source):
+    """Attribute names the source loads, and its string constants (getattr
+    and results columns read fields by name)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def unread_fields(library_sources):
+    """Qualified dataclass fields that no library source reads."""
+    read = set().union(*map(attribute_reads, library_sources))
+    return sorted(qual for source in library_sources
+                  for qual, name in record_fields(source) if name not in read)
+
+
+def test_field_checker_counts_attribute_and_string_reads_only():
+    library = ("import dataclasses\nfrom dataclasses import dataclass\n"
+               "@dataclass\nclass A:\n"
+               "    by_attr: int\n    by_string: int\n    stored: int\n    bare: int\n"
+               "    never: int = 0\n"
+               "@dataclasses.dataclass(frozen=True)\nclass B:\n    v: int\n"
+               "class Plain:\n    u: int\n"
+               "def f(a):\n    a.stored = 1\n    bare = a.by_attr\n"
+               "    return getattr(a, 'by_string'), bare\n")
+    assert unread_fields([library]) == ["A.bare", "A.never", "A.stored", "B.v"]
+
+
+def test_every_record_field_is_read():
+    assert unread_fields([(SRC / module).read_text() for module in MODULES]) == []

@@ -94,10 +94,12 @@ def test_corrupt_dispatch_and_unknown_mechanism():
         missingness.corrupt(ds, "bogus", 0.1, 0)
 
 
-def test_corrupt_rejects_bad_rate():
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.3])
+@pytest.mark.parametrize("mechanism", ["mcar", "mar", "mnar"])
+def test_corrupt_rejects_bad_rate(mechanism, rate):
     ds = big_numeric_dataset(n=30)
-    with pytest.raises(ValueError):
-        missingness.corrupt_mcar(ds, 1.0, 0)
+    with pytest.raises(ValueError, match=r"rate must be in \[0, 1\)"):
+        missingness.corrupt(ds, mechanism, rate, 0)
 
 
 def test_surrogate_mask_only_hits_observed_cells(rng):

@@ -276,7 +276,7 @@ def test_forward_shapes(sampler, small_mixed_dataset, rng):
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
     batch = make_batch(ds, np.arange(10), init, 0.2, params)
     out = model.forward(batch, params, 0.3, "train", rng)
-    assert out.h_out.shape == (10, 8)
+    assert params.head_num.w.shape[0] == 8  # blocks * hidden
     assert out.numeric_pred.shape == (10, 3)
     assert len(out.cat_logits) == 1 and out.cat_logits[0].shape == (10, 3)
     assert out.task_logits.shape == (10, 2)
@@ -315,7 +315,8 @@ def test_forward_multi_block_concatenates(small_mixed_dataset, rng):
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
     batch = make_batch(ds, np.arange(7), init, 0.2, params)
     out = model.forward(batch, params, 0.3, "train", rng)
-    assert out.h_out.shape == (7, 16)
+    assert out.numeric_pred.shape[0] == 7
+    assert params.head_num.w.shape[0] == 2 * 8  # blocks * hidden
     assert len(out.samples) == 2
 
 
@@ -328,7 +329,7 @@ def test_prototypes_participate_in_graph(small_mixed_dataset):
     batch = make_batch(ds, np.arange(5), init, 0.2, params)
     out = model.forward(batch, params, 0.3, "train", np.random.default_rng(0))
     assert out.samples[0].hard.shape == (9, 9)
-    assert out.h_out.shape[0] == 5
+    assert out.numeric_pred.shape[0] == 5
 
 
 def test_zero_prototypes_supported(small_mixed_dataset, rng):
