@@ -56,7 +56,7 @@ def load_config(path, overrides=None):
         if value is not None:
             cfg[key] = value
     for key, low in (("ensemble", 1), ("knn_k", 1), ("runs", 1), ("seed", 0)):
-        if not isinstance(cfg[key], int) or cfg[key] < low:
+        if type(cfg[key]) is not int or cfg[key] < low:  # bool is an int subclass
             raise ValueError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
     return cfg
 

@@ -12,15 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import missingness, model
+from . import tensor as T
 
 
 def impute_once(ds, rows, initial_mask, params, rng):
-    """One stochastic eval-mode forward for a set of rows."""
+    """One stochastic eval-mode forward for a set of rows, recording no tape."""
     surr = np.ones((len(rows), ds.n_cols), dtype=np.int8)
-    batch = missingness.preprocess_batch(ds, rows, initial_mask, surr,
-                                         params.embeddings, params.config.embed_width)
-    # any tau > 0 gives these outputs: the hard graph is the logits' sign (egg) or rank (kegg)
-    return model.forward(batch, params, 0.01, "eval", rng)
+    with T.no_tape():
+        batch = missingness.preprocess_batch(ds, rows, initial_mask, surr,
+                                             params.embeddings, params.config.embed_width)
+        # any tau > 0 gives these outputs: the hard graph is the logits' sign (egg) or rank (kegg)
+        return model.forward(batch, params, 0.01, "eval", rng)
 
 
 def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size):

@@ -2,14 +2,32 @@
 
 Every tensor is a row-major float64 matrix.  Operations record their
 backward rule on the implicit tape (the parent graph); calling
-``backward`` on a scalar loss topologically sorts the reachable graph and
-accumulates gradients into every ``requires_grad`` leaf.  Broadcasting is
-restricted to row vectors (1 x n), column vectors (m x 1) and scalars.
+``backward`` on a scalar loss topologically sorts the reachable graph,
+accumulates gradients into every ``requires_grad`` leaf and frees the
+tape it walked, so a second ``backward`` on the same loss reaches no leaf.
+Inside ``with no_tape():`` operations record nothing, which is how
+evaluation runs.  Broadcasting is restricted to row vectors (1 x n),
+column vectors (m x 1) and scalars.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_recording = True  # read by _make; switched off only by no_tape()
+
+
+@contextmanager
+def no_tape():
+    """Run the block without recording: ops return tensors with no parents."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -52,9 +70,12 @@ class Tensor:
         return mul(self, _lift(other))
 
     def backward(self):
-        """Accumulate gradients of this scalar into all reachable leaves."""
+        """Accumulate gradients of this scalar into all reachable leaves,
+        unlinking each interior node (and dropping its gradient) once its rule has run."""
         if self.data.shape != (1, 1):
             raise ValueError(f"backward needs a scalar (1x1) loss, got {self.data.shape}")
+        if not _recording:
+            raise ValueError("backward inside no_tape(): nothing was recorded")
         order = []
         seen = set()
         stack = [(self, False)]
@@ -73,10 +94,13 @@ class Tensor:
         for node in order:
             node.grad = None
         self.grad = np.ones((1, 1))
-        for node in reversed(order):
-            if node._backward_fn is None or node.grad is None:
+        while order:
+            node = order.pop()
+            backward_fn, grad = node._backward_fn, node.grad
+            if backward_fn is None:
                 continue
-            for parent, contrib in node._backward_fn(node.grad):
+            node._parents, node._backward_fn, node.grad = (), None, None
+            for parent, contrib in backward_fn(grad):
                 if not parent.requires_grad:
                     continue
                 if parent.grad is None:
@@ -95,7 +119,7 @@ def _needs_grad(*ts):
 
 
 def _make(data, parents, backward_fn):
-    if _needs_grad(*parents):
+    if _recording and _needs_grad(*parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward_fn=backward_fn)
     return Tensor(data)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from . import missingness, model, objectives
+from . import tensor as T
 
 
 def _build(kind, raw, where):
@@ -110,14 +111,15 @@ def _batch_loss(ds, rows, initial_mask, surr, params, tau, mode, rng, weights, t
 
 
 def validation_loss(ds, initial_mask, val_surrogate, params, config, rng):
-    """Total loss over the validation set under a fixed surrogate mask."""
+    """Total loss over the validation set under a fixed surrogate mask; records no tape."""
     losses, counts = [], []
-    for start in range(0, ds.n_rows, config.batch_size):
-        rows = np.arange(start, min(start + config.batch_size, ds.n_rows))
-        parts = _batch_loss(ds, rows, initial_mask, val_surrogate[rows], params,
-                            config.tau_end, "eval", rng, config.weights)
-        losses.append(objectives.total_loss(parts, config.weights).item())
-        counts.append(len(rows))
+    with T.no_tape():
+        for start in range(0, ds.n_rows, config.batch_size):
+            rows = np.arange(start, min(start + config.batch_size, ds.n_rows))
+            parts = _batch_loss(ds, rows, initial_mask, val_surrogate[rows], params,
+                                config.tau_end, "eval", rng, config.weights)
+            losses.append(objectives.total_loss(parts, config.weights).item())
+            counts.append(len(rows))
     return float(np.average(losses, weights=counts))
 
 

@@ -182,6 +182,9 @@ def test_config_rejects_counts_that_are_not_positive_integers(workspace, key, va
     ("seed", "3", "seed must be an integer >= 0, got '3'"),
     ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
     ("seed", -1, "seed must be an integer >= 0, got -1"),
+    *[(key, flag, f"{key} must be an integer >= {low}, got {flag!r}")  # bool is an int
+      for key, low in (("ensemble", 1), ("knn_k", 1), ("runs", 1), ("seed", 0))
+      for flag in (True, False)],
 ])
 def test_benchmark_rejects_bad_runs_and_seed_before_training(workspace, monkeypatch, capsys,
                                                              key, value, message):
@@ -195,6 +198,16 @@ def test_benchmark_rejects_bad_runs_and_seed_before_training(workspace, monkeypa
     assert calls == []
     assert f"error: {message}" in capsys.readouterr().err
     assert not (root / "runs").exists()
+
+
+def test_corrupt_rejects_a_rate_that_is_not_a_number(workspace, capsys):
+    root, cfg = workspace
+    config = json.loads(Path(cfg).read_text())
+    config["rate"] = "0.2"
+    Path(cfg).write_text(json.dumps(config))
+    assert cli.main(["corrupt", "--config", cfg]) == 1
+    assert "error: rate must be in [0, 1), got '0.2'" in capsys.readouterr().err
+    assert not list(root.glob("runs/**/mask.csv"))
 
 
 @pytest.mark.parametrize("train, message", [
@@ -336,3 +349,14 @@ def test_benchmark_workers_record_failures_and_keep_going(mixed_config, capsys):
     assert err.count("error: run") == 2 and err.count("unreachable") == 2
     rows = _results(root / "runs/results.csv")[1:]
     assert sorted((r[2], r[4]) for r in rows) == [("0.2", "0"), ("0.2", "1")]
+
+
+def test_benchmark_records_a_rate_that_is_not_a_number(mixed_config, capsys):
+    root, cfg = mixed_config
+    config = json.loads((root / cfg).read_text())
+    config["grid"] = {"rates": ["0.2"], "methods": ["mean"]}
+    (root / cfg).write_text(json.dumps(config))
+    assert cli.main(["benchmark", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "error: run" in err and "failed: rate must be in [0, 1), got '0.2'" in err
+    assert not (root / "runs/results.csv").exists()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eggimpute import dataio, ensemble, missingness, model
+from conftest import mixed_dataset
+from eggimpute import dataio, ensemble, missingness, model, objectives, training
 
 
 def setup_model(n=40, seed=0, prototypes=2):
@@ -98,3 +100,61 @@ def test_rejects_zero_passes():
     with pytest.raises(ValueError):
         ensemble.ensemble_impute(ds, mask.bits, params, n_passes=0, seed=0,
                                  batch_size=8)
+
+
+def test_impute_once_records_no_tape():
+    ds, mask, params = setup_model()
+    assert all(p.requires_grad for p in params.named_parameters().values())
+    out = ensemble.impute_once(ds, np.arange(10), mask.bits, params, np.random.default_rng(0))
+    assert out.numeric_pred._parents == () and out.task_logits._parents == ()
+    assert out.numeric_pred._backward_fn is None and not out.numeric_pred.requires_grad
+
+
+def taped_impute_once(ds, rows, initial_mask, params, rng):
+    """``ensemble.impute_once`` as written before evaluation dropped the tape."""
+    surr = np.ones((len(rows), ds.n_cols), dtype=np.int8)
+    batch = missingness.preprocess_batch(ds, rows, initial_mask, surr,
+                                         params.embeddings, params.config.embed_width)
+    out = model.forward(batch, params, 0.01, "eval", rng)
+    assert out.numeric_pred._parents  # the oracle really records a tape
+    return out
+
+
+def taped_validation_loss(ds, initial_mask, val_surrogate, params, config, rng):
+    """``training.validation_loss`` as written before it dropped the tape."""
+    losses, counts = [], []
+    for start in range(0, ds.n_rows, config.batch_size):
+        rows = np.arange(start, min(start + config.batch_size, ds.n_rows))
+        parts = training._batch_loss(ds, rows, initial_mask, val_surrogate[rows], params,
+                                     config.tau_end, "eval", rng, config.weights)
+        total = objectives.total_loss(parts, config.weights)
+        assert total._parents
+        losses.append(total.item())
+        counts.append(len(rows))
+    return float(np.average(losses, weights=counts))
+
+
+@settings(max_examples=25)
+@given(sampler=st.sampled_from(["egg", "kegg", "identity"]), blocks=st.integers(1, 2),
+       prototypes=st.integers(0, 3), k=st.integers(1, 4), batch_size=st.integers(3, 24),
+       triplet=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**16))
+def test_tape_free_evaluation_is_bit_equal_to_the_taped_oracles(sampler, blocks, prototypes,
+                                                               k, batch_size, triplet, seed):
+    """24 rows with a categorical column; most batch sizes leave a short tail batch."""
+    ds = mixed_dataset()
+    mask = missingness.corrupt_mcar(ds, 0.25, seed=seed).bits
+    cfg = model.ModelConfig(hidden=6, blocks=blocks, prototypes=prototypes, embed_width=3,
+                            sampler=sampler, k=k)
+    params = model.ParameterSet(cfg, ds.schema, ds.num_classes, seed=seed)
+    fast = ensemble.ensemble_impute(ds, mask, params, 2, seed, batch_size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble, "impute_once", taped_impute_once)
+        taped = ensemble.ensemble_impute(ds, mask, params, 2, seed, batch_size)
+    assert np.array_equal(fast, taped)
+
+    config = training.TrainConfig(batch_size=batch_size, model=cfg,
+                                  weights=objectives.LossWeights(triplet=triplet))
+    surr = missingness.surrogate_mask(mask, 0.2, np.random.default_rng(seed))
+    args = (ds, mask, surr, params, config)
+    assert training.validation_loss(*args, np.random.default_rng(seed)) == \
+        taped_validation_loss(*args, np.random.default_rng(seed))

@@ -94,7 +94,7 @@ def test_corrupt_dispatch_and_unknown_mechanism():
         missingness.corrupt(ds, "bogus", 0.1, 0)
 
 
-@pytest.mark.parametrize("rate", [1.0, 1.5, -0.3])
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.3, "0.2", True, False])
 @pytest.mark.parametrize("mechanism", ["mcar", "mar", "mnar"])
 def test_corrupt_rejects_bad_rate(mechanism, rate):
     ds = big_numeric_dataset(n=30)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +196,58 @@ def test_backward_deterministic(rng):
         T.reduce_sum(T.exp(T.matmul(x, T.transpose(x)))).backward()
         grads.append(x.grad.copy())
     assert np.array_equal(grads[0], grads[1])
+
+
+def test_backward_frees_the_tape_it_walks(rng):
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    hidden = T.relu(T.matmul(Tensor(rng.normal(size=(5, 3))), w))
+    probe = weakref.ref(hidden.data)
+    loss = T.reduce_sum(hidden)
+    del hidden  # only loss still holds the interior node
+    loss.backward()
+    gc.collect()
+    assert probe() is None
+    assert w.grad is not None and loss.item() > 0
+
+
+def test_second_backward_reaches_no_leaf(rng):
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    loss = T.reduce_sum(T.mul(x, x))
+    loss.backward()
+    assert np.array_equal(x.grad, 2 * x.data)
+    x.grad = None
+    loss.backward()
+    assert x.grad is None
+
+
+def test_no_tape_ops_record_no_parents():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    with T.no_tape():
+        y = T.exp(T.matmul(x, x)) + x
+    assert y._parents == () and y._backward_fn is None and not y.requires_grad
+    assert np.array_equal(y.data, np.exp(np.full((2, 2), 2.0)) + 1)
+
+
+def test_no_tape_restores_recording_after_nesting_and_exceptions():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with T.no_tape():
+            with T.no_tape():
+                pass
+            assert T.exp(x)._parents == ()  # the inner block restored "off"
+            raise RuntimeError("inside the block")
+    assert T.exp(x)._parents == (x,)
+
+
+def test_backward_inside_no_tape_raises():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    loss = T.reduce_sum(T.mul(x, x))
+    with T.no_tape():
+        with pytest.raises(ValueError, match="no_tape"):
+            loss.backward()
+    assert x.grad is None
+    loss.backward()
+    assert np.array_equal(x.grad, 2 * x.data)
 
 
 def test_log_domain_error():
