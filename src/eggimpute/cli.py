@@ -20,7 +20,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,11 @@ MODEL_METHODS = {"egg": "egg", "kegg": "kegg", "nn_ablation": "identity"}
 ALL_METHODS = list(MODEL_METHODS) + ["mean", "knn"]
 
 RESULTS_COLUMNS = [f.name for f in fields(evaluation.MetricReport)]
+
+# every top-level setting and its default (None: unset)
+SETTINGS = {"dataset": None, "schema": None, "name": None, "datasets": None, "grid": None,
+            "rate": 0.2, "mechanism": "mcar", "method": "egg", "seed": 0, "runs": 1,
+            "ensemble": 5, "out": "runs", "train_fraction": 0.7, "knn_k": 5, "train": None}
 
 
 def _seed_for(master_seed, stage):
@@ -43,13 +49,15 @@ def _stage_seed_int(master_seed, stage):
 
 
 def load_config(path, overrides=None):
-    """Defaults, then the config file, then ``EGGIMPUTE_OUT``, then flags."""
-    cfg = {"rate": 0.2, "mechanism": "mcar", "method": "egg", "seed": 0, "runs": 1,
-           "ensemble": 5, "out": "runs", "train_fraction": 0.7, "knn_k": 5,
-           "train": {}}
+    """Defaults, then the config file, then ``EGGIMPUTE_OUT``, then flags;
+    a ValueError for a setting that is unknown, missing or out of range."""
+    cfg = dict(SETTINGS)
     if path:
         with open(path) as fh:
             cfg.update(json.load(fh))
+    unknown = sorted(set(cfg) - set(SETTINGS))
+    if unknown:
+        raise ValueError(f"unknown setting(s): {', '.join(unknown)}")
     if "EGGIMPUTE_OUT" in os.environ:
         cfg["out"] = os.environ["EGGIMPUTE_OUT"]
     for key, value in (overrides or {}).items():
@@ -58,6 +66,12 @@ def load_config(path, overrides=None):
     for key, low in (("ensemble", 1), ("knn_k", 1), ("runs", 1), ("seed", 0)):
         if type(cfg[key]) is not int or cfg[key] < low:  # bool is an int subclass
             raise ValueError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
+    if not cfg["datasets"] and (cfg["dataset"] is None or cfg["schema"] is None):
+        raise ValueError("set 'dataset' and 'schema', or 'datasets'")
+    for key, allowed in (("method", ALL_METHODS), ("mechanism", list(missingness.MECHANISMS))):
+        for value in [cfg[key], *(cfg["grid"] or {}).get(f"{key}s", [])]:
+            if value not in allowed:
+                raise ValueError(f"unknown {key} {value!r}; choose from {', '.join(allowed)}")
     return cfg
 
 
@@ -113,7 +127,7 @@ def _prepare(cfg, mask_bits=None):
 def _load_run(cfg):
     """The run directory and the table prepared with its saved mask."""
     rd = run_dir(cfg)
-    mask_bits = missingness.load_mask(_require(rd / "mask.csv", "eggimpute corrupt")).bits
+    mask_bits = missingness.load_mask(_require(rd / "mask.csv", "eggimpute corrupt"))
     return rd, _prepare(cfg, mask_bits)
 
 
@@ -192,37 +206,36 @@ def cmd_fetch_wireless(args):
     import zipfile
 
     url = "https://archive.ics.uci.edu/static/public/422/wireless+indoor+localization.zip"
+    if args.from_txt:
+        text = Path(args.from_txt).read_text()
+    else:
+        try:
+            payload = urllib.request.urlopen(url, timeout=60).read()
+        except OSError as err:
+            print(f"error: download failed ({err}); fetch wifi_localization.txt manually and "
+                  f"convert with `eggimpute fetch-wireless --from-txt <path>`", file=sys.stderr)
+            return 1
+        with zipfile.ZipFile(io.BytesIO(payload)) as zf:
+            name = next(n for n in zf.namelist() if n.endswith(".txt"))
+            text = zf.read(name).decode()
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if args.from_txt:
-        _write_wireless_csv(Path(args.from_txt).read_text(), out)
-        print(f"wrote {out}")
-        return 0
-    try:
-        payload = urllib.request.urlopen(url, timeout=60).read()
-    except OSError as err:
-        print(f"error: download failed ({err}); fetch wifi_localization.txt manually "
-              f"and convert with `eggimpute fetch-wireless --from-txt <path>`", file=sys.stderr)
-        return 1
-    with zipfile.ZipFile(io.BytesIO(payload)) as zf:
-        name = next(n for n in zf.namelist() if n.endswith(".txt"))
-        text = zf.read(name).decode()
     _write_wireless_csv(text, out)
     print(f"wrote {out}")
     return 0
 
 
 def _write_wireless_csv(text, out: Path):
-    rows = [line.split() for line in text.strip().splitlines()]
-    header = [f"wifi{i + 1}" for i in range(7)] + ["room"]
-    with open(out, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    schema = {"columns": [{"name": f"wifi{i + 1}", "kind": "numerical"} for i in range(7)],
-              "target": "room"}
-    with open(out.with_suffix(".schema.json"), "w") as fh:
-        json.dump(schema, fh, indent=2)
+    """Write the whitespace-separated signal strengths, the room last, as a table."""
+    rows = np.array([line.split() for line in text.strip().splitlines()])
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise ValueError("the wireless table needs signal strengths and a room on each line")
+    rooms, targets = np.unique(rows[:, -1], return_inverse=True)
+    schema = [dataio.ColumnSchema(f"wifi{i + 1}", dataio.NUMERICAL)
+              for i in range(rows.shape[1] - 1)]
+    ds = dataio.TabularDataset(schema, rows[:, :-1].astype(float), targets, len(rooms),
+                               rooms.tolist())
+    dataio.write_csv(ds, None, out, out.with_suffix(".schema.json"))
 
 
 def cmd_corrupt(args):
@@ -243,13 +256,11 @@ def cmd_train(args):
         return 0
     rd, prep = _load_run(cfg)
     trained, seconds = _fit(cfg, prep)
-    model.save_checkpoint(rd / "checkpoint.npz", trained.params,
-                          extra={"best_val_loss": trained.best_val_loss,
-                                 "best_epoch": trained.best_epoch,
-                                 "train_seconds": seconds})
+    model.save_checkpoint(rd / "checkpoint.npz", trained.params)
     with open(rd / "history.json", "w") as fh:
-        json.dump({"config": trained.config.to_dict(), "train_seconds": seconds,
-                   "stop_reason": trained.stop_reason, "epochs": trained.history}, fh, indent=2)
+        json.dump({"config": asdict(trained.config), "train_seconds": seconds,
+                   "stop_reason": trained.stop_reason, "best_epoch": trained.best_epoch,
+                   "best_val_loss": trained.best_val_loss, "epochs": trained.history}, fh, indent=2)
     print(f"wrote {rd / 'checkpoint.npz'} (best val loss {trained.best_val_loss:.4f} "
           f"at epoch {trained.best_epoch}, stopped on {trained.stop_reason}, {seconds:.1f}s)")
     return 0
@@ -261,8 +272,8 @@ def cmd_impute(args):
     ds = prep.ds
     params = None
     if cfg["method"] in MODEL_METHODS:
-        params, _ = model.load_checkpoint(_require(rd / "checkpoint.npz", "eggimpute train"),
-                                          ds.schema)
+        params = model.load_checkpoint(_require(rd / "checkpoint.npz", "eggimpute train"),
+                                       ds.schema)
     imputed_z = _impute_all(cfg, cfg["method"], ds, prep.ds_norm, prep.mask, prep.train_rows,
                             prep.val_rows, params)
     np.save(rd / "imputed_z.npy", imputed_z)
@@ -282,40 +293,37 @@ def cmd_evaluate(args):
     imputed_z = np.load(_require(rd / "imputed_z.npy", "eggimpute impute"))
     report = _evaluate(cfg, prep, imputed_z)
     with open(rd / "report.json", "w") as fh:
-        json.dump(report.__dict__, fh, indent=2, default=str)
+        json.dump(asdict(report), fh, indent=2)
     _append_result(Path(cfg["out"]) / "results.csv", report)
     print(json.dumps({k: getattr(report, k) for k in evaluation.LOWER_IS_BETTER}))
     return 0
 
 
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _append_result(path, report: evaluation.MetricReport):
+    """Append ``report``'s row, and the header first to a new file."""
     new = not Path(path).exists()
-    with open(path, "a") as fh:
+    row = [getattr(report, c) for c in RESULTS_COLUMNS]
+    # csv leaves a lone "\r" unquoted under a "\n" terminator, yet readers end rows on it
+    quoting = csv.QUOTE_ALL if any("\r" in str(v) for v in row) else csv.QUOTE_MINIMAL
+    with open(path, "a", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
         if new:
-            fh.write(",".join(RESULTS_COLUMNS) + "\n")
-        fh.write(",".join(_format_cell(getattr(report, c)) for c in RESULTS_COLUMNS) + "\n")
-
-
-def _parse_cell(column, text):
-    if column in ("dataset", "mechanism", "method"):
-        return text
-    if not text:
-        return None
-    return int(text) if column == "seed" else float(text)
+            writer.writerow(RESULTS_COLUMNS)
+        writer.writerow(row)
 
 
 def _read_results(path):
+    """A results file's reports, each cell of its ``MetricReport`` field's type."""
+    types = typing.get_type_hints(evaluation.MetricReport)
     with open(path, newline="") as fh:
-        return [evaluation.MetricReport(**{c: _parse_cell(c, row[c]) for c in RESULTS_COLUMNS})
-                for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != RESULTS_COLUMNS:
+            raise ValueError(f"{path} has columns {reader.fieldnames}, expected {RESULTS_COLUMNS}")
+        rows = list(reader)
+    if any(None in row or None in row.values() for row in rows):  # a short or long row
+        raise ValueError(f"{path} has a row whose cells do not match its header")
+    return [evaluation.MetricReport(**{c: types[c](v) if v or types[c] is str else None
+                                       for c, v in row.items()}) for row in rows]
 
 
 def run_single(cfg, dataset_spec, mechanism, rate, method, seed):
@@ -420,9 +428,7 @@ def cmd_report(args):
 # -- argument parsing ---------------------------------------------------
 
 def _overrides(args):
-    keys = ("dataset", "schema", "name", "mechanism", "rate", "method", "seed", "runs",
-            "ensemble", "out")
-    return {k: getattr(args, k, None) for k in keys}
+    return {k: v for k, v in vars(args).items() if k in SETTINGS}
 
 
 def _add_common(p):

@@ -186,8 +186,8 @@ def denormalize_column(z_values, col_idx, stats: ColumnStats):
 
 def split(ds: TabularDataset, train_fraction: float, seed: int):
     """Seeded, class-stratified partition into (train_rows, val_rows)."""
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must be in (0, 1)")
+    if type(train_fraction) not in (int, float) or not 0 < train_fraction < 1:  # not a bool
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction!r}")
     rng = np.random.default_rng(seed)
     counts = np.bincount(ds.targets, minlength=ds.num_classes)
     if counts[counts > 0].min() < 2:

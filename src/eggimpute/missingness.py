@@ -176,15 +176,6 @@ def save_mask(mask: MaskMatrix, path):
     np.savetxt(path, mask.bits, fmt="%d", delimiter=",", header=header)
 
 
-def load_mask(path) -> MaskMatrix:
-    mechanism, rate = "unknown", 0.0
-    with open(path) as fh:
-        first = fh.readline()
-    if first.startswith("#"):
-        fields = dict(kv.split("=", 1) for kv in first.split() if "=" in kv)
-        mechanism = fields.get("mechanism", "unknown")
-        rate = float(fields.get("rate", 0.0))
-    bits = np.loadtxt(path, dtype=np.int8, delimiter=",", comments="#")
-    if bits.ndim == 1:
-        bits = bits.reshape(1, -1)
-    return MaskMatrix(bits, mechanism, rate)
+def load_mask(path) -> np.ndarray:
+    """The N x d bits of a mask written by ``save_mask``; its header is a comment."""
+    return np.loadtxt(path, dtype=np.int8, delimiter=",", comments="#", ndmin=2)

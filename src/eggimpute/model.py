@@ -278,13 +278,10 @@ def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None
 
 # -- checkpointing ------------------------------------------------------
 
-def save_checkpoint(path, params: ParameterSet, extra=None):
-    meta = {"version": CHECKPOINT_VERSION,
-            "config": asdict(params.config),
-            "num_classes": params.num_classes,
-            "cat_cardinalities": params.cat_cardinalities,
-            "d_n": params.d_n,
-            "extra": extra or {}}
+def save_checkpoint(path, params: ParameterSet):
+    """The parameter arrays, and the model config and class count to rebuild them."""
+    meta = {"version": CHECKPOINT_VERSION, "config": asdict(params.config),
+            "num_classes": params.num_classes}
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              **params.state_arrays())
 
@@ -297,4 +294,4 @@ def load_checkpoint(path, schema):
         config = ModelConfig(**meta["config"])
         params = ParameterSet(config, schema, meta["num_classes"], seed=0)
         params.load_state_arrays({k: data[k] for k in data.files if k != "__meta__"})
-    return params, meta["extra"]
+    return params

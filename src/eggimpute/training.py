@@ -9,7 +9,8 @@ bitwise-identical trajectories.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, asdict
+import typing
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,10 +19,16 @@ from . import tensor as T
 
 
 def _build(kind, raw, where):
-    """``kind(**raw)``, or a ValueError naming each key ``kind`` has no field for."""
-    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
+    """``kind(**raw)``, or a ValueError naming each key ``kind`` has no field for,
+    or the first value whose type does not match its field's annotation."""
+    types = typing.get_type_hints(kind)
+    unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ValueError(f"unknown {where} setting(s): {', '.join(unknown)}")
+    for key, value in raw.items():
+        accepted = {int: (int,), float: (int, float), str: (str,)}.get(types[key])
+        if accepted and type(value) not in accepted:  # so a bool is neither int nor float
+            raise ValueError(f"{where}.{key} must be {types[key].__name__}, got {value!r}")
     return kind(**raw)
 
 
@@ -47,9 +54,6 @@ class TrainConfig:
             raise ValueError("batch_size and max_epochs must be >= 1")
         self.weights.validate()
         self.model.validate()
-
-    def to_dict(self):
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw):

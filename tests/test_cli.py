@@ -1,8 +1,10 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from eggimpute import cli, dataio, evaluation, missingness, training
 
@@ -44,6 +46,21 @@ def test_fetch_wireless_from_txt(tmp_path):
     assert ds.n_rows == 2 and ds.n_cols == 7
     assert all(c.kind == "numerical" for c in ds.schema)
     assert ds.num_classes == 2
+    assert mask.all()
+    assert [c.name for c in ds.schema] == [f"wifi{i}" for i in range(1, 8)]
+    assert ds.values.tolist() == [[-64, -56, -61, -66, -71, -82, -81],
+                                  [-68, -57, -61, -65, -71, -85, -85]]
+    assert [ds.target_categories[t] for t in ds.targets] == ["1", "2"]
+
+
+@pytest.mark.parametrize("text", ["", "\n", "1\n2\n"], ids=["empty", "blank", "no_signal"])
+def test_fetch_wireless_rejects_a_table_without_signals_and_rooms(tmp_path, capsys, text):
+    txt = tmp_path / "wifi_localization.txt"
+    txt.write_text(text)
+    out = tmp_path / "wireless.csv"
+    assert cli.main(["fetch-wireless", "--from-txt", str(txt), "--output", str(out)]) == 1
+    assert "needs signal strengths and a room on each line" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corrupt_writes_mask(workspace):
@@ -51,9 +68,10 @@ def test_corrupt_writes_mask(workspace):
     assert cli.main(["corrupt", "--config", cfg]) == 0
     mask_path = root / "runs/synth/mcar/0.2/egg/0/mask.csv"
     assert mask_path.exists()
-    mask = missingness.load_mask(mask_path)
-    assert mask.mechanism == "mcar"
-    assert 0.1 < mask.missing_fraction < 0.3
+    assert mask_path.read_text().startswith("# # mechanism=mcar rate=0.2\n")
+    bits = missingness.load_mask(mask_path)
+    assert bits.dtype == np.int8 and bits.shape == (60, 4)
+    assert 0.1 < 1 - bits.mean() < 0.3
 
 
 def test_train_requires_mask(workspace):
@@ -218,6 +236,8 @@ def test_corrupt_rejects_a_rate_that_is_not_a_number(workspace, capsys):
     ({"max_epochs": 0}, "batch_size and max_epochs must be >= 1"),
     ({"seed": 12345}, "train.seed is set by the top-level 'seed'"),
     ({"model": {"sampler": "kegg"}}, "train.model.sampler is set by the top-level 'method'"),
+    ({"learning_rate": True}, "train.learning_rate must be float, got True"),
+    ({"weights": {"triplet": "0.1"}}, "train.weights.triplet must be float, got '0.1'"),
 ])
 def test_train_rejects_invalid_train_config(workspace, capsys, train, message):
     root, cfg = workspace
@@ -360,3 +380,128 @@ def test_benchmark_records_a_rate_that_is_not_a_number(mixed_config, capsys):
     err = capsys.readouterr().err
     assert "error: run" in err and "failed: rate must be in [0, 1), got '0.2'" in err
     assert not (root / "runs/results.csv").exists()
+
+
+def test_train_records_the_best_epoch_in_history_and_only_the_model_in_the_checkpoint(
+        workspace, monkeypatch):
+    root, cfg = workspace
+    trained = []
+    original = training.train
+
+    def spy(*args):
+        trained.append(original(*args))
+        return trained[-1]
+
+    monkeypatch.setattr(training, "train", spy)
+    assert cli.main(["corrupt", "--config", cfg]) == 0
+    assert cli.main(["train", "--config", cfg]) == 0
+    rd = root / "runs/synth/mcar/0.2/egg/0"
+    history = json.loads((rd / "history.json").read_text())
+    assert (history["best_epoch"], history["best_val_loss"]) == \
+        (trained[0].best_epoch, trained[0].best_val_loss)
+    with np.load(rd / "checkpoint.npz") as data:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+    assert set(meta) == {"version", "config", "num_classes"}
+
+
+# -- results.csv --------------------------------------------------------
+
+_cells = st.text(st.sampled_from(',"\n\r') | st.characters(blacklist_categories=("Cs",)))
+_metric = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+_reports = st.builds(evaluation.MetricReport, _cells, _cells,
+                     st.floats(allow_nan=False, allow_infinity=False), _cells,
+                     st.integers(min_value=0), _metric, _metric, _metric, _metric, _metric,
+                     _metric)
+
+
+@given(st.lists(_reports, min_size=1, max_size=4))
+def test_results_round_trip_through_csv(reports):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        for rep in reports:
+            cli._append_result(path, rep)
+        assert cli._read_results(path) == reports
+
+
+def test_results_rows_are_pinned_bytes(tmp_path):
+    """Criterion 11 compares these bytes: unquoted names, floats by repr, None empty."""
+    path = tmp_path / "results.csv"
+    cli._append_result(path, evaluation.MetricReport("table", "mnar", 0.2, "kegg", 0, 1 / 3,
+                                                     0.25, None, 0.9, 1.5, None))
+    cli._append_result(path, evaluation.MetricReport('a,"b"', "mcar", 0.1, "mean", 7))
+    assert path.read_bytes() == (
+        b"dataset,mechanism,rate,method,seed,rmse,mae,cat_accuracy,downstream_accuracy,"
+        b"train_seconds,inference_seconds\n"
+        b"table,mnar,0.2,kegg,0,0.3333333333333333,0.25,,0.9,1.5,\n"
+        b'"a,""b""",mcar,0.1,mean,7,,,,,,\n')
+
+
+def test_benchmark_and_report_with_a_comma_in_the_dataset_name(workspace, capsys):
+    root, cfg = workspace
+    config = json.loads(Path(cfg).read_text())
+    config.update(name="a,b", grid={"methods": ["mean", "knn"]})
+    Path(cfg).write_text(json.dumps(config))
+    assert cli.main(["benchmark", "--config", cfg]) == 0
+    assert [r.dataset for r in cli._read_results(root / "runs/results.csv")] == ["a,b"] * 2
+    assert cli.main(["report", "--results", "runs/results.csv"]) == 0
+    summary = json.loads((root / "runs/summary.json").read_text())
+    assert set(summary["unified_average_ranking"]) == {"mean", "knn"}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dataset,mechanism,rate,method,seed,rmse\nd,mcar,0.2,mean,0,0.5\n",
+     "has columns ['dataset', 'mechanism', 'rate', 'method', 'seed', 'rmse'], "
+     f"expected {cli.RESULTS_COLUMNS}"),
+    (",".join(cli.RESULTS_COLUMNS) + "\nd,mcar,0.2,mean\n", "cells do not match its header"),
+], ids=["missing_columns", "short_row"])
+def test_report_rejects_a_results_file_that_does_not_match_the_columns(tmp_path, capsys, text,
+                                                                       message):
+    path = tmp_path / "results.csv"
+    path.write_text(text)
+    assert cli.main(["report", "--results", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+# -- settings -----------------------------------------------------------
+
+@pytest.mark.parametrize("change, message", [
+    ({"method": "eg"}, "unknown method 'eg'; choose from egg, kegg, nn_ablation, mean, knn"),
+    ({"mechanism": "mcra"}, "unknown mechanism 'mcra'; choose from mcar, mar, mnar"),
+    ({"grid": {"methods": ["mean", "eg"]}}, "unknown method 'eg'"),
+    ({"grid": {"mechanisms": ["mcar", "mnra"]}}, "unknown mechanism 'mnra'"),
+    ({"ensembel": 3}, "unknown setting(s): ensembel"),
+    ({"dataset": None}, "set 'dataset' and 'schema', or 'datasets'"),
+    ({"schema": None}, "set 'dataset' and 'schema', or 'datasets'"),
+], ids=["method", "mechanism", "grid_method", "grid_mechanism", "unknown_key", "no_dataset",
+        "no_schema"])
+def test_commands_reject_bad_top_level_settings_before_any_work(workspace, monkeypatch, capsys,
+                                                                change, message):
+    root, cfg = workspace
+    config = {k: v for k, v in {**json.loads(Path(cfg).read_text()), **change}.items()
+              if v is not None}
+    Path(cfg).write_text(json.dumps(config))
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *args: calls.append(args))
+    for command in ("corrupt", "train", "impute", "evaluate", "benchmark"):
+        assert cli.main([command, "--config", cfg]) == 1, command
+        assert f"error: {message}" in capsys.readouterr().err, command
+    assert calls == []
+    assert not (root / "runs").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"train": {**FAST_TRAIN, "batch_size": "30"}}, "train.batch_size must be int, got '30'"),
+    ({"train": {**FAST_TRAIN, "model": {"hidden": "8"}}},
+     "train.model.hidden must be int, got '8'"),
+    ({"train": {**FAST_TRAIN, "max_epochs": True}}, "train.max_epochs must be int, got True"),
+    ({"train_fraction": "0.7"}, "train_fraction must be in (0, 1), got '0.7'"),
+], ids=["batch_size", "model_hidden", "max_epochs", "train_fraction"])
+def test_train_rejects_values_of_the_wrong_type(workspace, capsys, change, message):
+    root, cfg = workspace
+    Path(cfg).write_text(json.dumps({**json.loads(Path(cfg).read_text()), **change}))
+    assert cli.main(["corrupt", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (root / "runs/synth/mcar/0.2/egg/0/checkpoint.npz").exists()

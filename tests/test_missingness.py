@@ -226,7 +226,14 @@ def test_mask_save_load_round_trip(tmp_path):
     mask = missingness.corrupt_mcar(ds, 0.25, seed=8)
     path = tmp_path / "mask.csv"
     missingness.save_mask(mask, path)
+    assert path.read_text().startswith("# # mechanism=mcar rate=0.25\n")
     loaded = missingness.load_mask(path)
-    assert np.array_equal(loaded.bits, mask.bits)
-    assert loaded.mechanism == "mcar"
-    assert loaded.rate == 0.25
+    assert loaded.dtype == np.int8
+    assert np.array_equal(loaded, mask.bits)
+
+
+@pytest.mark.parametrize("n, d", [(1, 5), (5, 1), (1, 1)])
+def test_mask_of_one_row_or_one_column_keeps_its_shape(tmp_path, n, d):
+    mask = missingness.corrupt_mcar(big_numeric_dataset(n=n, d=d), 0.5, seed=1)
+    missingness.save_mask(mask, tmp_path / "mask.csv")
+    assert np.array_equal(missingness.load_mask(tmp_path / "mask.csv"), mask.bits)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,9 +376,11 @@ def test_checkpoint_round_trip(tmp_path, small_mixed_dataset):
     model.forward(batch, params, 0.3, "train", np.random.default_rng(0))
 
     path = tmp_path / "ckpt.npz"
-    model.save_checkpoint(path, params, extra={"epoch": 7})
-    loaded, extra = model.load_checkpoint(path, ds.schema)
-    assert extra == {"epoch": 7}
+    model.save_checkpoint(path, params)
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+    assert set(meta) == {"version", "config", "num_classes"}
+    loaded = model.load_checkpoint(path, ds.schema)
     for name, p in params.named_parameters().items():
         assert np.array_equal(p.data, loaded.named_parameters()[name].data)
     out_a = model.forward(batch, params, 0.3, "eval", np.random.default_rng(4))

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -78,8 +80,13 @@ def test_kegg_config_rejects_k_below_one():
 def test_config_dict_round_trip():
     cfg = training.TrainConfig(batch_size=64, seed=9,
                                model=model.ModelConfig(hidden=32, sampler="kegg"))
-    clone = training.TrainConfig.from_dict(cfg.to_dict())
+    clone = training.TrainConfig.from_dict(asdict(cfg))
     assert clone == cfg
+
+
+def test_from_dict_takes_an_int_for_a_float_setting():
+    cfg = training.TrainConfig.from_dict({"learning_rate": 1, "weights": {"triplet": 0}})
+    assert (cfg.learning_rate, cfg.weights.triplet) == (1, 0)
 
 
 def tiny_setup(seed=0, n=60):

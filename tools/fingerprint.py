@@ -1,0 +1,122 @@
+"""Fingerprint the artifacts of both benchmark workloads on their reference tables.
+
+Usage, from anywhere:
+
+    python3 tools/fingerprint.py                            # this checkout's src/
+    PYTHONPATH=<other checkout>/src python3 tools/fingerprint.py
+
+The tables come from ``perfbench/workloads.setup(..., 0, ...)`` and are
+written to a temporary directory.  ``kegg-grid`` runs ``benchmark`` and
+``report``; ``egg-impute`` runs ``corrupt``, ``train``, ``impute`` and
+``evaluate``, each through ``eggimpute.cli.main``.  Standard output is one
+JSON object: the sha256 of each artifact's content with the timing
+fields left out, and the parsed checkpoint ``__meta__``.  Two outputs
+that diff clean mean the two programs wrote the same results; a
+refactor that must keep its outputs compares the fingerprint of the
+parent commit with its own.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.append(str(ROOT / "src"))  # PYTHONPATH, when set, comes first
+
+import workloads  # noqa: E402
+from eggimpute import cli  # noqa: E402
+
+TIMING = ("train_seconds", "inference_seconds", "seconds")
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _json_sha(value):
+    return _sha(json.dumps(value, sort_keys=True).encode())
+
+
+def _untimed(value):
+    """``value`` without the timing keys of any dict inside it."""
+    if isinstance(value, dict):
+        return {k: _untimed(v) for k, v in value.items() if k not in TIMING}
+    if isinstance(value, list):
+        return [_untimed(v) for v in value]
+    return value
+
+
+def _results(path):
+    with open(path, newline="") as fh:
+        return _json_sha(_untimed(list(csv.DictReader(fh))))
+
+
+def _run(directory, *commands):
+    """Run each eggimpute command in ``directory``, its chatter sent to stderr;
+    stop at the first that fails."""
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(sys.stderr):
+            for argv in commands:
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"`eggimpute {' '.join(argv)}` failed in {directory}")
+    finally:
+        os.chdir(previous)
+
+
+def _step(command):
+    return [command, "--config", workloads.CONFIG, "--out", "out"]
+
+
+def kegg_grid(directory):
+    workloads.setup("kegg-grid", 0, directory)
+    _run(directory, _step("benchmark"), ["report", "--results", "out/results.csv"])
+    summary = json.loads((directory / "out" / "summary.json").read_text())
+    summary.pop("timing")
+    return {"results.csv": _results(directory / "out" / "results.csv"),
+            "summary.json": _json_sha(summary)}
+
+
+def egg_impute(directory):
+    workloads.setup("egg-impute", 0, directory)
+    _run(directory, *(_step(c) for c in ("corrupt", "train", "impute", "evaluate")))
+    rd = directory / "out" / "table" / "mcar" / "0.2" / "egg" / str(workloads.PIPELINE_SEED)
+    out = {name: _sha((rd / name).read_bytes())
+           for name in ("mask.csv", "imputed.csv", "imputed_z.npy")}
+    out["results.csv"] = _results(directory / "out" / "results.csv")
+    out["report.json"] = _json_sha(_untimed(json.loads((rd / "report.json").read_text())))
+    history = _untimed(json.loads((rd / "history.json").read_text()))
+    out.update({f"history.json:{k}": _json_sha(v) for k, v in history.items()})
+    with np.load(rd / "checkpoint.npz") as data:
+        for name in data.files:
+            if name == "__meta__":
+                out["checkpoint.npz:__meta__"] = _untimed(json.loads(bytes(data[name]).decode()))
+            else:
+                array = data[name]
+                out[f"checkpoint.npz:{name}"] = _sha(
+                    f"{array.dtype.str}{array.shape}".encode() + array.tobytes())
+    return out
+
+
+def main():
+    fingerprint = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute)):
+            for key, value in run(Path(tmp) / name).items():
+                fingerprint[f"{name}/{key}"] = value
+    print(json.dumps(fingerprint, indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
