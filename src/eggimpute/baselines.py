@@ -23,15 +23,6 @@ def mean_impute(ds, mask, stats: ColumnStats):
     return imputed
 
 
-def _row_distances(values, mask, target_row, d):
-    """Overlap-normalized squared Euclidean distances to every other row."""
-    overlap = mask & mask[target_row]
-    diff = np.where(overlap, values - values[target_row], 0.0)
-    sq = (diff ** 2).sum(axis=1)
-    counts = overlap.sum(axis=1)
-    return np.where(counts > 0, sq * d / np.maximum(counts, 1), np.inf)
-
-
 def knn_impute(ds, mask, k_nn, stats: ColumnStats):
     """Donor-based imputation.
 
@@ -45,14 +36,18 @@ def knn_impute(ds, mask, k_nn, stats: ColumnStats):
     values = np.nan_to_num(ds.values)
     obs = (mask == 1) & np.isfinite(ds.values)
     n, d = values.shape
+    observed = values * obs
     imputed = ds.values.copy()
     for i in range(n):
         missing_cols = np.flatnonzero(~obs[i])
         if missing_cols.size == 0:
             continue
-        dist = _row_distances(values * obs, obs, i, d)
+        overlap = obs & obs[i]
+        sq = (np.where(overlap, observed - observed[i], 0.0) ** 2).sum(axis=1)
+        counts = overlap.sum(axis=1)
+        dist = np.where(counts > 0, sq * d / np.maximum(counts, 1), np.inf)
         dist[i] = np.inf
-        order = np.lexsort((np.arange(n), dist))  # stable: distance, then row index
+        order = np.argsort(dist, kind="stable")  # distance, then row index
         donors = order[np.isfinite(dist[order])][:k_nn]
         for j in missing_cols:
             col = ds.schema[j]

@@ -75,6 +75,14 @@ def load_config(path, overrides=None):
     return cfg
 
 
+def _step_config(args):
+    """The config of a stepwise command, which works on the one table it names."""
+    cfg = load_config(args.config, _overrides(args))
+    if cfg["dataset"] is None or cfg["schema"] is None:
+        raise ValueError("corrupt, train, impute and evaluate need 'dataset' and 'schema'")
+    return cfg
+
+
 def _dataset_name(cfg):
     return cfg.get("name") or Path(cfg["dataset"]).stem
 
@@ -239,7 +247,7 @@ def _write_wireless_csv(text, out: Path):
 
 
 def cmd_corrupt(args):
-    cfg = load_config(args.config, _overrides(args))
+    cfg = _step_config(args)
     ds, _ = dataio.load_csv(cfg["dataset"], cfg["schema"])
     mask = _corrupt(cfg, ds)
     rd = run_dir(cfg)
@@ -250,7 +258,7 @@ def cmd_corrupt(args):
 
 
 def cmd_train(args):
-    cfg = load_config(args.config, _overrides(args))
+    cfg = _step_config(args)
     if cfg["method"] not in MODEL_METHODS:
         print(f"method {cfg['method']!r} needs no training; skipping")
         return 0
@@ -267,7 +275,7 @@ def cmd_train(args):
 
 
 def cmd_impute(args):
-    cfg = load_config(args.config, _overrides(args))
+    cfg = _step_config(args)
     rd, prep = _load_run(cfg)
     ds = prep.ds
     params = None
@@ -288,7 +296,7 @@ def cmd_impute(args):
 
 
 def cmd_evaluate(args):
-    cfg = load_config(args.config, _overrides(args))
+    cfg = _step_config(args)
     rd, prep = _load_run(cfg)
     imputed_z = np.load(_require(rd / "imputed_z.npy", "eggimpute impute"))
     report = _evaluate(cfg, prep, imputed_z)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -83,74 +84,76 @@ class ColumnStats:
 def load_schema(path):
     with open(path) as fh:
         raw = json.load(fh)
-    cols = [ColumnSchema(c["name"], c["kind"]) for c in raw["columns"]]
-    return cols, raw["target"]
+    try:
+        return [ColumnSchema(c["name"], c["kind"]) for c in raw["columns"]], raw["target"]
+    except KeyError as err:
+        raise ValueError(f"schema {path} lacks the key {err}") from None
+
+
+def _first_appearance(cells):
+    """The distinct labels of ``cells`` in first-appearance order, and each cell's index."""
+    index = {}
+    codes = [index.setdefault(cell, len(index)) for cell in cells]
+    return list(index), codes
+
+
+def _number(cell, row, name):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"unparseable numeric cell at row {row}, column {name!r}: {cell!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite numeric cell at row {row}, column {name!r}: {cell!r}; "
+                         f"leave a missing cell empty")
+    return value
 
 
 def load_csv(path, schema_path):
     """Read a CSV (UTF-8, header row, empty cell = missing) into a dataset.
 
     Returns ``(dataset, initial_mask)`` where the mask marks cells that
-    were present in the file (1 = observed).
+    were present in the file (1 = observed).  An empty file, a ragged row
+    and a numeric ``nan`` or ``inf`` cell are errors; the header is row 1.
     """
     columns, target_name = load_schema(schema_path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path} is empty; it needs a header row")
+    header, rows = rows[0], rows[1:]
     names = [c.name for c in columns]
     expected = names + [target_name] if target_name not in names else names
     if header != expected:
         raise ValueError(f"header {header} does not match schema columns {expected}")
-    feature_cols = [c for c in columns if c.name != target_name]
-    target_pos = header.index(target_name)
-    feature_pos = [header.index(c.name) for c in feature_cols]
-
-    n, d = len(rows), len(feature_cols)
-    values = np.zeros((n, d))
-    mask = np.ones((n, d), dtype=np.int8)
-    cat_maps = {j: {} for j, c in enumerate(feature_cols) if c.kind == CATEGORICAL}
-    target_map = {}
-    targets = np.zeros(n, dtype=np.int64)
-
     for i, row in enumerate(rows):
-        for j, pos in enumerate(feature_pos):
-            cell = row[pos].strip()
-            if cell == "":
-                mask[i, j] = 0
-                values[i, j] = np.nan
-                continue
-            col = feature_cols[j]
-            if col.kind == NUMERICAL:
-                try:
-                    values[i, j] = float(cell)
-                except ValueError:
-                    raise ValueError(f"unparseable numeric cell at row {i + 2}, column {col.name!r}: {cell!r}")
-            else:
-                values[i, j] = cat_maps[j].setdefault(cell, len(cat_maps[j]))
-        tcell = row[target_pos].strip()
-        if tcell == "":
-            raise ValueError(f"missing target at row {i + 2}")
-        targets[i] = target_map.setdefault(tcell, len(target_map))
+        if len(row) != len(header):
+            raise ValueError(f"row {i + 2} has {len(row)} cells, but the header has {len(header)}")
+    cells = {}  # a repeated name reads its first column
+    for pos, name in enumerate(header):
+        cells.setdefault(name, [row[pos].strip() for row in rows])
+    feature_cols = [c for c in columns if c.name != target_name]
 
+    values = np.full((len(rows), len(feature_cols)), np.nan)
     for j, col in enumerate(feature_cols):
-        if col.kind == CATEGORICAL:
-            labels = sorted(cat_maps[j], key=cat_maps[j].get)
-            col.categories = labels
-            col.cardinality = max(len(labels), 2)
-
-    ds = TabularDataset(feature_cols, values, targets, max(len(target_map), 1),
-                        sorted(target_map, key=target_map.get))
-    return ds, mask
+        present = [i for i, cell in enumerate(cells[col.name]) if cell]
+        if col.kind == NUMERICAL:
+            values[present, j] = [_number(cells[col.name][i], i + 2, col.name) for i in present]
+        else:
+            col.categories, values[present, j] = _first_appearance(
+                cells[col.name][i] for i in present)
+            col.cardinality = max(len(col.categories), 2)
+    if "" in cells[target_name]:
+        raise ValueError(f"missing target at row {cells[target_name].index('') + 2}")
+    target_categories, targets = _first_appearance(cells[target_name])
+    ds = TabularDataset(feature_cols, values, np.array(targets, dtype=np.int64),
+                        max(len(target_categories), 1), target_categories)
+    return ds, np.isfinite(values).astype(np.int8)
 
 
 def compute_stats(ds: TabularDataset, mask=None) -> ColumnStats:
     """Observed-cell means/stds for numerics and modal classes for
     categoricals.  ``mask`` restricts to observed entries (1 = observed)."""
-    if mask is None:
-        mask = np.isfinite(ds.values).astype(np.int8)
-    else:
-        mask = mask * np.isfinite(ds.values)
+    mask = np.isfinite(ds.values) if mask is None else mask * np.isfinite(ds.values)
     means, sigmas, modes = {}, {}, {}
     for j, col in enumerate(ds.schema):
         obs = ds.values[mask[:, j] == 1, j]
@@ -190,17 +193,12 @@ def split(ds: TabularDataset, train_fraction: float, seed: int):
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction!r}")
     rng = np.random.default_rng(seed)
     counts = np.bincount(ds.targets, minlength=ds.num_classes)
+    groups = [np.flatnonzero(ds.targets == cls) for cls in np.flatnonzero(counts)]
     if counts[counts > 0].min() < 2:
         warnings.warn("a class has fewer than 2 members; falling back to unstratified split")
-        order = rng.permutation(ds.n_rows)
-        cut = int(round(ds.n_rows * train_fraction))
-        cut = min(max(cut, 1), ds.n_rows - 1)
-        return np.sort(order[:cut]), np.sort(order[cut:])
+        groups = [np.arange(ds.n_rows)]
     train_rows, val_rows = [], []
-    for cls in range(ds.num_classes):
-        members = np.flatnonzero(ds.targets == cls)
-        if members.size == 0:
-            continue
+    for members in groups:
         perm = rng.permutation(members)
         cut = int(round(members.size * train_fraction))
         cut = min(max(cut, 1), members.size - 1)

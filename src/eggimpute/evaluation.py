@@ -32,41 +32,33 @@ class MetricReport:
     inference_seconds: float = None
 
 
-def _numeric_support(truth, imputed, eval_mask, numeric_idx):
-    cells = []
-    for j in numeric_idx:
-        missing = (eval_mask[:, j] == 0) & np.isfinite(truth[:, j])
-        cells.append((truth[missing, j], imputed[missing, j]))
-    if not cells:
-        return np.array([]), np.array([])
-    t = np.concatenate([c[0] for c in cells])
-    p = np.concatenate([c[1] for c in cells])
-    return t, p
+def _support(truth, imputed, eval_mask, idx):
+    """Truth and imputation of the scored cells of columns ``idx`` (initially
+    missing, truth known), column by column."""
+    t, p = truth[:, idx].T, imputed[:, idx].T
+    missing = (eval_mask[:, idx].T == 0) & np.isfinite(t)
+    return t[missing], p[missing]
 
 
 def rmse(truth, imputed, eval_mask, numeric_idx):
-    t, p = _numeric_support(truth, imputed, eval_mask, numeric_idx)
+    t, p = _support(truth, imputed, eval_mask, numeric_idx)
     if t.size == 0:
         return None
     return float(np.sqrt(((t - p) ** 2).mean()))
 
 
 def mae(truth, imputed, eval_mask, numeric_idx):
-    t, p = _numeric_support(truth, imputed, eval_mask, numeric_idx)
+    t, p = _support(truth, imputed, eval_mask, numeric_idx)
     if t.size == 0:
         return None
     return float(np.abs(t - p).mean())
 
 
 def cat_accuracy(truth, imputed, eval_mask, categorical_idx):
-    hits, total = 0, 0
-    for j in categorical_idx:
-        missing = (eval_mask[:, j] == 0) & np.isfinite(truth[:, j])
-        hits += int((imputed[missing, j] == truth[missing, j]).sum())
-        total += int(missing.sum())
-    if total == 0:
+    t, p = _support(truth, imputed, eval_mask, categorical_idx)
+    if t.size == 0:
         return None
-    return hits / total
+    return int((p == t).sum()) / t.size
 
 
 # -- random forest ------------------------------------------------------
@@ -222,19 +214,14 @@ def count_of_wins(reports):
 
 
 def _average_ranks(values, lower_better):
-    """Competition-free ranks, 1 = best; ties get the average rank."""
+    """Ranks, 1 = best: the values strictly better, plus (the values tied,
+    itself included, + 1) / 2.  NaNs tie with each other below every number."""
     arr = np.asarray(values, dtype=np.float64)
     keyed = arr if lower_better else -arr
-    order = np.argsort(keyed, kind="stable")
-    ranks = np.empty(len(arr))
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and keyed[order[j + 1]] == keyed[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    ordered = np.sort(keyed)
+    better = np.searchsorted(ordered, keyed, "left")
+    tied = np.searchsorted(ordered, keyed, "right") - better
+    return better + (tied + 1) / 2
 
 
 def unified_average_ranking(reports):

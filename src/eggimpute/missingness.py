@@ -65,43 +65,39 @@ def corrupt_mcar(ds, rate, seed) -> MaskMatrix:
     return MaskMatrix(bits, "mcar", rate)
 
 
+def _logistic_bits(scores, rate, rng):
+    """Bits of ``scores``' shape, 0 (missing) with probability sigmoid(score + b),
+    the intercept b calibrated so the mean probability is ``rate``; all 1 at rate 0."""
+    if rate == 0:
+        return np.ones(scores.shape, dtype=np.int8)
+    b = _calibrate_intercept(scores.ravel(), rate)
+    return (rng.random(scores.shape) >= _sigmoid(scores + b)).astype(np.int8)
+
+
 def corrupt_mar(ds, rate, seed) -> MaskMatrix:
     """A fixed 30% column subset stays observed; missingness of the rest
     follows a logistic model on that subset, intercept calibrated so the
     overall missing fraction hits ``rate``."""
     if ds.n_cols < 2:
         raise ValueError("MAR needs at least 2 columns")
-    if rate == 0:
-        return MaskMatrix(np.ones((ds.n_rows, ds.n_cols), dtype=np.int8), "mar", rate)
     rng = np.random.default_rng(seed)
     n_obs = max(1, int(round(0.3 * ds.n_cols)))
     obs_cols = np.sort(rng.choice(ds.n_cols, size=n_obs, replace=False))
     rest = np.setdiff1d(np.arange(ds.n_cols), obs_cols)
-    z = _standardized(ds.values[:, obs_cols])
-    weights = rng.normal(size=n_obs)
-    scores = z @ weights
+    scores = _standardized(ds.values[:, obs_cols]) @ rng.normal(size=n_obs)
     # overall rate counts fully-observed columns too
     target = rate * ds.n_cols / rest.size
     if target >= 1.0:
         raise ValueError(f"rate {rate} unreachable with {rest.size} corruptible columns")
-    b = _calibrate_intercept(np.repeat(scores, rest.size), target)
-    probs = _sigmoid(scores + b)
     bits = np.ones((ds.n_rows, ds.n_cols), dtype=np.int8)
-    draws = rng.random((ds.n_rows, rest.size))
-    bits[:, rest] = (draws >= probs[:, None]).astype(np.int8)
+    bits[:, rest] = _logistic_bits(np.repeat(scores[:, None], rest.size, axis=1), target, rng)
     return MaskMatrix(bits, "mar", rate)
 
 
 def corrupt_mnar(ds, rate, seed) -> MaskMatrix:
     """Self-masking: each cell goes missing with a logistic probability of
     its own standardized value, intercept calibrated to ``rate``."""
-    if rate == 0:
-        return MaskMatrix(np.ones((ds.n_rows, ds.n_cols), dtype=np.int8), "mnar", rate)
-    rng = np.random.default_rng(seed)
-    z = _standardized(ds.values)
-    b = _calibrate_intercept(z.ravel(), rate)
-    probs = _sigmoid(z + b)
-    bits = (rng.random(z.shape) >= probs).astype(np.int8)
+    bits = _logistic_bits(_standardized(ds.values), rate, np.random.default_rng(seed))
     return MaskMatrix(bits, "mnar", rate)
 
 
@@ -160,19 +156,15 @@ def preprocess_batch(ds, rows, initial_mask, surr_mask, embeddings, embed_width)
         parts.append(T.gather_rows(table, idx))
     x = T.concat_cols(parts) if len(parts) > 1 else parts[0]
 
-    truth_num = values[:, num_idx] if num_idx else np.zeros((len(rows), 0))
-    truth_num = np.where(init[:, num_idx] == 1, truth_num, np.nan) if num_idx else truth_num
-    if cat_idx:
-        truth_cat = np.where(init[:, cat_idx] == 1,
-                             np.nan_to_num(values[:, cat_idx]), -1).astype(np.int64)
-    else:
-        truth_cat = np.zeros((len(rows), 0), dtype=np.int64)
+    truth_num = np.where(init[:, num_idx] == 1, values[:, num_idx], np.nan)
+    truth_cat = np.where(init[:, cat_idx] == 1,
+                         np.nan_to_num(values[:, cat_idx]), -1).astype(np.int64)
     return MiniBatch(x, surr_mask, truth_num, truth_cat, ds.targets[rows],
                      num_idx, cat_idx)
 
 
 def save_mask(mask: MaskMatrix, path):
-    header = f"# mechanism={mask.mechanism} rate={mask.rate}"
+    header = f"mechanism={mask.mechanism} rate={mask.rate}"  # np.savetxt adds the "# "
     np.savetxt(path, mask.bits, fmt="%d", delimiter=",", header=header)
 
 

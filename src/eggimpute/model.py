@@ -198,7 +198,7 @@ def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSam
     relaxed = T.mul(T.sigmoid(logits), Tensor(candidates))
     chosen = (relaxed.data > 0.5) * candidates if k is None else candidates
     hard = np.minimum(chosen + chosen.T + eye, 1.0)
-    adjacency = T.straight_through(relaxed + T.transpose(relaxed) + Tensor(eye), hard)
+    adjacency = T.straight_through(relaxed + T.transpose(relaxed), hard)
     return GraphSample(relaxed, adjacency, hard)
 
 

@@ -295,34 +295,26 @@ def transpose(a: Tensor) -> Tensor:
     return _make(a.data.T.copy(), (a,), bwd)
 
 
-def concat_cols(tensors) -> Tensor:
+def _concat(tensors, axis) -> Tensor:
+    """Join 2-D tensors along ``axis``; each gradient piece is a copy of its slice."""
     tensors = list(tensors)
-    rows = tensors[0].shape[0]
-    for t in tensors:
-        if t.shape[0] != rows:
-            raise ValueError("concat_cols needs matching row counts")
-    widths = [t.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
+    if any(t.shape[1 - axis] != tensors[0].shape[1 - axis] for t in tensors):
+        raise ValueError(f"concat_{('rows', 'cols')[axis]} needs matching "
+                         f"{('column', 'row')[axis]} counts")
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def bwd(g):
-        return [(t, g[:, offsets[i]:offsets[i + 1]].copy()) for i, t in enumerate(tensors)]
+        return [(t, piece.copy()) for t, piece in zip(tensors, np.split(g, offsets[1:-1], axis))]
 
-    return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), bwd)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
+
+
+def concat_cols(tensors) -> Tensor:
+    return _concat(tensors, 1)
 
 
 def concat_rows(tensors) -> Tensor:
-    tensors = list(tensors)
-    cols = tensors[0].shape[1]
-    for t in tensors:
-        if t.shape[1] != cols:
-            raise ValueError("concat_rows needs matching column counts")
-    heights = [t.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + heights)
-
-    def bwd(g):
-        return [(t, g[offsets[i]:offsets[i + 1], :].copy()) for i, t in enumerate(tensors)]
-
-    return _make(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors), bwd)
+    return _concat(tensors, 0)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eggimpute import baselines, dataio
 
@@ -95,6 +98,63 @@ def test_knn_matches_brute_force_on_random_fixtures():
         ours = baselines.knn_impute(ds, mask, k_nn=3, stats=stats)
         oracle = brute_force_knn(ds.values.copy(), mask, 3, ds.schema, stats)
         assert np.allclose(ours, oracle, equal_nan=True), f"trial {trial}"
+
+
+def _lexsorted_knn(ds, mask, k_nn, stats):
+    """KNN before its distance helper was inlined and the donor order became
+    a stable argsort (oracle)."""
+    values = np.nan_to_num(ds.values)
+    obs = (mask == 1) & np.isfinite(ds.values)
+    n, d = values.shape
+    imputed = ds.values.copy()
+    for i in range(n):
+        missing_cols = np.flatnonzero(~obs[i])
+        if missing_cols.size == 0:
+            continue
+        filled = values * obs
+        overlap = obs & obs[i]
+        diff = np.where(overlap, filled - filled[i], 0.0)
+        counts = overlap.sum(axis=1)
+        dist = np.where(counts > 0, (diff ** 2).sum(axis=1) * d / np.maximum(counts, 1), np.inf)
+        dist[i] = np.inf
+        order = np.lexsort((np.arange(n), dist))
+        donors = order[np.isfinite(dist[order])][:k_nn]
+        for j in missing_cols:
+            col = ds.schema[j]
+            giving = donors[obs[donors, j]]
+            if giving.size == 0:
+                imputed[i, j] = baselines._fill_value(col, j, stats)
+            elif col.kind == "numerical":
+                imputed[i, j] = values[giving, j].mean()
+            else:
+                votes = np.bincount(values[giving, j].astype(np.int64),
+                                    minlength=col.cardinality)
+                imputed[i, j] = int(votes.argmax())
+    return imputed
+
+
+@settings(max_examples=150)
+@given(distinct=st.integers(1, 4), copies=st.integers(2, 5), cols=st.integers(1, 4),
+       categorical=st.booleans(), k_nn=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_knn_matches_the_lexsort_oracle_on_duplicate_rows(distinct, copies, cols, categorical,
+                                                         k_nn, seed):
+    """Each row has duplicates, so many donors tie on distance and the row
+    index decides which of them vote."""
+    gen = np.random.default_rng(seed)
+    base = gen.integers(0, 3, size=(distinct, cols)).astype(float)
+    values = base[gen.permutation(np.repeat(np.arange(distinct), copies))]
+    schema = [dataio.ColumnSchema(f"c{j}", dataio.NUMERICAL) for j in range(cols)]
+    if categorical:
+        schema[-1] = dataio.ColumnSchema(f"c{cols - 1}", dataio.CATEGORICAL, cardinality=3)
+    ds = dataio.TabularDataset(schema, values, np.zeros(len(values), dtype=np.int64), 1)
+    mask = (gen.random(values.shape) > 0.3).astype(np.int8)
+    ds.values[mask == 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # columns with no observed cell
+        stats = dataio.compute_stats(ds, mask)
+        got = baselines.knn_impute(ds, mask, k_nn, stats)
+        want = _lexsorted_knn(ds, mask, k_nn, stats)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_knn_categorical_majority_and_tie_break():

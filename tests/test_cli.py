@@ -68,7 +68,7 @@ def test_corrupt_writes_mask(workspace):
     assert cli.main(["corrupt", "--config", cfg]) == 0
     mask_path = root / "runs/synth/mcar/0.2/egg/0/mask.csv"
     assert mask_path.exists()
-    assert mask_path.read_text().startswith("# # mechanism=mcar rate=0.2\n")
+    assert mask_path.read_text().startswith("# mechanism=mcar rate=0.2\n")
     bits = missingness.load_mask(mask_path)
     assert bits.dtype == np.int8 and bits.shape == (60, 4)
     assert 0.1 < 1 - bits.mean() < 0.3
@@ -505,3 +505,50 @@ def test_train_rejects_values_of_the_wrong_type(workspace, capsys, change, messa
     assert cli.main(["train", "--config", cfg]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (root / "runs/synth/mcar/0.2/egg/0/checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("command", ["corrupt", "train", "impute", "evaluate"])
+def test_stepwise_commands_need_dataset_and_schema(workspace, monkeypatch, capsys, command):
+    """``load_config`` accepts a ``datasets``-only config for ``benchmark``;
+    the stepwise commands work on one named table and stop before any work."""
+    root, cfg = workspace
+    config = json.loads(Path(cfg).read_text())
+    spec = {"name": "synth", "csv": config.pop("dataset"), "schema": config.pop("schema")}
+    Path(cfg).write_text(json.dumps({**config, "datasets": [spec]}))
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *args: calls.append(args))
+    assert cli.main([command, "--config", cfg]) == 1
+    assert ("error: corrupt, train, impute and evaluate need 'dataset' and 'schema'"
+            in capsys.readouterr().err)
+    assert calls == []
+    assert not (root / "runs").exists()
+
+
+HEADER = "f0,f1,f2,f3,target\n"
+
+
+@pytest.mark.parametrize("table, schema, message", [
+    (HEADER + "1,2,3,4,c0\n3,4\n", None, "row 3 has 2 cells, but the header has 5"),
+    (HEADER + "1,2,3,4,c0,9\n", None, "row 2 has 6 cells, but the header has 5"),
+    ("", None, "is empty; it needs a header row"),
+    (HEADER + "1,2,3,4,c0\n", {"columns": []}, "lacks the key 'target'"),
+    (HEADER + "1,2,3,4,c0\n", {"target": "target"}, "lacks the key 'columns'"),
+    (HEADER + "1,2,3,4,c0\n", {"columns": [{"name": "f0"}], "target": "target"},
+     "lacks the key 'kind'"),
+    (HEADER + "1,2,3,4,c0\n", {"columns": [{"kind": "numerical"}], "target": "target"},
+     "lacks the key 'name'"),
+    (HEADER + "1,2,3,4,c0\n1, nan ,3,4,c1\n", None,
+     "non-finite numeric cell at row 3, column 'f1': 'nan'; leave a missing cell empty"),
+    (HEADER + "1,2,3,inf,c0\n", None, "non-finite numeric cell at row 2, column 'f3': 'inf'"),
+    (HEADER + "1,2,-1e999,4,c0\n", None, "non-finite numeric cell at row 2, column 'f2'"),
+], ids=["short_row", "long_row", "empty", "no_target", "no_columns", "no_kind", "no_name",
+        "nan", "inf", "overflow"])
+def test_corrupt_rejects_a_table_it_cannot_represent(workspace, capsys, table, schema, message):
+    root, cfg = workspace
+    (root / "data/synth.csv").write_text(table)
+    if schema is not None:
+        (root / "data/synth.schema.json").write_text(json.dumps(schema))
+    assert cli.main(["corrupt", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (root / "runs").exists()

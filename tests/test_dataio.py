@@ -1,7 +1,10 @@
+import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eggimpute import dataio
 
@@ -130,6 +133,131 @@ def test_split_single_member_class_falls_back():
     with pytest.warns(UserWarning, match="unstratified"):
         tr, va = dataio.split(ds, 0.5, seed=0)
     assert len(tr) + len(va) == 6
+
+
+def _row_by_row_load_csv(path, schema_path):
+    """The reader before it went column by column (oracle)."""
+    columns, target_name = dataio.load_schema(schema_path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    feature_cols = [c for c in columns if c.name != target_name]
+    target_pos = header.index(target_name)
+    feature_pos = [header.index(c.name) for c in feature_cols]
+    n, d = len(rows), len(feature_cols)
+    values = np.zeros((n, d))
+    mask = np.ones((n, d), dtype=np.int8)
+    cat_maps = {j: {} for j, c in enumerate(feature_cols) if c.kind == dataio.CATEGORICAL}
+    target_map = {}
+    targets = np.zeros(n, dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, pos in enumerate(feature_pos):
+            cell = row[pos].strip()
+            if cell == "":
+                mask[i, j] = 0
+                values[i, j] = np.nan
+            elif feature_cols[j].kind == dataio.NUMERICAL:
+                values[i, j] = float(cell)
+            else:
+                values[i, j] = cat_maps[j].setdefault(cell, len(cat_maps[j]))
+        targets[i] = target_map.setdefault(row[target_pos].strip(), len(target_map))
+    for j, col in enumerate(feature_cols):
+        if col.kind == dataio.CATEGORICAL:
+            col.categories = sorted(cat_maps[j], key=cat_maps[j].get)
+            col.cardinality = max(len(col.categories), 2)
+    ds = dataio.TabularDataset(feature_cols, values, targets, max(len(target_map), 1),
+                               sorted(target_map, key=target_map.get))
+    return ds, mask
+
+
+NUMERIC_CELLS = st.one_of(st.sampled_from(["", " ", "0", "-2", " 1.5 ", "1e-3", "7"]),
+                          st.floats(allow_nan=False, allow_infinity=False).map(repr))
+CATEGORY_CELLS = st.sampled_from(["", "a", "b", " b ", "red", "blue", "a b"])
+
+
+@st.composite
+def csv_tables(draw):
+    """Header, rows and schema of a small table: numeric and categorical
+    columns with blank cells, and target labels."""
+    kinds = draw(st.lists(st.sampled_from([dataio.NUMERICAL, dataio.CATEGORICAL]),
+                          min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    names = [f"c{j}" for j in range(len(kinds))]
+    columns = [[draw(NUMERIC_CELLS if kind == dataio.NUMERICAL else CATEGORY_CELLS)
+                for _ in range(n)] for kind in kinds]
+    labels = [draw(st.sampled_from(["x", "y", " y", "z z"])) for _ in range(n)]
+    schema = {"columns": [{"name": f"c{j}", "kind": k} for j, k in enumerate(kinds)],
+              "target": "label"}
+    position = len(kinds)  # a target the schema does not list comes last
+    if draw(st.booleans()):
+        position = draw(st.integers(0, len(kinds)))
+        schema["columns"].insert(position, {"name": "label", "kind": dataio.CATEGORICAL})
+    names.insert(position, "label")
+    columns.insert(position, labels)
+    return names, list(zip(*columns)), schema
+
+
+@settings(max_examples=150)
+@given(csv_tables())
+def test_load_csv_matches_the_row_by_row_reader(tmp_path_factory, table):
+    names, rows, schema = table
+    directory = tmp_path_factory.mktemp("table")
+    with open(directory / "t.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([names, *rows])
+    (directory / "t.json").write_text(json.dumps(schema))
+    ds, mask = dataio.load_csv(directory / "t.csv", directory / "t.json")
+    want, want_mask = _row_by_row_load_csv(directory / "t.csv", directory / "t.json")
+    assert np.array_equal(ds.values, want.values, equal_nan=True)
+    assert np.array_equal(mask, want_mask) and mask.dtype == want_mask.dtype
+    assert np.array_equal(ds.targets, want.targets) and ds.targets.dtype == want.targets.dtype
+    assert (ds.num_classes, ds.target_categories) == (want.num_classes, want.target_categories)
+    assert [(c.name, c.kind, c.cardinality, c.categories) for c in ds.schema] == \
+        [(c.name, c.kind, c.cardinality, c.categories) for c in want.schema]
+
+
+def _two_path_split(ds, train_fraction, seed):
+    """The split before the fallback became the loop over one group (oracle)."""
+    rng = np.random.default_rng(seed)
+    counts = np.bincount(ds.targets, minlength=ds.num_classes)
+    if counts[counts > 0].min() < 2:
+        warnings.warn("a class has fewer than 2 members; falling back to unstratified split")
+        order = rng.permutation(ds.n_rows)
+        cut = int(round(ds.n_rows * train_fraction))
+        cut = min(max(cut, 1), ds.n_rows - 1)
+        return np.sort(order[:cut]), np.sort(order[cut:])
+    train_rows, val_rows = [], []
+    for cls in range(ds.num_classes):
+        members = np.flatnonzero(ds.targets == cls)
+        if members.size == 0:
+            continue
+        perm = rng.permutation(members)
+        cut = int(round(members.size * train_fraction))
+        cut = min(max(cut, 1), members.size - 1)
+        train_rows.extend(perm[:cut])
+        val_rows.extend(perm[cut:])
+    return np.sort(np.asarray(train_rows)), np.sort(np.asarray(val_rows))
+
+
+@settings(max_examples=200)
+@given(n=st.integers(2, 60), num_classes=st.integers(1, 5), singleton=st.booleans(),
+       train_fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2 ** 32 - 1))
+def test_split_rows_match_the_two_path_oracle(n, num_classes, singleton, train_fraction, seed):
+    """Half the tables hold a one-member class, so the fallback path runs."""
+    targets = np.random.default_rng(seed).integers(0, num_classes, size=n)
+    if singleton:
+        targets[-1] = num_classes
+    ds = dataio.TabularDataset([dataio.ColumnSchema("x", dataio.NUMERICAL)],
+                               np.zeros((n, 1)), targets, int(targets.max()) + 1)
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = dataio.split(ds, train_fraction, seed)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want = _two_path_split(ds, train_fraction, seed)
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+    for rows, oracle in zip(got, want):
+        assert np.array_equal(rows, oracle) and rows.dtype == oracle.dtype
 
 
 def test_split_rejects_bad_fraction():

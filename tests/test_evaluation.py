@@ -47,6 +47,44 @@ def test_metrics_skip_unknown_truth():
 # scalar CART scan, one gini call per candidate threshold: the oracle for
 # the array split search in ``evaluation._best_split``
 
+def _per_column_metrics(truth, imputed, eval_mask, numeric_idx, categorical_idx):
+    """rmse, mae and cat_accuracy gathered one column at a time (oracle)."""
+    cells = []
+    for j in numeric_idx:
+        missing = (eval_mask[:, j] == 0) & np.isfinite(truth[:, j])
+        cells.append((truth[missing, j], imputed[missing, j]))
+    t = np.concatenate([c[0] for c in cells]) if cells else np.array([])
+    p = np.concatenate([c[1] for c in cells]) if cells else np.array([])
+    rmse = float(np.sqrt(((t - p) ** 2).mean())) if t.size else None
+    mae = float(np.abs(t - p).mean()) if t.size else None
+    hits, total = 0, 0
+    for j in categorical_idx:
+        missing = (eval_mask[:, j] == 0) & np.isfinite(truth[:, j])
+        hits += int((imputed[missing, j] == truth[missing, j]).sum())
+        total += int(missing.sum())
+    return rmse, mae, hits / total if total else None
+
+
+@settings(max_examples=150)
+@given(rows=st.integers(1, 30), kinds=st.lists(st.booleans(), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_metrics_match_the_per_column_oracle(rows, kinds, seed):
+    """Numeric cells are summed in column-major order, so rmse and mae are
+    bit-equal; unknown truth (NaN) is never scored."""
+    gen = np.random.default_rng(seed)
+    numeric_idx = [j for j, numeric in enumerate(kinds) if numeric]
+    categorical_idx = [j for j, numeric in enumerate(kinds) if not numeric]
+    truth = gen.normal(size=(rows, len(kinds)))
+    truth[:, categorical_idx] = gen.integers(0, 3, size=(rows, len(categorical_idx)))
+    truth[gen.random(truth.shape) < 0.1] = np.nan
+    imputed = np.where(gen.random(truth.shape) < 0.5, truth, gen.integers(0, 3, truth.shape))
+    eval_mask = (gen.random(truth.shape) < 0.6).astype(np.int8)
+    got = (evaluation.rmse(truth, imputed, eval_mask, numeric_idx),
+           evaluation.mae(truth, imputed, eval_mask, numeric_idx),
+           evaluation.cat_accuracy(truth, imputed, eval_mask, categorical_idx))
+    assert got == _per_column_metrics(truth, imputed, eval_mask, numeric_idx, categorical_idx)
+
+
 def _gini(counts):
     total = counts.sum()
     if total == 0:
@@ -218,6 +256,33 @@ def test_average_ranks_with_ties():
     assert ranks.tolist() == [3.5, 1.0, 3.5, 2.0]
     ranks_hi = evaluation._average_ranks([0.9, 0.7, 0.8], lower_better=False)
     assert ranks_hi.tolist() == [1.0, 3.0, 2.0]
+
+
+def _scanned_average_ranks(values, lower_better):
+    """Average ranks by sorting and scanning each run of ties (oracle)."""
+    arr = np.asarray(values, dtype=np.float64)
+    keyed = arr if lower_better else -arr
+    order = np.argsort(keyed, kind="stable")
+    ranks = np.empty(len(arr))
+    i = 0
+    while i < len(arr):
+        j = i
+        while j + 1 < len(arr) and keyed[order[j + 1]] == keyed[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=300)
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0, 3.5]),
+                                 st.floats(-1e6, 1e6)), min_size=1, max_size=12),
+       lower_better=st.booleans())
+def test_average_ranks_match_the_scan_over_ties(values, lower_better):
+    """Most draws repeat one of five values, so most lists hold ties."""
+    ranks = evaluation._average_ranks(values, lower_better)
+    want = _scanned_average_ranks(values, lower_better)
+    assert ranks.dtype == want.dtype and ranks.tolist() == want.tolist()
 
 
 def test_unified_average_ranking_hand_fixture():

@@ -146,6 +146,64 @@ def test_mar_and_mnar_hit_their_calibrated_rate(mechanism, cols, rate, skewed, s
     assert abs(mask.missing_fraction - rate) < 5 * std_err
 
 
+def _separate_mar_bits(ds, rate, seed):
+    """MAR before the logistic draw became a shared helper (oracle)."""
+    if ds.n_cols < 2:
+        raise ValueError("MAR needs at least 2 columns")
+    if rate == 0:
+        return np.ones((ds.n_rows, ds.n_cols), dtype=np.int8)
+    rng = np.random.default_rng(seed)
+    n_obs = max(1, int(round(0.3 * ds.n_cols)))
+    obs_cols = np.sort(rng.choice(ds.n_cols, size=n_obs, replace=False))
+    rest = np.setdiff1d(np.arange(ds.n_cols), obs_cols)
+    z = missingness._standardized(ds.values[:, obs_cols])
+    weights = rng.normal(size=n_obs)
+    scores = z @ weights
+    target = rate * ds.n_cols / rest.size
+    if target >= 1.0:
+        raise ValueError(f"rate {rate} unreachable with {rest.size} corruptible columns")
+    b = missingness._calibrate_intercept(np.repeat(scores, rest.size), target)
+    probs = missingness._sigmoid(scores + b)
+    bits = np.ones((ds.n_rows, ds.n_cols), dtype=np.int8)
+    draws = rng.random((ds.n_rows, rest.size))
+    bits[:, rest] = (draws >= probs[:, None]).astype(np.int8)
+    return bits
+
+
+def _separate_mnar_bits(ds, rate, seed):
+    """MNAR before the logistic draw became a shared helper (oracle)."""
+    if rate == 0:
+        return np.ones((ds.n_rows, ds.n_cols), dtype=np.int8)
+    rng = np.random.default_rng(seed)
+    z = missingness._standardized(ds.values)
+    b = missingness._calibrate_intercept(z.ravel(), rate)
+    probs = missingness._sigmoid(z + b)
+    return (rng.random(z.shape) >= probs).astype(np.int8)
+
+
+@settings(max_examples=150)
+@given(mechanism=st.sampled_from(["mar", "mnar"]), rows=st.integers(1, 40),
+       cols=st.integers(2, 7), rate=st.sampled_from([0, 0.05, 0.2, 0.35, 0.5, 0.7]),
+       ties=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_mar_and_mnar_bits_match_their_separate_oracles(mechanism, rows, cols, rate, ties, seed):
+    """Both mechanisms draw through one logistic helper; their bits, and the
+    unreachable-rate error, equal the separate bodies'."""
+    gen = np.random.default_rng(seed)
+    values = gen.integers(0, 3, size=(rows, cols)) if ties else gen.normal(size=(rows, cols))
+    schema = [dataio.ColumnSchema(f"c{i}", dataio.NUMERICAL) for i in range(cols)]
+    ds = dataio.TabularDataset(schema, values.astype(float), np.zeros(rows, dtype=np.int64), 1)
+    oracle = _separate_mar_bits if mechanism == "mar" else _separate_mnar_bits
+    try:
+        want = oracle(ds, rate, seed)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            missingness.corrupt(ds, mechanism, rate, seed)
+        return
+    mask = missingness.corrupt(ds, mechanism, rate, seed)
+    assert np.array_equal(mask.bits, want) and mask.bits.dtype == want.dtype
+    assert (mask.mechanism, mask.rate) == (mechanism, rate)
+
+
 def make_params(embed_width=4):
     cfg = model.ModelConfig(hidden=8, blocks=1, prototypes=2, embed_width=embed_width)
     return cfg
@@ -226,7 +284,7 @@ def test_mask_save_load_round_trip(tmp_path):
     mask = missingness.corrupt_mcar(ds, 0.25, seed=8)
     path = tmp_path / "mask.csv"
     missingness.save_mask(mask, path)
-    assert path.read_text().startswith("# # mechanism=mcar rate=0.25\n")
+    assert path.read_text().startswith("# mechanism=mcar rate=0.25\n")
     loaded = missingness.load_mask(path)
     assert loaded.dtype == np.int8
     assert np.array_equal(loaded, mask.bits)

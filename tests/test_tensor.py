@@ -297,6 +297,22 @@ def test_concat_and_gather_gradients(rng):
     assert np.allclose(table.grad, expected)
 
 
+@pytest.mark.parametrize("op, axis, message", [
+    (T.concat_cols, 1, "concat_cols needs matching row counts"),
+    (T.concat_rows, 0, "concat_rows needs matching column counts"),
+])
+def test_concat_passes_each_input_a_copy_of_its_gradient_slice(rng, op, axis, message):
+    sizes = [2, 1, 3]
+    parts = [Tensor(rng.normal(size=(s, 4) if axis == 0 else (4, s)), requires_grad=True)
+             for s in sizes]
+    w = rng.normal(size=(6, 4) if axis == 0 else (4, 6))
+    T.reduce_sum(T.mul(op(parts), Tensor(w))).backward()
+    for part, piece in zip(parts, np.split(w, np.cumsum(sizes)[:-1], axis)):
+        assert np.array_equal(part.grad, piece) and part.grad.flags.c_contiguous
+    with pytest.raises(ValueError, match=message):
+        op([Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 3)))])
+
+
 def test_gather_rows_out_of_range():
     with pytest.raises(ValueError):
         T.gather_rows(Tensor(np.zeros((3, 2))), [3])

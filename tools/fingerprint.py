@@ -8,7 +8,8 @@ Usage, from anywhere:
 The tables come from ``perfbench/workloads.setup(..., 0, ...)`` and are
 written to a temporary directory.  ``kegg-grid`` runs ``benchmark`` and
 ``report``; ``egg-impute`` runs ``corrupt``, ``train``, ``impute`` and
-``evaluate``, each through ``eggimpute.cli.main``.  Standard output is one
+``evaluate``, and then ``corrupt`` under MAR, whose mask no workload
+writes, each through ``eggimpute.cli.main``.  Standard output is one
 JSON object: the sha256 of each artifact's content with the timing
 fields left out, and the parsed checkpoint ``__meta__``.  Two outputs
 that diff clean mean the two programs wrote the same results; a
@@ -34,7 +35,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.append(str(ROOT / "src"))  # PYTHONPATH, when set, comes first
 
 import workloads  # noqa: E402
-from eggimpute import cli  # noqa: E402
+from eggimpute import cli, missingness  # noqa: E402
 
 TIMING = ("train_seconds", "inference_seconds", "seconds")
 
@@ -54,6 +55,10 @@ def _untimed(value):
     if isinstance(value, list):
         return [_untimed(v) for v in value]
     return value
+
+
+def _array_sha(array):
+    return _sha(f"{array.dtype.str}{array.shape}".encode() + array.tobytes())
 
 
 def _results(path):
@@ -103,9 +108,10 @@ def egg_impute(directory):
             if name == "__meta__":
                 out["checkpoint.npz:__meta__"] = _untimed(json.loads(bytes(data[name]).decode()))
             else:
-                array = data[name]
-                out[f"checkpoint.npz:{name}"] = _sha(
-                    f"{array.dtype.str}{array.shape}".encode() + array.tobytes())
+                out[f"checkpoint.npz:{name}"] = _array_sha(data[name])
+    _run(directory, _step("corrupt") + ["--mechanism", "mar"])
+    mar = directory / "out" / "table" / "mar" / "0.2" / "egg" / str(workloads.PIPELINE_SEED)
+    out["mar/mask.csv:bits"] = _array_sha(missingness.load_mask(mar / "mask.csv"))
     return out
 
 
