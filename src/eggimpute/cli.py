@@ -50,7 +50,7 @@ def _stage_seed_int(master_seed, stage):
 
 def load_config(path, overrides=None):
     """Defaults, then the config file, then ``EGGIMPUTE_OUT``, then flags;
-    a ValueError for a setting that is unknown, missing or out of range."""
+    a ValueError for a setting that is unknown, missing, out of range or of the wrong shape."""
     cfg = dict(SETTINGS)
     if path:
         with open(path) as fh:
@@ -66,10 +66,28 @@ def load_config(path, overrides=None):
     for key, low in (("ensemble", 1), ("knn_k", 1), ("runs", 1), ("seed", 0)):
         if type(cfg[key]) is not int or cfg[key] < low:  # bool is an int subclass
             raise ValueError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
+    for key in ("dataset", "schema", "name", "out", "method", "mechanism"):
+        if not isinstance(cfg[key], str) and cfg[key] is not SETTINGS[key]:  # or unset (None)
+            raise ValueError(f"{key} must be a string, got {cfg[key]!r}")
+    grid = {} if cfg["grid"] is None else cfg["grid"]
+    if not (isinstance(grid, dict) and set(grid) <= {"mechanisms", "rates", "methods", "seeds"}
+            and all(isinstance(v, list) for v in grid.values())):
+        raise ValueError(f"grid must map some of mechanisms, rates, methods and seeds to lists, "
+                         f"got {grid!r}")
+    specs = [] if cfg["datasets"] is None else cfg["datasets"]
+    if not isinstance(specs, list) or not all(
+            isinstance(s, dict) and sorted(s) == ["csv", "name", "schema"]
+            and all(isinstance(v, str) for v in s.values()) for s in specs):
+        raise ValueError("datasets must be a list of objects, each with string 'name', 'csv' "
+                         "and 'schema' and no other key")
+    train = {} if cfg["train"] is None else cfg["train"]
+    if not isinstance(train, dict) or not all(isinstance(train.get(k, {}), dict)
+                                              for k in ("model", "weights")):
+        raise ValueError(f"train, train.model and train.weights must be objects, got {train!r}")
     if not cfg["datasets"] and (cfg["dataset"] is None or cfg["schema"] is None):
         raise ValueError("set 'dataset' and 'schema', or 'datasets'")
     for key, allowed in (("method", ALL_METHODS), ("mechanism", list(missingness.MECHANISMS))):
-        for value in [cfg[key], *(cfg["grid"] or {}).get(f"{key}s", [])]:
+        for value in [cfg[key], *grid.get(f"{key}s", [])]:
             if value not in allowed:
                 raise ValueError(f"unknown {key} {value!r}; choose from {', '.join(allowed)}")
     return cfg
@@ -377,6 +395,7 @@ def _benchmark_grid(cfg):
 
 def cmd_benchmark(args):
     cfg = load_config(args.config, _overrides(args))
+    _train_config({**cfg, "method": "egg"}).validate()  # once, not in every job; any sampler
     jobs = _benchmark_grid(cfg)
     if not jobs:
         print("error: empty benchmark grid", file=sys.stderr)

@@ -82,12 +82,23 @@ class ColumnStats:
 
 
 def load_schema(path):
+    """The feature columns, each name once, and the target name of a schema file."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"schema {path} must be an object with 'columns' and 'target'")
     try:
-        return [ColumnSchema(c["name"], c["kind"]) for c in raw["columns"]], raw["target"]
+        columns, target = raw["columns"], raw["target"]
+        if not (isinstance(columns, list) and all(isinstance(c, dict) for c in columns)
+                and isinstance(target, str)):
+            raise ValueError(f"schema {path} needs 'columns' a list of objects, 'target' a string")
+        columns = [ColumnSchema(c["name"], c["kind"]) for c in columns]
     except KeyError as err:
         raise ValueError(f"schema {path} lacks the key {err}") from None
+    for i, col in enumerate(columns):
+        if col.name in [c.name for c in columns[:i]]:
+            raise ValueError(f"schema {path} repeats the column name {col.name!r}")
+    return columns, target
 
 
 def _first_appearance(cells):
@@ -128,9 +139,7 @@ def load_csv(path, schema_path):
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(f"row {i + 2} has {len(row)} cells, but the header has {len(header)}")
-    cells = {}  # a repeated name reads its first column
-    for pos, name in enumerate(header):
-        cells.setdefault(name, [row[pos].strip() for row in rows])
+    cells = {name: [row[pos].strip() for row in rows] for pos, name in enumerate(header)}
     feature_cols = [c for c in columns if c.name != target_name]
 
     values = np.full((len(rows), len(feature_cols)), np.nan)

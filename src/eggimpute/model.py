@@ -2,9 +2,9 @@
 
 Pipeline per batch: a two-layer MLP encodes the preprocessed input, then
 each edge-generation block projects the node set, turns pairwise squared
-distances into edge probabilities P_ij = exp(-||h_i - h_j||^2), samples a
-sparse adjacency with a Gumbel-sigmoid relaxation (independent edges, or
-top-k per row for the restricted variant), and runs a degree-normalized
+distances into edge scores P_ij = exp(-||h_i - h_j||^2), links each pair
+independently with probability 1 - exp(-P_ij) (or the top k per row, for
+kEGG) through a Gumbel-sigmoid relaxation, and runs a degree-normalized
 graph convolution with residual and row layer norm.  Learnable prototype
 rows are appended to every batch graph and stripped before the output
 heads.  The hard adjacency is used in the forward pass; gradients flow
@@ -65,9 +65,8 @@ def _kaiming(rng, in_dim, out_dim):
 
 
 class Linear:
-    def __init__(self, in_dim, out_dim, rng, weight_scale=1.0):
-        self.w = Tensor(_kaiming(rng, in_dim, out_dim) * weight_scale, requires_grad=True)
-        self.b = Tensor(np.zeros((1, out_dim)), requires_grad=True)
+    def __init__(self, w, b):
+        self.w, self.b = w, b
 
     def __call__(self, x):
         return T.matmul(x, self.w) + self.b
@@ -76,85 +75,73 @@ class Linear:
 class MlpBlock:
     """Two-layer MLP: linear, batch norm, ReLU, linear."""
 
-    def __init__(self, in_dim, hidden, out_dim, rng, out_scale=1.0):
-        self.lin1 = Linear(in_dim, hidden, rng)
-        self.bn = T.BatchNormState(hidden)
-        self.lin2 = Linear(hidden, out_dim, rng, weight_scale=out_scale)
+    def __init__(self, lin1, bn, lin2):
+        self.lin1, self.bn, self.lin2 = lin1, bn, lin2
 
     def __call__(self, x, training):
         return self.lin2(T.relu(T.batch_norm_col(self.lin1(x), self.bn, training)))
 
 
 class ParameterSet:
-    """All trainable tensors plus batch-norm running statistics."""
+    """All trainable tensors plus batch-norm running statistics, each registered
+    in ``table`` under its checkpoint name by the statement that creates it."""
 
     def __init__(self, config: ModelConfig, schema, num_classes, seed):
         config.validate()
         self.config = config
         self.num_classes = num_classes
-        self.cat_cardinalities = [c.cardinality for c in schema if c.kind == "categorical"]
-        self.d_n = sum(1 for c in schema if c.kind == "numerical")
+        self.table = {}  # name -> trainable Tensor or BatchNormState, in creation order
+        cat_cardinalities = [c.cardinality for c in schema if c.kind == "categorical"]
+        d_n = sum(1 for c in schema if c.kind == "numerical")
         rng = np.random.default_rng(seed)
         h = config.hidden
-        in_dim = self.d_n + len(self.cat_cardinalities) * config.embed_width
-        self.embeddings = [Tensor(rng.normal(0, 0.1, size=(card + 1, config.embed_width)),
-                                  requires_grad=True)
-                           for card in self.cat_cardinalities]
-        self.mlp_fp = MlpBlock(in_dim, h, h, rng)
+        in_dim = d_n + len(cat_cardinalities) * config.embed_width
+        self.embeddings = [self._tensor(f"embedding.{i}",
+                                        rng.normal(0, 0.1, size=(card + 1, config.embed_width)))
+                           for i, card in enumerate(cat_cardinalities)]
+        self.mlp_fp = self._mlp("mlp_fp", in_dim, h, rng)
         # small projector output keeps initial pairwise distances O(1),
         # so the edge sampler does not start saturated
-        self.mlp_proj = [MlpBlock(h, h, h, rng, out_scale=0.05) for _ in range(config.blocks)]
-        self.gcn_w = [Tensor(_kaiming(rng, h, h), requires_grad=True)
-                      for _ in range(config.blocks)]
-        self.prototypes = (Tensor(rng.normal(0, 0.01, size=(config.prototypes, h)),
-                                  requires_grad=True)
+        self.mlp_proj = [self._mlp(f"mlp_proj.{i}", h, h, rng, out_scale=0.05)
+                         for i in range(config.blocks)]
+        self.gcn_w = [self._tensor(f"gcn.{i}.w", _kaiming(rng, h, h)) for i in range(config.blocks)]
+        self.prototypes = (self._tensor("prototypes",
+                                        rng.normal(0, 0.01, size=(config.prototypes, h)))
                            if config.prototypes > 0 else None)
         out_dim = config.blocks * h
-        self.head_num = Linear(out_dim, max(self.d_n, 1), rng)
-        self.head_cat = [Linear(out_dim, card, rng) for card in self.cat_cardinalities]
-        self.head_task = Linear(out_dim, num_classes, rng)
+        self.head_num = self._linear("head_num", out_dim, max(d_n, 1), rng)
+        self.head_cat = [self._linear(f"head_cat.{i}", out_dim, card, rng)
+                         for i, card in enumerate(cat_cardinalities)]
+        self.head_task = self._linear("head_task", out_dim, num_classes, rng)
+
+    def _tensor(self, name, data):
+        self.table[name] = Tensor(data, requires_grad=True)
+        return self.table[name]
+
+    def _linear(self, name, in_dim, out_dim, rng, weight_scale=1.0, suffix=""):
+        w = self._tensor(f"{name}.w{suffix}", _kaiming(rng, in_dim, out_dim) * weight_scale)
+        return Linear(w, self._tensor(f"{name}.b{suffix}", np.zeros((1, out_dim))))
+
+    def _mlp(self, name, in_dim, h, rng, out_scale=1.0):
+        lin1 = self._linear(name, in_dim, h, rng, suffix="1")
+        self.table[f"bn.{name}"] = bn = T.BatchNormState(h)
+        return MlpBlock(lin1, bn, self._linear(name, h, h, rng, out_scale, suffix="2"))
 
     def named_parameters(self):
-        out = {}
-        for i, e in enumerate(self.embeddings):
-            out[f"embedding.{i}"] = e
-        for prefix, block in [("mlp_fp", self.mlp_fp)] + \
-                [(f"mlp_proj.{i}", m) for i, m in enumerate(self.mlp_proj)]:
-            out[f"{prefix}.w1"], out[f"{prefix}.b1"] = block.lin1.w, block.lin1.b
-            out[f"{prefix}.w2"], out[f"{prefix}.b2"] = block.lin2.w, block.lin2.b
-        for i, w in enumerate(self.gcn_w):
-            out[f"gcn.{i}.w"] = w
-        if self.prototypes is not None:
-            out["prototypes"] = self.prototypes
-        for prefix, lin in [("head_num", self.head_num), ("head_task", self.head_task)] + \
-                [(f"head_cat.{i}", l) for i, l in enumerate(self.head_cat)]:
-            out[f"{prefix}.w"], out[f"{prefix}.b"] = lin.w, lin.b
-        return out
-
-    def bn_states(self):
-        states = {"mlp_fp": self.mlp_fp.bn}
-        for i, m in enumerate(self.mlp_proj):
-            states[f"mlp_proj.{i}"] = m.bn
-        return states
-
-    def check_finite(self):
-        for name, p in self.named_parameters().items():
-            if not np.all(np.isfinite(p.data)):
-                raise FloatingPointError(f"non-finite values in parameter {name!r}")
+        """The table's trainable tensors, by checkpoint name."""
+        return {name: p for name, p in self.table.items() if isinstance(p, Tensor)}
 
     def state_arrays(self):
+        """Every trainable array, then each batch norm's running mean and variance."""
         arrays = {name: p.data for name, p in self.named_parameters().items()}
-        for name, bn in self.bn_states().items():
-            arrays[f"bn.{name}.mean"] = bn.running_mean
-            arrays[f"bn.{name}.var"] = bn.running_var
+        for name, bn in self.table.items():
+            if isinstance(bn, T.BatchNormState):
+                arrays[f"{name}.mean"], arrays[f"{name}.var"] = bn.running_mean, bn.running_var
         return arrays
 
     def load_state_arrays(self, arrays):
-        for name, p in self.named_parameters().items():
-            p.data = np.array(arrays[name], dtype=np.float64)
-        for name, bn in self.bn_states().items():
-            bn.running_mean = np.array(arrays[f"bn.{name}.mean"], dtype=np.float64)
-            bn.running_var = np.array(arrays[f"bn.{name}.var"], dtype=np.float64)
+        for name, target in self.state_arrays().items():
+            target[...] = arrays[name]
 
     def snapshot(self):
         return {k: v.copy() for k, v in self.state_arrays().items()}
@@ -177,8 +164,10 @@ def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSam
     """Gumbel-sigmoid edges over a candidate set, then OR-symmetrization.
 
     Candidates are the strict upper triangle, each kept when its relaxed
-    value passes 0.5 (independent edges), or with ``k`` each node's k top
-    perturbed logits (Gumbel-top-k, the restricted kEGG sampler), all kept.
+    value passes 0.5, that is when log P_ij plus one Gumbel draw is positive:
+    independently, with probability 1 - exp(-P_ij) whatever ``tau`` is.  With
+    ``k``, they are each node's k top perturbed logits (Gumbel-top-k, the
+    restricted kEGG sampler), all kept.
     """
     if tau <= 0:
         raise ValueError("temperature must be positive")
@@ -287,11 +276,19 @@ def save_checkpoint(path, params: ParameterSet):
 
 
 def load_checkpoint(path, schema):
+    """The parameters a checkpoint holds, each array checked against ``schema``'s table."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
         config = ModelConfig(**meta["config"])
         params = ParameterSet(config, schema, meta["num_classes"], seed=0)
-        params.load_state_arrays({k: data[k] for k in data.files if k != "__meta__"})
+        arrays = {k: data[k] for k in data.files if k != "__meta__"}
+    needed = {k: v.shape for k, v in params.state_arrays().items()}
+    for name in [*needed, *arrays]:
+        found = arrays[name].shape if name in arrays else None
+        if found != needed.get(name):
+            raise ValueError(f"checkpoint array {name!r} has shape {found}, but this table "
+                             f"needs {needed.get(name)}; rerun `eggimpute train` on this table")
+    params.load_state_arrays(arrays)
     return params

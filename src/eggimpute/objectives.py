@@ -39,8 +39,8 @@ def numeric_imputation_loss(truth, pred: Tensor, numeric_mask) -> Tensor:
     return T.scale(T.reduce_sum(T.mul(T.mul(diff, diff), Tensor(weight))), 1.0 / count)
 
 
-def _masked_cross_entropy(logits: Tensor, targets, weight):
-    """Sum of -log softmax(logits)[target] over rows with weight 1."""
+def _masked_log_likelihood(logits: Tensor, targets, weight):
+    """Sum of log softmax(logits)[target] over rows with weight 1 (callers negate it)."""
     n, c = logits.shape
     onehot = np.zeros((n, c))
     active = weight > 0
@@ -49,8 +49,7 @@ def _masked_cross_entropy(logits: Tensor, targets, weight):
     z = logits - shift
     log_norm = T.log(T.reduce_sum(T.exp(z), axis=1))
     log_probs = z - log_norm
-    picked = T.reduce_sum(T.mul(log_probs, Tensor(onehot * weight[:, None])))
-    return T.scale(picked, -1.0)
+    return T.reduce_sum(T.mul(log_probs, Tensor(onehot * weight[:, None])))
 
 
 def categorical_imputation_loss(truth_cat, cat_logits, cat_mask) -> Tensor:
@@ -61,11 +60,11 @@ def categorical_imputation_loss(truth_cat, cat_logits, cat_mask) -> Tensor:
         targets = truth_cat[:, col]
         weight = ((cat_mask[:, col] == 0) & (targets >= 0)).astype(np.float64)
         count += weight.sum()
-        term = _masked_cross_entropy(logits, targets, weight)
+        term = _masked_log_likelihood(logits, targets, weight)
         total = term if total is None else total + term
     if total is None or count == 0:
         return Tensor(np.zeros((1, 1)))
-    return T.scale(total, 1.0 / count)
+    return T.scale(total, -1.0 / count)
 
 
 def task_loss(task_logits: Tensor, labels) -> Tensor:
@@ -74,7 +73,7 @@ def task_loss(task_logits: Tensor, labels) -> Tensor:
     if labels.min() < 0 or labels.max() >= task_logits.shape[1]:
         raise ValueError("label out of range for task head")
     weight = np.ones(len(labels))
-    return T.scale(_masked_cross_entropy(task_logits, labels, weight), 1.0 / len(labels))
+    return T.scale(_masked_log_likelihood(task_logits, labels, weight), -1.0 / len(labels))
 
 
 def homophily_loss(samples, labels) -> Tensor:

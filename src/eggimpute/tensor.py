@@ -61,13 +61,10 @@ class Tensor:
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
-        return add(self, _lift(other))
+        return add(self, other)
 
     def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
+        return sub(self, other)
 
     def backward(self):
         """Accumulate gradients of this scalar into all reachable leaves,
@@ -106,12 +103,6 @@ class Tensor:
                 if parent.grad is None:
                     parent.grad = np.zeros_like(parent.data)
                 parent.grad += contrib
-
-
-def _lift(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.full((1, 1), float(x)))
 
 
 def _needs_grad(*ts):
@@ -354,14 +345,15 @@ def straight_through(relaxed: Tensor, hard_values) -> Tensor:
 
 # -- batch normalization ------------------------------------------------
 
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # weight of each training batch in the running stats
+
+
 class BatchNormState:
     """Running per-column statistics for batch normalization."""
 
-    def __init__(self, width, momentum=0.1, eps=1e-5):
+    def __init__(self, width):
         self.running_mean = np.zeros((1, width))
         self.running_var = np.ones((1, width))
-        self.momentum = momentum
-        self.eps = eps
 
 
 def batch_norm_col(a: Tensor, state: BatchNormState, training: bool) -> Tensor:
@@ -370,12 +362,12 @@ def batch_norm_col(a: Tensor, state: BatchNormState, training: bool) -> Tensor:
     if a.shape[1] != state.running_mean.shape[1]:
         raise ValueError(f"batch norm width mismatch: {a.shape[1]} vs {state.running_mean.shape[1]}")
     if training:
-        out, mean, var = _standardize(a, 0, state.eps)
-        state.running_mean = (1 - state.momentum) * state.running_mean + state.momentum * mean
-        state.running_var = (1 - state.momentum) * state.running_var + state.momentum * var
+        out, mean, var = _standardize(a, 0, BN_EPS)
+        state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
+        state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
         return out
 
-    inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+    inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
     out_data = (a.data - state.running_mean) * inv_std
 
     def bwd(g):

@@ -63,25 +63,22 @@ class TrainConfig:
         return _build(cls, {**raw, "weights": weights, "model": mcfg}, "train")
 
 
-class RmsPropState:
-    """Per-parameter squared-gradient accumulators."""
-
-    def __init__(self, params, rho=0.99, eps=1e-8):
-        self.rho = rho
-        self.eps = eps
-        self.acc = {name: np.zeros_like(p.data) for name, p in params.items()}
+RHO, EPS = 0.99, 1e-8  # RMSprop accumulator decay, and the floor of its denominator
 
 
-def rmsprop_step(params, state: RmsPropState, lr):
-    """s <- rho s + (1 - rho) g^2;  theta <- theta - lr g / (sqrt(s) + eps)."""
+def rmsprop_step(params, acc, lr):
+    """s <- rho s + (1 - rho) g^2;  theta <- theta - lr g / (sqrt(s) + eps), with
+    ``acc`` holding each parameter's s; a non-finite gradient or update raises."""
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-        s = state.acc[name]
-        s *= state.rho
-        s += (1 - state.rho) * g * g
-        p.data -= lr * g / (np.sqrt(s) + state.eps)
+        s = acc[name]
+        s *= RHO
+        s += (1 - RHO) * g * g
+        p.data -= lr * g / (np.sqrt(s) + EPS)
+        if not np.all(np.isfinite(p.data)):
+            raise FloatingPointError(f"non-finite values in parameter {name!r}")
 
 
 def temperature(step, total_steps, tau_start, tau_end):
@@ -146,7 +143,8 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
     trip_rng = np.random.default_rng(trip_seed)
     val_surrogate = missingness.surrogate_mask(val_mask, config.surrogate_rate,
                                               np.random.default_rng(val_seed))
-    opt = RmsPropState(params.named_parameters())
+    named = params.named_parameters()
+    acc = {name: np.zeros_like(p.data) for name, p in named.items()}
 
     batches_per_epoch = int(np.ceil(train_ds.n_rows / config.batch_size))
     total_steps = config.max_epochs * batches_per_epoch
@@ -165,8 +163,7 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
                                     "train", gumbel_rng, config.weights, trip_rng)
                 loss = objectives.total_loss(parts, config.weights)
                 loss.backward()
-                rmsprop_step(params.named_parameters(), opt, config.learning_rate)
-                params.check_finite()
+                rmsprop_step(named, acc, config.learning_rate)
             except FloatingPointError as err:
                 if not history:
                     raise FloatingPointError(f"training failed before its first epoch "

@@ -473,8 +473,30 @@ def test_report_rejects_a_results_file_that_does_not_match_the_columns(tmp_path,
     ({"ensembel": 3}, "unknown setting(s): ensembel"),
     ({"dataset": None}, "set 'dataset' and 'schema', or 'datasets'"),
     ({"schema": None}, "set 'dataset' and 'schema', or 'datasets'"),
+    ({"out": 3}, "out must be a string, got 3"),
+    ({"name": 3}, "name must be a string, got 3"),
+    ({"dataset": ["data/synth.csv"]}, "dataset must be a string, got ['data/synth.csv']"),
+    ({"method": 3}, "method must be a string, got 3"),
+    ({"grid": [1]}, "grid must map some of mechanisms, rates, methods and seeds to lists"),
+    ({"grid": []}, "grid must map some of mechanisms, rates, methods and seeds to lists"),
+    ({"grid": {"rates": 0.2}}, "grid must map some of mechanisms, rates, methods and seeds"),
+    ({"grid": {"ratez": [0.1, 0.3]}}, "grid must map some of mechanisms, rates, methods and"),
+    ({"datasets": [{"csv": "data/synth.csv", "schema": "data/synth.schema.json"}]},
+     "datasets must be a list of objects, each with string 'name', 'csv' and 'schema'"),
+    ({"datasets": [{"name": "s", "csv": "data/synth.csv", "schema": "data/synth.schema.json",
+                    "kind": "x"}]},
+     "datasets must be a list of objects, each with string 'name', 'csv' and 'schema' and no "
+     "other key"),
+    ({"datasets": 3}, "datasets must be a list of objects"),
+    ({"train": "x"}, "train, train.model and train.weights must be objects, got 'x'"),
+    ({"train": ""}, "train, train.model and train.weights must be objects, got ''"),
+    ({"train": {"model": []}}, "train, train.model and train.weights must be objects"),
+    ({"train": {"weights": 0.1}}, "train, train.model and train.weights must be objects"),
 ], ids=["method", "mechanism", "grid_method", "grid_mechanism", "unknown_key", "no_dataset",
-        "no_schema"])
+        "no_schema", "out_type", "name_type", "dataset_type", "method_type", "grid_list",
+        "grid_empty_list", "grid_value", "grid_key", "datasets_no_name", "datasets_extra_key",
+        "datasets_not_a_list", "train_string", "train_empty_string", "train_model_list",
+        "train_weights_number"])
 def test_commands_reject_bad_top_level_settings_before_any_work(workspace, monkeypatch, capsys,
                                                                 change, message):
     root, cfg = workspace
@@ -541,8 +563,19 @@ HEADER = "f0,f1,f2,f3,target\n"
      "non-finite numeric cell at row 3, column 'f1': 'nan'; leave a missing cell empty"),
     (HEADER + "1,2,3,inf,c0\n", None, "non-finite numeric cell at row 2, column 'f3': 'inf'"),
     (HEADER + "1,2,-1e999,4,c0\n", None, "non-finite numeric cell at row 2, column 'f2'"),
+    ("a,a,target\n1,2,c0\n3,4,c1\n",
+     {"columns": [{"name": "a", "kind": "numerical"}] * 2, "target": "target"},
+     "repeats the column name 'a'"),
+    (HEADER + "1,2,3,4,c0\n", [], "must be an object with 'columns' and 'target'"),
+    (HEADER + "1,2,3,4,c0\n", {"columns": ["a"], "target": "target"},
+     "needs 'columns' a list of objects, 'target' a string"),
+    (HEADER + "1,2,3,4,c0\n", {"columns": {"f0": "numerical"}, "target": "target"},
+     "needs 'columns' a list of objects, 'target' a string"),
+    (HEADER + "1,2,3,4,c0\n", {"columns": [], "target": 3},
+     "needs 'columns' a list of objects, 'target' a string"),
 ], ids=["short_row", "long_row", "empty", "no_target", "no_columns", "no_kind", "no_name",
-        "nan", "inf", "overflow"])
+        "nan", "inf", "overflow", "repeated_name", "schema_not_an_object",
+        "column_not_an_object", "columns_not_a_list", "target_not_a_string"])
 def test_corrupt_rejects_a_table_it_cannot_represent(workspace, capsys, table, schema, message):
     root, cfg = workspace
     (root / "data/synth.csv").write_text(table)
@@ -552,3 +585,56 @@ def test_corrupt_rejects_a_table_it_cannot_represent(workspace, capsys, table, s
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (root / "runs").exists()
+
+
+@pytest.mark.parametrize("train, message", [
+    ({"batch_sz": 32}, "unknown train setting(s): batch_sz"),
+    ({"model": {"hidden": "8"}}, "train.model.hidden must be int, got '8'"),
+    ({"batch_size": 0}, "batch_size and max_epochs must be >= 1"),
+], ids=["unknown_key", "wrong_type", "out_of_range"])
+def test_benchmark_builds_the_train_section_once_before_any_job(mixed_config, monkeypatch,
+                                                                capsys, train, message):
+    """Every job would fail on the same section; the grid stops before the first."""
+    root, cfg = mixed_config
+    config = json.loads((root / cfg).read_text())
+    (root / cfg).write_text(json.dumps({**config, "train": {**FAST_TRAIN, **train}}))
+    calls = []
+    monkeypatch.setattr(cli, "run_single", lambda *args: calls.append(args))
+    assert cli.main(["benchmark", "--config", cfg]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert calls == []
+    assert not (root / "runs").exists()
+
+
+def _add_column(root, kind, cells):
+    """Append a column ``f4`` before the target of the mixed table and its schema."""
+    lines = (root / "mixed.csv").read_text().splitlines()
+    rows = [line.rsplit(",", 1) for line in lines]
+    rows = [[rows[0][0], "f4", rows[0][1]]] + \
+        [[head, cells[i % len(cells)], label] for i, (head, label) in enumerate(rows[1:])]
+    (root / "mixed.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+    schema = json.loads((root / "mixed.schema.json").read_text())
+    schema["columns"].append({"name": "f4", "kind": kind})
+    (root / "mixed.schema.json").write_text(json.dumps(schema))
+
+
+@pytest.mark.parametrize("kind, cells, message", [
+    ("numerical", ["0.5", "-1.5"],
+     "checkpoint array 'mlp_fp.w1' has shape (7, 10), but this table needs (8, 10)"),
+    ("categorical", ["u", "v"],
+     "checkpoint array 'embedding.1' has shape None, but this table needs (3, 4)"),
+], ids=["numerical", "categorical"])
+def test_impute_rejects_the_checkpoint_of_another_table(mixed_config, capsys, kind, cells,
+                                                        message):
+    """The table gains a column after ``train``: the first array whose shape
+    differs is named, not a matmul error or a KeyError from deep inside."""
+    root, cfg = mixed_config
+    for step in ("corrupt", "train"):
+        assert cli.main([step, "--config", cfg]) == 0
+    _add_column(root, kind, cells)
+    assert cli.main(["corrupt", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert cli.main(["impute", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}; rerun `eggimpute train` on this table" in err
+    assert not (root / "runs/mixed/mcar/0.2/egg/0/imputed.csv").exists()

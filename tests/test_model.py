@@ -101,6 +101,25 @@ def test_egg_edge_frequency_monotone_in_probability():
     assert hits_near / n > hits_far / n + 0.3
 
 
+def test_egg_keeps_each_pair_with_probability_one_minus_exp_minus_p():
+    """Frequency oracle for the rule the egg sampler implements: a pair is kept
+    when log P + G > 0 for one Gumbel draw G, so with probability 1 - exp(-P),
+    not P, and whatever tau is.  Every pair lies within binomial errors."""
+    rng = np.random.default_rng(7)
+    m, draws = 20, 4000
+    log_p = model.log_edge_probabilities(Tensor(rng.normal(0, 0.6, size=(m, 2))))
+    hits = np.zeros((m, m))
+    for _ in range(draws):
+        hits += model.sample_adjacency_egg(log_p, 0.5, rng).hard
+    upper = np.triu_indices(m, k=1)
+    p = np.exp(log_p.data[upper])
+    assert p.min() < 0.05 and p.max() > 0.95  # near and far pairs alike
+    freq = hits[upper] / draws
+    expected = 1 - np.exp(-p)
+    assert np.abs((freq - expected) / np.sqrt(expected * (1 - expected) / draws)).max() < 4.5
+    assert np.abs(freq - p).mean() > 0.05  # P itself is not the edge marginal
+
+
 def test_egg_gradient_reaches_log_probs(rng):
     log_p = Tensor(rng.normal(-1.0, 0.3, size=(5, 5)), requires_grad=True)
     s = model.sample_adjacency_egg(log_p, 0.5, rng)

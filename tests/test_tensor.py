@@ -354,7 +354,7 @@ def test_batch_norm_eval_uses_running_statistics(rng):
         T.batch_norm_col(Tensor(rng.normal(5.0, 2.0, size=(16, 2))), state, training=True)
     x_data = rng.normal(size=(4, 2))
     out = T.batch_norm_col(Tensor(x_data), state, training=False)
-    expected = (x_data - state.running_mean) / np.sqrt(state.running_var + state.eps)
+    expected = (x_data - state.running_mean) / np.sqrt(state.running_var + T.BN_EPS)
     assert np.allclose(out.data, expected)
 
 

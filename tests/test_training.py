@@ -23,42 +23,52 @@ def test_rmsprop_single_step_hand_oracle():
     w = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     w.grad = np.array([[0.5, -1.0]])
     params = {"w": w}
-    state = training.RmsPropState(params, rho=0.9, eps=1e-8)
-    training.rmsprop_step(params, state, lr=0.1)
+    training.rmsprop_step(params, {"w": np.zeros((1, 2))}, lr=0.1)
     g = np.array([[0.5, -1.0]])
-    s = 0.1 * g * g
-    expected = np.array([[1.0, 2.0]]) - 0.1 * g / (np.sqrt(s) + 1e-8)
+    s = (1 - training.RHO) * g * g
+    expected = np.array([[1.0, 2.0]]) - 0.1 * g / (np.sqrt(s) + training.EPS)
     assert np.allclose(w.data, expected)
 
 
 def test_rmsprop_accumulator_persists():
     w = Tensor(np.array([[0.0]]), requires_grad=True)
     params = {"w": w}
-    state = training.RmsPropState(params, rho=0.5)
+    acc = {"w": np.zeros((1, 1))}
     w.grad = np.array([[2.0]])
-    training.rmsprop_step(params, state, lr=0.0)
-    training.rmsprop_step(params, state, lr=0.0)
-    # s after two steps: 0.5*(0.5*0 + 0.5*4) + 0.5*4 = 3
-    assert state.acc["w"][0, 0] == pytest.approx(3.0)
+    training.rmsprop_step(params, acc, lr=0.0)
+    training.rmsprop_step(params, acc, lr=0.0)
+    # s after two steps: rho*(rho*0 + (1-rho)*4) + (1-rho)*4 = 4*(1 - rho^2)
+    assert acc["w"][0, 0] == pytest.approx(4.0 * (1 - training.RHO ** 2))
 
 
 def test_rmsprop_rejects_nonfinite_gradient():
     w = Tensor(np.array([[0.0]]), requires_grad=True)
     w.grad = np.array([[np.nan]])
     params = {"w": w}
-    state = training.RmsPropState(params)
     with pytest.raises(FloatingPointError, match="'w'"):
-        training.rmsprop_step(params, state, 0.1)
+        training.rmsprop_step(params, {"w": np.zeros((1, 1))}, 0.1)
+
+
+def test_rmsprop_rejects_an_update_that_overflows():
+    """A finite gradient can still step a parameter to inf; the step that
+    does so raises, naming the parameter, before the next one is updated."""
+    w, v = (Tensor(np.array([[1e308]]), requires_grad=True) for _ in range(2))
+    w.grad = v.grad = np.array([[-1.0]])
+    params = {"w": w, "v": v}
+    with np.errstate(over="ignore"), \
+            pytest.raises(FloatingPointError, match="non-finite values in parameter 'w'"):
+        training.rmsprop_step(params, {"w": np.zeros((1, 1)), "v": np.zeros((1, 1))}, 1e308)
+    assert v.data[0, 0] == 1e308
 
 
 def test_rmsprop_minimizes_quadratic():
     """Optimizer oracle: f(w) = (w - 3)^2 must approach its minimum."""
     w = Tensor(np.array([[0.0]]), requires_grad=True)
     params = {"w": w}
-    state = training.RmsPropState(params)
+    acc = {"w": np.zeros((1, 1))}
     for _ in range(500):
         w.grad = 2.0 * (w.data - 3.0)
-        training.rmsprop_step(params, state, lr=0.05)
+        training.rmsprop_step(params, acc, lr=0.05)
     assert abs(w.data[0, 0] - 3.0) < 0.05
 
 

@@ -9,9 +9,13 @@ The tables come from ``perfbench/workloads.setup(..., 0, ...)`` and are
 written to a temporary directory.  ``kegg-grid`` runs ``benchmark`` and
 ``report``; ``egg-impute`` runs ``corrupt``, ``train``, ``impute`` and
 ``evaluate``, and then ``corrupt`` under MAR, whose mask no workload
-writes, each through ``eggimpute.cli.main``.  Standard output is one
-JSON object: the sha256 of each artifact's content with the timing
-fields left out, and the parsed checkpoint ``__meta__``.  Two outputs
+writes; ``kegg-steps`` runs ``corrupt`` and ``train`` with ``blocks: 2``
+on the ``kegg-grid`` table, whose two categorical columns give the
+checkpoint every array family (embeddings, categorical heads, a second
+projector and GCN block); each runs through ``eggimpute.cli.main``.
+Standard output is one JSON object: the sha256 of each artifact's
+content with the timing fields left out, of each checkpoint array, and
+the parsed checkpoint ``__meta__``.  Two outputs
 that diff clean mean the two programs wrote the same results; a
 refactor that must keep its outputs compares the fingerprint of the
 parent commit with its own.
@@ -84,6 +88,17 @@ def _step(command):
     return [command, "--config", workloads.CONFIG, "--out", "out"]
 
 
+def _checkpoint(path):
+    out = {}
+    with np.load(path) as data:
+        for name in data.files:
+            if name == "__meta__":
+                out["checkpoint.npz:__meta__"] = _untimed(json.loads(bytes(data[name]).decode()))
+            else:
+                out[f"checkpoint.npz:{name}"] = _array_sha(data[name])
+    return out
+
+
 def kegg_grid(directory):
     workloads.setup("kegg-grid", 0, directory)
     _run(directory, _step("benchmark"), ["report", "--results", "out/results.csv"])
@@ -103,22 +118,28 @@ def egg_impute(directory):
     out["report.json"] = _json_sha(_untimed(json.loads((rd / "report.json").read_text())))
     history = _untimed(json.loads((rd / "history.json").read_text()))
     out.update({f"history.json:{k}": _json_sha(v) for k, v in history.items()})
-    with np.load(rd / "checkpoint.npz") as data:
-        for name in data.files:
-            if name == "__meta__":
-                out["checkpoint.npz:__meta__"] = _untimed(json.loads(bytes(data[name]).decode()))
-            else:
-                out[f"checkpoint.npz:{name}"] = _array_sha(data[name])
+    out.update(_checkpoint(rd / "checkpoint.npz"))
     _run(directory, _step("corrupt") + ["--mechanism", "mar"])
     mar = directory / "out" / "table" / "mar" / "0.2" / "egg" / str(workloads.PIPELINE_SEED)
     out["mar/mask.csv:bits"] = _array_sha(missingness.load_mask(mar / "mask.csv"))
     return out
 
 
+def kegg_steps(directory):
+    workloads.setup("kegg-grid", 0, directory)
+    config = json.loads((directory / workloads.CONFIG).read_text())
+    config["train"]["model"]["blocks"] = 2
+    (directory / workloads.CONFIG).write_text(json.dumps(config))
+    _run(directory, _step("corrupt"), _step("train"))
+    rd = directory / "out" / "table" / "mnar" / "0.2" / "kegg" / str(workloads.PIPELINE_SEED)
+    return _checkpoint(rd / "checkpoint.npz")
+
+
 def main():
     fingerprint = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute)):
+        for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute),
+                          ("kegg-steps", kegg_steps)):
             for key, value in run(Path(tmp) / name).items():
                 fingerprint[f"{name}/{key}"] = value
     print(json.dumps(fingerprint, indent=1, sort_keys=True))
