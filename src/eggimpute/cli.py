@@ -33,10 +33,21 @@ ALL_METHODS = list(MODEL_METHODS) + ["mean", "knn"]
 
 RESULTS_COLUMNS = [f.name for f in fields(evaluation.MetricReport)]
 
-# every top-level setting and its default (None: unset)
-SETTINGS = {"dataset": None, "schema": None, "name": None, "datasets": None, "grid": None,
-            "rate": 0.2, "mechanism": "mcar", "method": "egg", "seed": 0, "runs": 1,
-            "ensemble": 5, "out": "runs", "train_fraction": 0.7, "knn_k": 5, "train": None}
+# each top-level setting: its default (None: unset); the rule for its value and for each entry
+# of the grid list that varies it: str (a string), a list of names, an int (an integer at least
+# that) or a range; and that list's key (these in ``run_single``'s argument order)
+SETTINGS = {"dataset": (None, str, None), "schema": (None, str, None), "name": (None, str, None),
+            "datasets": (None, None, None), "grid": (None, None, None), "train": (None, None, None),
+            "runs": (1, 1, None), "mechanism": ("mcar", list(missingness.MECHANISMS), "mechanisms"),
+            "rate": (0.2, "[0, 1)", "rates"), "method": ("egg", ALL_METHODS, "methods"),
+            "seed": (0, 0, "seeds"), "ensemble": (5, 1, None), "knn_k": (5, 1, None),
+            "out": ("runs", str, None), "train_fraction": (0.7, "(0, 1)", None)}
+GRID = {plural: key for key, (_, _, plural) in SETTINGS.items() if plural}
+# the settings a stepwise command or benchmark takes as a flag, and the flag's help
+FLAGS = {"dataset": "dataset CSV path", "schema": "schema JSON path",
+         "name": "dataset name for the run directory", "mechanism": None, "rate": None,
+         "method": None, "seed": None, "runs": None, "ensemble": "predictions per row at inference",
+         "out": "output root; beats env EGGIMPUTE_OUT, which beats the config"}
 
 
 def _seed_for(master_seed, stage):
@@ -49,9 +60,9 @@ def _stage_seed_int(master_seed, stage):
 
 
 def load_config(path, overrides=None):
-    """Defaults, then the config file, then ``EGGIMPUTE_OUT``, then flags;
-    a ValueError for a setting that is unknown, missing, out of range or of the wrong shape."""
-    cfg = dict(SETTINGS)
+    """Defaults, then the config file, then ``EGGIMPUTE_OUT``, then flags; a ValueError for a
+    setting, grid entry or ``train`` value that is unknown, missing, out of range or malformed."""
+    cfg = {key: default for key, (default, _, _) in SETTINGS.items()}
     if path:
         with open(path) as fh:
             cfg.update(json.load(fh))
@@ -63,17 +74,24 @@ def load_config(path, overrides=None):
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg[key] = value
-    for key, low in (("ensemble", 1), ("knn_k", 1), ("runs", 1), ("seed", 0)):
-        if type(cfg[key]) is not int or cfg[key] < low:  # bool is an int subclass
-            raise ValueError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
-    for key in ("dataset", "schema", "name", "out", "method", "mechanism"):
-        if not isinstance(cfg[key], str) and cfg[key] is not SETTINGS[key]:  # or unset (None)
-            raise ValueError(f"{key} must be a string, got {cfg[key]!r}")
     grid = {} if cfg["grid"] is None else cfg["grid"]
-    if not (isinstance(grid, dict) and set(grid) <= {"mechanisms", "rates", "methods", "seeds"}
-            and all(isinstance(v, list) for v in grid.values())):
+    if not (isinstance(grid, dict) and set(grid) <= set(GRID)
+            and all(isinstance(v, list) and v for v in grid.values())):
         raise ValueError(f"grid must map some of mechanisms, rates, methods and seeds to lists, "
                          f"got {grid!r}")
+    for key, (default, rule, plural) in SETTINGS.items():
+        for value in [cfg[key], *grid.get(plural, [])]:
+            if rule is None or value is None is default:  # a shape checked below, or unset
+                continue
+            if (rule is str or isinstance(rule, list)) and not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, got {value!r}")
+            if isinstance(rule, list) and value not in rule:
+                raise ValueError(f"unknown {key} {value!r}; choose from {', '.join(rule)}")
+            if isinstance(rule, int) and (type(value) is not int or value < rule):  # not a bool
+                raise ValueError(f"{key} must be an integer >= {rule}, got {value!r}")
+            if isinstance(rule, str) and (type(value) not in (int, float) or
+                                          not (0 < value < 1 or value == 0 and rule[0] == "[")):
+                raise ValueError(f"{key} must be in {rule}, got {value!r}")
     specs = [] if cfg["datasets"] is None else cfg["datasets"]
     if not isinstance(specs, list) or not all(
             isinstance(s, dict) and sorted(s) == ["csv", "name", "schema"]
@@ -84,12 +102,13 @@ def load_config(path, overrides=None):
     if not isinstance(train, dict) or not all(isinstance(train.get(k, {}), dict)
                                               for k in ("model", "weights")):
         raise ValueError(f"train, train.model and train.weights must be objects, got {train!r}")
+    if "seed" in train:
+        raise ValueError("train.seed is set by the top-level 'seed'; remove it")
+    if "sampler" in train.get("model", {}):
+        raise ValueError("train.model.sampler is set by the top-level 'method'; remove it")
     if not cfg["datasets"] and (cfg["dataset"] is None or cfg["schema"] is None):
         raise ValueError("set 'dataset' and 'schema', or 'datasets'")
-    for key, allowed in (("method", ALL_METHODS), ("mechanism", list(missingness.MECHANISMS))):
-        for value in [cfg[key], *grid.get(f"{key}s", [])]:
-            if value not in allowed:
-                raise ValueError(f"unknown {key} {value!r}; choose from {', '.join(allowed)}")
+    _train_config({**cfg, "method": "egg"}).validate()  # any model method's sampler passes
     return cfg
 
 
@@ -160,12 +179,7 @@ def _load_run(cfg):
 def _train_config(cfg):
     """The config's ``train`` section for its model method, seeded from the run."""
     raw = dict(cfg.get("train") or {})
-    model_raw = raw.pop("model", {})
-    if "seed" in raw:
-        raise ValueError("train.seed is set by the top-level 'seed'; remove it")
-    if "sampler" in model_raw:
-        raise ValueError("train.model.sampler is set by the top-level 'method'; remove it")
-    model_raw = {**model_raw, "sampler": MODEL_METHODS[cfg["method"]]}
+    model_raw = {**raw.pop("model", {}), "sampler": MODEL_METHODS[cfg["method"]]}
     return training.TrainConfig.from_dict({**raw, "model": model_raw,
                                            "seed": _stage_seed_int(cfg["seed"], "train")})
 
@@ -382,24 +396,16 @@ def _run_job(cfg, job):
 
 def _benchmark_grid(cfg):
     grid = cfg.get("grid") or {}
-    datasets = cfg.get("datasets")
-    if not datasets:
-        datasets = [{"name": _dataset_name(cfg), "csv": cfg["dataset"],
-                     "schema": cfg["schema"]}]
-    mechanisms = grid.get("mechanisms", [cfg["mechanism"]])
-    rates = grid.get("rates", [cfg["rate"]])
-    methods = grid.get("methods", [cfg["method"]])
-    seeds = grid.get("seeds", [cfg["seed"] + i for i in range(cfg["runs"])])
-    return list(itertools.product(datasets, mechanisms, rates, methods, seeds))
+    datasets = cfg.get("datasets") or [{"name": _dataset_name(cfg), "csv": cfg["dataset"],
+                                        "schema": cfg["schema"]}]
+    seeds = [cfg["seed"] + i for i in range(cfg["runs"])]
+    axes = [grid.get(axis, seeds if key == "seed" else [cfg[key]]) for axis, key in GRID.items()]
+    return list(itertools.product(datasets, *axes))
 
 
 def cmd_benchmark(args):
     cfg = load_config(args.config, _overrides(args))
-    _train_config({**cfg, "method": "egg"}).validate()  # once, not in every job; any sampler
     jobs = _benchmark_grid(cfg)
-    if not jobs:
-        print("error: empty benchmark grid", file=sys.stderr)
-        return 1
     out_root = Path(cfg["out"])
     out_root.mkdir(parents=True, exist_ok=True)
     job = functools.partial(_run_job, cfg)
@@ -411,15 +417,15 @@ def cmd_benchmark(args):
     else:
         outcomes = list(map(job, jobs))
     results_path = out_root / "results.csv"
-    if results_path.exists():
-        results_path.unlink()
+    results_path.unlink(missing_ok=True)
     for rep, _ in outcomes:
         if rep is not None:
             _append_result(results_path, rep)
     failures = [(j, err) for j, (rep, err) in zip(jobs, outcomes) if rep is None]
     for j, err in failures:
         print(f"error: run {j} failed: {err}", file=sys.stderr)
-    print(f"wrote {results_path} ({len(jobs) - len(failures)} rows)")
+    rows = len(jobs) - len(failures)
+    print(f"wrote {results_path} ({rows} rows)" if rows else "no run succeeded; wrote no results")
     return 0 if not failures else 1
 
 
@@ -460,16 +466,10 @@ def _overrides(args):
 
 def _add_common(p):
     p.add_argument("--config", help="JSON experiment config")
-    p.add_argument("--dataset", help="dataset CSV path")
-    p.add_argument("--schema", help="schema JSON path")
-    p.add_argument("--name", help="dataset name for the run directory")
-    p.add_argument("--mechanism", choices=list(missingness.MECHANISMS))
-    p.add_argument("--rate", type=float)
-    p.add_argument("--method", choices=ALL_METHODS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--ensemble", type=int, help="predictions per row at inference")
-    p.add_argument("--out", help="output root; beats env EGGIMPUTE_OUT, which beats the config")
+    for key, text in FLAGS.items():
+        default, rule, _ = SETTINGS[key]
+        p.add_argument(f"--{key}", help=text, choices=rule if isinstance(rule, list) else None,
+                       type=type(default) if isinstance(default, (int, float)) else None)
 
 
 def build_parser():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import tempfile
 from pathlib import Path
@@ -240,15 +241,16 @@ def test_corrupt_rejects_a_rate_that_is_not_a_number(workspace, capsys):
     ({"weights": {"triplet": "0.1"}}, "train.weights.triplet must be float, got '0.1'"),
 ])
 def test_train_rejects_invalid_train_config(workspace, capsys, train, message):
+    """Every command that reads the config builds the train section, so
+    ``corrupt`` fails on it too, before it writes a mask."""
     root, cfg = workspace
     config = json.loads(Path(cfg).read_text())
     config["train"] = {**FAST_TRAIN, **train}
     Path(cfg).write_text(json.dumps(config))
-    assert cli.main(["corrupt", "--config", cfg]) == 0
-    capsys.readouterr()
-    assert cli.main(["train", "--config", cfg]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
-    assert not (root / "runs/synth/mcar/0.2/egg/0/checkpoint.npz").exists()
+    for command in ("corrupt", "train"):
+        assert cli.main([command, "--config", cfg]) == 1, command
+        assert f"error: {message}" in capsys.readouterr().err, command
+    assert not (root / "runs").exists()
 
 
 def test_stage_seeds_are_distinct():
@@ -371,14 +373,37 @@ def test_benchmark_workers_record_failures_and_keep_going(mixed_config, capsys):
     assert sorted((r[2], r[4]) for r in rows) == [("0.2", "0"), ("0.2", "1")]
 
 
-def test_benchmark_records_a_rate_that_is_not_a_number(mixed_config, capsys):
+def test_benchmark_records_a_rate_that_is_not_a_number(mixed_config, monkeypatch, capsys):
+    """A grid entry obeys the rule of the setting it varies, checked before any job."""
     root, cfg = mixed_config
     config = json.loads((root / cfg).read_text())
     config["grid"] = {"rates": ["0.2"], "methods": ["mean"]}
     (root / cfg).write_text(json.dumps(config))
+    calls = []
+    monkeypatch.setattr(cli, "run_single", lambda *args: calls.append(args))
     assert cli.main(["benchmark", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert "error: run" in err and "failed: rate must be in [0, 1), got '0.2'" in err
+    assert "error: rate must be in [0, 1), got '0.2'" in err and "error: run" not in err
+    assert calls == []
+    assert not (root / "runs").exists()
+
+
+def test_benchmark_where_every_run_fails_says_it_wrote_no_results(workspace, capsys):
+    """MAR keeps one of the 6 columns observed, so a rate of 0.95 is unreachable
+    in every job; the stale results file goes and none takes its place."""
+    root, cfg = workspace
+    assert cli.main(["make-synthetic", "--rows", "40", "--cols", "6",
+                     "--output", "data/synth.csv"]) == 0
+    config = json.loads(Path(cfg).read_text())
+    config.update(method="mean", grid={"mechanisms": ["mar"], "rates": [0.95]})
+    Path(cfg).write_text(json.dumps(config))
+    (root / "runs").mkdir()
+    (root / "runs/results.csv").write_text("stale\n")
+    capsys.readouterr()
+    assert cli.main(["benchmark", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert "unreachable" in err
+    assert "wrote runs" not in out and "wrote no results" in out
     assert not (root / "runs/results.csv").exists()
 
 
@@ -492,11 +517,23 @@ def test_report_rejects_a_results_file_that_does_not_match_the_columns(tmp_path,
     ({"train": ""}, "train, train.model and train.weights must be objects, got ''"),
     ({"train": {"model": []}}, "train, train.model and train.weights must be objects"),
     ({"train": {"weights": 0.1}}, "train, train.model and train.weights must be objects"),
+    ({"grid": {"rates": []}}, "grid must map some of mechanisms, rates, methods and seeds"),
+    ({"grid": {"rates": ["a"]}}, "rate must be in [0, 1), got 'a'"),
+    ({"grid": {"rates": [True]}}, "rate must be in [0, 1), got True"),
+    ({"grid": {"rates": [1.5]}}, "rate must be in [0, 1), got 1.5"),
+    ({"grid": {"seeds": [-1]}}, "seed must be an integer >= 0, got -1"),
+    ({"grid": {"seeds": [True]}}, "seed must be an integer >= 0, got True"),
+    ({"grid": {"seeds": [1.5]}}, "seed must be an integer >= 0, got 1.5"),
+    ({"grid": {"seeds": ["3"]}}, "seed must be an integer >= 0, got '3'"),
+    ({"rate": 1.5}, "rate must be in [0, 1), got 1.5"),
+    ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
 ], ids=["method", "mechanism", "grid_method", "grid_mechanism", "unknown_key", "no_dataset",
         "no_schema", "out_type", "name_type", "dataset_type", "method_type", "grid_list",
         "grid_empty_list", "grid_value", "grid_key", "datasets_no_name", "datasets_extra_key",
         "datasets_not_a_list", "train_string", "train_empty_string", "train_model_list",
-        "train_weights_number"])
+        "train_weights_number", "grid_empty_rates", "grid_rate_string", "grid_rate_bool",
+        "grid_rate_range", "grid_seed_negative", "grid_seed_bool", "grid_seed_float",
+        "grid_seed_string", "rate_range", "train_fraction_range"])
 def test_commands_reject_bad_top_level_settings_before_any_work(workspace, monkeypatch, capsys,
                                                                 change, message):
     root, cfg = workspace
@@ -505,11 +542,60 @@ def test_commands_reject_bad_top_level_settings_before_any_work(workspace, monke
     Path(cfg).write_text(json.dumps(config))
     calls = []
     monkeypatch.setattr(training, "train", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "run_single", lambda *args: calls.append(args))
     for command in ("corrupt", "train", "impute", "evaluate", "benchmark"):
         assert cli.main([command, "--config", cfg]) == 1, command
         assert f"error: {message}" in capsys.readouterr().err, command
     assert calls == []
     assert not (root / "runs").exists()
+
+
+_grid_values = (st.integers() | st.floats() | st.booleans() | st.text() | st.none()
+                | st.sampled_from(cli.ALL_METHODS + list(missingness.MECHANISMS)))
+
+
+@given(st.sampled_from(["mechanism", "rate", "method", "seed"]), _grid_values)
+def test_a_grid_entry_obeys_the_rule_of_the_setting_it_varies(setting, value):
+    """``{setting: v}`` fails exactly when ``{"grid": {setting + "s": [v]}}`` does,
+    with the same message."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for change in ({setting: value}, {"grid": {setting + "s": [value]}}):
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps({"dataset": "d.csv", "schema": "d.json", **change}))
+            try:
+                cli.load_config(str(path))
+                outcomes.append(None)
+            except ValueError as err:
+                outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+
+
+COMMON_FLAGS = [
+    (["-h", "--help"], None, None, argparse.SUPPRESS, "show this help message and exit"),
+    (["--config"], None, None, None, "JSON experiment config"),
+    (["--dataset"], None, None, None, "dataset CSV path"),
+    (["--schema"], None, None, None, "schema JSON path"),
+    (["--name"], None, None, None, "dataset name for the run directory"),
+    (["--mechanism"], None, ["mcar", "mar", "mnar"], None, None),
+    (["--rate"], float, None, None, None),
+    (["--method"], None, ["egg", "kegg", "nn_ablation", "mean", "knn"], None, None),
+    (["--seed"], int, None, None, None),
+    (["--runs"], int, None, None, None),
+    (["--ensemble"], int, None, None, "predictions per row at inference"),
+    (["--out"], None, None, None, "output root; beats env EGGIMPUTE_OUT, which beats the config"),
+]
+
+
+@pytest.mark.parametrize("command", ["corrupt", "train", "impute", "evaluate", "benchmark"])
+def test_config_commands_take_the_same_flags(command):
+    """Each flag's option strings, type, choices, default and help; a default
+    other than None would override the config file on every run."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    extra = [(["--workers"], int, None, 1, None)] if command == "benchmark" else []
+    assert [(a.option_strings, a.type, a.choices, a.default, a.help)
+            for a in sub.choices[command]._actions] == COMMON_FLAGS + extra
 
 
 @pytest.mark.parametrize("change, message", [
@@ -522,11 +608,10 @@ def test_commands_reject_bad_top_level_settings_before_any_work(workspace, monke
 def test_train_rejects_values_of_the_wrong_type(workspace, capsys, change, message):
     root, cfg = workspace
     Path(cfg).write_text(json.dumps({**json.loads(Path(cfg).read_text()), **change}))
-    assert cli.main(["corrupt", "--config", cfg]) == 0
-    capsys.readouterr()
-    assert cli.main(["train", "--config", cfg]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
-    assert not (root / "runs/synth/mcar/0.2/egg/0/checkpoint.npz").exists()
+    for command in ("corrupt", "train"):
+        assert cli.main([command, "--config", cfg]) == 1, command
+        assert f"error: {message}" in capsys.readouterr().err, command
+    assert not (root / "runs").exists()
 
 
 @pytest.mark.parametrize("command", ["corrupt", "train", "impute", "evaluate"])

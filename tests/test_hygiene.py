@@ -1,11 +1,15 @@
 """Source hygiene: every library module uses each name it imports,
-something in the repository reads every name the library defines, and
-the library itself reads every field of its records."""
+something in the repository reads every name the library defines, the
+library itself reads every field of its records, and the README names
+every top-level setting."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from eggimpute import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "eggimpute"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -168,3 +172,11 @@ def test_field_checker_counts_attribute_and_string_reads_only():
 
 def test_every_record_field_is_read():
     assert unread_fields([(SRC / module).read_text() for module in MODULES]) == []
+
+
+def test_readme_names_every_setting():
+    """A setting added to the table is also named in the README, and the
+    README names no setting the table lacks."""
+    readme = (ROOT / "README.md").read_text()
+    sentence = re.search(r"The top-level settings are (.*?)\.", readme, re.S).group(1)
+    assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted(cli.SETTINGS)
