@@ -1,10 +1,13 @@
 """Ensembled imputation.
 
 Each pass shuffles the target rows, partitions them into batches and runs
-one stochastic forward per batch, so E passes give every row exactly E
-predictions.  Numeric imputations average the head outputs; categorical
-imputations take the argmax of averaged softmax probabilities.  Only
-initially-missing cells are replaced.
+one stochastic eval-mode pass of the batch graph per batch, so E passes
+give every row exactly E predictions.  The row-wise encoder gives a row
+the same output in any batch, so each call encodes every row and the
+prototypes once; passes differ only in the batch partition and the
+Gumbel noise of the sampled edges.  Numeric imputations average the head
+outputs; categorical imputations take the argmax of averaged softmax
+probabilities.  Only initially-missing cells are replaced.
 """
 
 from __future__ import annotations
@@ -14,15 +17,35 @@ import numpy as np
 from . import missingness, model
 from . import tensor as T
 
+# any tau > 0 gives these outputs: the hard graph is the logits' sign (egg) or rank (kegg)
+TAU = 0.01
+
+
+def _batch(ds, rows, initial_mask, params):
+    """The model input for ``rows`` with no surrogate masking."""
+    surr = np.ones((len(rows), ds.n_cols), dtype=np.int8)
+    return missingness.preprocess_batch(ds, rows, initial_mask, surr,
+                                        params.embeddings, params.config.embed_width)
+
 
 def impute_once(ds, rows, initial_mask, params, rng):
     """One stochastic eval-mode forward for a set of rows, recording no tape."""
-    surr = np.ones((len(rows), ds.n_cols), dtype=np.int8)
     with T.no_tape():
-        batch = missingness.preprocess_batch(ds, rows, initial_mask, surr,
-                                             params.embeddings, params.config.embed_width)
-        # any tau > 0 gives these outputs: the hard graph is the logits' sign (egg) or rank (kegg)
-        return model.forward(batch, params, 0.01, "eval", rng)
+        return model.forward(_batch(ds, rows, initial_mask, params), params, TAU, "eval", rng)
+
+
+def encode_rows(ds, rows, initial_mask, params):
+    """The eval-mode encoding of ``rows``, in that order, then of the
+    prototypes, recording no tape."""
+    with T.no_tape():
+        return model.encode(_batch(ds, rows, initial_mask, params).x, params, "eval")
+
+
+def impute_batch(encoding, positions, params, rng):
+    """``impute_once`` for the batch rows at ``positions`` of ``encoding``,
+    recording no tape."""
+    with T.no_tape():
+        return model.propagate(encoding.take(positions), params, TAU, "eval", rng)
 
 
 def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size):
@@ -37,11 +60,16 @@ def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size):
     num_sum = np.zeros((n, len(num_idx)))
     cat_sum = [np.zeros((n, ds.schema[j].cardinality)) for j in cat_idx]
 
-    for _ in range(n_passes):
+    for p in range(n_passes):
         order = rng.permutation(n)
+        if p == 0:
+            # BLAS rounds a row by its place in the product, so encoding in the
+            # first pass's order keeps one pass of one batch equal to impute_once
+            encoding = encode_rows(ds, order, initial_mask, params)
+            position = np.argsort(order)  # table row -> encoded row
         for start in range(0, n, batch_size):
             rows = order[start:start + batch_size]
-            out = impute_once(ds, rows, initial_mask, params, rng)
+            out = impute_batch(encoding, position[rows], params, rng)
             num_sum[rows] += out.numeric_pred.data[:, :len(num_idx)]
             for c, logits in enumerate(out.cat_logits):
                 e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))

@@ -83,27 +83,29 @@ def _best_split(x, y, feature_ids, num_classes):
     n = len(y)
     parent = np.bincount(y, minlength=num_classes)
     best_f, best_thr, best = None, None, 1.0 - ((parent / n) ** 2).sum()
+    cols = x[:, feature_ids]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0).T  # F x n, each feature sorted
+    left = np.cumsum(np.eye(num_classes)[y[order.T[:, :-1]]], axis=1)  # F x (n-1) x C
+    right = parent - left
     n_left = np.arange(1, n)
     n_right = n - n_left
-    for f in feature_ids:
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        left = np.cumsum(np.eye(num_classes)[y[order][:-1]], axis=0)
-        right = parent - left
-        score = n_left / n * (1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)) + \
-            n_right / n * (1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1))
-        score[xs[1:] <= xs[:-1]] = np.inf
-        prior_min = np.minimum.accumulate(np.concatenate(([best], score)))[:-1]
-        for i in np.flatnonzero(score < prior_min):  # only new minima can be accepted
-            if score[i] < best - 1e-12:
-                best_f, best_thr, best = f, 0.5 * (xs[i] + xs[i + 1]), score[i]
+    score = n_left / n * (1.0 - ((left / n_left[:, None]) ** 2).sum(axis=2)) + \
+        n_right / n * (1.0 - ((right / n_right[:, None]) ** 2).sum(axis=2))
+    score[xs[:, 1:] <= xs[:, :-1]] = np.inf
+    score = score.ravel()  # feature-major: the scan order
+    prior_min = np.minimum.accumulate(np.concatenate(([best], score)))[:-1]
+    for i in np.flatnonzero(score < prior_min):  # only new minima can be accepted
+        if score[i] < best - 1e-12:
+            f, pos = divmod(i, n - 1)
+            best_f, best_thr, best = feature_ids[f], 0.5 * (xs[f, pos] + xs[f, pos + 1]), score[i]
     return best_f, best_thr
 
 
 def _grow(x, y, depth, n_features, num_classes, rng):
     counts = np.bincount(y, minlength=num_classes)
     node = _TreeNode(prediction=int(counts.argmax()))
-    if depth >= MAX_DEPTH or len(np.unique(y)) < 2 or len(y) < 2:
+    if depth >= MAX_DEPTH or np.count_nonzero(counts) < 2:
         return node
     feature_ids = rng.choice(x.shape[1], size=n_features, replace=False)
     feature, threshold = _best_split(x, y, feature_ids, num_classes)

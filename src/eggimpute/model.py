@@ -9,6 +9,8 @@ graph convolution with residual and row layer norm.  Learnable prototype
 rows are appended to every batch graph and stripped before the output
 heads.  The hard adjacency is used in the forward pass; gradients flow
 through the relaxed edge values via a straight-through estimator.
+``forward`` is two stages: ``encode``, row by row up to block 0's
+projector, then ``propagate``, over the batch graph.
 """
 
 from __future__ import annotations
@@ -221,24 +223,44 @@ def gcn_update(h: Tensor, sample: GraphSample, weight: Tensor) -> Tensor:
 
 # -- forward pass -------------------------------------------------------
 
-def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None):
-    """Full forward pass for one batch.
+@dataclass
+class Encoding:
+    """The row-wise stage's output: ``n`` batch rows, then the prototype rows."""
+    h: Tensor  # m x hidden
+    projection: Tensor | None  # block 0's projector output on h, when its sampler runs
+    n: int
 
-    ``mode`` selects batch-norm statistics ('train' uses batch stats,
-    'eval' the running ones); edge sampling stays stochastic in both.
-    ``adjacency_override`` freezes each block's adjacency to a constant
-    (no gradient through the sampler).
-    """
+    def take(self, positions):
+        """The encoding of the batch rows at ``positions``, the prototype rows kept."""
+        idx = np.concatenate([positions, np.arange(self.n, self.h.shape[0])])
+        projection = None if self.projection is None else T.gather_rows(self.projection, idx)
+        return Encoding(T.gather_rows(self.h, idx), projection, len(positions))
+
+
+def _training(mode):
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    training = mode == "train"
-    cfg = params.config
-    n = batch.x.shape[0]
-    h = params.mlp_fp(batch.x, training)
+    return mode == "train"
+
+
+def encode(x, params: ParameterSet, mode, frozen=False) -> Encoding:
+    """The row-wise stage: the input MLP, the prototype rows appended, and
+    block 0's projector unless its graph is the identity or ``frozen``.  In
+    'eval' mode each row's output depends on that row alone."""
+    training = _training(mode)
+    h = params.mlp_fp(x, training)
     if params.prototypes is not None:
         h = T.concat_rows([h, params.prototypes])
-    m = h.shape[0]
+    project = not frozen and params.config.sampler != "identity"
+    return Encoding(h, params.mlp_proj[0](h, training) if project else None, x.shape[0])
 
+
+def propagate(enc: Encoding, params: ParameterSet, tau, mode, rng, adjacency_override=None):
+    """The batch-graph stage: each block's sampler and graph convolution over
+    all of ``enc``'s rows, then the heads on its batch rows."""
+    training = _training(mode)
+    cfg = params.config
+    h, n, m = enc.h, enc.n, enc.h.shape[0]
     samples, block_outs, projections = [], [], []
     for blk in range(cfg.blocks):
         if adjacency_override is not None:
@@ -246,7 +268,7 @@ def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None
         elif cfg.sampler == "identity":
             sample = constant_sample(np.eye(m))
         else:
-            hg = params.mlp_proj[blk](h, training)
+            hg = enc.projection if blk == 0 else params.mlp_proj[blk](h, training)
             projections.append(hg)
             log_p = log_edge_probabilities(hg)
             # kegg caps k (>= 1 by validation) at m - 1 for short tail batches;
@@ -263,6 +285,18 @@ def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None
     cat_logits = [head(h_out) for head in params.head_cat]
     task_logits = params.head_task(h_out)
     return ForwardOutput(numeric_pred, cat_logits, task_logits, samples, projections)
+
+
+def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None):
+    """Full forward pass for one batch: ``propagate(encode(...))``.
+
+    ``mode`` selects batch-norm statistics ('train' uses batch stats,
+    'eval' the running ones); edge sampling stays stochastic in both.
+    ``adjacency_override`` freezes each block's adjacency to a constant
+    (no gradient through the sampler).
+    """
+    enc = encode(batch.x, params, mode, frozen=adjacency_override is not None)
+    return propagate(enc, params, tau, mode, rng, adjacency_override)
 
 
 # -- checkpointing ------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import mixed_dataset
 from eggimpute import dataio, ensemble, missingness, model, objectives, training
@@ -17,20 +17,22 @@ def setup_model(n=40, seed=0, prototypes=2):
 
 
 def predictions_per_row(ds, mask, params, n_passes, batch_size):
-    """How many forwards each row took part in, and how many forwards ran."""
+    """How many batch passes each row took part in, and how many batch passes ran."""
     counts = np.zeros(ds.n_rows, dtype=np.int64)
     calls = []
-    original = ensemble.impute_once
+    original = ensemble.impute_batch
 
-    def counting(ds_, rows, *rest):
-        counts[rows] += 1  # a batch holds each row once
-        calls.append(len(rows))
-        return original(ds_, rows, *rest)
+    def counting(encoding, positions, *rest):
+        assert encoding.n == ds.n_rows  # one encoded row per table row
+        counts[positions] += 1  # a batch holds each row once
+        calls.append(len(positions))
+        return original(encoding, positions, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ensemble, "impute_once", counting)
+        mp.setattr(ensemble, "impute_batch", counting)
         ensemble.ensemble_impute(ds, mask.bits, params, n_passes=n_passes, seed=0,
                                  batch_size=batch_size)
+    assert calls
     return counts, len(calls)
 
 
@@ -110,13 +112,17 @@ def test_impute_once_records_no_tape():
     assert out.numeric_pred._backward_fn is None and not out.numeric_pred.requires_grad
 
 
-def taped_impute_once(ds, rows, initial_mask, params, rng):
-    """``ensemble.impute_once`` as written before evaluation dropped the tape."""
-    surr = np.ones((len(rows), ds.n_cols), dtype=np.int8)
-    batch = missingness.preprocess_batch(ds, rows, initial_mask, surr,
-                                         params.embeddings, params.config.embed_width)
-    out = model.forward(batch, params, 0.01, "eval", rng)
-    assert out.numeric_pred._parents  # the oracle really records a tape
+def taped_encode_rows(ds, rows, initial_mask, params):
+    """``ensemble.encode_rows`` recording a tape, as evaluation did before it dropped it."""
+    enc = model.encode(ensemble._batch(ds, rows, initial_mask, params).x, params, "eval")
+    assert enc.h._parents  # the oracle really records a tape
+    return enc
+
+
+def taped_impute_batch(encoding, positions, params, rng):
+    """``ensemble.impute_batch`` recording a tape."""
+    out = model.propagate(encoding.take(positions), params, 0.01, "eval", rng)
+    assert out.numeric_pred._parents
     return out
 
 
@@ -147,9 +153,19 @@ def test_tape_free_evaluation_is_bit_equal_to_the_taped_oracles(sampler, blocks,
                             sampler=sampler, k=k)
     params = model.ParameterSet(cfg, ds.schema, ds.num_classes, seed=seed)
     fast = ensemble.ensemble_impute(ds, mask, params, 2, seed, batch_size)
+    called = set()
+
+    def recording(name, fn):
+        def wrapper(*args):
+            called.add(name)
+            return fn(*args)
+        return wrapper
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ensemble, "impute_once", taped_impute_once)
+        mp.setattr(ensemble, "encode_rows", recording("encode_rows", taped_encode_rows))
+        mp.setattr(ensemble, "impute_batch", recording("impute_batch", taped_impute_batch))
         taped = ensemble.ensemble_impute(ds, mask, params, 2, seed, batch_size)
+    assert called == {"encode_rows", "impute_batch"}
     assert np.array_equal(fast, taped)
 
     config = training.TrainConfig(batch_size=batch_size, model=cfg,
@@ -158,3 +174,57 @@ def test_tape_free_evaluation_is_bit_equal_to_the_taped_oracles(sampler, blocks,
     args = (ds, mask, surr, params, config)
     assert training.validation_loss(*args, np.random.default_rng(seed)) == \
         taped_validation_loss(*args, np.random.default_rng(seed))
+
+
+def per_batch_forward_ensemble(ds, initial_mask, params, n_passes, seed, batch_size):
+    """``ensemble.ensemble_impute`` as written before it kept each row's
+    encoding: one full ``impute_once`` forward per batch of each pass."""
+    rng = np.random.default_rng(seed)
+    n = ds.n_rows
+    num_idx, cat_idx = ds.numeric_idx, ds.categorical_idx
+    num_sum = np.zeros((n, len(num_idx)))
+    cat_sum = [np.zeros((n, ds.schema[j].cardinality)) for j in cat_idx]
+    for _ in range(n_passes):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            rows = order[start:start + batch_size]
+            out = ensemble.impute_once(ds, rows, initial_mask, params, rng)
+            num_sum[rows] += out.numeric_pred.data[:, :len(num_idx)]
+            for c, logits in enumerate(out.cat_logits):
+                e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+                cat_sum[c][rows] += e / e.sum(axis=1, keepdims=True)
+    imputed = ds.values.copy()
+    for pos, j in enumerate(num_idx):
+        missing = initial_mask[:, j] == 0
+        imputed[missing, j] = num_sum[missing, pos] / n_passes
+    for pos, j in enumerate(cat_idx):
+        missing = initial_mask[:, j] == 0
+        imputed[missing, j] = (cat_sum[pos][missing] / n_passes).argmax(axis=1)
+    return imputed
+
+
+@settings(max_examples=30)
+@given(sampler=st.sampled_from(["egg", "kegg", "identity"]), blocks=st.integers(1, 2),
+       prototypes=st.integers(0, 3), k=st.integers(1, 6), batch_size=st.integers(1, 40),
+       n_passes=st.integers(1, 3), seed=st.integers(0, 2**16))
+@example(sampler="kegg", blocks=2, prototypes=1, k=5, batch_size=11, n_passes=2, seed=3)
+@example(sampler="kegg", blocks=1, prototypes=0, k=2, batch_size=23, n_passes=2, seed=4)
+@example(sampler="egg", blocks=2, prototypes=3, k=1, batch_size=24, n_passes=1, seed=5)
+@example(sampler="kegg", blocks=2, prototypes=2, k=3, batch_size=40, n_passes=1, seed=6)
+@example(sampler="identity", blocks=2, prototypes=3, k=1, batch_size=30, n_passes=1, seed=7)
+def test_kept_encodings_match_the_per_batch_forward_ensemble(sampler, blocks, prototypes, k,
+                                                             batch_size, n_passes, seed):
+    """24 rows with a categorical column.  The examples pin kegg tail batches of
+    m <= k nodes (11 leaves 2 rows plus 1 prototype, 23 leaves 1 row) and one
+    pass of one batch, which must be bit-equal."""
+    ds = mixed_dataset()
+    mask = missingness.corrupt_mcar(ds, 0.25, seed=seed).bits
+    cfg = model.ModelConfig(hidden=6, blocks=blocks, prototypes=prototypes, embed_width=3,
+                            sampler=sampler, k=k)
+    params = model.ParameterSet(cfg, ds.schema, ds.num_classes, seed=seed)
+    kept = ensemble.ensemble_impute(ds, mask, params, n_passes, seed, batch_size)
+    oracle = per_batch_forward_ensemble(ds, mask, params, n_passes, seed, batch_size)
+    assert np.array_equal(kept[:, ds.categorical_idx], oracle[:, ds.categorical_idx])
+    assert np.max(np.abs(kept - oracle)) <= 1e-12
+    if n_passes == 1 and batch_size >= ds.n_rows:
+        assert np.array_equal(kept, oracle)

@@ -9,10 +9,11 @@ The tables come from ``perfbench/workloads.setup(..., 0, ...)`` and are
 written to a temporary directory.  ``kegg-grid`` runs ``benchmark`` and
 ``report``; ``egg-impute`` runs ``corrupt``, ``train``, ``impute`` and
 ``evaluate``, and then ``corrupt`` under MAR, whose mask no workload
-writes; ``kegg-steps`` runs ``corrupt`` and ``train`` with ``blocks: 2``
-on the ``kegg-grid`` table, whose two categorical columns give the
-checkpoint every array family (embeddings, categorical heads, a second
-projector and GCN block); each runs through ``eggimpute.cli.main``.
+writes; ``kegg-steps`` runs ``corrupt``, ``train`` and ``impute`` with
+``blocks: 2`` on the ``kegg-grid`` table, whose two categorical columns
+give the checkpoint every array family (embeddings, categorical heads, a
+second projector and GCN block) and the imputation a two-block ensemble
+with categorical picks; each runs through ``eggimpute.cli.main``.
 Standard output is one JSON object: the sha256 of each artifact's
 content with the timing fields left out, of each checkpoint array, and
 the parsed checkpoint ``__meta__``.  Two outputs
@@ -130,9 +131,10 @@ def kegg_steps(directory):
     config = json.loads((directory / workloads.CONFIG).read_text())
     config["train"]["model"]["blocks"] = 2
     (directory / workloads.CONFIG).write_text(json.dumps(config))
-    _run(directory, _step("corrupt"), _step("train"))
+    _run(directory, _step("corrupt"), _step("train"), _step("impute"))
     rd = directory / "out" / "table" / "mnar" / "0.2" / "kegg" / str(workloads.PIPELINE_SEED)
-    return _checkpoint(rd / "checkpoint.npz")
+    return {**_checkpoint(rd / "checkpoint.npz"),
+            "imputed_z.npy": _sha((rd / "imputed_z.npy").read_bytes())}
 
 
 def main():
