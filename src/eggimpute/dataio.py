@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -42,6 +43,8 @@ class TabularDataset:
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[0] == 0:
             raise ValueError("dataset needs at least one row")
+        if self.values.shape[1] == 0:
+            raise ValueError("dataset needs at least one feature column besides the target")
         if len(self.targets) != self.values.shape[0]:
             raise ValueError("targets length must equal row count")
         for j, col in enumerate(self.schema):
@@ -196,9 +199,14 @@ def denormalize_column(z_values, col_idx, stats: ColumnStats):
     return z_values * stats.sigmas[col_idx] + stats.means[col_idx]
 
 
+def is_real(value):
+    """Whether ``value`` is a real number, Python's or numpy's, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def split(ds: TabularDataset, train_fraction: float, seed: int):
     """Seeded, class-stratified partition into (train_rows, val_rows)."""
-    if type(train_fraction) not in (int, float) or not 0 < train_fraction < 1:  # not a bool
+    if not is_real(train_fraction) or not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction!r}")
     rng = np.random.default_rng(seed)
     counts = np.bincount(ds.targets, minlength=ds.num_classes)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataio
 from . import tensor as T
 
 
@@ -107,7 +108,7 @@ MECHANISMS = {"mcar": corrupt_mcar, "mar": corrupt_mar, "mnar": corrupt_mnar}
 def corrupt(ds, mechanism, rate, seed) -> MaskMatrix:
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate < 1:
+    if not dataio.is_real(rate) or not 0 <= rate < 1:
         raise ValueError(f"rate must be in [0, 1), got {rate!r}")
     return MECHANISMS[mechanism](ds, rate, seed)
 

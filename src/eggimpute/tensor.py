@@ -1,10 +1,12 @@
 """Dense 2-D tensors with a reverse-mode autodiff tape.
 
-Every tensor is a row-major float64 matrix.  Operations record their
-backward rule on the implicit tape (the parent graph); calling
-``backward`` on a scalar loss topologically sorts the reachable graph,
-accumulates gradients into every ``requires_grad`` leaf and frees the
-tape it walked, so a second ``backward`` on the same loss reaches no leaf.
+Every tensor is a row-major float64 matrix.  An operation records on the
+implicit tape (the parent graph) one gradient rule per operand, which maps
+the result's gradient to that operand's share.  Calling ``backward`` on a
+scalar loss topologically sorts the reachable graph, runs the rules of the
+operands that need a gradient (a constant's share is never computed),
+accumulates into every ``requires_grad`` leaf and frees the tape it walked,
+so a second ``backward`` on the same loss reaches no leaf.
 Inside ``with no_tape():`` operations record nothing, which is how
 evaluation runs.  Broadcasting is restricted to row vectors (1 x n),
 column vectors (m x 1) and scalars.
@@ -33,9 +35,9 @@ def no_tape():
 class Tensor:
     """A 2-D float64 matrix, optionally tracked on the autodiff tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fns")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _grad_fns=()):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
@@ -45,7 +47,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
-        self._backward_fn = _backward_fn
+        self._grad_fns = _grad_fns
 
     @property
     def shape(self):
@@ -68,7 +70,8 @@ class Tensor:
 
     def backward(self):
         """Accumulate gradients of this scalar into all reachable leaves,
-        unlinking each interior node (and dropping its gradient) once its rule has run."""
+        unlinking each interior node (and dropping its gradient) once its rules have run;
+        an operand without ``requires_grad`` has its rule skipped."""
         if self.data.shape != (1, 1):
             raise ValueError(f"backward needs a scalar (1x1) loss, got {self.data.shape}")
         if not _recording:
@@ -93,25 +96,25 @@ class Tensor:
         self.grad = np.ones((1, 1))
         while order:
             node = order.pop()
-            backward_fn, grad = node._backward_fn, node.grad
-            if backward_fn is None:
+            parents, grad_fns, grad = node._parents, node._grad_fns, node.grad
+            if not grad_fns:
                 continue
-            node._parents, node._backward_fn, node.grad = (), None, None
-            for parent, contrib in backward_fn(grad):
+            node._parents, node._grad_fns, node.grad = (), (), None
+            for parent, grad_fn in zip(parents, grad_fns):
                 if not parent.requires_grad:
                     continue
                 if parent.grad is None:
                     parent.grad = np.zeros_like(parent.data)
-                parent.grad += contrib
+                parent.grad += grad_fn(grad)
 
 
-def _needs_grad(*ts):
-    return any(t.requires_grad for t in ts)
-
-
-def _make(data, parents, backward_fn):
-    if _recording and _needs_grad(*parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward_fn=backward_fn)
+def _make(data, *rules):
+    """``data`` as a tensor that keeps one ``(parent, grad_fn)`` rule per operand,
+    ``grad_fn`` mapping its gradient to that operand's share; untracked unless
+    recording and some operand needs a gradient."""
+    if _recording and any(parent.requires_grad for parent, _ in rules):
+        parents, grad_fns = zip(*rules)
+        return Tensor(data, requires_grad=True, _parents=parents, _grad_fns=grad_fns)
     return Tensor(data)
 
 
@@ -140,93 +143,56 @@ def _check_broadcast(a, b):
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-
-    def bwd(g):
-        return [(a, g @ b.data.T), (b, a.data.T @ g)]
-
-    return _make(a.data @ b.data, (a, b), bwd)
+    return _make(a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b)
-
-    def bwd(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))]
-
-    return _make(a.data + b.data, (a, b), bwd)
+    return _make(a.data + b.data, (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b)
-
-    def bwd(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape))]
-
-    return _make(a.data - b.data, (a, b), bwd)
+    return _make(a.data - b.data, (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product (with row/column-vector broadcasting)."""
     _check_broadcast(a, b)
-
-    def bwd(g):
-        return [(a, _unbroadcast(g * b.data, a.shape)),
-                (b, _unbroadcast(g * a.data, b.shape))]
-
-    return _make(a.data * b.data, (a, b), bwd)
+    return _make(a.data * b.data, (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-
-    def bwd(g):
-        return [(a, g * c)]
-
-    return _make(a.data * c, (a,), bwd)
+    return _make(a.data * c, (a, lambda g: g * c))
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
-    def bwd(g):
-        return [(a, g)]
-
-    return _make(a.data + float(c), (a,), bwd)
+    return _make(a.data + float(c), (a, lambda g: g))
 
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
-
-    def bwd(g):
-        return [(a, g * out_data)]
-
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, (a, lambda g: g * out_data))
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0):
         raise ValueError("log of non-positive value; mask the input first")
-
-    def bwd(g):
-        return [(a, g / a.data)]
-
-    return _make(np.log(a.data), (a,), bwd)
+    return _make(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-
-    def bwd(g):
-        return [(a, g * mask)]
-
-    return _make(a.data * mask, (a,), bwd)
+    return _make(a.data * mask, (a, lambda g: g * mask))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out_data = 1.0 / (1.0 + np.exp(-np.clip(a.data, -500, 500)))
-
-    def bwd(g):
-        return [(a, g * out_data * (1.0 - out_data))]
-
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, (a, lambda g: g * out_data * (1.0 - out_data)))
 
 
 # -- reductions ---------------------------------------------------------
@@ -236,11 +202,7 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
         out_data = a.data.sum().reshape(1, 1)
     else:
         out_data = a.data.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        return [(a, np.broadcast_to(g, a.shape).copy())]
-
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, (a, lambda g: np.broadcast_to(g, a.shape).copy()))
 
 
 def _standardize(a: Tensor, axis: int, eps: float):
@@ -250,12 +212,12 @@ def _standardize(a: Tensor, axis: int, eps: float):
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (a.data - mean) * inv_std
 
-    def bwd(g):
+    def grad_a(g):
         gm = g.mean(axis=axis, keepdims=True)
         gx = (g * xhat).mean(axis=axis, keepdims=True)
-        return [(a, inv_std * (g - gm - xhat * gx))]
+        return inv_std * (g - gm - xhat * gx)
 
-    return _make(xhat, (a,), bwd), mean, var
+    return _make(xhat, (a, grad_a)), mean, var
 
 
 def layer_norm_row(a: Tensor, eps: float = 1e-5) -> Tensor:
@@ -270,34 +232,33 @@ def pairwise_sq_dist(a: Tensor) -> Tensor:
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
 
-    def bwd(g):
+    def grad_a(g):
         s = g + g.T
-        return [(a, 2.0 * (s.sum(axis=1, keepdims=True) * a.data - s @ a.data))]
+        return 2.0 * (s.sum(axis=1, keepdims=True) * a.data - s @ a.data)
 
-    return _make(d, (a,), bwd)
+    return _make(d, (a, grad_a))
 
 
 # -- structure ----------------------------------------------------------
 
 def transpose(a: Tensor) -> Tensor:
-    def bwd(g):
-        return [(a, g.T)]
-
-    return _make(a.data.T.copy(), (a,), bwd)
+    return _make(a.data.T.copy(), (a, lambda g: g.T))
 
 
 def _concat(tensors, axis) -> Tensor:
-    """Join 2-D tensors along ``axis``; each gradient piece is a copy of its slice."""
+    """Join 2-D tensors along ``axis``; each part's gradient is a copy of its slice."""
     tensors = list(tensors)
     if any(t.shape[1 - axis] != tensors[0].shape[1 - axis] for t in tensors):
         raise ValueError(f"concat_{('rows', 'cols')[axis]} needs matching "
                          f"{('column', 'row')[axis]} counts")
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-    def bwd(g):
-        return [(t, piece.copy()) for t, piece in zip(tensors, np.split(g, offsets[1:-1], axis))]
+    def part_rule(t, lo, hi):
+        index = (slice(None), slice(lo, hi)) if axis else slice(lo, hi)
+        return t, lambda g: g[index].copy()
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis),
+                 *map(part_rule, tensors, offsets[:-1], offsets[1:]))
 
 
 def concat_cols(tensors) -> Tensor:
@@ -309,12 +270,12 @@ def concat_rows(tensors) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    def bwd(g):
+    def grad_a(g):
         full = np.zeros_like(a.data)
         full[start:stop, :] = g
-        return [(a, full)]
+        return full
 
-    return _make(a.data[start:stop, :].copy(), (a,), bwd)
+    return _make(a.data[start:stop, :].copy(), (a, grad_a))
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
@@ -323,12 +284,12 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ValueError(f"index out of range for table with {table.shape[0]} rows")
 
-    def bwd(g):
+    def grad_table(g):
         full = np.zeros_like(table.data)
         np.add.at(full, idx, g)
-        return [(table, full)]
+        return full
 
-    return _make(table.data[idx, :].copy(), (table,), bwd)
+    return _make(table.data[idx, :].copy(), (table, grad_table))
 
 
 def straight_through(relaxed: Tensor, hard_values) -> Tensor:
@@ -336,11 +297,7 @@ def straight_through(relaxed: Tensor, hard_values) -> Tensor:
     hard = np.asarray(hard_values, dtype=np.float64)
     if hard.shape != relaxed.shape:
         raise ValueError(f"hard values {hard.shape} must match relaxed {relaxed.shape}")
-
-    def bwd(g):
-        return [(relaxed, g.copy())]
-
-    return _make(hard.copy(), (relaxed,), bwd)
+    return _make(hard.copy(), (relaxed, lambda g: g.copy()))
 
 
 # -- batch normalization ------------------------------------------------
@@ -368,9 +325,4 @@ def batch_norm_col(a: Tensor, state: BatchNormState, training: bool) -> Tensor:
         return out
 
     inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
-    out_data = (a.data - state.running_mean) * inv_std
-
-    def bwd(g):
-        return [(a, g * inv_std)]
-
-    return _make(out_data, (a,), bwd)
+    return _make((a.data - state.running_mean) * inv_std, (a, lambda g: g * inv_std))

@@ -129,7 +129,9 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
 
     ``train_mask`` / ``val_mask`` are the dataset-level corruption masks
     (1 = observed).  Datasets must already be normalized with training
-    statistics.  A non-finite step rolls back to the best epoch, or raises
+    statistics.  Every epoch's validation draws the same surrogate mask and
+    Gumbel noise, so its losses differ only by the parameters they score.
+    A non-finite step rolls back to the best epoch, or raises
     ``FloatingPointError`` when no epoch has completed yet.
     """
     config.validate()
@@ -143,6 +145,7 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
     trip_rng = np.random.default_rng(trip_seed)
     val_surrogate = missingness.surrogate_mask(val_mask, config.surrogate_rate,
                                               np.random.default_rng(val_seed))
+    val_gumbel_seed = val_seed.spawn(1)[0]
     named = params.named_parameters()
     acc = {name: np.zeros_like(p.data) for name, p in named.items()}
 
@@ -177,7 +180,7 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
         for key in epoch_parts:
             epoch_parts[key] /= batches_per_epoch
         val_loss = validation_loss(val_ds, val_mask, val_surrogate, params, config,
-                                   np.random.default_rng(val_seed.spawn(1)[0]))
+                                   np.random.default_rng(val_gumbel_seed))
         record = {"epoch": epoch, "tau": temperature(step, total_steps, config.tau_start,
                                                      config.tau_end),
                   "val_loss": val_loss, "seconds": time.perf_counter() - t0}

@@ -36,6 +36,15 @@ def test_make_synthetic_writes_loadable_dataset(workspace):
     assert ds.num_classes == 2
 
 
+def test_make_synthetic_rejects_zero_feature_columns(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["make-synthetic", "--rows", "20", "--cols", "0",
+                     "--output", "data/flat.csv"]) == 1
+    assert capsys.readouterr().err == \
+        "error: dataset needs at least one feature column besides the target\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fetch_wireless_from_txt(tmp_path):
     txt = tmp_path / "wifi_localization.txt"
     txt.write_text("-64 -56 -61 -66 -71 -82 -81 1\n"
@@ -658,9 +667,12 @@ HEADER = "f0,f1,f2,f3,target\n"
      "needs 'columns' a list of objects, 'target' a string"),
     (HEADER + "1,2,3,4,c0\n", {"columns": [], "target": 3},
      "needs 'columns' a list of objects, 'target' a string"),
+    ("target\nc0\nc1\n", {"columns": [], "target": "target"},
+     "dataset needs at least one feature column besides the target"),
 ], ids=["short_row", "long_row", "empty", "no_target", "no_columns", "no_kind", "no_name",
         "nan", "inf", "overflow", "repeated_name", "schema_not_an_object",
-        "column_not_an_object", "columns_not_a_list", "target_not_a_string"])
+        "column_not_an_object", "columns_not_a_list", "target_not_a_string",
+        "no_feature_column"])
 def test_corrupt_rejects_a_table_it_cannot_represent(workspace, capsys, table, schema, message):
     root, cfg = workspace
     (root / "data/synth.csv").write_text(table)

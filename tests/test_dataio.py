@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eggimpute import dataio
+from eggimpute import dataio, missingness
 
 
 def write_dataset(tmp_path, rows, columns, target="label"):
@@ -264,6 +264,22 @@ def test_split_rejects_bad_fraction():
     ds = dataio.make_two_cluster(n=10, d=2, seed=0)
     with pytest.raises(ValueError):
         dataio.split(ds, 1.0, seed=0)
+
+
+def test_split_and_corrupt_take_any_real_number_but_a_bool():
+    ds = dataio.make_two_cluster(n=40, d=3, seed=0)
+    for fraction in [np.float64(0.7), np.float32(0.75)]:
+        got, want = dataio.split(ds, fraction, 0), dataio.split(ds, fraction.item(), 0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for mechanism in missingness.MECHANISMS:
+        for rate in [np.float64(0.2), np.float32(0.25), np.int64(0)]:
+            assert np.array_equal(missingness.corrupt(ds, mechanism, rate, 0).bits,
+                                  missingness.corrupt(ds, mechanism, rate.item(), 0).bits)
+    for flag in [True, np.True_]:
+        with pytest.raises(ValueError, match=r"train_fraction must be in \(0, 1\)"):
+            dataio.split(ds, flag, 0)
+        with pytest.raises(ValueError, match=r"rate must be in \[0, 1\)"):
+            missingness.corrupt(ds, "mcar", flag, 0)
 
 
 def test_write_and_reload_round_trip(tmp_path):

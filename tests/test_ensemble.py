@@ -109,7 +109,7 @@ def test_impute_once_records_no_tape():
     assert all(p.requires_grad for p in params.named_parameters().values())
     out = ensemble.impute_once(ds, np.arange(10), mask.bits, params, np.random.default_rng(0))
     assert out.numeric_pred._parents == () and out.task_logits._parents == ()
-    assert out.numeric_pred._backward_fn is None and not out.numeric_pred.requires_grad
+    assert out.numeric_pred._grad_fns == () and not out.numeric_pred.requires_grad
 
 
 def taped_encode_rows(ds, rows, initial_mask, params):

@@ -220,11 +220,46 @@ def test_second_backward_reaches_no_leaf(rng):
     assert x.grad is None
 
 
+def recording_rule(calls, name, factor):
+    """A gradient rule that logs ``name`` to ``calls`` and returns ``factor * g``."""
+    def rule(g):
+        calls.append(name)
+        return factor * g
+    return rule
+
+
+def test_backward_never_runs_the_rule_of_an_operand_that_needs_no_gradient():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    const = Tensor(np.full((2, 3), 3.0))
+    calls = []
+    out = T._make(x.data + const.data, (x, recording_rule(calls, "x", 2.0)),
+                  (const, recording_rule(calls, "const", 1.0)))
+    assert out._parents == (x, const) and len(out._grad_fns) == 2
+    T.reduce_sum(out).backward()
+    assert calls == ["x"] and const.grad is None
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+def test_an_operand_used_twice_receives_both_shares_in_operand_order(rng):
+    x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    w = rng.normal(size=(3, 2))
+    T.reduce_sum(T.mul(T.mul(x, x), Tensor(w))).backward()
+    assert np.array_equal(x.grad, w * x.data + w * x.data)
+
+    y = Tensor(np.zeros((1, 1)), requires_grad=True)
+    calls = []
+    out = T._make(y.data, (y, recording_rule(calls, "left", 2.0)),
+                  (y, recording_rule(calls, "right", 3.0)))
+    assert out._parents == (y, y)
+    T.reduce_sum(out).backward()
+    assert calls == ["left", "right"] and y.grad[0, 0] == 5.0
+
+
 def test_no_tape_ops_record_no_parents():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with T.no_tape():
         y = T.exp(T.matmul(x, x)) + x
-    assert y._parents == () and y._backward_fn is None and not y.requires_grad
+    assert y._parents == () and y._grad_fns == () and not y.requires_grad
     assert np.array_equal(y.data, np.exp(np.full((2, 2), 2.0)) + 1)
 
 

@@ -166,6 +166,19 @@ def test_train_restores_best_checkpoint(monkeypatch):
     assert any(not np.array_equal(snapshots[-1][name], best[name]) for name in best)
 
 
+def test_every_validation_draws_the_same_gumbel_noise(monkeypatch):
+    real_validation = training.validation_loss
+    states = []
+
+    def recording_validation(ds, initial_mask, val_surrogate, params, config, rng):
+        states.append(rng.bit_generator.state)
+        return real_validation(ds, initial_mask, val_surrogate, params, config, rng)
+
+    monkeypatch.setattr(training, "validation_loss", recording_validation)
+    training.train(tiny_config(max_epochs=3), *tiny_setup())
+    assert len(states) == 3 and states[1] == states[0] and states[2] == states[0]
+
+
 def test_train_early_stops_when_no_progress():
     cfg = tiny_config(max_epochs=60, sampler="identity")
     cfg.patience = 2
