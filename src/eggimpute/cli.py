@@ -158,7 +158,7 @@ def _prepare(cfg, mask_bits=None):
     given), split, compute training-observed stats and z-score it."""
     ds, load_mask = dataio.load_csv(cfg["dataset"], cfg["schema"])
     if mask_bits is None:
-        mask_bits = _corrupt(cfg, ds).bits
+        mask_bits = _corrupt(cfg, ds)
     elif mask_bits.shape != load_mask.shape:
         raise ValueError(f"mask has shape {mask_bits.shape} but the table has shape "
                          f"{load_mask.shape}; rerun `eggimpute corrupt` on this table")
@@ -281,11 +281,11 @@ def _write_wireless_csv(text, out: Path):
 def cmd_corrupt(args):
     cfg = _step_config(args)
     ds, _ = dataio.load_csv(cfg["dataset"], cfg["schema"])
-    mask = _corrupt(cfg, ds)
+    bits = _corrupt(cfg, ds)
     rd = run_dir(cfg)
     rd.mkdir(parents=True, exist_ok=True)
-    missingness.save_mask(mask, rd / "mask.csv")
-    print(f"wrote {rd / 'mask.csv'} (missing fraction {mask.missing_fraction:.4f})")
+    missingness.save_mask(bits, cfg["mechanism"], cfg["rate"], rd / "mask.csv")
+    print(f"wrote {rd / 'mask.csv'} (missing fraction {1.0 - bits.mean():.4f})")
     return 0
 
 
@@ -404,6 +404,8 @@ def _benchmark_grid(cfg):
 
 
 def cmd_benchmark(args):
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config, _overrides(args))
     jobs = _benchmark_grid(cfg)
     out_root = Path(cfg["out"])

@@ -208,6 +208,8 @@ def split(ds: TabularDataset, train_fraction: float, seed: int):
     """Seeded, class-stratified partition into (train_rows, val_rows)."""
     if not is_real(train_fraction) or not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction!r}")
+    if ds.n_rows < 2:
+        raise ValueError(f"a train/validation split needs at least 2 rows, got {ds.n_rows}")
     rng = np.random.default_rng(seed)
     counts = np.bincount(ds.targets, minlength=ds.num_classes)
     groups = [np.flatnonzero(ds.targets == cls) for cls in np.flatnonzero(counts)]

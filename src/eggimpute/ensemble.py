@@ -21,24 +21,23 @@ from . import tensor as T
 TAU = 0.01
 
 
-def _batch(ds, rows, initial_mask, params):
+def _batch(ds, rows, initial_mask):
     """The model input for ``rows`` with no surrogate masking."""
     surr = np.ones((len(rows), ds.n_cols), dtype=np.int8)
-    return missingness.preprocess_batch(ds, rows, initial_mask, surr,
-                                        params.embeddings, params.config.embed_width)
+    return missingness.preprocess_batch(ds, rows, initial_mask, surr)
 
 
 def impute_once(ds, rows, initial_mask, params, rng):
     """One stochastic eval-mode forward for a set of rows, recording no tape."""
     with T.no_tape():
-        return model.forward(_batch(ds, rows, initial_mask, params), params, TAU, "eval", rng)
+        return model.forward(_batch(ds, rows, initial_mask), params, TAU, "eval", rng)
 
 
 def encode_rows(ds, rows, initial_mask, params):
     """The eval-mode encoding of ``rows``, in that order, then of the
     prototypes, recording no tape."""
     with T.no_tape():
-        return model.encode(_batch(ds, rows, initial_mask, params).x, params, "eval")
+        return model.encode(_batch(ds, rows, initial_mask), params, "eval")
 
 
 def impute_batch(encoding, positions, params, rng):

@@ -13,29 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio
-from . import tensor as T
-
-
-@dataclass
-class MaskMatrix:
-    bits: np.ndarray  # N x d, 1 = observed
-    mechanism: str
-    rate: float
-
-    @property
-    def missing_fraction(self):
-        return 1.0 - self.bits.mean()
 
 
 @dataclass
 class MiniBatch:
-    x: "T.Tensor"  # n x (d_n + d_c * e) model input
+    inputs: np.ndarray  # n x d: visible cells, 0 for a masked numeric cell, C_d for a categorical
     surrogate_mask: np.ndarray  # n x d, 1 = observed
     truth_numeric: np.ndarray  # n x d_n z-scored ground truth (NaN where unknown)
     truth_categorical: np.ndarray  # n x d_c class indices (-1 where unknown)
     labels: np.ndarray
     numeric_cols: list  # dataset column indices of the numeric block
     categorical_cols: list
+    schema: list  # the table's ColumnSchema per column
 
 
 def _sigmoid(x):
@@ -60,10 +49,9 @@ def _standardized(values):
     return (values - mean) / std
 
 
-def corrupt_mcar(ds, rate, seed) -> MaskMatrix:
+def corrupt_mcar(ds, rate, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    bits = (rng.random((ds.n_rows, ds.n_cols)) >= rate).astype(np.int8)
-    return MaskMatrix(bits, "mcar", rate)
+    return (rng.random((ds.n_rows, ds.n_cols)) >= rate).astype(np.int8)
 
 
 def _logistic_bits(scores, rate, rng):
@@ -75,7 +63,7 @@ def _logistic_bits(scores, rate, rng):
     return (rng.random(scores.shape) >= _sigmoid(scores + b)).astype(np.int8)
 
 
-def corrupt_mar(ds, rate, seed) -> MaskMatrix:
+def corrupt_mar(ds, rate, seed) -> np.ndarray:
     """A fixed 30% column subset stays observed; missingness of the rest
     follows a logistic model on that subset, intercept calibrated so the
     overall missing fraction hits ``rate``."""
@@ -92,20 +80,20 @@ def corrupt_mar(ds, rate, seed) -> MaskMatrix:
         raise ValueError(f"rate {rate} unreachable with {rest.size} corruptible columns")
     bits = np.ones((ds.n_rows, ds.n_cols), dtype=np.int8)
     bits[:, rest] = _logistic_bits(np.repeat(scores[:, None], rest.size, axis=1), target, rng)
-    return MaskMatrix(bits, "mar", rate)
+    return bits
 
 
-def corrupt_mnar(ds, rate, seed) -> MaskMatrix:
+def corrupt_mnar(ds, rate, seed) -> np.ndarray:
     """Self-masking: each cell goes missing with a logistic probability of
     its own standardized value, intercept calibrated to ``rate``."""
-    bits = _logistic_bits(_standardized(ds.values), rate, np.random.default_rng(seed))
-    return MaskMatrix(bits, "mnar", rate)
+    return _logistic_bits(_standardized(ds.values), rate, np.random.default_rng(seed))
 
 
 MECHANISMS = {"mcar": corrupt_mcar, "mar": corrupt_mar, "mnar": corrupt_mnar}
 
 
-def corrupt(ds, mechanism, rate, seed) -> MaskMatrix:
+def corrupt(ds, mechanism, rate, seed) -> np.ndarray:
+    """The N x d int8 corruption mask of ``mechanism`` at ``rate``, 1 = observed."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if not dataio.is_real(rate) or not 0 <= rate < 1:
@@ -124,12 +112,12 @@ def surrogate_mask(initial_mask_slice, rate, rng) -> np.ndarray:
     return m
 
 
-def preprocess_batch(ds, rows, initial_mask, surr_mask, embeddings, embed_width) -> MiniBatch:
-    """Build the model input for a batch of rows.
+def preprocess_batch(ds, rows, initial_mask, surr_mask) -> MiniBatch:
+    """The model inputs and reconstruction targets of a batch of rows.
 
-    Numeric cells that are masked (surrogate or initially missing) become
-    0, the z-scored mean.  Masked categorical cells take the auxiliary
-    missing-token index C_d before the embedding lookup.
+    A cell that is masked (surrogate or initially missing) becomes 0, the
+    z-scored mean, in a numeric column, and the auxiliary missing-token
+    index C_d in a categorical one.
     """
     if initial_mask.shape != ds.values.shape:
         raise ValueError(f"initial mask has shape {initial_mask.shape}, "
@@ -140,33 +128,22 @@ def preprocess_batch(ds, rows, initial_mask, surr_mask, embeddings, embed_width)
     if surr_mask.shape != init.shape:
         raise ValueError("surrogate mask shape must match the batch")
     visible = (init == 1) & (surr_mask == 1)
+    # a numeric column's cardinality is 0
+    inputs = np.where(visible, np.nan_to_num(values), [col.cardinality for col in ds.schema])
 
     num_idx = ds.numeric_idx
     cat_idx = ds.categorical_idx
-    parts = []
-    if num_idx:
-        num = np.where(visible[:, num_idx], np.nan_to_num(values[:, num_idx]), 0.0)
-        parts.append(T.Tensor(num))
-    for pos, j in enumerate(cat_idx):
-        col = ds.schema[j]
-        table = embeddings[pos]
-        if table.shape != (col.cardinality + 1, embed_width):
-            raise ValueError(f"embedding table for {col.name!r} has shape {table.shape}, "
-                             f"expected {(col.cardinality + 1, embed_width)}")
-        idx = np.where(visible[:, j], np.nan_to_num(values[:, j]), col.cardinality).astype(np.int64)
-        parts.append(T.gather_rows(table, idx))
-    x = T.concat_cols(parts) if len(parts) > 1 else parts[0]
-
     truth_num = np.where(init[:, num_idx] == 1, values[:, num_idx], np.nan)
     truth_cat = np.where(init[:, cat_idx] == 1,
                          np.nan_to_num(values[:, cat_idx]), -1).astype(np.int64)
-    return MiniBatch(x, surr_mask, truth_num, truth_cat, ds.targets[rows],
-                     num_idx, cat_idx)
+    return MiniBatch(inputs, surr_mask, truth_num, truth_cat, ds.targets[rows],
+                     num_idx, cat_idx, ds.schema)
 
 
-def save_mask(mask: MaskMatrix, path):
-    header = f"mechanism={mask.mechanism} rate={mask.rate}"  # np.savetxt adds the "# "
-    np.savetxt(path, mask.bits, fmt="%d", delimiter=",", header=header)
+def save_mask(bits, mechanism, rate, path):
+    """Write ``bits`` as CSV under a comment naming the mechanism and rate that drew them."""
+    header = f"mechanism={mechanism} rate={rate}"  # np.savetxt adds the "# "
+    np.savetxt(path, bits, fmt="%d", delimiter=",", header=header)
 
 
 def load_mask(path) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Latent-graph autoencoder forward pass.
 
-Pipeline per batch: a two-layer MLP encodes the preprocessed input, then
+Pipeline per batch: each categorical cell is embedded (a masked one as its
+column's missing token) and a two-layer MLP encodes each row, then
 each edge-generation block projects the node set, turns pairwise squared
 distances into edge scores P_ij = exp(-||h_i - h_j||^2), links each pair
 independently with probability 1 - exp(-P_ij) (or the top k per row, for
@@ -38,8 +39,8 @@ class ModelConfig:
     def validate(self):
         if self.sampler not in ("egg", "kegg", "identity"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.hidden < 1 or self.blocks < 1 or self.prototypes < 0:
-            raise ValueError("hidden/blocks must be >= 1 and prototypes >= 0")
+        if min(self.hidden, self.blocks, self.embed_width) < 1 or self.prototypes < 0:
+            raise ValueError("hidden/blocks/embed_width must be >= 1 and prototypes >= 0")
         if self.sampler == "kegg" and self.k < 1:
             raise ValueError(f"kegg needs k >= 1 neighbors per node, got k={self.k}")
 
@@ -57,7 +58,7 @@ class ForwardOutput:
     cat_logits: list  # per categorical column, n x C_d
     task_logits: Tensor  # n x num_classes
     samples: list  # GraphSample per block
-    projections: list  # per block node-projector output (for regularizers)
+    projection: Tensor | None  # block 0's projector output; None when no sampler runs
 
 
 def _kaiming(rng, in_dim, out_dim):
@@ -243,11 +244,21 @@ def _training(mode):
     return mode == "train"
 
 
-def encode(x, params: ParameterSet, mode, frozen=False) -> Encoding:
-    """The row-wise stage: the input MLP, the prototype rows appended, and
-    block 0's projector unless its graph is the identity or ``frozen``.  In
-    'eval' mode each row's output depends on that row alone."""
+def encode(batch, params: ParameterSet, mode, frozen=False) -> Encoding:
+    """The row-wise stage: the numeric columns and each categorical column's
+    embedding row (a masked cell's is its missing token's, index C_d) into
+    the input MLP, the prototype rows appended, and block 0's projector
+    unless its graph is the identity or ``frozen``.  In 'eval' mode each
+    row's output depends on that row alone."""
     training = _training(mode)
+    parts = [Tensor(batch.inputs[:, batch.numeric_cols])] if batch.numeric_cols else []
+    for pos, j in enumerate(batch.categorical_cols):
+        col, table = batch.schema[j], params.embeddings[pos]
+        if table.shape != (col.cardinality + 1, params.config.embed_width):
+            raise ValueError(f"embedding table for {col.name!r} has shape {table.shape}, "
+                             f"expected {(col.cardinality + 1, params.config.embed_width)}")
+        parts.append(T.gather_rows(table, batch.inputs[:, j].astype(np.int64)))
+    x = T.concat_cols(parts) if len(parts) > 1 else parts[0]
     h = params.mlp_fp(x, training)
     if params.prototypes is not None:
         h = T.concat_rows([h, params.prototypes])
@@ -261,7 +272,7 @@ def propagate(enc: Encoding, params: ParameterSet, tau, mode, rng, adjacency_ove
     training = _training(mode)
     cfg = params.config
     h, n, m = enc.h, enc.n, enc.h.shape[0]
-    samples, block_outs, projections = [], [], []
+    samples, block_outs = [], []
     for blk in range(cfg.blocks):
         if adjacency_override is not None:
             sample = constant_sample(adjacency_override[blk])
@@ -269,7 +280,6 @@ def propagate(enc: Encoding, params: ParameterSet, tau, mode, rng, adjacency_ove
             sample = constant_sample(np.eye(m))
         else:
             hg = enc.projection if blk == 0 else params.mlp_proj[blk](h, training)
-            projections.append(hg)
             log_p = log_edge_probabilities(hg)
             # kegg caps k (>= 1 by validation) at m - 1 for short tail batches;
             # a one-node batch (k == 0) keeps the identity graph, no Gumbel noise
@@ -284,7 +294,7 @@ def propagate(enc: Encoding, params: ParameterSet, tau, mode, rng, adjacency_ove
     numeric_pred = params.head_num(h_out)
     cat_logits = [head(h_out) for head in params.head_cat]
     task_logits = params.head_task(h_out)
-    return ForwardOutput(numeric_pred, cat_logits, task_logits, samples, projections)
+    return ForwardOutput(numeric_pred, cat_logits, task_logits, samples, enc.projection)
 
 
 def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None):
@@ -295,7 +305,7 @@ def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None
     ``adjacency_override`` freezes each block's adjacency to a constant
     (no gradient through the sampler).
     """
-    enc = encode(batch.x, params, mode, frozen=adjacency_override is not None)
+    enc = encode(batch, params, mode, frozen=adjacency_override is not None)
     return propagate(enc, params, tau, mode, rng, adjacency_override)
 
 

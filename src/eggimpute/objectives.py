@@ -8,12 +8,14 @@ its weight is batch-size independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+
+TERMS = ("task", "numeric", "categorical", "homophily", "triplet")  # compute_losses' keys
 
 
 @dataclass
@@ -25,8 +27,9 @@ class LossWeights:
     margin: float = 0.05
 
     def validate(self):
-        if min(self.task, self.imputation, self.homophily, self.triplet) < 0:
-            raise ValueError("loss weights must be nonnegative")
+        for name, value in asdict(self).items():
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"weights.{name} must be finite and >= 0, got {value!r}")
 
 
 def numeric_imputation_loss(truth, pred: Tensor, numeric_mask) -> Tensor:
@@ -68,12 +71,12 @@ def categorical_imputation_loss(truth_cat, cat_logits, cat_mask) -> Tensor:
 
 
 def task_loss(task_logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy over all batch rows."""
+    """Mean cross-entropy over all batch rows: one categorical column, every cell masked."""
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= task_logits.shape[1]:
         raise ValueError("label out of range for task head")
-    weight = np.ones(len(labels))
-    return T.scale(_masked_log_likelihood(task_logits, labels, weight), -1.0 / len(labels))
+    return categorical_imputation_loss(labels[:, None], [task_logits],
+                                       np.zeros((len(labels), 1)))
 
 
 def homophily_loss(samples, labels) -> Tensor:
@@ -129,44 +132,32 @@ def triplet_regularizer(h_graph: Tensor, labels, margin, rng) -> Tensor:
     return T.scale(T.reduce_sum(T.relu(T.add_scalar(gap, margin))), 1.0 / t)
 
 
-@dataclass
-class LossParts:
-    task: Tensor
-    numeric: Tensor
-    categorical: Tensor
-    homophily: Tensor
-    triplet: Tensor
-
-    def named(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
-    weights.validate()
-    for name, term in parts.named().items():
+def total_loss(parts, weights: LossWeights) -> Tensor:
+    """The weighted sum of ``compute_losses``' terms; a non-finite term raises."""
+    for name, term in parts.items():
         if not np.isfinite(term.data).all():
             raise FloatingPointError(f"non-finite loss term {name!r}")
-    total = T.scale(parts.task, weights.task) + \
-        T.scale(parts.numeric + parts.categorical, weights.imputation) + \
-        T.scale(parts.homophily, weights.homophily)
+    total = T.scale(parts["task"], weights.task) + \
+        T.scale(parts["numeric"] + parts["categorical"], weights.imputation) + \
+        T.scale(parts["homophily"], weights.homophily)
     if weights.triplet > 0:
-        total = total + T.scale(parts.triplet, weights.triplet)
+        total = total + T.scale(parts["triplet"], weights.triplet)
     return total
 
 
-def compute_losses(batch, out, weights: LossWeights, rng=None) -> LossParts:
-    """All loss parts for one forward output."""
+def compute_losses(batch, out, weights: LossWeights, rng=None) -> dict:
+    """Each loss term for one forward output, by its name in ``TERMS``."""
     num_mask = batch.surrogate_mask[:, batch.numeric_cols]
     numeric = numeric_imputation_loss(batch.truth_numeric, out.numeric_pred, num_mask)
     cat_mask = batch.surrogate_mask[:, batch.categorical_cols]
     categorical = categorical_imputation_loss(batch.truth_categorical, out.cat_logits, cat_mask)
     task = task_loss(out.task_logits, batch.labels)
     homophily = homophily_loss(out.samples, batch.labels)
-    if weights.triplet > 0 and out.projections:
+    if weights.triplet > 0 and out.projection is not None:
         trip_rng = rng if rng is not None else np.random.default_rng(0)
         n = len(batch.labels)
-        triplet = triplet_regularizer(T.slice_rows(out.projections[0], 0, n),
+        triplet = triplet_regularizer(T.slice_rows(out.projection, 0, n),
                                       batch.labels, weights.margin, trip_rng)
     else:
         triplet = Tensor(np.zeros((1, 1)))
-    return LossParts(task, numeric, categorical, homophily, triplet)
+    return dict(zip(TERMS, (task, numeric, categorical, homophily, triplet)))

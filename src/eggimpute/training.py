@@ -46,12 +46,16 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if not self.tau_start > self.tau_end > 0:
-            raise ValueError("need tau_start > tau_end > 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not (np.isfinite(self.tau_start) and self.tau_start > self.tau_end > 0):
+            raise ValueError("need finite tau_start > tau_end > 0")
         if not 0 <= self.surrogate_rate < 1:
             raise ValueError("surrogate_rate must be in [0, 1)")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         self.weights.validate()
         self.model.validate()
 
@@ -105,8 +109,7 @@ def _epoch_batches(n_rows, batch_size, rng):
 
 
 def _batch_loss(ds, rows, initial_mask, surr, params, tau, mode, rng, weights, trip_rng=None):
-    batch = missingness.preprocess_batch(ds, rows, initial_mask, surr,
-                                         params.embeddings, params.config.embed_width)
+    batch = missingness.preprocess_batch(ds, rows, initial_mask, surr)
     out = model.forward(batch, params, tau, mode, rng)
     return objectives.compute_losses(batch, out, weights, trip_rng)
 
@@ -157,7 +160,7 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
     stale = 0
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
-        epoch_parts = {}  # "total", then the LossParts names
+        epoch_parts = {}  # "total", then objectives.TERMS
         for rows in _epoch_batches(train_ds.n_rows, config.batch_size, order_rng):
             tau = temperature(step, total_steps, config.tau_start, config.tau_end)
             surr = missingness.surrogate_mask(train_mask[rows], config.surrogate_rate, surr_rng)
@@ -174,7 +177,7 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
                 params.load_state_arrays(best["state"])
                 return TrainedModel(params, config, best["loss"], best["epoch"], history,
                                     "non_finite")
-            for name, term in {"total": loss, **parts.named()}.items():
+            for name, term in {"total": loss, **parts}.items():
                 epoch_parts[name] = epoch_parts.get(name, 0.0) + term.item()
             step += 1
         for key in epoch_parts:

@@ -59,8 +59,7 @@ def small_mixed_dataset():
     return mixed_dataset()
 
 
-def make_batch(ds, rows, initial_mask, surr_rate, params, seed=0):
+def make_batch(ds, rows, initial_mask, surr_rate, seed=0):
     surr = missingness.surrogate_mask(initial_mask[rows], surr_rate,
                                      np.random.default_rng(seed))
-    return missingness.preprocess_batch(ds, rows, initial_mask, surr,
-                                        params.embeddings, params.config.embed_width)
+    return missingness.preprocess_batch(ds, rows, initial_mask, surr)

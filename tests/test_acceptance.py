@@ -32,13 +32,13 @@ def synthetic_run():
     ds = dataio.make_two_cluster(n=600, d=6, seed=0)
     mask = missingness.corrupt_mcar(ds, 0.2, seed=1)
     tr, va = dataio.split(ds, 0.7, seed=2)
-    stats = dataio.compute_stats(ds.subset(tr), mask.bits[tr])
+    stats = dataio.compute_stats(ds.subset(tr), mask[tr])
     dsn = dataio.normalize(ds, stats)
-    eval_mask = mask.bits.copy()
+    eval_mask = mask.copy()
     eval_mask[tr] = 1  # score held-out rows only
 
-    mean_imp = baselines.mean_impute(dsn, mask.bits,
-                                     dataio.compute_stats(dsn.subset(tr), mask.bits[tr]))
+    mean_imp = baselines.mean_impute(dsn, mask,
+                                     dataio.compute_stats(dsn.subset(tr), mask[tr]))
     mean_rmse = evaluation.rmse(dsn.values, mean_imp, eval_mask, dsn.numeric_idx)
 
     cfg = training.TrainConfig(
@@ -47,7 +47,7 @@ def synthetic_run():
                                 sampler="egg", k=5))
     t0 = time.perf_counter()
     trained = training.train(cfg, dsn.subset(tr), dsn.subset(va),
-                             mask.bits[tr], mask.bits[va])
+                             mask[tr], mask[va])
     train_seconds = time.perf_counter() - t0
     return {"ds": ds, "dsn": dsn, "mask": mask, "train_rows": tr, "val_rows": va,
             "eval_mask": eval_mask, "mean_rmse": mean_rmse, "trained": trained,
@@ -58,11 +58,11 @@ def _wireless_setup(rate=0.2, seed=0):
     ds, load_mask = dataio.load_csv(WIRELESS_CSV,
                                     WIRELESS_CSV.with_suffix(".schema.json"))
     mask = missingness.corrupt_mcar(ds, rate, seed=seed)
-    mask.bits &= load_mask
+    mask &= load_mask
     tr, va = dataio.split(ds, 0.7, seed=seed)
-    stats = dataio.compute_stats(ds.subset(tr), mask.bits[tr])
+    stats = dataio.compute_stats(ds.subset(tr), mask[tr])
     dsn = dataio.normalize(ds, stats)
-    eval_mask = mask.bits.copy()
+    eval_mask = mask.copy()
     eval_mask[tr] = 1
     return dsn, mask, tr, va, eval_mask
 
@@ -91,8 +91,7 @@ def test_criterion_1_full_model_gradients_match_finite_differences():
     weights = objectives.LossWeights()
 
     def loss_fn():
-        batch = missingness.preprocess_batch(ds, np.arange(n), init, surr,
-                                             params.embeddings, cfg.embed_width)
+        batch = missingness.preprocess_batch(ds, np.arange(n), init, surr)
         out = model.forward(batch, params, 0.3, "train", np.random.default_rng(0),
                             adjacency_override=[adj])
         parts = objectives.compute_losses(batch, out, weights)
@@ -211,8 +210,8 @@ def test_criterion_5_knn_matches_brute_force_on_25_fixtures():
 def test_criterion_6_wireless_mean_rmse():
     start = time.perf_counter()
     dsn, mask, tr, va, eval_mask = _wireless_setup()
-    mean_imp = baselines.mean_impute(dsn, mask.bits,
-                                     dataio.compute_stats(dsn.subset(tr), mask.bits[tr]))
+    mean_imp = baselines.mean_impute(dsn, mask,
+                                     dataio.compute_stats(dsn.subset(tr), mask[tr]))
     score = evaluation.rmse(dsn.values, mean_imp, eval_mask, dsn.numeric_idx)
     assert abs(score - 0.985) <= 0.05, f"mean-imputation RMSE {score:.4f}"
     assert time.perf_counter() - start < 60.0
@@ -229,8 +228,8 @@ def test_criterion_7a_wireless_model_rmse():
         model=model.ModelConfig(hidden=300, prototypes=10, embed_width=16,
                                 sampler="egg", k=5))
     trained = training.train(cfg, dsn.subset(tr), dsn.subset(va),
-                             mask.bits[tr], mask.bits[va])
-    res = ensemble.ensemble_impute(dsn, mask.bits, trained.params, 5, seed=3,
+                             mask[tr], mask[va])
+    res = ensemble.ensemble_impute(dsn, mask, trained.params, 5, seed=3,
                                    batch_size=300)
     score = evaluation.rmse(dsn.values, res, eval_mask, dsn.numeric_idx)
     assert score <= 0.80, f"model RMSE {score:.4f} above the 0.80 bar"
@@ -240,7 +239,7 @@ def test_criterion_7a_wireless_model_rmse():
 def test_criterion_7b_synthetic_model_beats_mean(synthetic_run):
     run = synthetic_run
     t0 = time.perf_counter()
-    res = ensemble.ensemble_impute(run["dsn"], run["mask"].bits,
+    res = ensemble.ensemble_impute(run["dsn"], run["mask"],
                                    run["trained"].params, 5, seed=3, batch_size=128)
     score = evaluation.rmse(run["dsn"].values, res, run["eval_mask"],
                             run["dsn"].numeric_idx)
@@ -254,7 +253,7 @@ def test_criterion_7b_synthetic_model_beats_mean(synthetic_run):
 
 def test_criterion_8_ensemble_identity_and_trend(synthetic_run):
     run = synthetic_run
-    dsn, bits, params = run["dsn"], run["mask"].bits, run["trained"].params
+    dsn, bits, params = run["dsn"], run["mask"], run["trained"].params
     n = dsn.n_rows
 
     # E=1 with a single batch must equal one forward pass bitwise
@@ -291,9 +290,7 @@ def _interclass_fraction(trained, dsn, bits, rows, probes=3):
     for s in range(probes):
         rng = np.random.default_rng(1000 + s)
         surr = missingness.surrogate_mask(bits[rows], 0.2, rng)
-        batch = missingness.preprocess_batch(dsn, rows, bits, surr,
-                                             trained.params.embeddings,
-                                             trained.params.config.embed_width)
+        batch = missingness.preprocess_batch(dsn, rows, bits, surr)
         out = model.forward(batch, trained.params, 0.01, "eval", rng)
         hard = out.samples[0].hard
         n = len(rows)
@@ -310,7 +307,7 @@ def test_criterion_9_homophily_penalty_reduces_interclass_edges():
         ds = dataio.make_two_cluster(n=200, d=6, seed=seed)
         mask = missingness.corrupt_mcar(ds, 0.2, seed=seed)
         tr, va = dataio.split(ds, 0.7, seed=seed)
-        stats = dataio.compute_stats(ds.subset(tr), mask.bits[tr])
+        stats = dataio.compute_stats(ds.subset(tr), mask[tr])
         dsn = dataio.normalize(ds, stats)
         for gamma in (0.0, 1.0):
             cfg = training.TrainConfig(
@@ -318,8 +315,8 @@ def test_criterion_9_homophily_penalty_reduces_interclass_edges():
                 seed=seed, weights=objectives.LossWeights(homophily=gamma),
                 model=model.ModelConfig(hidden=32, prototypes=4, embed_width=8))
             trained = training.train(cfg, dsn.subset(tr), dsn.subset(va),
-                                     mask.bits[tr], mask.bits[va])
-            results[gamma].append(_interclass_fraction(trained, dsn, mask.bits,
+                                     mask[tr], mask[va])
+            results[gamma].append(_interclass_fraction(trained, dsn, mask,
                                                        tr[:64]))
     assert np.mean(results[1.0]) < np.mean(results[0.0]), \
         (f"gamma=1 interclass fraction {np.mean(results[1.0]):.4f} not below "

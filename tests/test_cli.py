@@ -248,6 +248,13 @@ def test_corrupt_rejects_a_rate_that_is_not_a_number(workspace, capsys):
     ({"model": {"sampler": "kegg"}}, "train.model.sampler is set by the top-level 'method'"),
     ({"learning_rate": True}, "train.learning_rate must be float, got True"),
     ({"weights": {"triplet": "0.1"}}, "train.weights.triplet must be float, got '0.1'"),
+    ({"learning_rate": -1}, "learning_rate must be finite and > 0, got -1"),
+    ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0, got nan"),
+    ({"tau_start": float("inf")}, "need finite tau_start > tau_end > 0"),
+    ({"patience": -3}, "patience must be >= 0, got -3"),
+    ({"model": {"embed_width": -2}}, "hidden/blocks/embed_width must be >= 1"),
+    ({"weights": {"margin": -1}}, "weights.margin must be finite and >= 0, got -1"),
+    ({"weights": {"homophily": float("nan")}}, "weights.homophily must be finite and >= 0"),
 ])
 def test_train_rejects_invalid_train_config(workspace, capsys, train, message):
     """Every command that reads the config builds the train section, so
@@ -260,6 +267,19 @@ def test_train_rejects_invalid_train_config(workspace, capsys, train, message):
         assert cli.main([command, "--config", cfg]) == 1, command
         assert f"error: {message}" in capsys.readouterr().err, command
     assert not (root / "runs").exists()
+
+
+def test_a_one_row_table_corrupts_but_fails_to_split(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["make-synthetic", "--rows", "1", "--output", "data/one.csv"]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"dataset": "data/one.csv", "schema": "data/one.schema.json",
+                               "train": FAST_TRAIN}))
+    assert cli.main(["corrupt", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == \
+        "error: a train/validation split needs at least 2 rows, got 1\n"
 
 
 def test_stage_seeds_are_distinct():
@@ -380,6 +400,17 @@ def test_benchmark_workers_record_failures_and_keep_going(mixed_config, capsys):
     assert err.count("error: run") == 2 and err.count("unreachable") == 2
     rows = _results(root / "runs/results.csv")[1:]
     assert sorted((r[2], r[4]) for r in rows) == [("0.2", "0"), ("0.2", "1")]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_benchmark_rejects_fewer_than_one_worker(mixed_config, monkeypatch, capsys, workers):
+    root, cfg = mixed_config
+    calls = []
+    monkeypatch.setattr(cli, "run_single", lambda *args: calls.append(args))
+    assert cli.main(["benchmark", "--config", cfg, "--workers", workers]) == 1
+    assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
+    assert calls == []
+    assert not (root / "runs").exists()
 
 
 def test_benchmark_records_a_rate_that_is_not_a_number(mixed_config, monkeypatch, capsys):

@@ -266,6 +266,12 @@ def test_split_rejects_bad_fraction():
         dataio.split(ds, 1.0, seed=0)
 
 
+def test_split_rejects_a_table_of_fewer_than_two_rows():
+    ds = dataio.make_two_cluster(n=1, d=2, seed=0)
+    with pytest.raises(ValueError, match="at least 2 rows, got 1"):
+        dataio.split(ds, 0.7, seed=0)
+
+
 def test_split_and_corrupt_take_any_real_number_but_a_bool():
     ds = dataio.make_two_cluster(n=40, d=3, seed=0)
     for fraction in [np.float64(0.7), np.float32(0.75)]:
@@ -273,8 +279,8 @@ def test_split_and_corrupt_take_any_real_number_but_a_bool():
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     for mechanism in missingness.MECHANISMS:
         for rate in [np.float64(0.2), np.float32(0.25), np.int64(0)]:
-            assert np.array_equal(missingness.corrupt(ds, mechanism, rate, 0).bits,
-                                  missingness.corrupt(ds, mechanism, rate.item(), 0).bits)
+            assert np.array_equal(missingness.corrupt(ds, mechanism, rate, 0),
+                                  missingness.corrupt(ds, mechanism, rate.item(), 0))
     for flag in [True, np.True_]:
         with pytest.raises(ValueError, match=r"train_fraction must be in \(0, 1\)"):
             dataio.split(ds, flag, 0)

@@ -30,7 +30,7 @@ def predictions_per_row(ds, mask, params, n_passes, batch_size):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ensemble, "impute_batch", counting)
-        ensemble.ensemble_impute(ds, mask.bits, params, n_passes=n_passes, seed=0,
+        ensemble.ensemble_impute(ds, mask, params, n_passes=n_passes, seed=0,
                                  batch_size=batch_size)
     assert calls
     return counts, len(calls)
@@ -45,28 +45,28 @@ def test_every_row_gets_exactly_e_predictions():
 
 def test_observed_cells_are_untouched():
     ds, mask, params = setup_model()
-    result = ensemble.ensemble_impute(ds, mask.bits, params, n_passes=3,
+    result = ensemble.ensemble_impute(ds, mask, params, n_passes=3,
                                       seed=0, batch_size=16)
-    observed = mask.bits == 1
+    observed = mask == 1
     assert np.array_equal(result[observed], ds.values[observed])
 
 
 def test_missing_cells_are_filled():
     ds, mask, params = setup_model()
-    result = ensemble.ensemble_impute(ds, mask.bits, params, n_passes=2,
+    result = ensemble.ensemble_impute(ds, mask, params, n_passes=2,
                                       seed=0, batch_size=16)
     assert np.isfinite(result).all()
     # the model output should differ from the raw (zero-filled) values
-    missing = mask.bits == 0
+    missing = mask == 0
     assert missing.any()
     assert not np.allclose(result[missing], 0.0)
 
 
 def test_ensemble_deterministic_given_seed():
     ds, mask, params = setup_model()
-    a = ensemble.ensemble_impute(ds, mask.bits, params, n_passes=3, seed=11,
+    a = ensemble.ensemble_impute(ds, mask, params, n_passes=3, seed=11,
                                  batch_size=16)
-    b = ensemble.ensemble_impute(ds, mask.bits, params, n_passes=3, seed=11,
+    b = ensemble.ensemble_impute(ds, mask, params, n_passes=3, seed=11,
                                  batch_size=16)
     assert np.array_equal(a, b)
 
@@ -83,7 +83,7 @@ def test_categorical_imputations_are_valid_classes():
     mask = missingness.corrupt_mcar(ds, 0.3, seed=1)
     cfg = model.ModelConfig(hidden=8, prototypes=2, embed_width=4)
     params = model.ParameterSet(cfg, ds.schema, num_classes=2, seed=0)
-    result = ensemble.ensemble_impute(ds, mask.bits, params, n_passes=3,
+    result = ensemble.ensemble_impute(ds, mask, params, n_passes=3,
                                       seed=0, batch_size=10)
     cat_col = result[:, 1]
     assert set(np.unique(cat_col)) <= {0.0, 1.0, 2.0}
@@ -100,21 +100,21 @@ def test_single_pass_matches_partition_semantics():
 def test_rejects_zero_passes():
     ds, mask, params = setup_model(n=8)
     with pytest.raises(ValueError):
-        ensemble.ensemble_impute(ds, mask.bits, params, n_passes=0, seed=0,
+        ensemble.ensemble_impute(ds, mask, params, n_passes=0, seed=0,
                                  batch_size=8)
 
 
 def test_impute_once_records_no_tape():
     ds, mask, params = setup_model()
     assert all(p.requires_grad for p in params.named_parameters().values())
-    out = ensemble.impute_once(ds, np.arange(10), mask.bits, params, np.random.default_rng(0))
+    out = ensemble.impute_once(ds, np.arange(10), mask, params, np.random.default_rng(0))
     assert out.numeric_pred._parents == () and out.task_logits._parents == ()
     assert out.numeric_pred._grad_fns == () and not out.numeric_pred.requires_grad
 
 
 def taped_encode_rows(ds, rows, initial_mask, params):
     """``ensemble.encode_rows`` recording a tape, as evaluation did before it dropped it."""
-    enc = model.encode(ensemble._batch(ds, rows, initial_mask, params).x, params, "eval")
+    enc = model.encode(ensemble._batch(ds, rows, initial_mask), params, "eval")
     assert enc.h._parents  # the oracle really records a tape
     return enc
 
@@ -148,7 +148,7 @@ def test_tape_free_evaluation_is_bit_equal_to_the_taped_oracles(sampler, blocks,
                                                                k, batch_size, triplet, seed):
     """24 rows with a categorical column; most batch sizes leave a short tail batch."""
     ds = mixed_dataset()
-    mask = missingness.corrupt_mcar(ds, 0.25, seed=seed).bits
+    mask = missingness.corrupt_mcar(ds, 0.25, seed=seed)
     cfg = model.ModelConfig(hidden=6, blocks=blocks, prototypes=prototypes, embed_width=3,
                             sampler=sampler, k=k)
     params = model.ParameterSet(cfg, ds.schema, ds.num_classes, seed=seed)
@@ -218,7 +218,7 @@ def test_kept_encodings_match_the_per_batch_forward_ensemble(sampler, blocks, pr
     m <= k nodes (11 leaves 2 rows plus 1 prototype, 23 leaves 1 row) and one
     pass of one batch, which must be bit-equal."""
     ds = mixed_dataset()
-    mask = missingness.corrupt_mcar(ds, 0.25, seed=seed).bits
+    mask = missingness.corrupt_mcar(ds, 0.25, seed=seed)
     cfg = model.ModelConfig(hidden=6, blocks=blocks, prototypes=prototypes, embed_width=3,
                             sampler=sampler, k=k)
     params = model.ParameterSet(cfg, ds.schema, ds.num_classes, seed=seed)

@@ -174,6 +174,29 @@ def test_every_record_field_is_read():
     assert unread_fields([(SRC / module).read_text() for module in MODULES]) == []
 
 
+def library_imports(source):
+    """The library modules a module imports, by ``from . import x`` or ``from .x import y``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+    return found
+
+
+def test_import_checker_sees_both_relative_forms():
+    source = ("import numpy as np\nfrom . import dataio\nfrom . import tensor as T\n"
+              "from .model import encode\n")
+    assert library_imports(source) == {"dataio", "tensor", "model"}
+
+
+@pytest.mark.parametrize("module", ["missingness.py", "dataio.py", "baselines.py",
+                                    "evaluation.py"])
+def test_data_layer_imports_neither_tensor_nor_model(module):
+    """Masks, tables, baselines and metrics hand plain arrays to the model,
+    which owns its input embedding and autodiff."""
+    assert library_imports((SRC / module).read_text()) & {"tensor", "model"} == set()
+
+
 def test_readme_names_every_setting():
     """A setting added to the table is also named in the README, and the
     README names no setting the table lacks."""

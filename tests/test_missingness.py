@@ -15,19 +15,19 @@ def big_numeric_dataset(n=1500, d=8, seed=0):
 def test_mcar_rate_concentrates():
     ds = big_numeric_dataset()
     mask = missingness.corrupt_mcar(ds, 0.2, seed=0)
-    assert 0.18 <= mask.missing_fraction <= 0.22
+    assert 0.18 <= (1.0 - mask.mean()) <= 0.22
 
 
 def test_mcar_zero_rate_keeps_everything():
     ds = big_numeric_dataset(n=50)
     mask = missingness.corrupt_mcar(ds, 0.0, seed=0)
-    assert mask.bits.all()
+    assert mask.all()
 
 
 def test_mcar_deterministic():
     ds = big_numeric_dataset(n=100)
-    a = missingness.corrupt_mcar(ds, 0.3, seed=9).bits
-    b = missingness.corrupt_mcar(ds, 0.3, seed=9).bits
+    a = missingness.corrupt_mcar(ds, 0.3, seed=9)
+    b = missingness.corrupt_mcar(ds, 0.3, seed=9)
     assert np.array_equal(a, b)
 
 
@@ -36,22 +36,22 @@ def test_mcar_independent_of_values():
     ds = big_numeric_dataset(n=4000, d=4)
     mask = missingness.corrupt_mcar(ds, 0.2, seed=1)
     high = ds.values > np.median(ds.values)
-    rate_high = 1.0 - mask.bits[high].mean()
-    rate_low = 1.0 - mask.bits[~high].mean()
+    rate_high = 1.0 - mask[high].mean()
+    rate_low = 1.0 - mask[~high].mean()
     assert abs(rate_high - rate_low) < 0.02
 
 
 def test_mar_observed_subset_is_complete():
     ds = big_numeric_dataset(n=800, d=10)
     mask = missingness.corrupt_mar(ds, 0.2, seed=3)
-    complete_cols = [j for j in range(10) if mask.bits[:, j].all()]
+    complete_cols = [j for j in range(10) if mask[:, j].all()]
     assert len(complete_cols) == 3  # 30% of 10 columns stay observed
 
 
 def test_mar_overall_rate_calibrated():
     ds = big_numeric_dataset(n=3000, d=10)
     mask = missingness.corrupt_mar(ds, 0.2, seed=5)
-    assert abs(mask.missing_fraction - 0.2) < 0.02
+    assert abs((1.0 - mask.mean()) - 0.2) < 0.02
 
 
 def test_mar_missingness_monotone_in_score():
@@ -63,9 +63,9 @@ def test_mar_missingness_monotone_in_score():
     """
     ds = big_numeric_dataset(n=4000, d=10, seed=11)
     mask = missingness.corrupt_mar(ds, 0.25, seed=11)
-    complete = np.array([mask.bits[:, j].all() for j in range(10)])
+    complete = np.array([mask[:, j].all() for j in range(10)])
     rest = ~complete
-    per_row = (mask.bits[:, rest] == 0).mean(axis=1)
+    per_row = (mask[:, rest] == 0).mean(axis=1)
     heavy = per_row > np.median(per_row)
     # heavy rows and light rows should differ in their per-row missing rate;
     # under MCAR the two groups would be statistically indistinguishable, so a
@@ -76,20 +76,21 @@ def test_mar_missingness_monotone_in_score():
 def test_mnar_rate_calibrated_within_two_percent():
     ds = big_numeric_dataset(n=4000, d=6, seed=2)
     mask = missingness.corrupt_mnar(ds, 0.2, seed=2)
-    assert abs(mask.missing_fraction - 0.2) < 0.02
+    assert abs((1.0 - mask.mean()) - 0.2) < 0.02
 
 
 def test_mnar_higher_values_go_missing_more_often():
     ds = big_numeric_dataset(n=4000, d=6, seed=4)
     mask = missingness.corrupt_mnar(ds, 0.3, seed=4)
-    missing_vals = ds.values[mask.bits == 0]
-    observed_vals = ds.values[mask.bits == 1]
+    missing_vals = ds.values[mask == 0]
+    observed_vals = ds.values[mask == 1]
     assert missing_vals.mean() > observed_vals.mean() + 0.2
 
 
 def test_corrupt_dispatch_and_unknown_mechanism():
     ds = big_numeric_dataset(n=30)
-    assert missingness.corrupt(ds, "mcar", 0.1, 0).mechanism == "mcar"
+    assert np.array_equal(missingness.corrupt(ds, "mcar", 0.1, 0),
+                          missingness.corrupt_mcar(ds, 0.1, 0))
     with pytest.raises(ValueError):
         missingness.corrupt(ds, "bogus", 0.1, 0)
 
@@ -143,7 +144,7 @@ def test_mar_and_mnar_hit_their_calibrated_rate(mechanism, cols, rate, skewed, s
     corruptible = n * cols if mechanism == "mnar" else n * (cols - max(1, round(0.3 * cols)))
     per_cell = rate * n * cols / corruptible
     std_err = np.sqrt(per_cell * (1 - per_cell) / corruptible) * corruptible / (n * cols)
-    assert abs(mask.missing_fraction - rate) < 5 * std_err
+    assert abs((1.0 - mask.mean()) - rate) < 5 * std_err
 
 
 def _separate_mar_bits(ds, rate, seed):
@@ -200,13 +201,7 @@ def test_mar_and_mnar_bits_match_their_separate_oracles(mechanism, rows, cols, r
             missingness.corrupt(ds, mechanism, rate, seed)
         return
     mask = missingness.corrupt(ds, mechanism, rate, seed)
-    assert np.array_equal(mask.bits, want) and mask.bits.dtype == want.dtype
-    assert (mask.mechanism, mask.rate) == (mechanism, rate)
-
-
-def make_params(embed_width=4):
-    cfg = model.ModelConfig(hidden=8, blocks=1, prototypes=2, embed_width=embed_width)
-    return cfg
+    assert np.array_equal(mask, want) and mask.dtype == want.dtype
 
 
 def test_preprocess_batch_masking_and_embedding(small_mixed_dataset):
@@ -220,12 +215,19 @@ def test_preprocess_batch_masking_and_embedding(small_mixed_dataset):
     surr = np.ones((6, 4), dtype=np.int8)
     surr[2, 1] = 0          # numeric surrogate-masked
     surr[3, 3] = 0          # categorical surrogate-masked
-    batch = missingness.preprocess_batch(ds, rows, init, surr,
-                                         params.embeddings, cfg.embed_width)
-    x = batch.x.data
+    batch = missingness.preprocess_batch(ds, rows, init, surr)
+    assert batch.inputs.shape == (6, 4)
+    assert batch.inputs[0, 0] == 0.0 and batch.inputs[2, 1] == 0.0
+    # masked categorical cells hold the missing-token index C_d = 3
+    assert batch.inputs[1, 3] == 3 and batch.inputs[3, 3] == 3
+    # the model's input MLP sees each categorical cell's embedding row
+    seen = []
+    mlp = params.mlp_fp
+    params.mlp_fp = lambda x, training: seen.append(x.data) or mlp(x, training)
+    model.encode(batch, params, "eval")
+    x = seen[0]
     assert x.shape == (6, 3 + 4)
     assert x[0, 0] == 0.0 and x[2, 1] == 0.0
-    # masked categorical rows pick the missing-token embedding (index 3)
     table = params.embeddings[0].data
     assert np.array_equal(x[1, 3:], table[3])
     assert np.array_equal(x[3, 3:], table[3])
@@ -240,58 +242,48 @@ def test_preprocess_batch_masking_and_embedding(small_mixed_dataset):
 def test_preprocess_batch_locality(small_mixed_dataset):
     """Changing a cell in one row must not change any other row's input."""
     ds = small_mixed_dataset
-    cfg = model.ModelConfig(hidden=8, prototypes=2, embed_width=4)
-    params = model.ParameterSet(cfg, ds.schema, num_classes=2, seed=0)
     rows = np.arange(8)
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
     surr = np.ones((8, 4), dtype=np.int8)
-    base = missingness.preprocess_batch(ds, rows, init, surr,
-                                        params.embeddings, cfg.embed_width).x.data
+    base = missingness.preprocess_batch(ds, rows, init, surr).inputs
     ds2 = dataio.TabularDataset(ds.schema, ds.values.copy(), ds.targets,
                                 ds.num_classes, ds.target_categories)
     ds2.values[5, 1] += 10.0
-    changed = missingness.preprocess_batch(ds2, rows, init, surr,
-                                           params.embeddings, cfg.embed_width).x.data
+    changed = missingness.preprocess_batch(ds2, rows, init, surr).inputs
     diff_rows = np.where(np.any(base != changed, axis=1))[0]
     assert diff_rows.tolist() == [5]
 
 
 def test_preprocess_batch_shape_validation(small_mixed_dataset):
     ds = small_mixed_dataset
-    cfg = model.ModelConfig(hidden=8, prototypes=2, embed_width=4)
-    params = model.ParameterSet(cfg, ds.schema, num_classes=2, seed=0)
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
     bad_surr = np.ones((3, 4), dtype=np.int8)
     with pytest.raises(ValueError):
-        missingness.preprocess_batch(ds, np.arange(6), init, bad_surr,
-                                     params.embeddings, cfg.embed_width)
+        missingness.preprocess_batch(ds, np.arange(6), init, bad_surr)
 
 
 def test_preprocess_batch_rejects_batch_shaped_mask(small_mixed_dataset):
     """The initial mask covers the whole table and is indexed by ``rows``;
     a mask cut to the batch is refused with both shapes named."""
     ds = small_mixed_dataset
-    cfg = model.ModelConfig(hidden=8, prototypes=2, embed_width=4)
-    params = model.ParameterSet(cfg, ds.schema, num_classes=2, seed=0)
     batch_mask = np.ones((6, 4), dtype=np.int8)
     with pytest.raises(ValueError, match=r"\(6, 4\).*\(24, 4\)"):
-        missingness.preprocess_batch(ds, np.arange(6), batch_mask, batch_mask.copy(),
-                                     params.embeddings, cfg.embed_width)
+        missingness.preprocess_batch(ds, np.arange(6), batch_mask, batch_mask.copy())
 
 
 def test_mask_save_load_round_trip(tmp_path):
     ds = big_numeric_dataset(n=40, d=5)
     mask = missingness.corrupt_mcar(ds, 0.25, seed=8)
     path = tmp_path / "mask.csv"
-    missingness.save_mask(mask, path)
+    missingness.save_mask(mask, "mcar", 0.25, path)
     assert path.read_text().startswith("# mechanism=mcar rate=0.25\n")
     loaded = missingness.load_mask(path)
     assert loaded.dtype == np.int8
-    assert np.array_equal(loaded, mask.bits)
+    assert np.array_equal(loaded, mask)
 
 
 @pytest.mark.parametrize("n, d", [(1, 5), (5, 1), (1, 1)])
 def test_mask_of_one_row_or_one_column_keeps_its_shape(tmp_path, n, d):
     mask = missingness.corrupt_mcar(big_numeric_dataset(n=n, d=d), 0.5, seed=1)
-    missingness.save_mask(mask, tmp_path / "mask.csv")
-    assert np.array_equal(missingness.load_mask(tmp_path / "mask.csv"), mask.bits)
+    missingness.save_mask(mask, "mcar", 0.5, tmp_path / "mask.csv")
+    assert np.array_equal(missingness.load_mask(tmp_path / "mask.csv"), mask)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import central_difference, make_batch, mixed_dataset, rel_error
-from eggimpute import model
+from eggimpute import dataio, model
 from eggimpute import tensor as T
 from eggimpute.tensor import Tensor
 
@@ -295,7 +295,7 @@ def test_forward_shapes(sampler, small_mixed_dataset, rng):
     ds = small_mixed_dataset
     params = small_params(ds, sampler=sampler)
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
-    batch = make_batch(ds, np.arange(10), init, 0.2, params)
+    batch = make_batch(ds, np.arange(10), init, 0.2)
     out = model.forward(batch, params, 0.3, "train", rng)
     assert params.head_num.w.shape[0] == 8  # blocks * hidden
     assert out.numeric_pred.shape == (10, 3)
@@ -306,11 +306,24 @@ def test_forward_shapes(sampler, small_mixed_dataset, rng):
     assert out.samples[0].hard.shape == (m, m)
 
 
+def test_encode_rejects_an_embedding_table_that_does_not_fit_the_column(small_mixed_dataset):
+    """A table whose rows are not the column's categories plus the missing
+    token is refused by name, even when every index would fit it."""
+    ds = small_mixed_dataset
+    params = small_params(ds)
+    schema = [*ds.schema[:3], dataio.ColumnSchema("cat", dataio.CATEGORICAL, cardinality=4)]
+    wider = dataio.TabularDataset(schema, ds.values, ds.targets, 2)
+    batch = make_batch(wider, np.arange(6), np.ones(ds.values.shape, dtype=np.int8), 0.0)
+    with pytest.raises(ValueError, match=r"embedding table for 'cat' has shape \(4, 4\), "
+                                         r"expected \(5, 4\)"):
+        model.encode(batch, params, "eval")
+
+
 def test_forward_rejects_bad_mode(small_mixed_dataset, rng):
     ds = small_mixed_dataset
     params = small_params(ds)
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
-    batch = make_batch(ds, np.arange(6), init, 0.2, params)
+    batch = make_batch(ds, np.arange(6), init, 0.2)
     with pytest.raises(ValueError):
         model.forward(batch, params, 0.3, "test", rng)
 
@@ -319,7 +332,7 @@ def test_forward_adjacency_override_is_deterministic(small_mixed_dataset):
     ds = small_mixed_dataset
     params = small_params(ds)
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
-    batch = make_batch(ds, np.arange(6), init, 0.2, params)
+    batch = make_batch(ds, np.arange(6), init, 0.2)
     m = 6 + params.config.prototypes
     adj = np.eye(m)
     outs = []
@@ -334,7 +347,7 @@ def test_forward_multi_block_concatenates(small_mixed_dataset, rng):
     ds = small_mixed_dataset
     params = small_params(ds, blocks=2)
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
-    batch = make_batch(ds, np.arange(7), init, 0.2, params)
+    batch = make_batch(ds, np.arange(7), init, 0.2)
     out = model.forward(batch, params, 0.3, "train", rng)
     assert out.numeric_pred.shape[0] == 7
     assert params.head_num.w.shape[0] == 2 * 8  # blocks * hidden
@@ -347,7 +360,7 @@ def test_prototypes_participate_in_graph(small_mixed_dataset):
     ds = small_mixed_dataset
     params = small_params(ds, prototypes=4)
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
-    batch = make_batch(ds, np.arange(5), init, 0.2, params)
+    batch = make_batch(ds, np.arange(5), init, 0.2)
     out = model.forward(batch, params, 0.3, "train", np.random.default_rng(0))
     assert out.samples[0].hard.shape == (9, 9)
     assert out.numeric_pred.shape[0] == 5
@@ -357,7 +370,7 @@ def test_zero_prototypes_supported(small_mixed_dataset, rng):
     ds = small_mixed_dataset
     params = small_params(ds, prototypes=0)
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
-    batch = make_batch(ds, np.arange(5), init, 0.2, params)
+    batch = make_batch(ds, np.arange(5), init, 0.2)
     out = model.forward(batch, params, 0.3, "train", rng)
     assert out.samples[0].hard.shape == (5, 5)
 
@@ -376,7 +389,7 @@ def test_eval_forward_does_not_depend_on_temperature(sampler, blocks, prototypes
     params = small_params(ds, sampler=sampler, prototypes=prototypes, k=k, blocks=blocks,
                           seed=seed)
     batch = make_batch(ds, np.arange(rows), np.ones(ds.values.shape, dtype=np.int8), 0.2,
-                       params, seed=seed)
+                       seed=seed)
 
     def outputs(tau):
         out = model.forward(batch, params, tau, "eval", np.random.default_rng(seed))
@@ -391,7 +404,7 @@ def test_checkpoint_round_trip(tmp_path, small_mixed_dataset):
     params = small_params(ds, seed=3)
     # move batch-norm running stats off their init so they are exercised too
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
-    batch = make_batch(ds, np.arange(8), init, 0.2, params)
+    batch = make_batch(ds, np.arange(8), init, 0.2)
     model.forward(batch, params, 0.3, "train", np.random.default_rng(0))
 
     path = tmp_path / "ckpt.npz"
@@ -403,7 +416,7 @@ def test_checkpoint_round_trip(tmp_path, small_mixed_dataset):
     for name, p in params.named_parameters().items():
         assert np.array_equal(p.data, loaded.named_parameters()[name].data)
     out_a = model.forward(batch, params, 0.3, "eval", np.random.default_rng(4))
-    batch_b = make_batch(ds, np.arange(8), init, 0.2, loaded)
+    batch_b = make_batch(ds, np.arange(8), init, 0.2)
     out_b = model.forward(batch_b, loaded, 0.3, "eval", np.random.default_rng(4))
     assert np.array_equal(out_a.numeric_pred.data, out_b.numeric_pred.data)
 
@@ -431,7 +444,7 @@ def test_kegg_forward_on_k_nodes_or_fewer_links_every_pair(small_mixed_dataset, 
     ds = small_mixed_dataset
     params = small_params(ds, sampler="kegg", prototypes=prototypes, k=5)
     mask = np.ones(ds.values.shape, dtype=np.int8)
-    batch = make_batch(ds, np.arange(rows), mask, 0.0, params)
+    batch = make_batch(ds, np.arange(rows), mask, 0.0)
     out = model.forward(batch, params, 0.3, "train", np.random.default_rng(0))
     m = rows + prototypes
     assert np.array_equal(out.samples[0].hard, np.ones((m, m)))

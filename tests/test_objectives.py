@@ -230,28 +230,23 @@ def test_triplet_matches_per_triplet_selector_oracle(n, width, n_classes, margin
 
 
 def test_total_loss_weighting():
-    one = Tensor(np.ones((1, 1)))
-    parts = objectives.LossParts(one, Tensor(np.full((1, 1), 2.0)),
-                                 Tensor(np.full((1, 1), 3.0)),
-                                 Tensor(np.full((1, 1), 4.0)),
-                                 Tensor(np.full((1, 1), 5.0)))
+    parts = {name: Tensor(np.full((1, 1), float(v)))
+             for name, v in zip(objectives.TERMS, range(1, 6))}
     w = objectives.LossWeights(task=1.0, imputation=1.0, homophily=0.1, triplet=0.5)
     total = objectives.total_loss(parts, w)
     assert total.data[0, 0] == pytest.approx(1 + (2 + 3) + 0.4 + 2.5)
 
 
 def test_total_loss_triplet_skipped_at_zero_weight():
-    parts = objectives.LossParts(Tensor(np.ones((1, 1))), Tensor(np.zeros((1, 1))),
-                                 Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 1))),
-                                 Tensor(np.full((1, 1), 99.0)))
+    parts = {name: Tensor(np.zeros((1, 1))) for name in objectives.TERMS}
+    parts["task"], parts["triplet"] = Tensor(np.ones((1, 1))), Tensor(np.full((1, 1), 99.0))
     total = objectives.total_loss(parts, objectives.LossWeights(triplet=0.0))
     assert total.data[0, 0] == pytest.approx(1.0)
 
 
 def test_total_loss_rejects_nonfinite():
-    parts = objectives.LossParts(Tensor(np.array([[np.nan]])), Tensor(np.zeros((1, 1))),
-                                 Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 1))),
-                                 Tensor(np.zeros((1, 1))))
+    parts = {name: Tensor(np.zeros((1, 1))) for name in objectives.TERMS}
+    parts["task"] = Tensor(np.array([[np.nan]]))
     with pytest.raises(FloatingPointError, match="task"):
         objectives.total_loss(parts, objectives.LossWeights())
 
@@ -266,7 +261,7 @@ def test_compute_losses_end_to_end(small_mixed_dataset, rng):
     cfg = model.ModelConfig(hidden=8, prototypes=2, embed_width=4)
     params = model.ParameterSet(cfg, ds.schema, num_classes=2, seed=0)
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
-    batch = make_batch(ds, np.arange(12), init, 0.3, params)
+    batch = make_batch(ds, np.arange(12), init, 0.3)
     out = model.forward(batch, params, 0.3, "train", rng)
     parts = objectives.compute_losses(batch, out, objectives.LossWeights(triplet=0.1),
                                       rng=rng)

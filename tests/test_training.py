@@ -106,7 +106,7 @@ def tiny_setup(seed=0, n=60):
     tr, va = dataio.split(ds, 0.7, seed=seed)
     train_ds, val_ds = ds.subset(tr), ds.subset(va)
     mask = missingness.corrupt_mcar(ds, 0.2, seed=seed)
-    return train_ds, val_ds, mask.bits[tr], mask.bits[va]
+    return train_ds, val_ds, mask[tr], mask[va]
 
 
 def tiny_config(max_epochs=3, seed=0, sampler="egg"):
