@@ -408,6 +408,11 @@ def cmd_benchmark(args):
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config, _overrides(args))
     jobs = _benchmark_grid(cfg)
+    for spec in {(job[0]["csv"], job[0]["schema"]): job[0] for job in jobs}.values():
+        ds, _ = dataio.load_csv(spec["csv"], spec["schema"])  # a missing file fails here
+        if ds.n_rows < 2:
+            raise ValueError(f"{spec['csv']}: a train/validation split needs at least 2 rows, "
+                             f"got {ds.n_rows}")
     out_root = Path(cfg["out"])
     out_root.mkdir(parents=True, exist_ok=True)
     job = functools.partial(_run_job, cfg)

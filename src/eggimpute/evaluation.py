@@ -64,6 +64,10 @@ def cat_accuracy(truth, imputed, eval_mask, categorical_idx):
 # -- random forest ------------------------------------------------------
 
 MAX_DEPTH = 12  # depth cap of every forest tree
+# Samples per array pass of the forest grower: a round of many large nodes is
+# scored and partitioned in slices of about this size, so its temporaries stay
+# cache-sized (a few MB at most) whatever the table's size.
+_SLICE = 1 << 15
 
 
 class _TreeNode:
@@ -77,47 +81,217 @@ class _TreeNode:
         self.prediction = prediction
 
 
-def _best_split(x, y, feature_ids, num_classes):
-    """Gini split search in scan order (features as given, positions left to
-    right); a split replaces the running best only if lower by over 1e-12."""
-    n = len(y)
-    parent = np.bincount(y, minlength=num_classes)
-    best_f, best_thr, best = None, None, 1.0 - ((parent / n) ** 2).sum()
-    cols = x[:, feature_ids]
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=0).T  # F x n, each feature sorted
-    left = np.cumsum(np.eye(num_classes)[y[order.T[:, :-1]]], axis=1)  # F x (n-1) x C
-    right = parent - left
-    n_left = np.arange(1, n)
+def _best_splits(xs, ys, k, counts):
+    """Each node's best gini split, scored in one pass over its sorted scans.
+
+    Node g holds ``counts[g].sum()`` samples and ``k`` scans: its samples'
+    values ``xs`` and labels ``ys`` sorted by each drawn feature, all nodes'
+    scans concatenated in order.  The rule is the scalar scan's: features in
+    the order drawn, positions left to right, ties (``x[p+1] <= x[p]``)
+    skipped, and a split replaces the running best only if lower by over
+    1e-12.  Returns, per node, the flat index p of the best split (between
+    ``xs[p]`` and ``xs[p+1]``), or -1.
+    """
+    num_nodes, num_classes = counts.shape
+    size = counts.sum(axis=1)
+    ends = np.cumsum(np.repeat(size, k))
+    starts = ends - np.repeat(size, k)
+    best = np.full(num_nodes, -1)
+    valid = np.ones(len(xs), dtype=bool)
+    valid[:-1] = ~(xs[1:] <= xs[:-1])
+    valid[ends - 1] = False
+    at = np.flatnonzero(valid)
+    if not at.size:
+        return best
+    scan = np.searchsorted(ends, at, side="right")
+    node = scan // k
+    n = size[node]
+    n_left = at - starts[scan] + 1
     n_right = n - n_left
-    score = n_left / n * (1.0 - ((left / n_left[:, None]) ** 2).sum(axis=2)) + \
-        n_right / n * (1.0 - ((right / n_right[:, None]) ** 2).sum(axis=2))
-    score[xs[:, 1:] <= xs[:, :-1]] = np.inf
-    score = score.ravel()  # feature-major: the scan order
-    prior_min = np.minimum.accumulate(np.concatenate(([best], score)))[:-1]
-    for i in np.flatnonzero(score < prior_min):  # only new minima can be accepted
-        if score[i] < best - 1e-12:
-            f, pos = divmod(i, n - 1)
-            best_f, best_thr, best = feature_ids[f], 0.5 * (xs[f, pos] + xs[f, pos + 1]), score[i]
-    return best_f, best_thr
+    left = np.empty((len(at), num_classes))
+    for c in range(num_classes):
+        seen = np.cumsum(ys == c)
+        left[:, c] = seen[at] - (seen[starts] - (ys[starts] == c))[scan]
+    right = counts[node] - left
+    left /= n_left[:, None]
+    right /= n_right[:, None]
+    score = n_left / n * (1.0 - (left ** 2).sum(axis=1)) + \
+        n_right / n * (1.0 - (right ** 2).sum(axis=1))
+    parent = 1.0 - ((counts / size[:, None]) ** 2).sum(axis=1)
+    first = np.searchsorted(node, np.arange(num_nodes))  # each node's scored splits
+    stop = np.append(first[1:], len(at))
+    scored = first < stop
+    lowest = np.full(num_nodes, np.inf)
+    lowest[scored] = np.minimum.reduceat(score, first[scored])
+    # the first lowest score wins unless an earlier split comes within 1e-12 of it
+    hits = np.flatnonzero(score == lowest[node])
+    hits = hits[np.append(True, node[hits[1:]] != node[hits[:-1]])]
+    pick = np.zeros(num_nodes, dtype=np.int64)
+    pick[node[hits]] = hits
+    tangled = np.zeros(num_nodes, dtype=bool)
+    g = np.flatnonzero(scored & (first < pick))
+    if g.size:
+        earlier = np.minimum.reduceat(score, np.column_stack((first[g], pick[g])).ravel())[::2]
+        tangled[g] = ~(score[pick[g]] < earlier - 1e-12)
+    for g in np.flatnonzero(tangled & (lowest < parent - 1e-12)):
+        run = score[first[g]:stop[g]]
+        running = parent[g]
+        prior_min = np.minimum.accumulate(np.concatenate(([running], run)))[:-1]
+        for i in np.flatnonzero(run < prior_min):  # only new minima can be accepted
+            if run[i] < running - 1e-12:
+                running, pick[g] = run[i], first[g] + i
+    won = lowest < parent - 1e-12
+    best[won] = at[pick[won]]
+    return best
 
 
-def _grow(x, y, depth, n_features, num_classes, rng):
-    counts = np.bincount(y, minlength=num_classes)
-    node = _TreeNode(prediction=int(counts.argmax()))
-    if depth >= MAX_DEPTH or np.count_nonzero(counts) < 2:
-        return node
-    feature_ids = rng.choice(x.shape[1], size=n_features, replace=False)
-    feature, threshold = _best_split(x, y, feature_ids, num_classes)
-    if feature is None:
-        return node
-    go_left = x[:, feature] <= threshold
-    if not go_left.any() or go_left.all():
-        return node
-    node.feature, node.threshold = feature, threshold
-    node.left = _grow(x[go_left], y[go_left], depth + 1, n_features, num_classes, rng)
-    node.right = _grow(x[~go_left], y[~go_left], depth + 1, n_features, num_classes, rng)
-    return node
+def _ragged_arange(lengths):
+    """0..n-1 for each n in ``lengths``, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
+
+
+class _Lockstep:
+    """Every tree of a forest, grown together one depth-first node per round.
+
+    Each tree keeps its own generator, bootstrap and depth-first stack.  Its
+    samples' rows, stably sorted by each feature, sit in ``order[t, f]``; a
+    node owns the same span ``[lo, hi)`` of every feature's order, and a split
+    partitions the span stably, so each child's orders are those sorting its
+    samples would give.  Nodes are settled as leaves when they are made
+    (prediction, depth cap, purity); a popped node draws its features, so
+    every generator sees the calls a tree grown alone would make.  A round's
+    temporaries are sliced to ``_SLICE`` samples.
+    """
+
+    def __init__(self, x, y, rngs, num_classes, n_features):
+        self.x, self.y, self.rngs = x, y, rngs
+        self.num_classes, self.n_features = num_classes, n_features
+        n_trees, (n, d) = len(rngs), x.shape
+        boot = np.empty((n_trees, n), dtype=np.int64)
+        for t, rng in enumerate(rngs):
+            boot[t] = rng.integers(0, n, size=n)
+        self.order = np.empty((n_trees, d, n), dtype=np.int32)
+        for f in range(d):
+            # dense ranks tie exactly where the values do (-0.0 with 0.0, NaN last), and
+            # in the smallest unsigned type a stable sort of them is a radix sort
+            rank = np.unique(x[:, f], return_inverse=True)[1].astype(np.min_scalar_type(n))
+            self.order[:, f] = np.take_along_axis(
+                boot, np.argsort(rank[boot], axis=1, kind="stable"), axis=1)
+        # one entry per pending node: id, lo, hi, depth, class counts
+        self.stack = np.zeros((n_trees, MAX_DEPTH + 1, 4 + num_classes), dtype=np.int64)
+        self.top = np.zeros(n_trees, dtype=np.int64)
+        self.predictions, self.splits = [], []
+        self.made = 0
+        trees = np.arange(n_trees)
+        counts = np.bincount((trees[:, None] * num_classes + y[boot]).ravel(),
+                             minlength=n_trees * num_classes).reshape(n_trees, num_classes)
+        self._make(trees, np.zeros(n_trees, dtype=np.int64), np.full(n_trees, n),
+                   np.zeros(n_trees, dtype=np.int64), counts)
+
+    def _make(self, trees, lo, hi, depth, counts):
+        """One new node per tree, numbered in order; push those that can still split."""
+        ids = self.made + np.arange(len(trees))
+        self.made += len(trees)
+        self.predictions.append(counts.argmax(axis=1))
+        grows = (depth < MAX_DEPTH) & (np.count_nonzero(counts, axis=1) >= 2)
+        trees = trees[grows]
+        self.stack[trees, self.top[trees]] = np.column_stack(
+            (ids, lo, hi, depth, counts))[grows]
+        self.top[trees] += 1
+        return ids
+
+    def grow(self):
+        d = self.x.shape[1]
+        while self.top.any():
+            trees = np.flatnonzero(self.top)
+            self.top[trees] -= 1
+            entry = self.stack[trees, self.top[trees]]
+            node, lo, hi, depth = entry[:, :4].T
+            counts = entry[:, 4:]
+            features = np.empty((len(trees), self.n_features), dtype=np.int64)
+            for i, t in enumerate(trees.tolist()):
+                features[i] = self.rngs[t].choice(d, size=self.n_features, replace=False)
+            cuts = np.flatnonzero(np.diff(np.cumsum(self.n_features * (hi - lo)) // _SLICE)) + 1
+            parts = [self._split(trees[i], features[i], lo[i], hi[i], counts[i])
+                     for i in np.split(np.arange(len(trees)), cuts)]
+            feature, threshold, n_left, left_counts = (np.concatenate(p) for p in zip(*parts))
+            split = np.flatnonzero((n_left > 0) & (n_left < hi - lo))
+            if not split.size:
+                continue
+            trees, lo, hi, depth = trees[split], lo[split], hi[split], depth[split] + 1
+            feature, threshold = feature[split], threshold[split]
+            cut, left_counts = lo + n_left[split], left_counts[split]
+            self._partition(trees, lo, hi, cut, feature)
+            right = self._make(trees, cut, hi, depth, counts[split] - left_counts)
+            left = self._make(trees, lo, cut, depth, left_counts)  # pushed last: popped first
+            self.splits.append((node[split], feature, threshold, left, right))
+        return self._trees()
+
+    def _split(self, trees, features, lo, hi, counts):
+        """The best split of each node: feature, threshold, samples going left
+        and their class counts (0 samples when the node has no split)."""
+        k, d, n = self.n_features, self.x.shape[1], self.x.shape[0]
+        size = np.repeat(hi - lo, k)
+        scan_feature = features.ravel()
+        rows = self.order.reshape(-1)[np.repeat((np.repeat(trees, k) * d + scan_feature) * n
+                                                + np.repeat(lo, k), size)
+                                      + _ragged_arange(size)]
+        xs = self.x[rows, np.repeat(scan_feature, size)]
+        ys = self.y[rows]
+        best = _best_splits(xs, ys, k, counts)
+        num_nodes = len(trees)
+        feature = np.zeros(num_nodes, dtype=np.int64)
+        threshold = np.zeros(num_nodes)
+        n_left = np.zeros(num_nodes, dtype=np.int64)
+        left_counts = np.zeros((num_nodes, self.num_classes), dtype=np.int64)
+        found = np.flatnonzero(best >= 0)
+        if found.size:
+            at = best[found]
+            scan = np.searchsorted(np.cumsum(size), at, side="right")
+            feature[found] = scan_feature[scan]
+            threshold[found] = 0.5 * (xs[at] + xs[at + 1])
+            # the chosen scan is sorted, so the samples going left are a prefix of it
+            span = size[scan]
+            owner = np.repeat(np.arange(len(found)), span)
+            cells = np.repeat(np.cumsum(size)[scan] - span, span) + _ragged_arange(span)
+            goes = xs[cells] <= threshold[found][owner]
+            n_left[found] = np.bincount(owner, weights=goes, minlength=len(found))
+            left_counts[found] = np.bincount(
+                owner[goes] * self.num_classes + ys[cells[goes]],
+                minlength=len(found) * self.num_classes).reshape(-1, self.num_classes)
+        return feature, threshold, n_left, left_counts
+
+    def _partition(self, trees, lo, hi, cut, feature):
+        """Stably partition each split node's span of every feature's order:
+        the rows that go left are the head of the split feature's span."""
+        d, n = self.x.shape[1], self.x.shape[0]
+        size, n_left = hi - lo, cut - lo
+        flat = self.order.reshape(-1)
+        node = np.repeat(np.arange(len(trees)), n_left)
+        goes = np.zeros(len(trees) * n, dtype=bool)
+        goes[node * n + flat[np.repeat((trees * d + feature) * n + lo, n_left)
+                             + _ragged_arange(n_left)]] = True
+        per_pass = max(1, _SLICE // int(size.sum()))
+        for f0 in range(0, d, per_pass):
+            fs = np.arange(f0, min(d, f0 + per_pass))
+            span = np.repeat(size, len(fs))
+            at = _ragged_arange(span)
+            cells = np.repeat(((trees[:, None] * d + fs) * n + lo[:, None]).ravel(), span) + at
+            rows = flat[cells]
+            left = goes[np.repeat(np.repeat(np.arange(len(trees)) * n, len(fs)), span) + rows]
+            head = at < np.repeat(np.repeat(n_left, len(fs)), span)
+            flat[cells[np.flatnonzero(head)]] = rows[np.flatnonzero(left)]
+            flat[cells[np.flatnonzero(~head)]] = rows[np.flatnonzero(~left)]
+
+    def _trees(self):
+        nodes = [_TreeNode(p) for p in np.concatenate(self.predictions).tolist()]
+        for split in self.splits:
+            for i, f, thr, left, right in zip(*(a.tolist() for a in split)):
+                nd = nodes[i]
+                nd.feature, nd.threshold = f, thr
+                nd.left, nd.right = nodes[left], nodes[right]
+        return nodes[:len(self.rngs)]
 
 
 def _predict_tree(node, x):
@@ -162,12 +336,8 @@ def rf_fit(x, y, n_trees=100, seed=0) -> RandomForest:
     if len(np.unique(y)) < 2:
         warnings.warn("single-class training target; forest is a constant predictor")
     n_features = max(1, int(np.sqrt(x.shape[1])))
-    seeds = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        rows = rng.integers(0, len(y), size=len(y))
-        trees.append(_grow(x[rows], y[rows], 0, n_features, num_classes, rng))
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
+    trees = _Lockstep(np.asarray(x), y, rngs, num_classes, n_features).grow()
     return RandomForest(trees, num_classes)
 
 

@@ -97,34 +97,68 @@ def homophily_loss(samples, labels) -> Tensor:
     return total if total is not None else Tensor(np.zeros((1, 1)))
 
 
+def _draw_triplets(dist, labels, rng):
+    """Anchors, positives and negatives of up to n triplets, as a per-anchor loop draws them.
+
+    That loop draws an anchor with ``rng.integers(n)`` and, when the anchor's
+    class has s > 0 other members, a positive with ``rng.choice`` over them
+    and a negative with ``rng.choice(other, p=w / w.sum())``, where
+    ``w = 1 / clip(sqrt(d), 0.1, 10)``.  Here the generator sees the same calls
+    in the same order (those ``choice`` calls draw ``integers(0, s)`` and
+    ``random()``), so its stream carries on across batches as before; the
+    picks then follow in array passes.  The positive skips the anchor's own
+    slot in its class's member list, and the negative counts the entries of
+    ``choice``'s normalized cumulative weights at or below the uniform, in one
+    2-D pass per anchor class.
+    """
+    n = len(labels)
+    label = np.unique(labels, return_inverse=True)[1]
+    members = np.argsort(label, kind="stable")  # each class's rows, in order
+    size = np.bincount(label)
+    start = np.cumsum(size) - size
+    slot = np.empty(n, dtype=np.int64)
+    slot[members] = np.arange(n) - start[label[members]]
+    peers = (size[label] - 1).tolist()  # other members of each row's class
+    integers, random = rng.integers, rng.random
+    anchors, offsets, uniforms = [], [], []
+    for _ in range(n):
+        a = int(integers(n))
+        if peers[a]:
+            anchors.append(a)
+            offsets.append(int(integers(0, peers[a])))
+            uniforms.append(random())
+    anchors, offsets = np.array(anchors, dtype=np.int64), np.array(offsets, dtype=np.int64)
+    uniforms = np.array(uniforms)
+    cls = label[anchors]
+    positives = members[start[cls] + offsets + (offsets >= slot[anchors])]
+    negatives = np.empty(len(anchors), dtype=np.int64)
+    for c in np.unique(cls):
+        mine = np.flatnonzero(cls == c)
+        other = np.flatnonzero(label != c)
+        w = 1.0 / np.clip(np.sqrt(dist[np.ix_(anchors[mine], other)]), 0.1, 10.0)
+        cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+        cdf /= cdf[:, -1:]
+        negatives[mine] = other[(cdf <= uniforms[mine, None]).sum(axis=1)]
+    return anchors, positives, negatives
+
+
 def triplet_regularizer(h_graph: Tensor, labels, margin, rng) -> Tensor:
     """Hinge loss over as many sampled (anchor, positive, negative) triplets as rows.
 
     Negatives are drawn with probability proportional to clamped inverse
-    distance to the anchor (distance-weighted sampling).
+    distance to the anchor (distance-weighted sampling).  A non-finite
+    distance makes the loss NaN, for ``total_loss`` to report.
     """
     labels = np.asarray(labels)
-    n = len(labels)
-    classes = np.unique(labels)
-    if len(classes) < 2:
+    if len(np.unique(labels)) < 2:
         return Tensor(np.zeros((1, 1)))
     dist = T.pairwise_sq_dist(h_graph)
-    anchors, positives, negatives = [], [], []
-    for _ in range(n):
-        a = int(rng.integers(n))
-        same = np.flatnonzero((labels == labels[a]) & (np.arange(n) != a))
-        other = np.flatnonzero(labels != labels[a])
-        if same.size == 0 or other.size == 0:
-            continue
-        pos = int(rng.choice(same))
-        w = 1.0 / np.clip(np.sqrt(dist.data[a, other]), 0.1, 10.0)
-        neg = int(rng.choice(other, p=w / w.sum()))
-        anchors.append(a)
-        positives.append(pos)
-        negatives.append(neg)
-    if not anchors:
-        return Tensor(np.zeros((1, 1)))
+    if not np.isfinite(dist.data).all():
+        return Tensor(np.full((1, 1), np.nan))
+    anchors, positives, negatives = _draw_triplets(dist.data, labels, rng)
     t = len(anchors)
+    if not t:
+        return Tensor(np.zeros((1, 1)))
     sign = np.zeros((t, dist.shape[1]))  # +1 at each triplet's positive, -1 at its negative
     sign[np.arange(t), positives] = 1.0
     sign[np.arange(t), negatives] = -1.0

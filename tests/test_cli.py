@@ -282,6 +282,54 @@ def test_a_one_row_table_corrupts_but_fails_to_split(tmp_path, monkeypatch, caps
         "error: a train/validation split needs at least 2 rows, got 1\n"
 
 
+def test_benchmark_rejects_a_one_row_table_once_before_any_job(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["make-synthetic", "--rows", "1", "--output", "data/one.csv"]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"dataset": "data/one.csv", "schema": "data/one.schema.json",
+                               "train": FAST_TRAIN, "grid": {"methods": ["mean", "knn"]}}))
+    capsys.readouterr()
+    assert cli.main(["benchmark", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == \
+        "error: data/one.csv: a train/validation split needs at least 2 rows, got 1\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_benchmark_rejects_a_missing_table_before_any_job(mixed_config, monkeypatch, capsys):
+    root, cfg = mixed_config
+    config = json.loads((root / cfg).read_text())
+    config["datasets"] = [{"name": "mixed", "csv": "mixed.csv", "schema": "mixed.schema.json"},
+                          {"name": "gone", "csv": "gone.csv", "schema": "mixed.schema.json"}]
+    (root / cfg).write_text(json.dumps(config))
+    calls = []
+    monkeypatch.setattr(cli, "run_single", lambda *args: calls.append(args))
+    assert cli.main(["benchmark", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "gone.csv" in err
+    assert calls == []
+    assert not (root / "runs").exists()
+
+
+def test_train_with_a_triplet_term_fails_through_the_non_finite_path(tmp_path, monkeypatch,
+                                                                     capsys):
+    """A learning rate of 1e300 makes the first step's projections NaN; the
+    triplet term then reports a non-finite loss like any other term."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EGGIMPUTE_OUT", raising=False)
+    assert cli.main(["make-synthetic", "--rows", "200", "--output", "data/synth.csv"]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "dataset": "data/synth.csv", "schema": "data/synth.schema.json",
+        "train": {"batch_size": 64, "learning_rate": 1e300, "weights": {"triplet": 0.1},
+                  "model": {"hidden": 16, "prototypes": 2}}}))
+    assert cli.main(["corrupt", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training failed before its first epoch completed: "
+                          "non-finite loss term")
+
+
 def test_stage_seeds_are_distinct():
     seeds = {cli._stage_seed_int(0, stage)
              for stage in ("corrupt", "split", "train", "ensemble", "forest")}

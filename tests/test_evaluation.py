@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,9 +46,6 @@ def test_metrics_skip_unknown_truth():
 
 # -- random forest ------------------------------------------------------
 
-# scalar CART scan, one gini call per candidate threshold: the oracle for
-# the array split search in ``evaluation._best_split``
-
 def _per_column_metrics(truth, imputed, eval_mask, numeric_idx, categorical_idx):
     """rmse, mae and cat_accuracy gathered one column at a time (oracle)."""
     cells = []
@@ -85,6 +84,10 @@ def test_metrics_match_the_per_column_oracle(rows, kinds, seed):
     assert got == _per_column_metrics(truth, imputed, eval_mask, numeric_idx, categorical_idx)
 
 
+# Oracles for the forest: a scalar CART scan with one gini call per candidate
+# threshold, the per-node array split search, and the depth-first grower that
+# ``evaluation.rf_fit``'s lockstep grower must match node for node.
+
 def _gini(counts):
     total = counts.sum()
     if total == 0:
@@ -113,6 +116,97 @@ def _scalar_best_split(x, y, feature_ids, num_classes):
     return best[0], best[1]
 
 
+def _best_split(x, y, feature_ids, num_classes):
+    """Gini split search of one node, all its drawn features in one pass."""
+    n = len(y)
+    parent = np.bincount(y, minlength=num_classes)
+    best_f, best_thr, best = None, None, 1.0 - ((parent / n) ** 2).sum()
+    cols = x[:, feature_ids]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0).T  # F x n, each feature sorted
+    left = np.cumsum(np.eye(num_classes)[y[order.T[:, :-1]]], axis=1)  # F x (n-1) x C
+    right = parent - left
+    n_left = np.arange(1, n)
+    n_right = n - n_left
+    score = n_left / n * (1.0 - ((left / n_left[:, None]) ** 2).sum(axis=2)) + \
+        n_right / n * (1.0 - ((right / n_right[:, None]) ** 2).sum(axis=2))
+    score[xs[:, 1:] <= xs[:, :-1]] = np.inf
+    score = score.ravel()  # feature-major: the scan order
+    prior_min = np.minimum.accumulate(np.concatenate(([best], score)))[:-1]
+    for i in np.flatnonzero(score < prior_min):  # only new minima can be accepted
+        if score[i] < best - 1e-12:
+            f, pos = divmod(i, n - 1)
+            best_f, best_thr, best = feature_ids[f], 0.5 * (xs[f, pos] + xs[f, pos + 1]), score[i]
+    return best_f, best_thr
+
+
+def _grow(x, y, depth, n_features, num_classes, rng, best_split):
+    counts = np.bincount(y, minlength=num_classes)
+    node = evaluation._TreeNode(prediction=int(counts.argmax()))
+    if depth >= evaluation.MAX_DEPTH or np.count_nonzero(counts) < 2:
+        return node
+    feature_ids = rng.choice(x.shape[1], size=n_features, replace=False)
+    feature, threshold = best_split(x, y, feature_ids, num_classes)
+    if feature is None:
+        return node
+    go_left = x[:, feature] <= threshold
+    if not go_left.any() or go_left.all():
+        return node
+    node.feature, node.threshold = feature, threshold
+    node.left = _grow(x[go_left], y[go_left], depth + 1, n_features, num_classes, rng, best_split)
+    node.right = _grow(x[~go_left], y[~go_left], depth + 1, n_features, num_classes, rng,
+                       best_split)
+    return node
+
+
+def _depth_first_forest(x, y, n_trees, seed, best_split=_best_split):
+    """The forest grown one tree at a time, each node recursing left first."""
+    y = np.asarray(y, dtype=np.int64)
+    num_classes = int(y.max()) + 1 if len(y) else 1
+    n_features = max(1, int(np.sqrt(x.shape[1])))
+    trees = []
+    for s in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(s)
+        rows = rng.integers(0, len(y), size=len(y))
+        trees.append(_grow(x[rows], y[rows], 0, n_features, num_classes, rng, best_split))
+    return trees
+
+
+def _nodes(tree):
+    """(depth, feature, threshold, prediction) of every node, in preorder."""
+    out, stack = [], [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        out.append((depth, node.feature, node.threshold, node.prediction))
+        if node.feature is not None:
+            stack += [(node.right, depth + 1), (node.left, depth + 1)]
+    return out
+
+
+def _same_nodes(a, b):
+    """Node for node equal; a NaN threshold matches a NaN threshold."""
+    return len(a) == len(b) and all(
+        u[:2] == v[:2] and u[3] == v[3] and
+        (u[2] == v[2] or (u[2] is not None and np.isnan(u[2]) and np.isnan(v[2])))
+        for u, v in zip(a, b))
+
+
+def _scans(x, y, feature_ids):
+    """A node's values and labels sorted by each drawn feature, concatenated."""
+    order = np.argsort(x[:, feature_ids], axis=0, kind="stable")
+    return np.take_along_axis(x[:, feature_ids], order, axis=0).T.ravel(), y[order.T].ravel()
+
+
+def _batched_best_split(x, y, feature_ids, num_classes):
+    """``evaluation._best_splits`` called on one node: (feature, threshold)."""
+    xs, ys = _scans(x, y, feature_ids)
+    counts = np.bincount(y, minlength=num_classes)[None]
+    at = evaluation._best_splits(xs, ys, len(feature_ids), counts)[0]
+    if at < 0:
+        return None, None
+    return feature_ids[at // len(y)], 0.5 * (xs[at] + xs[at + 1])
+
+
 def test_gini_oracle():
     assert _gini(np.array([5, 0])) == 0.0
     assert _gini(np.array([5, 5])) == pytest.approx(0.5)
@@ -122,7 +216,7 @@ def test_gini_oracle():
 def test_best_split_on_separable_data():
     x = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([0, 0, 1, 1])
-    f, thr = evaluation._best_split(x, y, [0], 2)
+    f, thr = _batched_best_split(x, y, [0], 2)
     assert f == 0
     assert 1.0 < thr < 10.0
 
@@ -130,7 +224,7 @@ def test_best_split_on_separable_data():
 def test_best_split_none_when_uninformative():
     x = np.ones((4, 1))
     y = np.array([0, 1, 0, 1])
-    f, _ = evaluation._best_split(x, y, [0], 2)
+    f, _ = _batched_best_split(x, y, [0], 2)
     assert f is None
 
 
@@ -155,7 +249,9 @@ def split_fixtures(draw):
 @settings(max_examples=300)
 @given(split_fixtures())
 def test_best_split_matches_scalar_scan(fixture):
-    assert evaluation._best_split(*fixture) == _scalar_best_split(*fixture)
+    want = _scalar_best_split(*fixture)
+    assert _batched_best_split(*fixture) == want
+    assert _best_split(*fixture) == want
 
 
 def test_best_split_keeps_the_first_of_near_ties():
@@ -166,18 +262,76 @@ def test_best_split_keeps_the_first_of_near_ties():
     x = np.array([[5.0, 9.0], [1.0, 0.0], [6.0, 8.0], [7.0, 3.0], [0.0, 2.0],
                   [9.0, 6.0], [8.0, 1.0], [3.0, 4.0], [2.0, 5.0], [4.0, 7.0]])
     y = np.array([1, 0, 0, 0, 1, 1, 1, 0, 1, 1])
-    assert evaluation._best_split(x, y, [0, 1], 2) == (0, 7.5)
+    assert _batched_best_split(x, y, [0, 1], 2) == (0, 7.5)
     assert _scalar_best_split(x, y, [0, 1], 2) == (0, 7.5)
 
 
-def test_forest_matches_scalar_split_forest(monkeypatch):
+def test_best_splits_scores_several_nodes_as_each_alone():
+    """One call over nodes of different sizes picks what one call per node picks."""
+    gen = np.random.default_rng(4)
+    nodes = []
+    for n in (1, 2, 7, 30, 5):
+        x = np.round(gen.normal(size=(n, 3)), 1)
+        nodes.append((x, gen.integers(0, 3, n), gen.permutation(3)[:2], 3))
+    xs, ys = (np.concatenate(part) for part in zip(*(_scans(*node[:3]) for node in nodes)))
+    counts = np.stack([np.bincount(y, minlength=3) for _, y, _, _ in nodes])
+    at = evaluation._best_splits(xs, ys, 2, counts)
+    starts = np.cumsum([0] + [2 * len(y) for _, y, _, _ in nodes[:-1]])
+    for (x, y, feature_ids, c), a, start in zip(nodes, at, starts):
+        want = _scalar_best_split(x, y, feature_ids, c)
+        got = (None, None) if a < 0 else \
+            (feature_ids[(a - start) // len(y)], 0.5 * (xs[a] + xs[a + 1]))
+        assert got == want
+
+
+def test_forest_matches_scalar_split_forest():
+    """The lockstep forest equals the depth-first forest built on the scalar scan."""
     gen = np.random.default_rng(3)
     x = np.round(gen.normal(size=(60, 5)), 1)
     y = gen.integers(0, 3, 60)
-    fast = evaluation.rf_predict(evaluation.rf_fit(x, y, n_trees=5, seed=2), x)
-    monkeypatch.setattr(evaluation, "_best_split", _scalar_best_split)
-    slow = evaluation.rf_predict(evaluation.rf_fit(x, y, n_trees=5, seed=2), x)
-    assert np.array_equal(fast, slow)
+    forest = evaluation.rf_fit(x, y, n_trees=5, seed=2)
+    oracle = _depth_first_forest(x, y, 5, 2, best_split=_scalar_best_split)
+    assert [_nodes(t) for t in forest.trees] == [_nodes(t) for t in oracle]
+
+
+@st.composite
+def forest_fixtures(draw):
+    """Rounded values (ties), optional +-inf and NaN cells, 1-9 classes (one
+    class included), 1-150 rows, 1 tree or several."""
+    n = draw(st.integers(1, 150))
+    d = draw(st.integers(1, 9))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = np.round(gen.normal(size=(n, d)) * 3, draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        x[gen.random(x.shape) < 0.1] = np.inf
+        x[gen.random(x.shape) < 0.1] = -np.inf
+        x[gen.random(x.shape) < 0.05] = np.nan
+    y = gen.integers(0, draw(st.integers(1, 9)), size=n)
+    return x, y, draw(st.sampled_from([1, 2, 7])), draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(forest_fixtures())
+def test_forest_matches_the_depth_first_forest_node_for_node(fixture):
+    x, y, n_trees, seed = fixture
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # single-class targets and inf - inf thresholds warn
+        forest = evaluation.rf_fit(x, y, n_trees=n_trees, seed=seed)
+        oracle = _depth_first_forest(x, y, n_trees, seed)
+    assert len(forest.trees) == n_trees
+    for tree, want in zip(forest.trees, oracle):
+        assert _same_nodes(_nodes(tree), _nodes(want))
+
+
+def test_forest_reaches_the_depth_cap_as_the_depth_first_forest_does():
+    gen = np.random.default_rng(7)
+    x = gen.normal(size=(400, 4))
+    y = gen.integers(0, 2, 400)  # noise: every tree splits down to the cap
+    forest = evaluation.rf_fit(x, y, n_trees=3, seed=1)
+    oracle = _depth_first_forest(x, y, 3, 1)
+    nodes = [_nodes(t) for t in forest.trees]
+    assert nodes == [_nodes(t) for t in oracle]
+    assert max(depth for tree in nodes for depth, *_ in tree) == evaluation.MAX_DEPTH
 
 
 def test_forest_learns_separable_problem():

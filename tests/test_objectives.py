@@ -174,14 +174,10 @@ def test_triplet_gradient(rng):
     assert rel_error(h.grad, fd, floor=1e-4) < 1e-2
 
 
-def _selector_triplet_regularizer(h_graph, labels, margin, rng):
-    """The hinge built per triplet from two m x m selector matrices: the
-    oracle for the batched hinge in ``objectives.triplet_regularizer``."""
-    labels = np.asarray(labels)
+def _looped_triplets(dist, labels, rng):
+    """One anchor at a time: two ``flatnonzero`` scans and two ``rng.choice``
+    draws each (oracle for ``objectives._draw_triplets``)."""
     n = len(labels)
-    if len(np.unique(labels)) < 2:
-        return Tensor(np.zeros((1, 1)))
-    dist = T.pairwise_sq_dist(h_graph)
     triplets = []
     for _ in range(n):
         a = int(rng.integers(n))
@@ -190,8 +186,37 @@ def _selector_triplet_regularizer(h_graph, labels, margin, rng):
         if same.size == 0 or other.size == 0:
             continue
         pos = int(rng.choice(same))
-        w = 1.0 / np.clip(np.sqrt(dist.data[a, other]), 0.1, 10.0)
+        w = 1.0 / np.clip(np.sqrt(dist[a, other]), 0.1, 10.0)
         triplets.append((a, pos, int(rng.choice(other, p=w / w.sum()))))
+    return triplets
+
+
+def _looped_triplet_regularizer(h_graph, labels, margin, rng):
+    """The batched hinge over the per-anchor loop's triplets."""
+    labels = np.asarray(labels)
+    if len(np.unique(labels)) < 2:
+        return Tensor(np.zeros((1, 1)))
+    dist = T.pairwise_sq_dist(h_graph)
+    triplets = _looped_triplets(dist.data, labels, rng)
+    if not triplets:
+        return Tensor(np.zeros((1, 1)))
+    anchors, positives, negatives = (list(c) for c in zip(*triplets))
+    t = len(anchors)
+    sign = np.zeros((t, dist.shape[1]))
+    sign[np.arange(t), positives] = 1.0
+    sign[np.arange(t), negatives] = -1.0
+    gap = T.reduce_sum(T.mul(T.gather_rows(dist, anchors), Tensor(sign)), axis=1)
+    return T.scale(T.reduce_sum(T.relu(T.add_scalar(gap, margin))), 1.0 / t)
+
+
+def _selector_triplet_regularizer(h_graph, labels, margin, rng):
+    """The hinge built per triplet from two m x m selector matrices: the
+    oracle for the batched hinge in ``objectives.triplet_regularizer``."""
+    labels = np.asarray(labels)
+    if len(np.unique(labels)) < 2:
+        return Tensor(np.zeros((1, 1)))
+    dist = T.pairwise_sq_dist(h_graph)
+    triplets = _looped_triplets(dist.data, labels, rng)
     if not triplets:
         return Tensor(np.zeros((1, 1)))
     m = h_graph.shape[0]
@@ -206,6 +231,43 @@ def _selector_triplet_regularizer(h_graph, labels, margin, rng):
         term = T.relu(T.add_scalar(d_pos - d_neg, margin))
         total = term if total is None else total + term
     return T.scale(total, 1.0 / len(triplets))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 260), width=st.integers(1, 4), n_classes=st.integers(1, 5),
+       singles=st.integers(0, 3), margin=st.floats(0.0, 3.0), spread=st.floats(0.01, 5.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_triplet_matches_the_per_anchor_loop_bit_for_bit(n, width, n_classes, singles, margin,
+                                                         spread, seed):
+    """Same loss, gradient and generator state after the call (the stream
+    carries on across batches); ``singles`` rows get a class of their own."""
+    gen = np.random.default_rng(seed)
+    h_data = gen.normal(size=(n, width)) * spread
+    labels = gen.integers(0, n_classes, size=n)
+    labels[:min(singles, n - 1)] = n_classes + np.arange(min(singles, n - 1))
+    fast_h, slow_h = Tensor(h_data, requires_grad=True), Tensor(h_data, requires_grad=True)
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = objectives.triplet_regularizer(fast_h, labels, margin, fast_rng)
+    slow = _looped_triplet_regularizer(slow_h, labels, margin, slow_rng)
+    assert fast.data.tobytes() == slow.data.tobytes()
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    fast.backward()
+    slow.backward()
+    if slow_h.grad is None:  # no triplet drawn: the loss is a constant
+        assert fast_h.grad is None
+    else:
+        assert fast_h.grad.tobytes() == slow_h.grad.tobytes()
+
+
+def test_triplet_on_a_non_finite_projection_is_a_non_finite_term(rng):
+    h = rng.normal(size=(6, 2))
+    h[2, 0] = np.nan
+    term = objectives.triplet_regularizer(Tensor(h), [0, 1] * 3, 0.05, np.random.default_rng(0))
+    assert np.isnan(term.item())
+    parts = {name: Tensor(np.zeros((1, 1))) for name in objectives.TERMS}
+    parts["triplet"] = term
+    with pytest.raises(FloatingPointError, match="triplet"):
+        objectives.total_loss(parts, objectives.LossWeights(triplet=0.1))
 
 
 @settings(max_examples=60)
