@@ -12,7 +12,6 @@ Artifacts land in ``<out>/<dataset>/<mechanism>/<rate>/<method>/<seed>/``.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import itertools
@@ -417,7 +416,8 @@ def cmd_benchmark(args):
     out_root.mkdir(parents=True, exist_ok=True)
     job = functools.partial(_run_job, cfg)
     if args.workers > 1:
-        import multiprocessing  # only worker pools need it; keeps CLI start-up short
+        import concurrent.futures  # only worker pools need these; keeps CLI start-up short
+        import multiprocessing
         spawn = multiprocessing.get_context("spawn")  # fork may copy held BLAS locks
         with concurrent.futures.ProcessPoolExecutor(args.workers, spawn) as pool:
             outcomes = list(pool.map(job, jobs))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eggimpute import baselines, dataio
+from eggimpute import baselines, dataio, missingness
 
 
 def numeric_ds(values):
@@ -173,11 +173,15 @@ def test_knn_categorical_majority_and_tie_break():
 
 
 def test_knn_falls_back_to_mean_without_donors():
-    ds = numeric_ds([[1.0, np.nan], [2.0, np.nan], [3.0, 6.0]])
-    mask = np.array([[1, 0], [1, 0], [1, 1]], dtype=np.int8)
+    schema = [dataio.ColumnSchema("x", dataio.NUMERICAL), dataio.ColumnSchema("y", dataio.NUMERICAL),
+              dataio.ColumnSchema("c", dataio.CATEGORICAL, cardinality=3)]
+    values = np.array([[1.0, np.nan, np.nan], [2.0, np.nan, np.nan], [3.0, 6.0, 2.0]])
+    ds = dataio.TabularDataset(schema, values, np.zeros(3, dtype=np.int64), 1)
+    mask = np.array([[1, 0, 0], [1, 0, 0], [1, 1, 1]], dtype=np.int8)
     out = baselines.knn_impute(ds, mask, k_nn=1, stats=dataio.compute_stats(ds, mask))
-    # nearest donor of row 0 is row 1, which also misses column 1
-    assert np.isfinite(out[0, 1])
+    # the nearest donor of rows 0 and 1 is the other one, which misses both columns too
+    assert out[0, 1] == out[1, 1] == 6.0  # the training mean
+    assert out[0, 2] == out[1, 2] == 2.0  # the modal class
 
 
 def test_knn_rejects_bad_k():
@@ -196,3 +200,119 @@ def test_knn_deterministic():
     a = baselines.knn_impute(ds, mask, k_nn=3, stats=stats)
     b = baselines.knn_impute(ds, mask, k_nn=3, stats=stats)
     assert np.array_equal(a, b)
+
+
+def _row_loop_knn(ds, mask, k_nn, stats):
+    """KNN one target row at a time, scoring every row by the per-element
+    formula (oracle: the implementation before candidate blocks)."""
+    values = np.nan_to_num(ds.values)
+    obs = (mask == 1) & np.isfinite(ds.values)
+    n, d = values.shape
+    observed = values * obs
+    imputed = ds.values.copy()
+    for i in range(n):
+        missing_cols = np.flatnonzero(~obs[i])
+        if missing_cols.size == 0:
+            continue
+        overlap = obs & obs[i]
+        sq = (np.where(overlap, observed - observed[i], 0.0) ** 2).sum(axis=1)
+        counts = overlap.sum(axis=1)
+        dist = np.where(counts > 0, sq * d / np.maximum(counts, 1), np.inf)
+        dist[i] = np.inf
+        order = np.argsort(dist, kind="stable")  # distance, then row index
+        donors = order[np.isfinite(dist[order])][:k_nn]
+        for j in missing_cols:
+            col = ds.schema[j]
+            giving = donors[obs[donors, j]]
+            if giving.size == 0:
+                imputed[i, j] = baselines._fill_value(col, j, stats)
+            elif col.kind == "numerical":
+                imputed[i, j] = values[giving, j].mean()
+            else:
+                votes = np.bincount(values[giving, j].astype(np.int64),
+                                    minlength=col.cardinality)
+                imputed[i, j] = int(votes.argmax())
+    return imputed
+
+
+def _knn_table(kind, n, cols, gen):
+    """An n x cols table of one kind that is hard to score in product form."""
+    if kind == "rounded":  # duplicate rows and many tied distances
+        return gen.integers(0, 3, size=(n, cols)).astype(float)
+    if kind == "ulp":  # rows one ulp from another row
+        values = gen.normal(size=(n, cols))
+        near = gen.random(n) < 0.5
+        values[near] = np.nextafter(values[gen.integers(0, n, near.sum())], np.inf)
+        return values
+    if kind == "offset":  # a large common offset: the product form cancels
+        return 1e8 + 1e-3 * gen.normal(size=(n, cols))
+    if kind == "huge":  # squares near and past overflow
+        return gen.normal(size=(n, cols)) * 10.0 ** gen.uniform(100, 160, size=(n, 1))
+    return gen.normal(size=(n, cols)) * 10.0 ** gen.uniform(-3, 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), n=st.one_of(st.integers(2, 30), st.integers(150, 320)),
+       cols=st.integers(1, 6), categorical=st.integers(0, 2),
+       kind=st.sampled_from(["rounded", "ulp", "offset", "huge", "scaled"]),
+       rate=st.sampled_from([0.0, 0.2, 0.6]), blank_row=st.booleans(),
+       blank_col=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_knn_matches_the_row_loop_bit_for_bit(data, n, cols, categorical, kind, rate,
+                                              blank_row, blank_col, seed):
+    """Candidate blocks give the row loop's output on ties, near-duplicate
+    rows, cancelling and overflowing magnitudes, categorical columns, empty
+    rows and columns, every ``k_nn`` up to past n - 1, and tables of more
+    than one block (320 rows of 4 columns already are)."""
+    gen = np.random.default_rng(seed)
+    k_nn = data.draw(st.one_of(st.integers(1, 8), st.integers(1, n + 1)), label="k_nn")
+    values = _knn_table(kind, n, cols, gen)
+    schema = [dataio.ColumnSchema(f"c{j}", dataio.NUMERICAL) for j in range(cols)]
+    for j in range(max(0, cols - categorical), cols):
+        values[:, j] = gen.integers(0, 3, size=n)
+        schema[j] = dataio.ColumnSchema(f"c{j}", dataio.CATEGORICAL, cardinality=3)
+    mask = (gen.random((n, cols)) >= rate).astype(np.int8)
+    if blank_row:
+        mask[gen.integers(n)] = 0
+    if blank_col:
+        mask[:, gen.integers(cols)] = 0
+    ds = dataio.TabularDataset(schema, values, np.zeros(n, dtype=np.int64), 1)
+    ds.values[mask == 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # empty columns, overflowing squares, NaN left
+        stats = dataio.compute_stats(ds, mask)
+        got = baselines.knn_impute(ds, mask, k_nn, stats)
+        want = _row_loop_knn(ds, mask, k_nn, stats)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got.tobytes() == want.tobytes()  # the sign of zero too
+
+
+def test_knn_candidates_are_few_on_an_ordinary_table():
+    """The exact re-check scores about k rows per target, not every row, so
+    the bit-for-bit test above does not pass through the keep-all path."""
+    ds = dataio.make_two_cluster(n=800, d=8, seed=0)
+    mask = missingness.corrupt(ds, "mcar", 0.2, seed=0)
+    z = dataio.normalize(ds, dataio.compute_stats(ds, mask)).values
+    obs = (mask == 1) & np.isfinite(z)
+    targets = np.flatnonzero(~obs.all(axis=1))
+    for k_nn in (1, 5, 10):
+        blocks = list(baselines._candidates(np.nan_to_num(z) * obs, obs, targets, k_nn))
+        assert len(blocks) > 1
+        assert np.array_equal(np.concatenate([rows for rows, _ in blocks]), targets)
+        kept = np.concatenate([keep.sum(axis=1) for _, keep in blocks])
+        assert kept.min() >= k_nn and kept.max() <= 2 * k_nn
+
+
+def test_knn_row_whose_distance_overflows_is_no_donor():
+    """Row 1's squared distance to row 0 is finite but times d it overflows,
+    so row 1 is no donor and row 2, farther per shared column, is; the
+    candidate bounds must overflow where the distance does."""
+    big = np.sqrt(5.5e307)
+    ds = numeric_ds([[0.0, 0.0, np.nan], [1e154, 0.0, 1.0], [big, np.nan, 2.0]])
+    mask = np.isfinite(ds.values).astype(np.int8)
+    stats = dataio.compute_stats(ds, mask)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the overflowing distance
+        out = baselines.knn_impute(ds, mask, k_nn=1, stats=stats)
+        want = _row_loop_knn(ds, mask, 1, stats)
+    assert out[0, 2] == 2.0  # row 2's value, not the mean 1.5
+    assert np.array_equal(out, want, equal_nan=True)

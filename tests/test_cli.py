@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -814,3 +817,13 @@ def test_impute_rejects_the_checkpoint_of_another_table(mixed_config, capsys, ki
     err = capsys.readouterr().err
     assert f"error: {message}; rerun `eggimpute train` on this table" in err
     assert not (root / "runs/mixed/mcar/0.2/egg/0/imputed.csv").exists()
+
+
+def test_cli_import_leaves_out_worker_pool_modules():
+    """Only ``benchmark --workers N`` needs a process pool, so importing the
+    CLI does not pay for ``concurrent.futures``."""
+    code = "import sys, eggimpute.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -13,7 +13,10 @@ writes; ``kegg-steps`` runs ``corrupt``, ``train`` and ``impute`` with
 ``blocks: 2`` on the ``kegg-grid`` table, whose two categorical columns
 give the checkpoint every array family (embeddings, categorical heads, a
 second projector and GCN block) and the imputation a two-block ensemble
-with categorical picks; each runs through ``eggimpute.cli.main``.
+with categorical picks; ``knn-steps`` runs ``corrupt`` under MAR and
+``impute`` with method ``knn`` on the 2000-row ``egg-impute`` table, so
+the KNN donors of a large numeric table are checked byte for byte; each
+runs through ``eggimpute.cli.main``.
 Standard output is one JSON object: the sha256 of each artifact's
 content with the timing fields left out, of each checkpoint array, and
 the parsed checkpoint ``__meta__``.  Two outputs
@@ -137,11 +140,20 @@ def kegg_steps(directory):
             "imputed_z.npy": _sha((rd / "imputed_z.npy").read_bytes())}
 
 
+def knn_steps(directory):
+    workloads.setup("egg-impute", 0, directory)
+    flags = ["--mechanism", "mar", "--method", "knn"]
+    _run(directory, _step("corrupt") + flags, _step("impute") + flags)
+    rd = directory / "out" / "table" / "mar" / "0.2" / "knn" / str(workloads.PIPELINE_SEED)
+    return {name: _sha((rd / name).read_bytes())
+            for name in ("mask.csv", "imputed_z.npy", "imputed.csv")}
+
+
 def main():
     fingerprint = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute),
-                          ("kegg-steps", kegg_steps)):
+                          ("kegg-steps", kegg_steps), ("knn-steps", knn_steps)):
             for key, value in run(Path(tmp) / name).items():
                 fingerprint[f"{name}/{key}"] = value
     print(json.dumps(fingerprint, indent=1, sort_keys=True))
