@@ -16,7 +16,6 @@ import csv
 import functools
 import itertools
 import json
-import os
 import sys
 import time
 import typing
@@ -37,7 +36,7 @@ RESULTS_COLUMNS = [f.name for f in fields(evaluation.MetricReport)]
 # that) or a range; and that list's key (these in ``run_single``'s argument order)
 SETTINGS = {"dataset": (None, str, None), "schema": (None, str, None), "name": (None, str, None),
             "datasets": (None, None, None), "grid": (None, None, None), "train": (None, None, None),
-            "runs": (1, 1, None), "mechanism": ("mcar", list(missingness.MECHANISMS), "mechanisms"),
+            "mechanism": ("mcar", list(missingness.MECHANISMS), "mechanisms"),
             "rate": (0.2, "[0, 1)", "rates"), "method": ("egg", ALL_METHODS, "methods"),
             "seed": (0, 0, "seeds"), "ensemble": (5, 1, None), "knn_k": (5, 1, None),
             "out": ("runs", str, None), "train_fraction": (0.7, "(0, 1)", None)}
@@ -45,8 +44,8 @@ GRID = {plural: key for key, (_, _, plural) in SETTINGS.items() if plural}
 # the settings a stepwise command or benchmark takes as a flag, and the flag's help
 FLAGS = {"dataset": "dataset CSV path", "schema": "schema JSON path",
          "name": "dataset name for the run directory", "mechanism": None, "rate": None,
-         "method": None, "seed": None, "runs": None, "ensemble": "predictions per row at inference",
-         "out": "output root; beats env EGGIMPUTE_OUT, which beats the config"}
+         "method": None, "seed": None, "ensemble": "predictions per row at inference",
+         "out": "output root; beats the config's 'out'"}
 
 
 def _seed_for(master_seed, stage):
@@ -59,8 +58,8 @@ def _stage_seed_int(master_seed, stage):
 
 
 def load_config(path, overrides=None):
-    """Defaults, then the config file, then ``EGGIMPUTE_OUT``, then flags; a ValueError for a
-    setting, grid entry or ``train`` value that is unknown, missing, out of range or malformed."""
+    """Defaults, then the config file, then flags; a ValueError for a setting, grid entry or
+    ``train`` value that is unknown, missing, out of range or malformed."""
     cfg = {key: default for key, (default, _, _) in SETTINGS.items()}
     if path:
         with open(path) as fh:
@@ -68,8 +67,6 @@ def load_config(path, overrides=None):
     unknown = sorted(set(cfg) - set(SETTINGS))
     if unknown:
         raise ValueError(f"unknown setting(s): {', '.join(unknown)}")
-    if "EGGIMPUTE_OUT" in os.environ:
-        cfg["out"] = os.environ["EGGIMPUTE_OUT"]
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg[key] = value
@@ -152,10 +149,10 @@ def _corrupt(cfg, ds):
                                _seed_for(cfg["seed"], "corrupt"))
 
 
-def _prepare(cfg, mask_bits=None):
-    """Load the table, mask it (corrupting afresh unless ``mask_bits`` is
+def _prepare(cfg, table, mask_bits=None):
+    """Mask ``table``, a ``dataio.load_csv`` pair (corrupting afresh unless ``mask_bits`` is
     given), split, compute training-observed stats and z-score it."""
-    ds, load_mask = dataio.load_csv(cfg["dataset"], cfg["schema"])
+    ds, load_mask = table
     if mask_bits is None:
         mask_bits = _corrupt(cfg, ds)
     elif mask_bits.shape != load_mask.shape:
@@ -172,7 +169,7 @@ def _load_run(cfg):
     """The run directory and the table prepared with its saved mask."""
     rd = run_dir(cfg)
     mask_bits = missingness.load_mask(_require(rd / "mask.csv", "eggimpute corrupt"))
-    return rd, _prepare(cfg, mask_bits)
+    return rd, _prepare(cfg, dataio.load_csv(cfg["dataset"], cfg["schema"]), mask_bits)
 
 
 def _train_config(cfg):
@@ -365,12 +362,12 @@ def _read_results(path):
                                        for c, v in row.items()}) for row in rows]
 
 
-def run_single(cfg, dataset_spec, mechanism, rate, method, seed):
-    """One full corrupt -> train -> impute -> evaluate pass, in memory."""
+def run_single(cfg, table, dataset_spec, mechanism, rate, method, seed):
+    """One full corrupt -> train -> impute -> evaluate pass on a loaded table, in memory."""
     cfg = {**cfg, "dataset": dataset_spec["csv"], "schema": dataset_spec["schema"],
            "name": dataset_spec["name"], "mechanism": mechanism, "rate": rate,
            "method": method, "seed": seed}
-    prep = _prepare(cfg)
+    prep = _prepare(cfg, table)
     params = train_seconds = None
     if method in MODEL_METHODS:
         trained, train_seconds = _fit(cfg, prep)
@@ -397,8 +394,7 @@ def _benchmark_grid(cfg):
     grid = cfg.get("grid") or {}
     datasets = cfg.get("datasets") or [{"name": _dataset_name(cfg), "csv": cfg["dataset"],
                                         "schema": cfg["schema"]}]
-    seeds = [cfg["seed"] + i for i in range(cfg["runs"])]
-    axes = [grid.get(axis, seeds if key == "seed" else [cfg[key]]) for axis, key in GRID.items()]
+    axes = [grid.get(axis, [cfg[key]]) for axis, key in GRID.items()]
     return list(itertools.product(datasets, *axes))
 
 
@@ -407,22 +403,24 @@ def cmd_benchmark(args):
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config, _overrides(args))
     jobs = _benchmark_grid(cfg)
-    for spec in {(job[0]["csv"], job[0]["schema"]): job[0] for job in jobs}.values():
-        ds, _ = dataio.load_csv(spec["csv"], spec["schema"])  # a missing file fails here
+    tables = dict.fromkeys((spec["csv"], spec["schema"]) for spec, *_ in jobs)
+    for key in tables:  # each distinct table, loaded and checked once; its jobs share it
+        ds, _ = tables[key] = dataio.load_csv(*key)  # a missing file fails here
         if ds.n_rows < 2:
-            raise ValueError(f"{spec['csv']}: a train/validation split needs at least 2 rows, "
+            raise ValueError(f"{key[0]}: a train/validation split needs at least 2 rows, "
                              f"got {ds.n_rows}")
     out_root = Path(cfg["out"])
     out_root.mkdir(parents=True, exist_ok=True)
     job = functools.partial(_run_job, cfg)
+    work = [(tables[spec["csv"], spec["schema"]], spec, *rest) for spec, *rest in jobs]
     if args.workers > 1:
         import concurrent.futures  # only worker pools need these; keeps CLI start-up short
         import multiprocessing
         spawn = multiprocessing.get_context("spawn")  # fork may copy held BLAS locks
         with concurrent.futures.ProcessPoolExecutor(args.workers, spawn) as pool:
-            outcomes = list(pool.map(job, jobs))
+            outcomes = list(pool.map(job, work))
     else:
-        outcomes = list(map(job, jobs))
+        outcomes = list(map(job, work))
     results_path = out_root / "results.csv"
     results_path.unlink(missing_ok=True)
     for rep, _ in outcomes:

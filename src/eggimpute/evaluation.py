@@ -360,12 +360,12 @@ def downstream_accuracy(imputed_train, y_train, imputed_test, y_test, schema, n_
 # -- aggregation --------------------------------------------------------
 
 def _scored_cells(reports):
-    """Yield (mechanism, rate, metric, [(method, value)]) for every
-    dataset/mechanism/rate group and metric that scores two methods or more."""
+    """Yield (mechanism, rate, metric, [(method, value)]) for every dataset/mechanism/rate/seed
+    group (one corruption and split) and metric that scores two methods or more."""
     groups = {}
     for r in reports:
-        groups.setdefault((r.dataset, r.mechanism, r.rate), []).append(r)
-    for (_, mechanism, rate), group in groups.items():
+        groups.setdefault((r.dataset, r.mechanism, r.rate, r.seed), []).append(r)
+    for (_, mechanism, rate, _), group in groups.items():
         for metric in LOWER_IS_BETTER:
             scored = [(r.method, getattr(r, metric)) for r in group
                       if getattr(r, metric) is not None]
@@ -374,8 +374,8 @@ def _scored_cells(reports):
 
 
 def count_of_wins(reports):
-    """Per-method tally of best-metric finishes across groups; ties credit
-    every tied method."""
+    """Per-method tally of best-metric finishes across dataset/mechanism/
+    rate/seed groups; ties credit every tied method."""
     wins = {}
     for _, _, metric, scored in _scored_cells(reports):
         values = [v for _, v in scored]
@@ -399,8 +399,8 @@ def _average_ranks(values, lower_better):
 def unified_average_ranking(reports):
     """Mean and standard deviation of per-(metric, rate) average ranks.
 
-    Ranks are computed per dataset/mechanism/rate group and metric, then
-    averaged over datasets; the summary aggregates across metrics and
+    Ranks are computed per dataset/mechanism/rate/seed group and metric, then
+    averaged over datasets and seeds; the summary aggregates across metrics and
     noise levels.  Methods absent from a group are excluded from it.
     """
     per_cell = {}  # (metric, mechanism, rate) -> {method: [ranks]}

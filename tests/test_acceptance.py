@@ -360,7 +360,6 @@ def test_criterion_10_aggregation_matches_hand_computation():
 
 def test_criterion_11_same_seed_benchmarks_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("EGGIMPUTE_OUT", raising=False)
     assert cli.main(["make-synthetic", "--rows", "80", "--cols", "4",
                      "--output", "data/synth.csv"]) == 0
     config = {"dataset": "data/synth.csv", "schema": "data/synth.schema.json",

@@ -20,7 +20,6 @@ FAST_TRAIN = {"batch_size": 32, "max_epochs": 2, "patience": 5,
 @pytest.fixture
 def workspace(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("EGGIMPUTE_OUT", raising=False)
     assert cli.main(["make-synthetic", "--rows", "60", "--cols", "4",
                      "--output", "data/synth.csv"]) == 0
     config = {"dataset": "data/synth.csv", "schema": "data/synth.schema.json",
@@ -134,14 +133,15 @@ def test_pipeline_baseline_methods(workspace, method):
 
 def test_benchmark_and_report(workspace):
     root, cfg = workspace
-    assert cli.main(["benchmark", "--config", cfg, "--method", "mean",
-                     "--runs", "2"]) == 0
+    Path(cfg).write_text(json.dumps({**json.loads(Path(cfg).read_text()),
+                                     "grid": {"seeds": [0, 1]}}))
+    assert cli.main(["benchmark", "--config", cfg, "--method", "mean"]) == 0
     results = root / "runs/results.csv"
     lines = results.read_text().splitlines()
     assert len(lines) == 3  # header + 2 seeds
     # add a second method so aggregation has a contest
     assert cli.main(["benchmark", "--config", cfg, "--method", "knn",
-                     "--runs", "2", "--out", "runs_knn"]) == 0
+                     "--out", "runs_knn"]) == 0
     merged = root / "merged.csv"
     knn_lines = (root / "runs_knn/results.csv").read_text().splitlines()
     merged.write_text("\n".join(lines + knn_lines[1:]) + "\n")
@@ -153,13 +153,15 @@ def test_benchmark_and_report(workspace):
 
 def test_benchmark_grid_enumeration():
     cfg = {"dataset": "d.csv", "schema": "d.json", "mechanism": "mcar", "rate": 0.2,
-           "method": "egg", "seed": 3, "runs": 2,
+           "method": "egg", "seed": 3,
            "grid": {"mechanisms": ["mcar", "mnar"], "rates": [0.1, 0.2],
-                    "methods": ["mean", "knn"]}}
+                    "methods": ["mean", "knn"], "seeds": [3, 4]}}
     jobs = cli._benchmark_grid(cfg)
     assert len(jobs) == 1 * 2 * 2 * 2 * 2  # datasets x mech x rates x methods x seeds
     seeds = {j[4] for j in jobs}
     assert seeds == {3, 4}
+    del cfg["grid"]["seeds"]  # an axis the grid leaves out takes the top-level setting
+    assert {j[4] for j in cli._benchmark_grid(cfg)} == {3}
 
 
 def test_benchmark_deterministic_results_csv(workspace):
@@ -173,13 +175,6 @@ def test_benchmark_deterministic_results_csv(workspace):
         lines = (root / f"runs_{tag}/results.csv").read_text().splitlines()
         outputs.append(["," .join(line.split(",")[:-2]) for line in lines])
     assert outputs[0] == outputs[1]
-
-
-def test_config_env_override(workspace, monkeypatch):
-    _, cfg = workspace
-    monkeypatch.setenv("EGGIMPUTE_OUT", "elsewhere")
-    loaded = cli.load_config(cfg)
-    assert loaded["out"] == "elsewhere"
 
 
 def test_config_flag_overrides_file(workspace):
@@ -208,13 +203,11 @@ def test_config_rejects_counts_that_are_not_positive_integers(workspace, key, va
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("runs", 1.5, "runs must be an integer >= 1, got 1.5"),
-    ("runs", 0, "runs must be an integer >= 1, got 0"),
     ("seed", "3", "seed must be an integer >= 0, got '3'"),
     ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
     ("seed", -1, "seed must be an integer >= 0, got -1"),
     *[(key, flag, f"{key} must be an integer >= {low}, got {flag!r}")  # bool is an int
-      for key, low in (("ensemble", 1), ("knn_k", 1), ("runs", 1), ("seed", 0))
+      for key, low in (("ensemble", 1), ("knn_k", 1), ("seed", 0))
       for flag in (True, False)],
 ])
 def test_benchmark_rejects_bad_runs_and_seed_before_training(workspace, monkeypatch, capsys,
@@ -313,12 +306,31 @@ def test_benchmark_rejects_a_missing_table_before_any_job(mixed_config, monkeypa
     assert not (root / "runs").exists()
 
 
+def test_benchmark_parses_each_distinct_table_once(mixed_config, monkeypatch):
+    """Two dataset names on the same files and two methods make four jobs,
+    which all run on the one table loaded up front."""
+    root, cfg = mixed_config
+    config = json.loads((root / cfg).read_text())
+    config["datasets"] = [{"name": name, "csv": "mixed.csv", "schema": "mixed.schema.json"}
+                          for name in ("a", "b")]
+    config["grid"] = {"methods": ["mean", "knn"]}
+    (root / cfg).write_text(json.dumps(config))
+    loads = []
+    original = dataio.load_csv
+    monkeypatch.setattr(dataio, "load_csv", lambda *args: loads.append(args) or original(*args))
+    assert cli.main(["benchmark", "--config", cfg]) == 0
+    assert loads == [("mixed.csv", "mixed.schema.json")]
+    rows = cli._read_results(root / "runs/results.csv")
+    assert [(r.dataset, r.method) for r in rows] == [("a", "mean"), ("a", "knn"),
+                                                     ("b", "mean"), ("b", "knn")]
+    assert [r.rmse for r in rows[:2]] == [r.rmse for r in rows[2:]]
+
+
 def test_train_with_a_triplet_term_fails_through_the_non_finite_path(tmp_path, monkeypatch,
                                                                      capsys):
     """A learning rate of 1e300 makes the first step's projections NaN; the
     triplet term then reports a non-finite loss like any other term."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("EGGIMPUTE_OUT", raising=False)
     assert cli.main(["make-synthetic", "--rows", "200", "--output", "data/synth.csv"]) == 0
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
@@ -360,11 +372,26 @@ def test_missing_artifact_message(workspace, capsys):
     assert "corrupt" in err
 
 
-def test_explicit_out_beats_env(workspace, monkeypatch):
-    _, cfg = workspace
-    monkeypatch.setenv("EGGIMPUTE_OUT", "envout")
-    assert cli.load_config(cfg, {"out": "flagout"})["out"] == "flagout"
-    assert cli.load_config(cfg, {"out": None})["out"] == "envout"
+def test_the_environment_does_not_move_the_output_root(workspace, monkeypatch):
+    """The output root comes from the config's ``out`` or ``--out``, never from
+    the environment, so a run is described by its config and flags alone."""
+    root, cfg = workspace
+    monkeypatch.setenv("EGGIMPUTE_OUT", "elsewhere")
+    assert cli.main(["corrupt", "--config", cfg]) == 0
+    assert (root / "runs/synth/mcar/0.2/egg/0/mask.csv").exists()
+    assert cli.main(["corrupt", "--config", cfg, "--out", "flagout"]) == 0
+    assert (root / "flagout/synth/mcar/0.2/egg/0/mask.csv").exists()
+    assert not (root / "elsewhere").exists()
+
+
+def test_benchmark_has_no_runs_flag(workspace, capsys):
+    """Seeds are listed in ``grid.seeds``; ``--runs`` is an unknown flag."""
+    root, cfg = workspace
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["benchmark", "--config", cfg, "--runs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --runs 2" in capsys.readouterr().err
+    assert not (root / "runs").exists()
 
 
 def test_mask_of_another_table_fails_with_both_shapes(workspace, capsys):
@@ -399,7 +426,6 @@ def test_knn_fallback_uses_training_split_stats():
 def mixed_config(tmp_path, monkeypatch):
     """A 90-row table with a categorical column and a two-job-per-method grid."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("EGGIMPUTE_OUT", raising=False)
     ds = dataio.make_two_cluster(n=90, d=4, seed=1)
     ds.values[:, 3] = np.digitize(ds.values[:, 3], [-1.0, 1.0])
     ds.schema[3] = dataio.ColumnSchema("f3", dataio.CATEGORICAL, 3, ["lo", "mid", "hi"])
@@ -432,9 +458,10 @@ def test_stepwise_commands_and_benchmark_agree(mixed_config):
 
 def test_benchmark_workers_match_serial_run(mixed_config):
     root, cfg = mixed_config
-    assert cli.main(["benchmark", "--config", cfg, "--runs", "2", "--out", "serial"]) == 0
-    assert cli.main(["benchmark", "--config", cfg, "--runs", "2", "--out", "pool",
-                     "--workers", "2"]) == 0
+    config = json.loads((root / cfg).read_text())
+    (root / cfg).write_text(json.dumps({**config, "grid": {**config["grid"], "seeds": [0, 1]}}))
+    assert cli.main(["benchmark", "--config", cfg, "--out", "serial"]) == 0
+    assert cli.main(["benchmark", "--config", cfg, "--out", "pool", "--workers", "2"]) == 0
     serial = _results(root / "serial/results.csv")
     assert len(serial) == 1 + 4 * 2
     assert _results(root / "pool/results.csv") == serial
@@ -444,9 +471,10 @@ def test_benchmark_workers_record_failures_and_keep_going(mixed_config, capsys):
     """MAR keeps one of the 4 columns observed, so a rate of 0.95 is unreachable."""
     root, cfg = mixed_config
     config = json.loads((root / cfg).read_text())
-    config["grid"] = {"mechanisms": ["mar"], "rates": [0.2, 0.95], "methods": ["mean"]}
+    config["grid"] = {"mechanisms": ["mar"], "rates": [0.2, 0.95], "methods": ["mean"],
+                      "seeds": [0, 1]}
     (root / cfg).write_text(json.dumps(config))
-    assert cli.main(["benchmark", "--config", cfg, "--runs", "2", "--workers", "2"]) == 1
+    assert cli.main(["benchmark", "--config", cfg, "--workers", "2"]) == 1
     err = capsys.readouterr().err
     assert err.count("error: run") == 2 and err.count("unreachable") == 2
     rows = _results(root / "runs/results.csv")[1:]
@@ -587,6 +615,7 @@ def test_report_rejects_a_results_file_that_does_not_match_the_columns(tmp_path,
     ({"grid": {"methods": ["mean", "eg"]}}, "unknown method 'eg'"),
     ({"grid": {"mechanisms": ["mcar", "mnra"]}}, "unknown mechanism 'mnra'"),
     ({"ensembel": 3}, "unknown setting(s): ensembel"),
+    ({"runs": 2}, "unknown setting(s): runs"),  # seeds are listed in grid.seeds
     ({"dataset": None}, "set 'dataset' and 'schema', or 'datasets'"),
     ({"schema": None}, "set 'dataset' and 'schema', or 'datasets'"),
     ({"out": 3}, "out must be a string, got 3"),
@@ -618,13 +647,13 @@ def test_report_rejects_a_results_file_that_does_not_match_the_columns(tmp_path,
     ({"grid": {"seeds": ["3"]}}, "seed must be an integer >= 0, got '3'"),
     ({"rate": 1.5}, "rate must be in [0, 1), got 1.5"),
     ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
-], ids=["method", "mechanism", "grid_method", "grid_mechanism", "unknown_key", "no_dataset",
-        "no_schema", "out_type", "name_type", "dataset_type", "method_type", "grid_list",
-        "grid_empty_list", "grid_value", "grid_key", "datasets_no_name", "datasets_extra_key",
-        "datasets_not_a_list", "train_string", "train_empty_string", "train_model_list",
-        "train_weights_number", "grid_empty_rates", "grid_rate_string", "grid_rate_bool",
-        "grid_rate_range", "grid_seed_negative", "grid_seed_bool", "grid_seed_float",
-        "grid_seed_string", "rate_range", "train_fraction_range"])
+], ids=["method", "mechanism", "grid_method", "grid_mechanism", "unknown_key", "runs",
+        "no_dataset", "no_schema", "out_type", "name_type", "dataset_type", "method_type",
+        "grid_list", "grid_empty_list", "grid_value", "grid_key", "datasets_no_name",
+        "datasets_extra_key", "datasets_not_a_list", "train_string", "train_empty_string",
+        "train_model_list", "train_weights_number", "grid_empty_rates", "grid_rate_string",
+        "grid_rate_bool", "grid_rate_range", "grid_seed_negative", "grid_seed_bool",
+        "grid_seed_float", "grid_seed_string", "rate_range", "train_fraction_range"])
 def test_commands_reject_bad_top_level_settings_before_any_work(workspace, monkeypatch, capsys,
                                                                 change, message):
     root, cfg = workspace
@@ -672,9 +701,8 @@ COMMON_FLAGS = [
     (["--rate"], float, None, None, None),
     (["--method"], None, ["egg", "kegg", "nn_ablation", "mean", "knn"], None, None),
     (["--seed"], int, None, None, None),
-    (["--runs"], int, None, None, None),
     (["--ensemble"], int, None, None, "predictions per row at inference"),
-    (["--out"], None, None, None, "output root; beats env EGGIMPUTE_OUT, which beats the config"),
+    (["--out"], None, None, None, "output root; beats the config's 'out'"),
 ]
 
 

@@ -405,6 +405,17 @@ def test_count_of_wins_skips_single_method_groups():
     assert evaluation.count_of_wins(reports) == {}
 
 
+def test_report_compares_methods_within_each_seed():
+    """A beats B on seed 0 (rmse 0.5 < 0.6) and B beats A on seed 1 (0.7 < 0.9):
+    one win each, ranks 1 and 2 per seed, so a mean rank of 1.5 each.  Pooling
+    the seeds would give A the one win and ranks 1-4 for two methods."""
+    reports = [make_report("A", rmse=0.5, seed=0), make_report("B", rmse=0.6, seed=0),
+               make_report("A", rmse=0.9, seed=1), make_report("B", rmse=0.7, seed=1)]
+    assert evaluation.count_of_wins(reports) == {"A": 1, "B": 1}
+    ranking = evaluation.unified_average_ranking(reports)
+    assert ranking == {m: {"mean_rank": 1.5, "std_rank": 0.0, "cells": 1} for m in "AB"}
+
+
 def test_average_ranks_with_ties():
     ranks = evaluation._average_ranks([0.3, 0.1, 0.3, 0.2], lower_better=True)
     assert ranks.tolist() == [3.5, 1.0, 3.5, 2.0]

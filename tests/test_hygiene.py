@@ -1,7 +1,7 @@
-"""Source hygiene: every library module uses each name it imports,
-something in the repository reads every name the library defines, the
-library itself reads every field of its records, and the README names
-every top-level setting."""
+"""Source hygiene: every library module uses each name it imports and
+reads nothing from the environment, something in the repository reads
+every name the library defines, the library itself reads every field of
+its records, and the README names every top-level setting."""
 
 import ast
 import re
@@ -39,6 +39,32 @@ def test_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+ENVIRONMENT_READERS = ("environ", "getenv")
+
+
+def environment_reads(source):
+    """``os.environ`` and ``os.getenv``, read as attributes or imported by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [a.name for a in node.names if a.name in ENVIRONMENT_READERS]
+    return sorted(found)
+
+
+def test_environment_checker_sees_each_way_to_read_it():
+    source = ("import os\nfrom os import getenv\nout = os.environ['OUT']\n"
+              "home = os.getenv('HOME')\npath = os.path.join('a', 'b')\n")
+    assert environment_reads(source) == ["environ", "getenv", "getenv"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_no_environment_variable(module):
+    """A run is described by its config and flags; nothing else may move it."""
+    assert environment_reads((SRC / module).read_text()) == []
 
 
 ROOT = SRC.parents[1]

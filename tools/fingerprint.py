@@ -15,8 +15,11 @@ give the checkpoint every array family (embeddings, categorical heads, a
 second projector and GCN block) and the imputation a two-block ensemble
 with categorical picks; ``knn-steps`` runs ``corrupt`` under MAR and
 ``impute`` with method ``knn`` on the 2000-row ``egg-impute`` table, so
-the KNN donors of a large numeric table are checked byte for byte; each
-runs through ``eggimpute.cli.main``.
+the KNN donors of a large numeric table are checked byte for byte;
+``report-seeds`` runs ``benchmark`` with methods ``mean`` and ``knn`` and
+``grid.seeds: [0, 1]`` on the ``kegg-grid`` table, then ``report``, so
+the ranking of several seeds is checked; each runs through
+``eggimpute.cli.main``.
 Standard output is one JSON object: the sha256 of each artifact's
 content with the timing fields left out, of each checkpoint array, and
 the parsed checkpoint ``__meta__``.  Two outputs
@@ -103,8 +106,13 @@ def _checkpoint(path):
     return out
 
 
-def kegg_grid(directory):
+def kegg_grid(directory, grid=None):
+    """``benchmark`` and ``report`` on the ``kegg-grid`` table, its grid updated by ``grid``."""
     workloads.setup("kegg-grid", 0, directory)
+    if grid:
+        config = json.loads((directory / workloads.CONFIG).read_text())
+        config["grid"].update(grid)
+        (directory / workloads.CONFIG).write_text(json.dumps(config))
     _run(directory, _step("benchmark"), ["report", "--results", "out/results.csv"])
     summary = json.loads((directory / "out" / "summary.json").read_text())
     summary.pop("timing")
@@ -149,11 +157,16 @@ def knn_steps(directory):
             for name in ("mask.csv", "imputed_z.npy", "imputed.csv")}
 
 
+def report_seeds(directory):
+    return kegg_grid(directory, {"methods": ["mean", "knn"], "seeds": [0, 1]})
+
+
 def main():
     fingerprint = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute),
-                          ("kegg-steps", kegg_steps), ("knn-steps", knn_steps)):
+                          ("kegg-steps", kegg_steps), ("knn-steps", knn_steps),
+                          ("report-seeds", report_seeds)):
             for key, value in run(Path(tmp) / name).items():
                 fingerprint[f"{name}/{key}"] = value
     print(json.dumps(fingerprint, indent=1, sort_keys=True))
