@@ -9,18 +9,10 @@ import numpy as np
 from .dataio import ColumnStats
 
 
-def _fill_value(col, j, stats: ColumnStats):
-    """The column mean for a numerical column, else its modal class."""
-    return stats.means.get(j, 0.0) if col.kind == "numerical" else stats.modes.get(j, 0)
-
-
 def mean_impute(ds, mask, stats: ColumnStats):
     """Missing numerics get the column mean, categoricals the modal class
     (pass training-split stats to avoid leakage)."""
-    imputed = ds.values.copy()
-    for j, col in enumerate(ds.schema):
-        imputed[mask[:, j] == 0, j] = _fill_value(col, j, stats)
-    return imputed
+    return np.where(mask == 0, stats.fill, ds.values)
 
 
 # target rows x table rows x columns held at once while scoring donors
@@ -91,7 +83,6 @@ def knn_impute(ds, mask, k_nn, stats: ColumnStats):
     d = values.shape[1]
     observed = values * obs
     numeric = np.array([col.kind == "numerical" for col in ds.schema])
-    fallback = np.array([_fill_value(col, j, stats) for j, col in enumerate(ds.schema)], float)
     imputed = ds.values.copy()
     for rows, keep in _candidates(observed, obs, np.flatnonzero(~obs.all(axis=1)), k_nn):
         hit, col = np.nonzero(keep)
@@ -111,7 +102,7 @@ def knn_impute(ds, mask, k_nn, stats: ColumnStats):
         giving = found[cell] & obs[donors[cell], j[:, None]]
         given = values[donors[cell], j[:, None]]
         size = giving.sum(axis=1)
-        fills = fallback[j]
+        fills = stats.fill[j]
         for g in np.unique(size[numeric[j] & (size > 0)]):
             at = numeric[j] & (size == g)
             # the donor mean; equal-length rows reduce as ``mean`` reduces each one alone

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import itertools
 import json
 import sys
@@ -33,7 +32,7 @@ RESULTS_COLUMNS = [f.name for f in fields(evaluation.MetricReport)]
 
 # each top-level setting: its default (None: unset); the rule for its value and for each entry
 # of the grid list that varies it: str (a string), a list of names, an int (an integer at least
-# that) or a range; and that list's key (these in ``run_single``'s argument order)
+# that) or a range; and that list's key (in the order ``benchmark`` nests the grid's axes)
 SETTINGS = {"dataset": (None, str, None), "schema": (None, str, None), "name": (None, str, None),
             "datasets": (None, None, None), "grid": (None, None, None), "train": (None, None, None),
             "mechanism": ("mcar", list(missingness.MECHANISMS), "mechanisms"),
@@ -67,14 +66,17 @@ def load_config(path, overrides=None):
     unknown = sorted(set(cfg) - set(SETTINGS))
     if unknown:
         raise ValueError(f"unknown setting(s): {', '.join(unknown)}")
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            cfg[key] = value
+    flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+    cfg.update(flags)
     grid = {} if cfg["grid"] is None else cfg["grid"]
     if not (isinstance(grid, dict) and set(grid) <= set(GRID)
             and all(isinstance(v, list) and v for v in grid.values())):
         raise ValueError(f"grid must map some of mechanisms, rates, methods and seeds to lists, "
                          f"got {grid!r}")
+    # a flag also replaces the grid list, or the ``datasets`` list, that varies its setting
+    cfg["grid"] = grid = {axis: v for axis, v in grid.items() if GRID[axis] not in flags}
+    if flags.keys() & {"dataset", "schema", "name"}:
+        cfg["datasets"] = None
     for key, (default, rule, plural) in SETTINGS.items():
         for value in [cfg[key], *grid.get(plural, [])]:
             if rule is None or value is None is default:  # a shape checked below, or unset
@@ -313,9 +315,8 @@ def cmd_impute(args):
     imputed_z = _impute_all(cfg, cfg["method"], ds, prep.ds_norm, prep.mask, prep.train_rows,
                             prep.val_rows, params)
     np.save(rd / "imputed_z.npy", imputed_z)
-    export = imputed_z.copy()
-    for j in ds.numeric_idx:
-        export[:, j] = dataio.denormalize_column(imputed_z[:, j], j, prep.stats)
+    export, num = imputed_z.copy(), ds.numeric_idx
+    export[:, num] = imputed_z[:, num] * prep.stats.scale[num] + prep.stats.fill[num]
     out_ds = dataio.TabularDataset(ds.schema, export, ds.targets, ds.num_classes,
                                    ds.target_categories)
     dataio.write_csv(out_ds, None, rd / "imputed.csv")
@@ -362,18 +363,16 @@ def _read_results(path):
                                        for c, v in row.items()}) for row in rows]
 
 
-def run_single(cfg, table, dataset_spec, mechanism, rate, method, seed):
-    """One full corrupt -> train -> impute -> evaluate pass on a loaded table, in memory."""
-    cfg = {**cfg, "dataset": dataset_spec["csv"], "schema": dataset_spec["schema"],
-           "name": dataset_spec["name"], "mechanism": mechanism, "rate": rate,
-           "method": method, "seed": seed}
+def run_single(cfg, table):
+    """One full corrupt -> train -> impute -> evaluate pass of a job's config on its loaded
+    table, in memory."""
     prep = _prepare(cfg, table)
     params = train_seconds = None
-    if method in MODEL_METHODS:
+    if cfg["method"] in MODEL_METHODS:
         trained, train_seconds = _fit(cfg, prep)
         params = trained.params
     t0 = time.perf_counter()
-    imputed_z = _impute_all(cfg, method, prep.ds, prep.ds_norm, prep.mask, prep.train_rows,
+    imputed_z = _impute_all(cfg, cfg["method"], prep.ds, prep.ds_norm, prep.mask, prep.train_rows,
                             prep.val_rows, params)
     inference_seconds = time.perf_counter() - t0
     rep = _evaluate(cfg, prep, imputed_z)
@@ -381,21 +380,25 @@ def run_single(cfg, table, dataset_spec, mechanism, rate, method, seed):
     return rep
 
 
-def _run_job(cfg, job):
+def _run_job(cfg, table):
     """A grid job's report, or the error that stopped it (module level, so
     worker processes can unpickle it)."""
     try:
-        return run_single(cfg, *job), None
+        return run_single(cfg, table), None
     except Exception as err:  # record, keep going
         return None, str(err)
 
 
 def _benchmark_grid(cfg):
+    """Each job's config: the tables outermost, then the grid's axes in ``GRID`` order, an axis
+    the grid leaves out holding its top-level setting alone."""
     grid = cfg.get("grid") or {}
-    datasets = cfg.get("datasets") or [{"name": _dataset_name(cfg), "csv": cfg["dataset"],
-                                        "schema": cfg["schema"]}]
+    tables = cfg.get("datasets") or [{"name": _dataset_name(cfg), "csv": cfg["dataset"],
+                                      "schema": cfg["schema"]}]
     axes = [grid.get(axis, [cfg[key]]) for axis, key in GRID.items()]
-    return list(itertools.product(datasets, *axes))
+    return [{**cfg, "dataset": t["csv"], "schema": t["schema"], "name": t["name"],
+             **dict(zip(GRID.values(), values))}
+            for t in tables for values in itertools.product(*axes)]
 
 
 def cmd_benchmark(args):
@@ -403,7 +406,7 @@ def cmd_benchmark(args):
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config, _overrides(args))
     jobs = _benchmark_grid(cfg)
-    tables = dict.fromkeys((spec["csv"], spec["schema"]) for spec, *_ in jobs)
+    tables = dict.fromkeys((job["dataset"], job["schema"]) for job in jobs)
     for key in tables:  # each distinct table, loaded and checked once; its jobs share it
         ds, _ = tables[key] = dataio.load_csv(*key)  # a missing file fails here
         if ds.n_rows < 2:
@@ -411,24 +414,23 @@ def cmd_benchmark(args):
                              f"got {ds.n_rows}")
     out_root = Path(cfg["out"])
     out_root.mkdir(parents=True, exist_ok=True)
-    job = functools.partial(_run_job, cfg)
-    work = [(tables[spec["csv"], spec["schema"]], spec, *rest) for spec, *rest in jobs]
+    work = [tables[job["dataset"], job["schema"]] for job in jobs]
     if args.workers > 1:
         import concurrent.futures  # only worker pools need these; keeps CLI start-up short
         import multiprocessing
         spawn = multiprocessing.get_context("spawn")  # fork may copy held BLAS locks
         with concurrent.futures.ProcessPoolExecutor(args.workers, spawn) as pool:
-            outcomes = list(pool.map(job, work))
+            outcomes = list(pool.map(_run_job, jobs, work))
     else:
-        outcomes = list(map(job, work))
+        outcomes = list(map(_run_job, jobs, work))
     results_path = out_root / "results.csv"
     results_path.unlink(missing_ok=True)
     for rep, _ in outcomes:
         if rep is not None:
             _append_result(results_path, rep)
     failures = [(j, err) for j, (rep, err) in zip(jobs, outcomes) if rep is None]
-    for j, err in failures:
-        print(f"error: run {j} failed: {err}", file=sys.stderr)
+    for job, err in failures:
+        print(f"error: run {run_dir(job).relative_to(out_root)} failed: {err}", file=sys.stderr)
     rows = len(jobs) - len(failures)
     print(f"wrote {results_path} ({rows} rows)" if rows else "no run succeeded; wrote no results")
     return 0 if not failures else 1
@@ -456,6 +458,9 @@ def cmd_report(args):
     with open(out, "w") as fh:
         json.dump(summary, fh, indent=2)
     print(f"wrote {out}\n")
+    if not ranking:
+        print("no dataset/mechanism/rate/seed group scores two methods; nothing to rank")
+        return 0
     print(f"{'method':<14}{'mean rank':>10}{'std':>8}{'wins':>6}")
     for method, stats in sorted(ranking.items(), key=lambda kv: kv[1]["mean_rank"]):
         print(f"{method:<14}{stats['mean_rank']:>10.3f}{stats['std_rank']:>8.3f}"

@@ -78,10 +78,12 @@ class TabularDataset:
 
 @dataclass
 class ColumnStats:
-    """Per-column statistics for z-scoring and mean/mode filling."""
-    means: dict  # column index -> mean of observed entries
-    sigmas: dict  # column index -> std (denominator N), clamped to >= 1e-12
-    modes: dict  # categorical column index -> modal class
+    """Per-column statistics for z-scoring and mean/mode filling, each a length-d array:
+    ``fill`` holds a numeric column's observed mean or a categorical column's modal class, 0
+    when nothing is observed; ``scale`` holds a numeric column's std (denominator N), 1 below
+    1e-12, when nothing is observed or for a categorical column."""
+    fill: np.ndarray
+    scale: np.ndarray
 
 
 def load_schema(path):
@@ -166,37 +168,27 @@ def compute_stats(ds: TabularDataset, mask=None) -> ColumnStats:
     """Observed-cell means/stds for numerics and modal classes for
     categoricals.  ``mask`` restricts to observed entries (1 = observed)."""
     mask = np.isfinite(ds.values) if mask is None else mask * np.isfinite(ds.values)
-    means, sigmas, modes = {}, {}, {}
+    stats = ColumnStats(np.zeros(ds.n_cols), np.ones(ds.n_cols))
     for j, col in enumerate(ds.schema):
         obs = ds.values[mask[:, j] == 1, j]
-        if col.kind == NUMERICAL:
-            if obs.size == 0:
-                means[j], sigmas[j] = 0.0, 1.0
-                warnings.warn(f"column {col.name!r} has no observed values; using 0/1 stats")
-                continue
-            means[j] = float(obs.mean())
-            sigma = float(obs.std())  # denominator N
-            sigmas[j] = sigma if sigma > 1e-12 else 1.0
+        if obs.size == 0:
+            fallback = "using 0/1 stats" if col.kind == NUMERICAL else "modal class 0"
+            warnings.warn(f"column {col.name!r} has no observed values; {fallback}")
+        elif col.kind == NUMERICAL:
+            stats.fill[j] = obs.mean()
+            sigma = obs.std()  # denominator N
+            stats.scale[j] = sigma if sigma > 1e-12 else 1.0
         else:
-            if obs.size == 0:
-                modes[j] = 0
-                warnings.warn(f"column {col.name!r} has no observed values; modal class 0")
-                continue
-            counts = np.bincount(obs.astype(np.int64), minlength=col.cardinality)
-            modes[j] = int(counts.argmax())
-    return ColumnStats(means, sigmas, modes)
+            stats.fill[j] = np.bincount(obs.astype(np.int64), minlength=col.cardinality).argmax()
+    return stats
 
 
 def normalize(ds: TabularDataset, stats: ColumnStats) -> TabularDataset:
     """Z-score numeric columns with the supplied statistics."""
+    num = ds.numeric_idx
     values = ds.values.copy()
-    for j in ds.numeric_idx:
-        values[:, j] = (values[:, j] - stats.means[j]) / stats.sigmas[j]
+    values[:, num] = (values[:, num] - stats.fill[num]) / stats.scale[num]
     return TabularDataset(ds.schema, values, ds.targets.copy(), ds.num_classes, ds.target_categories)
-
-
-def denormalize_column(z_values, col_idx, stats: ColumnStats):
-    return z_values * stats.sigmas[col_idx] + stats.means[col_idx]
 
 
 def is_real(value):

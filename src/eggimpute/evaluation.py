@@ -361,13 +361,18 @@ def downstream_accuracy(imputed_train, y_train, imputed_test, y_test, schema, n_
 
 def _scored_cells(reports):
     """Yield (mechanism, rate, metric, [(method, value)]) for every dataset/mechanism/rate/seed
-    group (one corruption and split) and metric that scores two methods or more."""
+    group (one corruption and split) and metric that scores two methods or more; a
+    ValueError if a method appears twice in a group."""
     groups = {}
     for r in reports:
-        groups.setdefault((r.dataset, r.mechanism, r.rate, r.seed), []).append(r)
+        group = groups.setdefault((r.dataset, r.mechanism, r.rate, r.seed), {})
+        if r.method in group:
+            raise ValueError(f"the run {r.dataset}/{r.mechanism}/{r.rate}/{r.method}/{r.seed} "
+                             f"has more than one row; each run may be counted once")
+        group[r.method] = r
     for (_, mechanism, rate, _), group in groups.items():
         for metric in LOWER_IS_BETTER:
-            scored = [(r.method, getattr(r, metric)) for r in group
+            scored = [(r.method, getattr(r, metric)) for r in group.values()
                       if getattr(r, metric) is not None]
             if len(scored) >= 2:
                 yield mechanism, rate, metric, scored

@@ -36,7 +36,7 @@ def test_mean_impute_categorical_mode():
 def test_mean_impute_uses_supplied_stats():
     ds = numeric_ds([[np.nan]])
     mask = np.array([[0]], dtype=np.int8)
-    stats = dataio.ColumnStats(means={0: 7.5}, sigmas={0: 1.0}, modes={})
+    stats = dataio.ColumnStats(fill=np.array([7.5]), scale=np.array([1.0]))
     out = baselines.mean_impute(ds, mask, stats)
     assert out[0, 0] == 7.5
 
@@ -62,10 +62,7 @@ def brute_force_knn(values, mask, k_nn, schema, stats):
         for j in np.flatnonzero(~obs[i]):
             giving = [r for r in donors if obs[r, j]]
             if not giving:
-                if schema[j].kind == "numerical":
-                    out[i, j] = stats.means.get(j, 0.0)
-                else:
-                    out[i, j] = stats.modes.get(j, 0)
+                out[i, j] = stats.fill[j]
                 continue
             if schema[j].kind == "numerical":
                 out[i, j] = np.mean([filled[r, j] for r in giving])
@@ -123,7 +120,7 @@ def _lexsorted_knn(ds, mask, k_nn, stats):
             col = ds.schema[j]
             giving = donors[obs[donors, j]]
             if giving.size == 0:
-                imputed[i, j] = baselines._fill_value(col, j, stats)
+                imputed[i, j] = stats.fill[j]
             elif col.kind == "numerical":
                 imputed[i, j] = values[giving, j].mean()
             else:
@@ -225,7 +222,7 @@ def _row_loop_knn(ds, mask, k_nn, stats):
             col = ds.schema[j]
             giving = donors[obs[donors, j]]
             if giving.size == 0:
-                imputed[i, j] = baselines._fill_value(col, j, stats)
+                imputed[i, j] = stats.fill[j]
             elif col.kind == "numerical":
                 imputed[i, j] = values[giving, j].mean()
             else:

@@ -157,11 +157,39 @@ def test_benchmark_grid_enumeration():
            "grid": {"mechanisms": ["mcar", "mnar"], "rates": [0.1, 0.2],
                     "methods": ["mean", "knn"], "seeds": [3, 4]}}
     jobs = cli._benchmark_grid(cfg)
-    assert len(jobs) == 1 * 2 * 2 * 2 * 2  # datasets x mech x rates x methods x seeds
-    seeds = {j[4] for j in jobs}
-    assert seeds == {3, 4}
+    # datasets x mech x rates x methods x seeds, the last axis varying fastest
+    assert jobs == [{**cfg, "dataset": "d.csv", "schema": "d.json", "name": "d",
+                     "mechanism": mechanism, "rate": rate, "method": method, "seed": seed}
+                    for mechanism in ("mcar", "mnar") for rate in (0.1, 0.2)
+                    for method in ("mean", "knn") for seed in (3, 4)]
     del cfg["grid"]["seeds"]  # an axis the grid leaves out takes the top-level setting
-    assert {j[4] for j in cli._benchmark_grid(cfg)} == {3}
+    assert [j["seed"] for j in cli._benchmark_grid(cfg)] == [3] * 8
+
+
+def test_report_rejects_a_run_evaluated_twice(workspace, capsys):
+    """`evaluate` appends its row each time it runs; counting a repeated run twice would
+    double its wins and rank two methods over 1-3."""
+    root, cfg = workspace
+    for method, evaluations in (("mean", 2), ("knn", 1)):
+        for step in ["corrupt", "impute"] + ["evaluate"] * evaluations:
+            assert cli.main([step, "--config", cfg, "--method", method]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", "--results", "runs/results.csv"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the run synth/mcar/0.2/mean/0 has more than one row; "
+        "each run may be counted once\n")
+    assert not (root / "runs/summary.json").exists()
+
+
+def test_report_with_nothing_to_rank_says_so(workspace, capsys):
+    root, cfg = workspace
+    assert cli.main(["benchmark", "--config", cfg, "--method", "mean"]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", "--results", "runs/results.csv"]) == 0
+    out = capsys.readouterr().out
+    assert "nothing to rank" in out and "mean rank" not in out
+    summary = json.loads((root / "runs/summary.json").read_text())
+    assert summary["count_of_wins"] == {} and summary["unified_average_ranking"] == {}
 
 
 def test_benchmark_deterministic_results_csv(workspace):
@@ -324,6 +352,42 @@ def test_benchmark_parses_each_distinct_table_once(mixed_config, monkeypatch):
     assert [(r.dataset, r.method) for r in rows] == [("a", "mean"), ("a", "knn"),
                                                      ("b", "mean"), ("b", "knn")]
     assert [r.rmse for r in rows[:2]] == [r.rmse for r in rows[2:]]
+
+
+def test_benchmark_flags_beat_the_grid_lists_they_vary(mixed_config):
+    root, cfg = mixed_config
+    config = json.loads((root / cfg).read_text())
+    config["grid"].update(rates=[0.1, 0.6], seeds=[0, 1])
+    (root / cfg).write_text(json.dumps(config))
+    assert cli.main(["benchmark", "--config", cfg, "--method", "mean", "--rate", "0.3"]) == 0
+    rows = cli._read_results(root / "runs/results.csv")
+    assert [(r.method, r.rate, r.seed) for r in rows] == [("mean", 0.3, 0), ("mean", 0.3, 1)]
+
+
+def test_benchmark_table_flags_beat_the_datasets_list(mixed_config):
+    root, cfg = mixed_config
+    config = json.loads((root / cfg).read_text())
+    config.update(grid={"methods": ["mean"]},
+                  datasets=[{"name": "gone", "csv": "gone.csv", "schema": "gone.schema.json"}])
+    (root / cfg).write_text(json.dumps(config))
+    assert cli.main(["benchmark", "--config", cfg, "--dataset", "mixed.csv",
+                     "--schema", "mixed.schema.json"]) == 0
+    assert [r.dataset for r in cli._read_results(root / "runs/results.csv")] == ["mixed"]
+    assert cli.main(["benchmark", "--config", cfg, "--name", "solo"]) == 0
+    assert [r.dataset for r in cli._read_results(root / "runs/results.csv")] == ["solo"]
+
+
+def test_a_failed_job_names_its_run_path(mixed_config, capsys):
+    """MAR keeps one of the 4 columns observed, so a rate of 0.95 is unreachable."""
+    root, cfg = mixed_config
+    config = json.loads((root / cfg).read_text())
+    config.update(grid={"mechanisms": ["mar"], "rates": [0.2, 0.95], "methods": ["knn"]},
+                  datasets=[{"name": "a", "csv": "mixed.csv", "schema": "mixed.schema.json"}])
+    (root / cfg).write_text(json.dumps(config))
+    assert cli.main(["benchmark", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: run a/mar/0.95/knn/0 failed: ")
+    assert "unreachable" in err[0]
 
 
 def test_train_with_a_triplet_term_fails_through_the_non_finite_path(tmp_path, monkeypatch,

@@ -74,7 +74,7 @@ def test_normalize_constant_column_clamps_sigma():
     schema = [dataio.ColumnSchema("x", dataio.NUMERICAL)]
     ds = dataio.TabularDataset(schema, np.full((4, 1), 3.0), np.array([0, 1, 0, 1]), 2)
     stats = dataio.compute_stats(ds)
-    assert stats.sigmas[0] == 1.0
+    assert stats.scale[0] == 1.0
     assert np.array_equal(dataio.normalize(ds, stats).values, np.zeros((4, 1)))
 
 
@@ -84,8 +84,7 @@ def test_normalize_round_trip(rng):
     ds = dataio.TabularDataset(schema, values, rng.integers(0, 2, 20), 2)
     stats = dataio.compute_stats(ds)
     z = dataio.normalize(ds, stats)
-    back = np.column_stack([dataio.denormalize_column(z.values[:, j], j, stats)
-                            for j in range(3)])
+    back = z.values * stats.scale + stats.fill
     assert np.abs(back - values).max() < 1e-12
 
 
@@ -95,7 +94,7 @@ def test_stats_use_only_observed_cells():
     ds = dataio.TabularDataset(schema, values, np.array([0, 1, 0]), 2)
     mask = np.array([[1], [1], [0]], dtype=np.int8)
     stats = dataio.compute_stats(ds, mask)
-    assert stats.means[0] == 2.0
+    assert stats.fill[0] == 2.0
 
 
 def test_categorical_mode():
@@ -103,7 +102,22 @@ def test_categorical_mode():
     ds = dataio.TabularDataset(schema, np.array([[0.0], [1.0], [1.0], [2.0]]),
                                np.array([0, 1, 0, 1]), 2)
     stats = dataio.compute_stats(ds)
-    assert stats.modes[0] == 1
+    assert stats.fill[0] == 1 and stats.scale[0] == 1
+
+
+def test_stats_of_unobserved_columns_fill_0_and_scale_1():
+    schema = [dataio.ColumnSchema(name, dataio.NUMERICAL) for name in "xy"] + \
+        [dataio.ColumnSchema(name, dataio.CATEGORICAL, cardinality=3) for name in "ce"]
+    values = np.array([[1.0, 5.0, 2.0, 1.0], [3.0, 7.0, 2.0, 2.0], [2.0, 9.0, 0.0, 2.0]])
+    ds = dataio.TabularDataset(schema, values, np.array([0, 1, 0]), 2)
+    mask = np.array([[1, 0, 1, 0]] * 3, dtype=np.int8)
+    with pytest.warns(UserWarning) as caught:
+        stats = dataio.compute_stats(ds, mask)
+    assert sorted(str(w.message) for w in caught) == [
+        "column 'e' has no observed values; modal class 0",
+        "column 'y' has no observed values; using 0/1 stats"]
+    assert stats.fill.tolist() == [2.0, 0.0, 2.0, 0.0]
+    assert stats.scale.tolist() == [np.std([1.0, 3.0, 2.0]), 1.0, 1.0, 1.0]
 
 
 def test_split_partition_and_determinism():

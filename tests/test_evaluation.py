@@ -416,6 +416,15 @@ def test_report_compares_methods_within_each_seed():
     assert ranking == {m: {"mean_rank": 1.5, "std_rank": 0.0, "cells": 1} for m in "AB"}
 
 
+def test_aggregation_rejects_a_method_twice_in_a_group():
+    """A run evaluated twice would count twice: wins 2 for one run, ranks over 1-3 for two
+    methods."""
+    reports = [make_report("A", rmse=0.5), make_report("A", rmse=0.5), make_report("B", rmse=0.6)]
+    for aggregate in (evaluation.count_of_wins, evaluation.unified_average_ranking):
+        with pytest.raises(ValueError, match="the run d/mcar/0.2/A/0 has more than one row"):
+            aggregate(reports)
+
+
 def test_average_ranks_with_ties():
     ranks = evaluation._average_ranks([0.3, 0.1, 0.3, 0.2], lower_better=True)
     assert ranks.tolist() == [3.5, 1.0, 3.5, 2.0]

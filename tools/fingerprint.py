@@ -18,8 +18,11 @@ with categorical picks; ``knn-steps`` runs ``corrupt`` under MAR and
 the KNN donors of a large numeric table are checked byte for byte;
 ``report-seeds`` runs ``benchmark`` with methods ``mean`` and ``knn`` and
 ``grid.seeds: [0, 1]`` on the ``kegg-grid`` table, then ``report``, so
-the ranking of several seeds is checked; each runs through
-``eggimpute.cli.main``.
+the ranking of several seeds is checked; ``datasets`` runs ``benchmark``
+with methods ``mean`` and ``knn`` over two ``datasets`` entries, ``a`` and
+``b``, that both name the ``kegg-grid`` table, then ``report``, so the
+jobs' expansion over tables, their order and their names are checked;
+each runs through ``eggimpute.cli.main``.
 Standard output is one JSON object: the sha256 of each artifact's
 content with the timing fields left out, of each checkpoint array, and
 the parsed checkpoint ``__meta__``.  Two outputs
@@ -106,12 +109,14 @@ def _checkpoint(path):
     return out
 
 
-def kegg_grid(directory, grid=None):
-    """``benchmark`` and ``report`` on the ``kegg-grid`` table, its grid updated by ``grid``."""
+def kegg_grid(directory, grid=None, **settings):
+    """``benchmark`` and ``report`` on the ``kegg-grid`` table, its grid updated by ``grid``
+    and its top-level settings by ``settings``."""
     workloads.setup("kegg-grid", 0, directory)
-    if grid:
+    if grid or settings:
         config = json.loads((directory / workloads.CONFIG).read_text())
-        config["grid"].update(grid)
+        config["grid"].update(grid or {})
+        config.update(settings)
         (directory / workloads.CONFIG).write_text(json.dumps(config))
     _run(directory, _step("benchmark"), ["report", "--results", "out/results.csv"])
     summary = json.loads((directory / "out" / "summary.json").read_text())
@@ -161,12 +166,18 @@ def report_seeds(directory):
     return kegg_grid(directory, {"methods": ["mean", "knn"], "seeds": [0, 1]})
 
 
+def datasets(directory):
+    tables = [{"name": name, "csv": workloads.TABLE, "schema": workloads.SCHEMA}
+              for name in ("a", "b")]
+    return kegg_grid(directory, {"methods": ["mean", "knn"]}, datasets=tables)
+
+
 def main():
     fingerprint = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute),
                           ("kegg-steps", kegg_steps), ("knn-steps", knn_steps),
-                          ("report-seeds", report_seeds)):
+                          ("report-seeds", report_seeds), ("datasets", datasets)):
             for key, value in run(Path(tmp) / name).items():
                 fingerprint[f"{name}/{key}"] = value
     print(json.dumps(fingerprint, indent=1, sort_keys=True))
