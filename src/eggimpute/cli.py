@@ -58,7 +58,7 @@ def _stage_seed_int(master_seed, stage):
 
 def load_config(path, overrides=None):
     """Defaults, then the config file, then flags; a ValueError for a setting, grid entry or
-    ``train`` value that is unknown, missing, out of range or malformed."""
+    ``train`` value that is unknown, missing, repeated, out of range or malformed."""
     cfg = {key: default for key, (default, _, _) in SETTINGS.items()}
     if path:
         with open(path) as fh:
@@ -90,12 +90,20 @@ def load_config(path, overrides=None):
             if isinstance(rule, str) and (type(value) not in (int, float) or
                                           not (0 < value < 1 or value == 0 and rule[0] == "[")):
                 raise ValueError(f"{key} must be in {rule}, got {value!r}")
+    cfg["rate"] = float(cfg["rate"])  # a rate names its run directory: 0 must read 0.0
+    if "rates" in grid:
+        grid["rates"] = [float(rate) for rate in grid["rates"]]
     specs = [] if cfg["datasets"] is None else cfg["datasets"]
     if not isinstance(specs, list) or not all(
             isinstance(s, dict) and sorted(s) == ["csv", "name", "schema"]
             and all(isinstance(v, str) for v in s.values()) for s in specs):
         raise ValueError("datasets must be a list of objects, each with string 'name', 'csv' "
                          "and 'schema' and no other key")
+    for name, entries in [*((f"grid.{axis}", v) for axis, v in grid.items()),
+                          ("datasets", [s["name"] for s in specs])]:
+        for i, value in enumerate(entries):
+            if str(value) in map(str, entries[:i]):  # as its run directory spells it
+                raise ValueError(f"{name} repeats {value!r}; each run may be counted once")
     train = {} if cfg["train"] is None else cfg["train"]
     if not isinstance(train, dict) or not all(isinstance(train.get(k, {}), dict)
                                               for k in ("model", "weights")):

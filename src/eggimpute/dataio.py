@@ -155,7 +155,7 @@ def load_csv(path, schema_path):
         else:
             col.categories, values[present, j] = _first_appearance(
                 cells[col.name][i] for i in present)
-            col.cardinality = max(len(col.categories), 2)
+            col.cardinality = max(len(col.categories), 1)
     if "" in cells[target_name]:
         raise ValueError(f"missing target at row {cells[target_name].index('') + 2}")
     target_categories, targets = _first_appearance(cells[target_name])

@@ -151,26 +151,29 @@ def _ragged_arange(lengths):
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
 
 
-class _Lockstep:
-    """Every tree of a forest, grown together one depth-first node per round.
+def _slices(sizes):
+    """Indices of consecutive items, in groups whose sizes add up to about ``_SLICE``."""
+    return np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(np.cumsum(sizes) // _SLICE)) + 1)
 
-    Each tree keeps its own generator, bootstrap and depth-first stack.  Its
-    samples' rows, stably sorted by each feature, sit in ``order[t, f]``; a
-    node owns the same span ``[lo, hi)`` of every feature's order, and a split
-    partitions the span stably, so each child's orders are those sorting its
-    samples would give.  Nodes are settled as leaves when they are made
-    (prediction, depth cap, purity); a popped node draws its features, so
-    every generator sees the calls a tree grown alone would make.  A round's
-    temporaries are sliced to ``_SLICE`` samples.
+
+class _LevelOrder:
+    """Every tree of a forest, grown together one depth per round.
+
+    One generator draws every tree's bootstrap, then each round the feature
+    subset of every node that may split, in node order: by tree, then left to
+    right.  Each tree's samples' rows, stably sorted by each feature, sit in
+    ``order[t, f]``; a node owns the same span ``[lo, hi)`` of every feature's
+    order, and a split partitions the span stably, so each child's orders are
+    those sorting its samples would give.  A node is a leaf at the depth cap,
+    when pure, or when no split parts its samples.  A round's temporaries are
+    sliced to ``_SLICE`` samples.
     """
 
-    def __init__(self, x, y, rngs, num_classes, n_features):
-        self.x, self.y, self.rngs = x, y, rngs
+    def __init__(self, x, y, rng, n_trees, num_classes, n_features):
+        self.x, self.y, self.rng = x, y, rng
         self.num_classes, self.n_features = num_classes, n_features
-        n_trees, (n, d) = len(rngs), x.shape
-        boot = np.empty((n_trees, n), dtype=np.int64)
-        for t, rng in enumerate(rngs):
-            boot[t] = rng.integers(0, n, size=n)
+        n, d = x.shape
+        boot = rng.integers(0, n, size=(n_trees, n))
         self.order = np.empty((n_trees, d, n), dtype=np.int32)
         for f in range(d):
             # dense ranks tie exactly where the values do (-0.0 with 0.0, NaN last), and
@@ -178,55 +181,46 @@ class _Lockstep:
             rank = np.unique(x[:, f], return_inverse=True)[1].astype(np.min_scalar_type(n))
             self.order[:, f] = np.take_along_axis(
                 boot, np.argsort(rank[boot], axis=1, kind="stable"), axis=1)
-        # one entry per pending node: id, lo, hi, depth, class counts
-        self.stack = np.zeros((n_trees, MAX_DEPTH + 1, 4 + num_classes), dtype=np.int64)
-        self.top = np.zeros(n_trees, dtype=np.int64)
+        self.root_counts = np.bincount(
+            (np.arange(n_trees)[:, None] * num_classes + y[boot]).ravel(),
+            minlength=n_trees * num_classes).reshape(n_trees, num_classes)
         self.predictions, self.splits = [], []
-        self.made = 0
-        trees = np.arange(n_trees)
-        counts = np.bincount((trees[:, None] * num_classes + y[boot]).ravel(),
-                             minlength=n_trees * num_classes).reshape(n_trees, num_classes)
-        self._make(trees, np.zeros(n_trees, dtype=np.int64), np.full(n_trees, n),
-                   np.zeros(n_trees, dtype=np.int64), counts)
 
-    def _make(self, trees, lo, hi, depth, counts):
-        """One new node per tree, numbered in order; push those that can still split."""
-        ids = self.made + np.arange(len(trees))
-        self.made += len(trees)
+    def _make(self, counts):
+        """New nodes of these class counts, numbered in order."""
+        made = sum(map(len, self.predictions))
         self.predictions.append(counts.argmax(axis=1))
-        grows = (depth < MAX_DEPTH) & (np.count_nonzero(counts, axis=1) >= 2)
-        trees = trees[grows]
-        self.stack[trees, self.top[trees]] = np.column_stack(
-            (ids, lo, hi, depth, counts))[grows]
-        self.top[trees] += 1
-        return ids
+        return made + np.arange(len(counts))
 
     def grow(self):
-        d = self.x.shape[1]
-        while self.top.any():
-            trees = np.flatnonzero(self.top)
-            self.top[trees] -= 1
-            entry = self.stack[trees, self.top[trees]]
-            node, lo, hi, depth = entry[:, :4].T
-            counts = entry[:, 4:]
-            features = np.empty((len(trees), self.n_features), dtype=np.int64)
-            for i, t in enumerate(trees.tolist()):
-                features[i] = self.rngs[t].choice(d, size=self.n_features, replace=False)
-            cuts = np.flatnonzero(np.diff(np.cumsum(self.n_features * (hi - lo)) // _SLICE)) + 1
+        n_trees, d, n = self.order.shape
+        trees, lo, hi = np.arange(n_trees), np.zeros(n_trees, dtype=np.int64), np.full(n_trees, n)
+        counts, node = self.root_counts, self._make(self.root_counts)
+        for _ in range(MAX_DEPTH):
+            grows = np.count_nonzero(counts, axis=1) >= 2
+            if not grows.any():
+                break
+            trees, lo, hi, node, counts = (a[grows] for a in (trees, lo, hi, node, counts))
+            features = np.argsort(self.rng.random((len(trees), d)), axis=1)[:, :self.n_features]
             parts = [self._split(trees[i], features[i], lo[i], hi[i], counts[i])
-                     for i in np.split(np.arange(len(trees)), cuts)]
+                     for i in _slices(self.n_features * (hi - lo))]
             feature, threshold, n_left, left_counts = (np.concatenate(p) for p in zip(*parts))
             split = np.flatnonzero((n_left > 0) & (n_left < hi - lo))
             if not split.size:
-                continue
-            trees, lo, hi, depth = trees[split], lo[split], hi[split], depth[split] + 1
-            feature, threshold = feature[split], threshold[split]
-            cut, left_counts = lo + n_left[split], left_counts[split]
-            self._partition(trees, lo, hi, cut, feature)
-            right = self._make(trees, cut, hi, depth, counts[split] - left_counts)
-            left = self._make(trees, lo, cut, depth, left_counts)  # pushed last: popped first
-            self.splits.append((node[split], feature, threshold, left, right))
-        return self._trees()
+                break
+            trees, lo, hi, node = trees[split], lo[split], hi[split], node[split]
+            feature, threshold, cut = feature[split], threshold[split], lo + n_left[split]
+            for i in _slices(hi - lo):
+                self._partition(trees[i], lo[i], hi[i], cut[i], feature[i])
+            # the next depth: each split node's left child, then its right
+            left = left_counts[split]
+            counts = np.column_stack((left, counts[split] - left)).reshape(-1, self.num_classes)
+            trees = np.repeat(trees, 2)
+            lo, hi = np.column_stack((lo, cut)).ravel(), np.column_stack((cut, hi)).ravel()
+            child = self._make(counts)
+            self.splits.append((node, feature, threshold, child[::2], child[1::2]))
+            node = child
+        return self._trees(n_trees)
 
     def _split(self, trees, features, lo, hi, counts):
         """The best split of each node: feature, threshold, samples going left
@@ -266,32 +260,29 @@ class _Lockstep:
         """Stably partition each split node's span of every feature's order:
         the rows that go left are the head of the split feature's span."""
         d, n = self.x.shape[1], self.x.shape[0]
-        size, n_left = hi - lo, cut - lo
-        flat = self.order.reshape(-1)
-        node = np.repeat(np.arange(len(trees)), n_left)
-        goes = np.zeros(len(trees) * n, dtype=bool)
-        goes[node * n + flat[np.repeat((trees * d + feature) * n + lo, n_left)
-                             + _ragged_arange(n_left)]] = True
-        per_pass = max(1, _SLICE // int(size.sum()))
-        for f0 in range(0, d, per_pass):
-            fs = np.arange(f0, min(d, f0 + per_pass))
-            span = np.repeat(size, len(fs))
-            at = _ragged_arange(span)
-            cells = np.repeat(((trees[:, None] * d + fs) * n + lo[:, None]).ravel(), span) + at
-            rows = flat[cells]
-            left = goes[np.repeat(np.repeat(np.arange(len(trees)) * n, len(fs)), span) + rows]
-            head = at < np.repeat(np.repeat(n_left, len(fs)), span)
-            flat[cells[np.flatnonzero(head)]] = rows[np.flatnonzero(left)]
-            flat[cells[np.flatnonzero(~head)]] = rows[np.flatnonzero(~left)]
+        size, flat = hi - lo, self.order.reshape(-1)
+        at = _ragged_arange(size)
+        cells = np.repeat(trees * d * n + lo, size) + at  # the spans of feature 0's order
+        head = at < np.repeat(cut - lo, size)
+        # a tree's nodes of one depth hold disjoint rows, so a row's side is kept per tree
+        tree = np.repeat((trees - trees[0]) * n, size)
+        goes = np.zeros((trees[-1] - trees[0] + 1) * n, dtype=bool)
+        goes[tree[head] + flat[cells[head] + np.repeat(feature * n, size)[head]]] = True
+        head_cells, tail_cells = cells[head], cells[~head]
+        for f in range(d):
+            rows = flat[cells + f * n]
+            left = goes[tree + rows]
+            flat[head_cells + f * n] = rows[left]
+            flat[tail_cells + f * n] = rows[~left]
 
-    def _trees(self):
+    def _trees(self, n_trees):
         nodes = [_TreeNode(p) for p in np.concatenate(self.predictions).tolist()]
         for split in self.splits:
             for i, f, thr, left, right in zip(*(a.tolist() for a in split)):
                 nd = nodes[i]
                 nd.feature, nd.threshold = f, thr
                 nd.left, nd.right = nodes[left], nodes[right]
-        return nodes[:len(self.rngs)]
+        return nodes[:n_trees]
 
 
 def _predict_tree(node, x):
@@ -336,8 +327,8 @@ def rf_fit(x, y, n_trees=100, seed=0) -> RandomForest:
     if len(np.unique(y)) < 2:
         warnings.warn("single-class training target; forest is a constant predictor")
     n_features = max(1, int(np.sqrt(x.shape[1])))
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
-    trees = _Lockstep(np.asarray(x), y, rngs, num_classes, n_features).grow()
+    rng = np.random.default_rng(seed)
+    trees = _LevelOrder(np.asarray(x), y, rng, n_trees, num_classes, n_features).grow()
     return RandomForest(trees, num_classes)
 
 

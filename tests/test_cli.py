@@ -711,13 +711,25 @@ def test_report_rejects_a_results_file_that_does_not_match_the_columns(tmp_path,
     ({"grid": {"seeds": ["3"]}}, "seed must be an integer >= 0, got '3'"),
     ({"rate": 1.5}, "rate must be in [0, 1), got 1.5"),
     ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
+    # a repeated entry would run one run directory twice, which ``report`` then refuses
+    ({"grid": {"methods": ["mean", "mean", "knn"]}},
+     "grid.methods repeats 'mean'; each run may be counted once"),
+    ({"grid": {"rates": [0, 0.0]}}, "grid.rates repeats 0.0; each run may be counted once"),
+    ({"grid": {"seeds": [1, 0, 1]}}, "grid.seeds repeats 1; each run may be counted once"),
+    ({"grid": {"mechanisms": ["mar", "mcar", "mar"]}},
+     "grid.mechanisms repeats 'mar'; each run may be counted once"),
+    ({"datasets": [{"name": "a", "csv": "a.csv", "schema": "a.json"},
+                   {"name": "a", "csv": "b.csv", "schema": "b.json"}]},
+     "datasets repeats 'a'; each run may be counted once"),
 ], ids=["method", "mechanism", "grid_method", "grid_mechanism", "unknown_key", "runs",
         "no_dataset", "no_schema", "out_type", "name_type", "dataset_type", "method_type",
         "grid_list", "grid_empty_list", "grid_value", "grid_key", "datasets_no_name",
         "datasets_extra_key", "datasets_not_a_list", "train_string", "train_empty_string",
         "train_model_list", "train_weights_number", "grid_empty_rates", "grid_rate_string",
         "grid_rate_bool", "grid_rate_range", "grid_seed_negative", "grid_seed_bool",
-        "grid_seed_float", "grid_seed_string", "rate_range", "train_fraction_range"])
+        "grid_seed_float", "grid_seed_string", "rate_range", "train_fraction_range",
+        "grid_method_repeat", "grid_rate_repeat", "grid_seed_repeat", "grid_mechanism_repeat",
+        "datasets_name_repeat"])
 def test_commands_reject_bad_top_level_settings_before_any_work(workspace, monkeypatch, capsys,
                                                                 change, message):
     root, cfg = workspace
@@ -919,3 +931,35 @@ def test_cli_import_leaves_out_worker_pool_modules():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_an_integer_rate_names_the_run_directory_its_flag_names(workspace):
+    """``"rate": 0`` and ``--rate 0`` (a float to argparse) are one run."""
+    root, cfg = workspace
+    config = json.loads(Path(cfg).read_text())
+    Path(cfg).write_text(json.dumps({**config, "rate": 0, "method": "mean",
+                                     "grid": {"rates": [0, 0.5]}}))
+    loaded = cli.load_config(cfg)
+    assert type(loaded["rate"]) is float and [type(r) for r in loaded["grid"]["rates"]] == \
+        [float, float]
+    assert cli.main(["corrupt", "--config", cfg]) == 0
+    assert (root / "runs/synth/mcar/0.0/mean/0/mask.csv").exists()
+    assert cli.main(["impute", "--config", cfg, "--rate", "0"]) == 0
+
+
+def test_a_categorical_column_of_one_category_imputes_that_category(tmp_path, monkeypatch):
+    """A column whose every cell is ``only`` has one category, so no imputation
+    can pick a class without a name."""
+    monkeypatch.chdir(tmp_path)
+    ds = dataio.make_two_cluster(n=60, d=4, seed=2)
+    ds.values[:, 3] = 0
+    ds.schema[3] = dataio.ColumnSchema("c", dataio.CATEGORICAL, 1, ["only"])
+    dataio.write_csv(ds, None, "one.csv", "one.schema.json")
+    config = {"dataset": "one.csv", "schema": "one.schema.json", "mechanism": "mcar",
+              "rate": 0.4, "method": "egg", "ensemble": 2, "train": FAST_TRAIN}
+    Path("config.json").write_text(json.dumps(config))
+    for step in ("corrupt", "train", "impute"):
+        assert cli.main([step, "--config", "config.json"]) == 0, step
+    lines = Path("runs/one/mcar/0.4/egg/0/imputed.csv").read_text().splitlines()
+    column = lines[0].split(",").index("c")
+    assert {line.split(",")[column] for line in lines[1:]} == {"only"}

@@ -179,7 +179,7 @@ def _row_by_row_load_csv(path, schema_path):
     for j, col in enumerate(feature_cols):
         if col.kind == dataio.CATEGORICAL:
             col.categories = sorted(cat_maps[j], key=cat_maps[j].get)
-            col.cardinality = max(len(col.categories), 2)
+            col.cardinality = max(len(col.categories), 1)
     ds = dataio.TabularDataset(feature_cols, values, targets, max(len(target_map), 1),
                                sorted(target_map, key=target_map.get))
     return ds, mask

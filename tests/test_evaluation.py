@@ -85,8 +85,8 @@ def test_metrics_match_the_per_column_oracle(rows, kinds, seed):
 
 
 # Oracles for the forest: a scalar CART scan with one gini call per candidate
-# threshold, the per-node array split search, and the depth-first grower that
-# ``evaluation.rf_fit``'s lockstep grower must match node for node.
+# threshold, the per-node array split search, and the node-by-node level-order
+# grower that ``evaluation.rf_fit``'s array grower must match node for node.
 
 def _gini(counts):
     total = counts.sum()
@@ -140,36 +140,40 @@ def _best_split(x, y, feature_ids, num_classes):
     return best_f, best_thr
 
 
-def _grow(x, y, depth, n_features, num_classes, rng, best_split):
-    counts = np.bincount(y, minlength=num_classes)
-    node = evaluation._TreeNode(prediction=int(counts.argmax()))
-    if depth >= evaluation.MAX_DEPTH or np.count_nonzero(counts) < 2:
-        return node
-    feature_ids = rng.choice(x.shape[1], size=n_features, replace=False)
-    feature, threshold = best_split(x, y, feature_ids, num_classes)
-    if feature is None:
-        return node
-    go_left = x[:, feature] <= threshold
-    if not go_left.any() or go_left.all():
-        return node
-    node.feature, node.threshold = feature, threshold
-    node.left = _grow(x[go_left], y[go_left], depth + 1, n_features, num_classes, rng, best_split)
-    node.right = _grow(x[~go_left], y[~go_left], depth + 1, n_features, num_classes, rng,
-                       best_split)
-    return node
+def _leaf(y, num_classes):
+    return evaluation._TreeNode(prediction=int(np.bincount(y, minlength=num_classes).argmax()))
 
 
-def _depth_first_forest(x, y, n_trees, seed, best_split=_best_split):
-    """The forest grown one tree at a time, each node recursing left first."""
+def _level_order_forest(x, y, n_trees, seed):
+    """The forest grown one depth at a time, node by node: one generator draws
+    every bootstrap, then at each depth the features of each node that may
+    split, by tree and then left to right."""
     y = np.asarray(y, dtype=np.int64)
     num_classes = int(y.max()) + 1 if len(y) else 1
-    n_features = max(1, int(np.sqrt(x.shape[1])))
-    trees = []
-    for s in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(s)
-        rows = rng.integers(0, len(y), size=len(y))
-        trees.append(_grow(x[rows], y[rows], 0, n_features, num_classes, rng, best_split))
-    return trees
+    n, d = x.shape
+    n_features = max(1, int(np.sqrt(d)))
+    rng = np.random.default_rng(seed)
+    level = [(_leaf(y[rows], num_classes), rows) for rows in rng.integers(0, n, size=(n_trees, n))]
+    roots = [node for node, _ in level]
+    for _ in range(evaluation.MAX_DEPTH):
+        level = [(node, rows) for node, rows in level if len(np.unique(y[rows])) >= 2]
+        if not level:
+            break
+        draws = np.argsort(rng.random((len(level), d)), axis=1)[:, :n_features]
+        children = []
+        for (node, rows), feature_ids in zip(level, draws):
+            feature, threshold = _scalar_best_split(x[rows], y[rows], feature_ids, num_classes)
+            if feature is None:
+                continue
+            go_left = x[rows, feature] <= threshold
+            if not go_left.any() or go_left.all():
+                continue
+            node.feature, node.threshold = feature, threshold
+            node.left, node.right = (_leaf(y[side], num_classes)
+                                     for side in (rows[go_left], rows[~go_left]))
+            children += [(node.left, rows[go_left]), (node.right, rows[~go_left])]
+        level = children
+    return roots
 
 
 def _nodes(tree):
@@ -285,12 +289,12 @@ def test_best_splits_scores_several_nodes_as_each_alone():
 
 
 def test_forest_matches_scalar_split_forest():
-    """The lockstep forest equals the depth-first forest built on the scalar scan."""
+    """The forest equals the level-order forest built on the scalar scan."""
     gen = np.random.default_rng(3)
     x = np.round(gen.normal(size=(60, 5)), 1)
     y = gen.integers(0, 3, 60)
     forest = evaluation.rf_fit(x, y, n_trees=5, seed=2)
-    oracle = _depth_first_forest(x, y, 5, 2, best_split=_scalar_best_split)
+    oracle = _level_order_forest(x, y, 5, 2)
     assert [_nodes(t) for t in forest.trees] == [_nodes(t) for t in oracle]
 
 
@@ -310,25 +314,38 @@ def forest_fixtures(draw):
     return x, y, draw(st.sampled_from([1, 2, 7])), draw(st.integers(0, 2 ** 16))
 
 
-@settings(max_examples=60, deadline=None)
-@given(forest_fixtures())
-def test_forest_matches_the_depth_first_forest_node_for_node(fixture):
+def _assert_matches_the_level_order_forest(fixture):
     x, y, n_trees, seed = fixture
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # single-class targets and inf - inf thresholds warn
         forest = evaluation.rf_fit(x, y, n_trees=n_trees, seed=seed)
-        oracle = _depth_first_forest(x, y, n_trees, seed)
+        oracle = _level_order_forest(x, y, n_trees, seed)
     assert len(forest.trees) == n_trees
     for tree, want in zip(forest.trees, oracle):
         assert _same_nodes(_nodes(tree), _nodes(want))
 
 
-def test_forest_reaches_the_depth_cap_as_the_depth_first_forest_does():
+@settings(max_examples=60, deadline=None)
+@given(forest_fixtures())
+def test_forest_matches_the_level_order_forest_node_for_node(fixture):
+    _assert_matches_the_level_order_forest(fixture)
+
+
+@settings(max_examples=30, deadline=None)
+@given(forest_fixtures())
+def test_forest_sliced_inside_a_depth_matches_the_level_order_forest(fixture):
+    """Slices of 64 samples cut a depth's nodes, and their partitions, into many passes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_SLICE", 64)
+        _assert_matches_the_level_order_forest(fixture)
+
+
+def test_forest_reaches_the_depth_cap_as_the_level_order_forest_does():
     gen = np.random.default_rng(7)
     x = gen.normal(size=(400, 4))
     y = gen.integers(0, 2, 400)  # noise: every tree splits down to the cap
     forest = evaluation.rf_fit(x, y, n_trees=3, seed=1)
-    oracle = _depth_first_forest(x, y, 3, 1)
+    oracle = _level_order_forest(x, y, 3, 1)
     nodes = [_nodes(t) for t in forest.trees]
     assert nodes == [_nodes(t) for t in oracle]
     assert max(depth for tree in nodes for depth, *_ in tree) == evaluation.MAX_DEPTH

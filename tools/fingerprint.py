@@ -22,10 +22,15 @@ the ranking of several seeds is checked; ``datasets`` runs ``benchmark``
 with methods ``mean`` and ``knn`` over two ``datasets`` entries, ``a`` and
 ``b``, that both name the ``kegg-grid`` table, then ``report``, so the
 jobs' expansion over tables, their order and their names are checked;
-each runs through ``eggimpute.cli.main``.
+each runs through ``eggimpute.cli.main``.  ``forest`` fits
+``evaluation.rf_fit`` on the ``kegg-grid`` table's one-hot rows with the
+forest seed of master seed 0 and hashes every tree's preorder (depth,
+feature, threshold, prediction), which ``downstream_accuracy`` is too
+coarse to pin.
 Standard output is one JSON object: the sha256 of each artifact's
-content with the timing fields left out, of each checkpoint array, and
-the parsed checkpoint ``__meta__``.  Two outputs
+content with the timing fields left out, of each checkpoint array and
+of the forest's trees, the forest's node count, and the parsed
+checkpoint ``__meta__``.  Two outputs
 that diff clean mean the two programs wrote the same results; a
 refactor that must keep its outputs compares the fingerprint of the
 parent commit with its own.
@@ -49,7 +54,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.append(str(ROOT / "src"))  # PYTHONPATH, when set, comes first
 
 import workloads  # noqa: E402
-from eggimpute import cli, missingness  # noqa: E402
+from eggimpute import cli, dataio, evaluation, missingness  # noqa: E402
 
 TIMING = ("train_seconds", "inference_seconds", "seconds")
 
@@ -172,12 +177,33 @@ def datasets(directory):
     return kegg_grid(directory, {"methods": ["mean", "knn"]}, datasets=tables)
 
 
+def _preorder(tree):
+    """(depth, feature, threshold, prediction) of every node of ``tree``, in preorder."""
+    out, stack = [], [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        out.append((depth, node.feature, node.threshold, node.prediction))
+        if node.feature is not None:
+            stack += [(node.right, depth + 1), (node.left, depth + 1)]
+    return out
+
+
+def forest(directory):
+    workloads.setup("kegg-grid", 0, directory)
+    ds, _ = dataio.load_csv(directory / workloads.TABLE, directory / workloads.SCHEMA)
+    fit = evaluation.rf_fit(evaluation.one_hot_features(ds.values, ds.schema), ds.targets,
+                            seed=cli._stage_seed_int(0, "forest"))
+    trees = [_preorder(tree) for tree in fit.trees]
+    return {"trees": _json_sha(trees), "nodes": sum(map(len, trees))}
+
+
 def main():
     fingerprint = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute),
                           ("kegg-steps", kegg_steps), ("knn-steps", knn_steps),
-                          ("report-seeds", report_seeds), ("datasets", datasets)):
+                          ("report-seeds", report_seeds), ("datasets", datasets),
+                          ("forest", forest)):
             for key, value in run(Path(tmp) / name).items():
                 fingerprint[f"{name}/{key}"] = value
     print(json.dumps(fingerprint, indent=1, sort_keys=True))
