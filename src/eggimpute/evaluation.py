@@ -86,23 +86,24 @@ def _best_splits(xs, ys, k, counts):
 
     Node g holds ``counts[g].sum()`` samples and ``k`` scans: its samples'
     values ``xs`` and labels ``ys`` sorted by each drawn feature, all nodes'
-    scans concatenated in order.  The rule is the scalar scan's: features in
-    the order drawn, positions left to right, ties (``x[p+1] <= x[p]``)
-    skipped, and a split replaces the running best only if lower by over
-    1e-12.  Returns, per node, the flat index p of the best split (between
-    ``xs[p]`` and ``xs[p+1]``), or -1.
+    scans concatenated in order.  A split between ``xs[p]`` and ``xs[p+1]``
+    counts only if its midpoint threshold t parts them (``xs[p] <= t <
+    xs[p+1]``), so the samples at or before p are the ones going left.  The
+    lowest score wins, the first in scan order (features as drawn, positions
+    left to right) among equal ones, if it is below the node's gini by over
+    1e-12.  Returns, per node, the flat index p of the winning split (or -1)
+    and the class counts of its left side (0 without a split).
     """
     num_nodes, num_classes = counts.shape
     size = counts.sum(axis=1)
     ends = np.cumsum(np.repeat(size, k))
     starts = ends - np.repeat(size, k)
-    best = np.full(num_nodes, -1)
-    valid = np.ones(len(xs), dtype=bool)
-    valid[:-1] = ~(xs[1:] <= xs[:-1])
-    valid[ends - 1] = False
-    at = np.flatnonzero(valid)
-    if not at.size:
-        return best
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or an overflowed sum
+        mid = 0.5 * (xs[:-1] + xs[1:])
+    candidate = np.zeros(len(xs), dtype=bool)
+    candidate[:-1] = (xs[:-1] <= mid) & (mid < xs[1:])
+    candidate[ends - 1] = False
+    at = np.flatnonzero(candidate)
     scan = np.searchsorted(ends, at, side="right")
     node = scan // k
     n = size[node]
@@ -113,36 +114,20 @@ def _best_splits(xs, ys, k, counts):
         seen = np.cumsum(ys == c)
         left[:, c] = seen[at] - (seen[starts] - (ys[starts] == c))[scan]
     right = counts[node] - left
-    left /= n_left[:, None]
-    right /= n_right[:, None]
-    score = n_left / n * (1.0 - (left ** 2).sum(axis=1)) + \
-        n_right / n * (1.0 - (right ** 2).sum(axis=1))
+    score = n_left / n * (1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)) + \
+        n_right / n * (1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1))
     parent = 1.0 - ((counts / size[:, None]) ** 2).sum(axis=1)
-    first = np.searchsorted(node, np.arange(num_nodes))  # each node's scored splits
-    stop = np.append(first[1:], len(at))
-    scored = first < stop
-    lowest = np.full(num_nodes, np.inf)
-    lowest[scored] = np.minimum.reduceat(score, first[scored])
-    # the first lowest score wins unless an earlier split comes within 1e-12 of it
-    hits = np.flatnonzero(score == lowest[node])
-    hits = hits[np.append(True, node[hits[1:]] != node[hits[:-1]])]
-    pick = np.zeros(num_nodes, dtype=np.int64)
-    pick[node[hits]] = hits
-    tangled = np.zeros(num_nodes, dtype=bool)
-    g = np.flatnonzero(scored & (first < pick))
-    if g.size:
-        earlier = np.minimum.reduceat(score, np.column_stack((first[g], pick[g])).ravel())[::2]
-        tangled[g] = ~(score[pick[g]] < earlier - 1e-12)
-    for g in np.flatnonzero(tangled & (lowest < parent - 1e-12)):
-        run = score[first[g]:stop[g]]
-        running = parent[g]
-        prior_min = np.minimum.accumulate(np.concatenate(([running], run)))[:-1]
-        for i in np.flatnonzero(run < prior_min):  # only new minima can be accepted
-            if run[i] < running - 1e-12:
-                running, pick[g] = run[i], first[g] + i
-    won = lowest < parent - 1e-12
-    best[won] = at[pick[won]]
-    return best
+    # each node's lowest score, the first in scan order among equal ones
+    heads = np.flatnonzero(np.diff(node, prepend=-1))
+    lowest = np.repeat(np.minimum.reduceat(score, heads), np.diff(heads, append=len(at)))
+    hits = np.flatnonzero(score == lowest)
+    pick = hits[np.diff(node[hits], prepend=-1) > 0]
+    won = pick[score[pick] < parent[node[pick]] - 1e-12]
+    best = np.full(num_nodes, -1)
+    best_left = np.zeros((num_nodes, num_classes), dtype=np.int64)
+    best[node[won]] = at[won]
+    best_left[node[won]] = left[won]
+    return best, best_left
 
 
 def _ragged_arange(lengths):
@@ -204,16 +189,16 @@ class _LevelOrder:
             features = np.argsort(self.rng.random((len(trees), d)), axis=1)[:, :self.n_features]
             parts = [self._split(trees[i], features[i], lo[i], hi[i], counts[i])
                      for i in _slices(self.n_features * (hi - lo))]
-            feature, threshold, n_left, left_counts = (np.concatenate(p) for p in zip(*parts))
-            split = np.flatnonzero((n_left > 0) & (n_left < hi - lo))
+            feature, threshold, left = (np.concatenate(p) for p in zip(*parts))
+            split = np.flatnonzero(left.any(axis=1))
             if not split.size:
                 break
             trees, lo, hi, node = trees[split], lo[split], hi[split], node[split]
-            feature, threshold, cut = feature[split], threshold[split], lo + n_left[split]
+            feature, threshold, left = feature[split], threshold[split], left[split]
+            cut = lo + left.sum(axis=1)
             for i in _slices(hi - lo):
                 self._partition(trees[i], lo[i], hi[i], cut[i], feature[i])
             # the next depth: each split node's left child, then its right
-            left = left_counts[split]
             counts = np.column_stack((left, counts[split] - left)).reshape(-1, self.num_classes)
             trees = np.repeat(trees, 2)
             lo, hi = np.column_stack((lo, cut)).ravel(), np.column_stack((cut, hi)).ravel()
@@ -223,8 +208,8 @@ class _LevelOrder:
         return self._trees(n_trees)
 
     def _split(self, trees, features, lo, hi, counts):
-        """The best split of each node: feature, threshold, samples going left
-        and their class counts (0 samples when the node has no split)."""
+        """The best split of each node: feature, threshold and the class counts
+        of the samples going left (all 0 when the node has no split)."""
         k, d, n = self.n_features, self.x.shape[1], self.x.shape[0]
         size = np.repeat(hi - lo, k)
         scan_feature = features.ravel()
@@ -232,29 +217,15 @@ class _LevelOrder:
                                                 + np.repeat(lo, k), size)
                                       + _ragged_arange(size)]
         xs = self.x[rows, np.repeat(scan_feature, size)]
-        ys = self.y[rows]
-        best = _best_splits(xs, ys, k, counts)
-        num_nodes = len(trees)
-        feature = np.zeros(num_nodes, dtype=np.int64)
-        threshold = np.zeros(num_nodes)
-        n_left = np.zeros(num_nodes, dtype=np.int64)
-        left_counts = np.zeros((num_nodes, self.num_classes), dtype=np.int64)
-        found = np.flatnonzero(best >= 0)
-        if found.size:
-            at = best[found]
-            scan = np.searchsorted(np.cumsum(size), at, side="right")
-            feature[found] = scan_feature[scan]
-            threshold[found] = 0.5 * (xs[at] + xs[at + 1])
-            # the chosen scan is sorted, so the samples going left are a prefix of it
-            span = size[scan]
-            owner = np.repeat(np.arange(len(found)), span)
-            cells = np.repeat(np.cumsum(size)[scan] - span, span) + _ragged_arange(span)
-            goes = xs[cells] <= threshold[found][owner]
-            n_left[found] = np.bincount(owner, weights=goes, minlength=len(found))
-            left_counts[found] = np.bincount(
-                owner[goes] * self.num_classes + ys[cells[goes]],
-                minlength=len(found) * self.num_classes).reshape(-1, self.num_classes)
-        return feature, threshold, n_left, left_counts
+        best, left = _best_splits(xs, self.y[rows], k, counts)
+        found = best >= 0
+        at = best[found]
+        scan = np.searchsorted(np.cumsum(size), at, side="right")
+        feature = np.zeros(len(trees), dtype=np.int64)
+        threshold = np.zeros(len(trees))
+        feature[found] = scan_feature[scan]
+        threshold[found] = 0.5 * (xs[at] + xs[at + 1])
+        return feature, threshold, left
 
     def _partition(self, trees, lo, hi, cut, feature):
         """Stably partition each split node's span of every feature's order:

@@ -43,10 +43,13 @@ def _calibrate_intercept(scores, rate, lo=-60.0, hi=60.0, iters=80):
 
 
 def _standardized(values):
-    mean = values.mean(axis=0, keepdims=True)
-    std = values.std(axis=0, keepdims=True)
+    """Each column z-scored over its present cells; a blank cell scores 0, the mean."""
+    blank = np.isnan(values)
+    values = np.where(blank.all(axis=0), 0.0, values)  # a column without a present cell
+    mean = np.nanmean(values, axis=0, keepdims=True)
+    std = np.nanstd(values, axis=0, keepdims=True)
     std[std < 1e-12] = 1.0
-    return (values - mean) / std
+    return np.where(blank, 0.0, (values - mean) / std)
 
 
 def corrupt_mcar(ds, rate, seed) -> np.ndarray:

@@ -165,11 +165,13 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
             tau = temperature(step, total_steps, config.tau_start, config.tau_end)
             surr = missingness.surrogate_mask(train_mask[rows], config.surrogate_rate, surr_rng)
             try:
-                parts = _batch_loss(train_ds, rows, train_mask, surr, params, tau,
-                                    "train", gumbel_rng, config.weights, trip_rng)
-                loss = objectives.total_loss(parts, config.weights)
-                loss.backward()
-                rmsprop_step(named, acc, config.learning_rate)
+                # a diverging step is reported by the finite checks, not by numpy's warnings
+                with np.errstate(over="ignore", invalid="ignore"):
+                    parts = _batch_loss(train_ds, rows, train_mask, surr, params, tau,
+                                        "train", gumbel_rng, config.weights, trip_rng)
+                    loss = objectives.total_loss(parts, config.weights)
+                    loss.backward()
+                    rmsprop_step(named, acc, config.learning_rate)
             except FloatingPointError as err:
                 if not history:
                     raise FloatingPointError(f"training failed before its first epoch "

@@ -390,6 +390,7 @@ def test_a_failed_job_names_its_run_path(mixed_config, capsys):
     assert "unreachable" in err[0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_with_a_triplet_term_fails_through_the_non_finite_path(tmp_path, monkeypatch,
                                                                      capsys):
     """A learning rate of 1e300 makes the first step's projections NaN; the

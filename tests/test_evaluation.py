@@ -97,9 +97,12 @@ def _gini(counts):
 
 
 def _scalar_best_split(x, y, feature_ids, num_classes):
+    """Every threshold that parts two neighbours of a sorted feature is scored;
+    the lowest score wins, the first of equal ones, if below the node's gini
+    by over 1e-12."""
     n = len(y)
     parent_counts = np.bincount(y, minlength=num_classes)
-    best = (None, None, _gini(parent_counts))
+    best = (None, None, np.inf)
     for f in feature_ids:
         order = np.argsort(x[:, f], kind="stable")
         xs, ys = x[order, f], y[order]
@@ -108,19 +111,24 @@ def _scalar_best_split(x, y, feature_ids, num_classes):
         for i in range(n - 1):
             left[ys[i]] += 1
             right[ys[i]] -= 1
-            if xs[i + 1] <= xs[i]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                threshold = 0.5 * (xs[i] + xs[i + 1])
+            if not xs[i] <= threshold < xs[i + 1]:
                 continue
             score = (i + 1) / n * _gini(left) + (n - i - 1) / n * _gini(right)
-            if score < best[2] - 1e-12:
-                best = (f, 0.5 * (xs[i] + xs[i + 1]), score)
-    return best[0], best[1]
+            if score < best[2]:
+                best = (f, threshold, score)
+    if best[2] < _gini(parent_counts) - 1e-12:
+        return best[0], best[1]
+    return None, None
 
 
 def _best_split(x, y, feature_ids, num_classes):
     """Gini split search of one node, all its drawn features in one pass."""
     n = len(y)
+    if n < 2:
+        return None, None
     parent = np.bincount(y, minlength=num_classes)
-    best_f, best_thr, best = None, None, 1.0 - ((parent / n) ** 2).sum()
     cols = x[:, feature_ids]
     order = np.argsort(cols, axis=0, kind="stable")
     xs = np.take_along_axis(cols, order, axis=0).T  # F x n, each feature sorted
@@ -130,14 +138,14 @@ def _best_split(x, y, feature_ids, num_classes):
     n_right = n - n_left
     score = n_left / n * (1.0 - ((left / n_left[:, None]) ** 2).sum(axis=2)) + \
         n_right / n * (1.0 - ((right / n_right[:, None]) ** 2).sum(axis=2))
-    score[xs[:, 1:] <= xs[:, :-1]] = np.inf
-    score = score.ravel()  # feature-major: the scan order
-    prior_min = np.minimum.accumulate(np.concatenate(([best], score)))[:-1]
-    for i in np.flatnonzero(score < prior_min):  # only new minima can be accepted
-        if score[i] < best - 1e-12:
-            f, pos = divmod(i, n - 1)
-            best_f, best_thr, best = feature_ids[f], 0.5 * (xs[f, pos] + xs[f, pos + 1]), score[i]
-    return best_f, best_thr
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = 0.5 * (xs[:, :-1] + xs[:, 1:])
+    score[~((xs[:, :-1] <= mid) & (mid < xs[:, 1:]))] = np.inf
+    i = np.argmin(score.ravel())  # feature-major: the scan order
+    f, pos = divmod(i, n - 1)
+    if not score[f, pos] < 1.0 - ((parent / n) ** 2).sum() - 1e-12:
+        return None, None
+    return feature_ids[f], mid[f, pos]
 
 
 def _leaf(y, num_classes):
@@ -166,8 +174,6 @@ def _level_order_forest(x, y, n_trees, seed):
             if feature is None:
                 continue
             go_left = x[rows, feature] <= threshold
-            if not go_left.any() or go_left.all():
-                continue
             node.feature, node.threshold = feature, threshold
             node.left, node.right = (_leaf(y[side], num_classes)
                                      for side in (rows[go_left], rows[~go_left]))
@@ -187,14 +193,6 @@ def _nodes(tree):
     return out
 
 
-def _same_nodes(a, b):
-    """Node for node equal; a NaN threshold matches a NaN threshold."""
-    return len(a) == len(b) and all(
-        u[:2] == v[:2] and u[3] == v[3] and
-        (u[2] == v[2] or (u[2] is not None and np.isnan(u[2]) and np.isnan(v[2])))
-        for u, v in zip(a, b))
-
-
 def _scans(x, y, feature_ids):
     """A node's values and labels sorted by each drawn feature, concatenated."""
     order = np.argsort(x[:, feature_ids], axis=0, kind="stable")
@@ -202,13 +200,18 @@ def _scans(x, y, feature_ids):
 
 
 def _batched_best_split(x, y, feature_ids, num_classes):
-    """``evaluation._best_splits`` called on one node: (feature, threshold)."""
+    """``evaluation._best_splits`` called on one node: (feature, threshold);
+    its left class counts are those of the samples the threshold sends left."""
     xs, ys = _scans(x, y, feature_ids)
     counts = np.bincount(y, minlength=num_classes)[None]
-    at = evaluation._best_splits(xs, ys, len(feature_ids), counts)[0]
-    if at < 0:
+    best, left = evaluation._best_splits(xs, ys, len(feature_ids), counts)
+    if best[0] < 0:
+        assert not left.any()
         return None, None
-    return feature_ids[at // len(y)], 0.5 * (xs[at] + xs[at + 1])
+    feature, threshold = feature_ids[best[0] // len(y)], 0.5 * (xs[best[0]] + xs[best[0] + 1])
+    goes = x[:, feature] <= threshold
+    assert np.array_equal(left[0], np.bincount(y[goes], minlength=num_classes))
+    return feature, threshold
 
 
 def test_gini_oracle():
@@ -234,17 +237,25 @@ def test_best_split_none_when_uninformative():
 
 @st.composite
 def split_fixtures(draw):
-    """Small tables with many ties: few distinct values per column, or
-    continuous values; 2-10 classes, not all of them present."""
+    """Small tables with many ties: few distinct values per column, adjacent
+    floats (whose midpoints round onto a neighbour), or continuous values,
+    optionally with +-inf and NaN cells; 2-10 classes, not all of them present."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 4))
     num_classes = draw(st.integers(2, 10))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     gen = np.random.default_rng(seed)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["few", "adjacent", "continuous"]))
+    if kind == "few":
         x = gen.integers(0, draw(st.integers(1, 6)), size=(n, d)).astype(np.float64)
+    elif kind == "adjacent":
+        x = 1 + gen.integers(0, 4, size=(n, d)) * 2.0 ** -52
     else:
         x = np.round(gen.normal(size=(n, d)), draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        x[gen.random(x.shape) < 0.1] = np.inf
+        x[gen.random(x.shape) < 0.1] = -np.inf
+        x[gen.random(x.shape) < 0.1] = np.nan
     y = gen.integers(0, draw(st.integers(1, num_classes)), size=n)
     feature_ids = gen.permutation(d)[:draw(st.integers(1, d))]
     return x, y, feature_ids, num_classes
@@ -258,16 +269,26 @@ def test_best_split_matches_scalar_scan(fixture):
     assert _best_split(*fixture) == want
 
 
-def test_best_split_keeps_the_first_of_near_ties():
+def test_best_split_takes_the_lowest_of_near_ties():
     """Three splits score 0.4 up to rounding: feature 0 at 7.5 gives 0.4,
     feature 1 at 0.5 and 4.5 give 0.4 - 5.6e-17 and 0.4 - 1.1e-16.  The
-    later ones beat the running best by less than 1e-12, so feature 0
-    stays; a plain argmin would pick feature 1."""
+    lowest wins, however close the others come."""
     x = np.array([[5.0, 9.0], [1.0, 0.0], [6.0, 8.0], [7.0, 3.0], [0.0, 2.0],
                   [9.0, 6.0], [8.0, 1.0], [3.0, 4.0], [2.0, 5.0], [4.0, 7.0]])
     y = np.array([1, 0, 0, 0, 1, 1, 1, 0, 1, 1])
-    assert _batched_best_split(x, y, [0, 1], 2) == (0, 7.5)
-    assert _scalar_best_split(x, y, [0, 1], 2) == (0, 7.5)
+    assert _batched_best_split(x, y, [0, 1], 2) == (1, 4.5)
+    assert _scalar_best_split(x, y, [0, 1], 2) == (1, 4.5)
+    assert _best_split(x, y, [0, 1], 2) == (1, 4.5)
+
+
+def test_best_split_skips_a_midpoint_that_rounds_onto_its_right_neighbour():
+    """The midpoint of 1 + 2**-52 and 1 + 2**-51 rounds to 1 + 2**-51, which
+    parts nothing, so the pure split between them is not a candidate."""
+    x = np.array([[1 + 2 ** -52], [1 + 2 ** -51], [5.0]])
+    y = np.array([0, 1, 1])
+    assert _batched_best_split(x, y, [0], 2) == (0, 3.0)
+    assert _scalar_best_split(x, y, [0], 2) == (0, 3.0)
+    assert _best_split(x, y, [0], 2) == (0, 3.0)
 
 
 def test_best_splits_scores_several_nodes_as_each_alone():
@@ -279,13 +300,15 @@ def test_best_splits_scores_several_nodes_as_each_alone():
         nodes.append((x, gen.integers(0, 3, n), gen.permutation(3)[:2], 3))
     xs, ys = (np.concatenate(part) for part in zip(*(_scans(*node[:3]) for node in nodes)))
     counts = np.stack([np.bincount(y, minlength=3) for _, y, _, _ in nodes])
-    at = evaluation._best_splits(xs, ys, 2, counts)
+    at, left = evaluation._best_splits(xs, ys, 2, counts)
     starts = np.cumsum([0] + [2 * len(y) for _, y, _, _ in nodes[:-1]])
-    for (x, y, feature_ids, c), a, start in zip(nodes, at, starts):
+    for (x, y, feature_ids, c), a, lc, start in zip(nodes, at, left, starts):
         want = _scalar_best_split(x, y, feature_ids, c)
         got = (None, None) if a < 0 else \
             (feature_ids[(a - start) // len(y)], 0.5 * (xs[a] + xs[a + 1]))
         assert got == want
+        goes = x[:, want[0]] <= want[1] if a >= 0 else np.zeros(len(y), dtype=bool)
+        assert np.array_equal(lc, np.bincount(y[goes], minlength=c))
 
 
 def test_forest_matches_scalar_split_forest():
@@ -317,12 +340,12 @@ def forest_fixtures(draw):
 def _assert_matches_the_level_order_forest(fixture):
     x, y, n_trees, seed = fixture
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # single-class targets and inf - inf thresholds warn
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "single-class training target")
         forest = evaluation.rf_fit(x, y, n_trees=n_trees, seed=seed)
         oracle = _level_order_forest(x, y, n_trees, seed)
     assert len(forest.trees) == n_trees
-    for tree, want in zip(forest.trees, oracle):
-        assert _same_nodes(_nodes(tree), _nodes(want))
+    assert [_nodes(t) for t in forest.trees] == [_nodes(t) for t in oracle]
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,6 +372,17 @@ def test_forest_reaches_the_depth_cap_as_the_level_order_forest_does():
     nodes = [_nodes(t) for t in forest.trees]
     assert nodes == [_nodes(t) for t in oracle]
     assert max(depth for tree in nodes for depth, *_ in tree) == evaluation.MAX_DEPTH
+
+
+def test_forest_splits_a_node_whose_purest_cut_borders_nan():
+    """Cutting between 1 and NaN would part the labels cleanly, but no
+    threshold makes that cut; the root splits at 0.5 instead of staying a leaf."""
+    x = np.tile([0.0, 1.0, np.nan, np.nan], 10)[:, None]
+    y = np.tile([0, 0, 1, 1], 10)
+    forest = evaluation.rf_fit(x, y, n_trees=1, seed=0)
+    root = forest.trees[0]
+    assert (root.feature, root.threshold) == (0, 0.5)
+    assert (evaluation.rf_predict(forest, x) == y).mean() == 0.75
 
 
 def test_forest_learns_separable_problem():

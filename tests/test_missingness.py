@@ -147,6 +147,22 @@ def test_mar_and_mnar_hit_their_calibrated_rate(mechanism, cols, rate, skewed, s
     assert abs((1.0 - mask.mean()) - rate) < 5 * std_err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mechanism", ["mar", "mnar"])
+def test_mar_and_mnar_hit_their_rate_on_a_table_with_blank_cells(mechanism):
+    """A blank cell scores as its column's mean, so the file's own missing
+    cells, even a column with none present, leave the calibration intact."""
+    gen = np.random.default_rng(0)
+    values = gen.normal(size=(400, 6))
+    values[gen.random(values.shape) < 0.05] = np.nan
+    values[:, 4] = np.nan
+    schema = [dataio.ColumnSchema(f"c{i}", dataio.NUMERICAL) for i in range(6)]
+    ds = dataio.TabularDataset(schema, values, gen.integers(0, 2, 400), 2)
+    assert np.isfinite(missingness._standardized(values)).all()
+    mask = missingness.corrupt(ds, mechanism, 0.2, seed=0)
+    assert abs((1.0 - mask.mean()) - 0.2) < 0.05
+
+
 def _separate_mar_bits(ds, rate, seed):
     """MAR before the logistic draw became a shared helper (oracle)."""
     if ds.n_cols < 2:

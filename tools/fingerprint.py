@@ -22,7 +22,10 @@ the ranking of several seeds is checked; ``datasets`` runs ``benchmark``
 with methods ``mean`` and ``knn`` over two ``datasets`` entries, ``a`` and
 ``b``, that both name the ``kegg-grid`` table, then ``report``, so the
 jobs' expansion over tables, their order and their names are checked;
-each runs through ``eggimpute.cli.main``.  ``forest`` fits
+``blank-cells`` runs ``corrupt`` under MAR and under MNAR on the
+``egg-impute`` table with a fixed 5% of its cells left blank, so the
+masks drawn where the file's own missing cells meet the corruption are
+checked; each runs through ``eggimpute.cli.main``.  ``forest`` fits
 ``evaluation.rf_fit`` on the ``kegg-grid`` table's one-hot rows with the
 forest seed of master seed 0 and hashes every tree's preorder (depth,
 feature, threshold, prediction), which ``downstream_accuracy`` is too
@@ -177,6 +180,18 @@ def datasets(directory):
     return kegg_grid(directory, {"methods": ["mean", "knn"]}, datasets=tables)
 
 
+def blank_cells(directory):
+    inputs = workloads.setup("egg-impute", 0, directory)
+    blank = np.random.default_rng(0).random(inputs.truth.values.shape) < 0.05
+    dataio.write_csv(inputs.truth, ~blank, directory / workloads.TABLE)
+    out = {}
+    for mechanism in ("mar", "mnar"):
+        _run(directory, _step("corrupt") + ["--mechanism", mechanism])
+        rd = directory / "out" / "table" / mechanism / "0.2" / "egg" / str(workloads.PIPELINE_SEED)
+        out[f"{mechanism}/mask.csv:bits"] = _array_sha(missingness.load_mask(rd / "mask.csv"))
+    return out
+
+
 def _preorder(tree):
     """(depth, feature, threshold, prediction) of every node of ``tree``, in preorder."""
     out, stack = [], [(tree, 0)]
@@ -203,7 +218,7 @@ def main():
         for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute),
                           ("kegg-steps", kegg_steps), ("knn-steps", knn_steps),
                           ("report-seeds", report_seeds), ("datasets", datasets),
-                          ("forest", forest)):
+                          ("blank-cells", blank_cells), ("forest", forest)):
             for key, value in run(Path(tmp) / name).items():
                 fingerprint[f"{name}/{key}"] = value
     print(json.dumps(fingerprint, indent=1, sort_keys=True))
