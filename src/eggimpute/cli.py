@@ -114,7 +114,10 @@ def load_config(path, overrides=None):
         raise ValueError("train.model.sampler is set by the top-level 'method'; remove it")
     if not cfg["datasets"] and (cfg["dataset"] is None or cfg["schema"] is None):
         raise ValueError("set 'dataset' and 'schema', or 'datasets'")
-    _train_config({**cfg, "method": "egg"}).validate()  # any model method's sampler passes
+    # the sampler of each model method the config can run (egg's when it runs none)
+    methods = [m for m in grid.get("methods", [cfg["method"]]) if m in MODEL_METHODS]
+    for method in methods or ["egg"]:
+        _train_config({**cfg, "method": method}).validate()
     return cfg
 
 
@@ -336,6 +339,9 @@ def cmd_evaluate(args):
     cfg = _step_config(args)
     rd, prep = _load_run(cfg)
     imputed_z = np.load(_require(rd / "imputed_z.npy", "eggimpute impute"))
+    if imputed_z.shape != prep.ds.values.shape:
+        raise ValueError(f"imputed_z.npy has shape {imputed_z.shape} but the table has shape "
+                         f"{prep.ds.values.shape}; rerun `eggimpute impute` on this table")
     report = _evaluate(cfg, prep, imputed_z)
     with open(rd / "report.json", "w") as fh:
         json.dump(asdict(report), fh, indent=2)

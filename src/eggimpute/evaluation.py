@@ -64,9 +64,9 @@ def cat_accuracy(truth, imputed, eval_mask, categorical_idx):
 # -- random forest ------------------------------------------------------
 
 MAX_DEPTH = 12  # depth cap of every forest tree
-# Samples per array pass of the forest grower: a round of many large nodes is
-# scored and partitioned in slices of about this size, so its temporaries stay
-# cache-sized (a few MB at most) whatever the table's size.
+# Scanned samples per array pass of the forest grower: a round of many large
+# nodes is sorted, scored and routed in slices of about this size, so its
+# temporaries stay cache-sized (a few MB at most) whatever the table's size.
 _SLICE = 1 << 15
 
 
@@ -141,119 +141,79 @@ def _slices(sizes):
     return np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(np.cumsum(sizes) // _SLICE)) + 1)
 
 
-class _LevelOrder:
-    """Every tree of a forest, grown together one depth per round.
+def _grow(x, y, rng, n_trees, num_classes, n_features):
+    """Every tree of a forest, grown together one depth per round; the roots.
 
     One generator draws every tree's bootstrap, then each round the feature
     subset of every node that may split, in node order: by tree, then left to
-    right.  Each tree's samples' rows, stably sorted by each feature, sit in
-    ``order[t, f]``; a node owns the same span ``[lo, hi)`` of every feature's
-    order, and a split partitions the span stably, so each child's orders are
-    those sorting its samples would give.  A node is a leaf at the depth cap,
-    when pure, or when no split parts its samples.  A round's temporaries are
-    sliced to ``_SLICE`` samples.
+    right.  ``rows`` holds the last depth's nodes' samples, node by node.  A
+    node is a leaf at the depth cap, when pure, or when no split parts its
+    samples; a split sends a sample left when ``x <= threshold``, as
+    ``rf_predict`` does.  A round runs in slices of about ``_SLICE`` scanned
+    samples.
     """
+    n, d = x.shape
+    rank = np.empty(x.shape, dtype=np.int64)
+    for f in range(d):  # dense ranks tie exactly where the values do (-0.0 with 0.0, NaN last)
+        rank[:, f] = np.unique(x[:, f], return_inverse=True)[1]
+    rows, node = rng.integers(0, n, size=n_trees * n), np.arange(n_trees)
+    counts = np.bincount(np.repeat(node * num_classes, n) + y[rows],
+                         minlength=n_trees * num_classes).reshape(n_trees, num_classes)
+    predictions, splits = [counts.argmax(axis=1)], []
+    for _ in range(MAX_DEPTH):
+        size = counts.sum(axis=1)
+        grows = np.count_nonzero(counts, axis=1) >= 2
+        if not grows.any():
+            break
+        starts, size = (np.cumsum(size) - size)[grows], size[grows]
+        node, counts = node[grows], counts[grows]
+        features = np.argsort(rng.random((len(node), d)), axis=1)[:, :n_features]
+        parts = [_split(x, y, rank, rows, starts[i], features[i], counts[i])
+                 for i in _slices(n_features * size)]
+        feature, threshold, left, rows = (np.concatenate(p) for p in zip(*parts))
+        split = np.flatnonzero(left.any(axis=1))
+        if not split.size:
+            break
+        # the next depth: each split node's left child, then its right
+        counts = np.column_stack((left[split], counts[split] - left[split])).reshape(-1, num_classes)
+        child = sum(map(len, predictions)) + np.arange(len(counts))
+        predictions.append(counts.argmax(axis=1))
+        splits.append((node[split], feature[split], threshold[split], child[::2], child[1::2]))
+        node = child
+    nodes = [_TreeNode(p) for p in np.concatenate(predictions).tolist()]
+    for split in splits:
+        for i, f, thr, left, right in zip(*(a.tolist() for a in split)):
+            nd = nodes[i]
+            nd.feature, nd.threshold = f, thr
+            nd.left, nd.right = nodes[left], nodes[right]
+    return nodes[:n_trees]
 
-    def __init__(self, x, y, rng, n_trees, num_classes, n_features):
-        self.x, self.y, self.rng = x, y, rng
-        self.num_classes, self.n_features = num_classes, n_features
-        n, d = x.shape
-        boot = rng.integers(0, n, size=(n_trees, n))
-        self.order = np.empty((n_trees, d, n), dtype=np.int32)
-        for f in range(d):
-            # dense ranks tie exactly where the values do (-0.0 with 0.0, NaN last), and
-            # in the smallest unsigned type a stable sort of them is a radix sort
-            rank = np.unique(x[:, f], return_inverse=True)[1].astype(np.min_scalar_type(n))
-            self.order[:, f] = np.take_along_axis(
-                boot, np.argsort(rank[boot], axis=1, kind="stable"), axis=1)
-        self.root_counts = np.bincount(
-            (np.arange(n_trees)[:, None] * num_classes + y[boot]).ravel(),
-            minlength=n_trees * num_classes).reshape(n_trees, num_classes)
-        self.predictions, self.splits = [], []
 
-    def _make(self, counts):
-        """New nodes of these class counts, numbered in order."""
-        made = sum(map(len, self.predictions))
-        self.predictions.append(counts.argmax(axis=1))
-        return made + np.arange(len(counts))
-
-    def grow(self):
-        n_trees, d, n = self.order.shape
-        trees, lo, hi = np.arange(n_trees), np.zeros(n_trees, dtype=np.int64), np.full(n_trees, n)
-        counts, node = self.root_counts, self._make(self.root_counts)
-        for _ in range(MAX_DEPTH):
-            grows = np.count_nonzero(counts, axis=1) >= 2
-            if not grows.any():
-                break
-            trees, lo, hi, node, counts = (a[grows] for a in (trees, lo, hi, node, counts))
-            features = np.argsort(self.rng.random((len(trees), d)), axis=1)[:, :self.n_features]
-            parts = [self._split(trees[i], features[i], lo[i], hi[i], counts[i])
-                     for i in _slices(self.n_features * (hi - lo))]
-            feature, threshold, left = (np.concatenate(p) for p in zip(*parts))
-            split = np.flatnonzero(left.any(axis=1))
-            if not split.size:
-                break
-            trees, lo, hi, node = trees[split], lo[split], hi[split], node[split]
-            feature, threshold, left = feature[split], threshold[split], left[split]
-            cut = lo + left.sum(axis=1)
-            for i in _slices(hi - lo):
-                self._partition(trees[i], lo[i], hi[i], cut[i], feature[i])
-            # the next depth: each split node's left child, then its right
-            counts = np.column_stack((left, counts[split] - left)).reshape(-1, self.num_classes)
-            trees = np.repeat(trees, 2)
-            lo, hi = np.column_stack((lo, cut)).ravel(), np.column_stack((cut, hi)).ravel()
-            child = self._make(counts)
-            self.splits.append((node, feature, threshold, child[::2], child[1::2]))
-            node = child
-        return self._trees(n_trees)
-
-    def _split(self, trees, features, lo, hi, counts):
-        """The best split of each node: feature, threshold and the class counts
-        of the samples going left (all 0 when the node has no split)."""
-        k, d, n = self.n_features, self.x.shape[1], self.x.shape[0]
-        size = np.repeat(hi - lo, k)
-        scan_feature = features.ravel()
-        rows = self.order.reshape(-1)[np.repeat((np.repeat(trees, k) * d + scan_feature) * n
-                                                + np.repeat(lo, k), size)
-                                      + _ragged_arange(size)]
-        xs = self.x[rows, np.repeat(scan_feature, size)]
-        best, left = _best_splits(xs, self.y[rows], k, counts)
-        found = best >= 0
-        at = best[found]
-        scan = np.searchsorted(np.cumsum(size), at, side="right")
-        feature = np.zeros(len(trees), dtype=np.int64)
-        threshold = np.zeros(len(trees))
-        feature[found] = scan_feature[scan]
-        threshold[found] = 0.5 * (xs[at] + xs[at + 1])
-        return feature, threshold, left
-
-    def _partition(self, trees, lo, hi, cut, feature):
-        """Stably partition each split node's span of every feature's order:
-        the rows that go left are the head of the split feature's span."""
-        d, n = self.x.shape[1], self.x.shape[0]
-        size, flat = hi - lo, self.order.reshape(-1)
-        at = _ragged_arange(size)
-        cells = np.repeat(trees * d * n + lo, size) + at  # the spans of feature 0's order
-        head = at < np.repeat(cut - lo, size)
-        # a tree's nodes of one depth hold disjoint rows, so a row's side is kept per tree
-        tree = np.repeat((trees - trees[0]) * n, size)
-        goes = np.zeros((trees[-1] - trees[0] + 1) * n, dtype=bool)
-        goes[tree[head] + flat[cells[head] + np.repeat(feature * n, size)[head]]] = True
-        head_cells, tail_cells = cells[head], cells[~head]
-        for f in range(d):
-            rows = flat[cells + f * n]
-            left = goes[tree + rows]
-            flat[head_cells + f * n] = rows[left]
-            flat[tail_cells + f * n] = rows[~left]
-
-    def _trees(self, n_trees):
-        nodes = [_TreeNode(p) for p in np.concatenate(self.predictions).tolist()]
-        for split in self.splits:
-            for i, f, thr, left, right in zip(*(a.tolist() for a in split)):
-                nd = nodes[i]
-                nd.feature, nd.threshold = f, thr
-                nd.left, nd.right = nodes[left], nodes[right]
-        return nodes[:n_trees]
+def _split(x, y, rank, rows, starts, features, counts):
+    """The best split of each node, whose samples are ``rows[start:start + size]``:
+    feature, threshold, the class counts going left (all 0 without a split),
+    and the split nodes' samples, each node's left child's then its right's."""
+    num_nodes, k = features.shape
+    size = counts.sum(axis=1)
+    scan_size = np.repeat(size, k)
+    # each drawn feature's scan of its node's samples, sorted by rank (ties in any order)
+    scans = rows[np.repeat(np.repeat(starts, k), scan_size) + _ragged_arange(scan_size)]
+    scan_feature = np.repeat(features.ravel(), scan_size)
+    by_rank = np.argsort(np.repeat(np.arange(num_nodes * k), scan_size) * len(x)
+                         + rank[scans, scan_feature])
+    scans, scan_feature = scans[by_rank], scan_feature[by_rank]
+    xs = x[scans, scan_feature]
+    best, left = _best_splits(xs, y[scans], k, counts)
+    found = best >= 0
+    feature = np.zeros(num_nodes, dtype=np.int64)
+    threshold = np.zeros(num_nodes)
+    at = best[found]
+    feature[found] = scan_feature[at]
+    threshold[found] = 0.5 * (xs[at] + xs[at + 1])
+    owner = np.repeat(np.flatnonzero(found), size[found])
+    routed = rows[np.repeat(starts[found], size[found]) + _ragged_arange(size[found])]
+    goes_left = x[routed, feature[owner]] <= threshold[owner]
+    return feature, threshold, left, routed[np.argsort(2 * owner + ~goes_left, kind="stable")]
 
 
 def _predict_tree(node, x):
@@ -299,7 +259,7 @@ def rf_fit(x, y, n_trees=100, seed=0) -> RandomForest:
         warnings.warn("single-class training target; forest is a constant predictor")
     n_features = max(1, int(np.sqrt(x.shape[1])))
     rng = np.random.default_rng(seed)
-    trees = _LevelOrder(np.asarray(x), y, rng, n_trees, num_classes, n_features).grow()
+    trees = _grow(np.asarray(x), y, rng, n_trees, num_classes, n_features)
     return RandomForest(trees, num_classes)
 
 

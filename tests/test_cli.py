@@ -293,6 +293,40 @@ def test_train_rejects_invalid_train_config(workspace, capsys, train, message):
     assert not (root / "runs").exists()
 
 
+def test_kegg_k_below_one_fails_before_any_file(workspace, capsys):
+    """The train section is checked with the sampler of every model method the
+    config can run, so k = 0 fails up front for kegg, in a grid or alone."""
+    root, cfg = workspace
+    config = json.loads(Path(cfg).read_text())
+    config["train"] = {**FAST_TRAIN, "model": {**FAST_TRAIN["model"], "k": 0}}
+    Path(cfg).write_text(json.dumps({**config, "grid": {"methods": ["mean", "kegg"]}}))
+    assert cli.main(["benchmark", "--config", cfg]) == 1
+    Path(cfg).write_text(json.dumps({**config, "method": "kegg"}))
+    assert cli.main(["corrupt", "--config", cfg]) == 1
+    message = "error: kegg needs k >= 1 neighbors per node, got k=0"
+    assert capsys.readouterr().err.splitlines() == [message, message]
+    assert not (root / "runs").exists()
+    Path(cfg).write_text(json.dumps({**config, "grid": {"methods": ["mean", "egg"]}}))
+    assert cli.main(["corrupt", "--config", cfg]) == 0  # no kegg job: k is unused
+
+
+@pytest.mark.parametrize("rows, cols", [(80, 4), (60, 5)])
+def test_evaluate_rejects_the_imputation_of_another_table(workspace, capsys, rows, cols):
+    root, cfg = workspace
+    flags = ["--config", cfg, "--method", "mean"]
+    for command in ("corrupt", "impute"):
+        assert cli.main([command, *flags]) == 0
+    assert cli.main(["make-synthetic", "--rows", str(rows), "--cols", str(cols),
+                     "--output", "data/synth.csv"]) == 0
+    assert cli.main(["corrupt", *flags]) == 0
+    capsys.readouterr()
+    assert cli.main(["evaluate", *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: imputed_z.npy has shape (60, 4) but the table has shape ({rows}, {cols}); "
+        f"rerun `eggimpute impute` on this table"]
+    assert not (root / "runs" / "results.csv").exists()
+
+
 def test_a_one_row_table_corrupts_but_fails_to_split(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["make-synthetic", "--rows", "1", "--output", "data/one.csv"]) == 0

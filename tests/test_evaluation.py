@@ -354,12 +354,14 @@ def test_forest_matches_the_level_order_forest_node_for_node(fixture):
     _assert_matches_the_level_order_forest(fixture)
 
 
+@pytest.mark.parametrize("slice_size", [1, 64])
 @settings(max_examples=30, deadline=None)
 @given(forest_fixtures())
-def test_forest_sliced_inside_a_depth_matches_the_level_order_forest(fixture):
-    """Slices of 64 samples cut a depth's nodes, and their partitions, into many passes."""
+def test_forest_sliced_inside_a_depth_matches_the_level_order_forest(slice_size, fixture):
+    """Slices of 64 scanned samples cut a depth's nodes, their sort and their
+    scoring into many passes; with 1, every node is a slice of its own."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluation, "_SLICE", 64)
+        patch.setattr(evaluation, "_SLICE", slice_size)
         _assert_matches_the_level_order_forest(fixture)
 
 

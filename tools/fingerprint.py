@@ -29,7 +29,10 @@ checked; each runs through ``eggimpute.cli.main``.  ``forest`` fits
 ``evaluation.rf_fit`` on the ``kegg-grid`` table's one-hot rows with the
 forest seed of master seed 0 and hashes every tree's preorder (depth,
 feature, threshold, prediction), which ``downstream_accuracy`` is too
-coarse to pin.
+coarse to pin; ``forest-nonfinite`` does the same on the 2000-row
+``egg-impute`` table with a seeded 5% of its cells set to NaN and 2% each
+to +inf and -inf, so the routing of non-finite cells is checked over
+rounds that span several slices of the grower.
 Standard output is one JSON object: the sha256 of each artifact's
 content with the timing fields left out, of each checkpoint array and
 of the forest's trees, the forest's node count, and the parsed
@@ -203,13 +206,28 @@ def _preorder(tree):
     return out
 
 
-def forest(directory):
-    workloads.setup("kegg-grid", 0, directory)
+def _forest(workload, directory, nonfinite=False):
+    """The forest of ``workload``'s one-hot rows, with a seeded 5% of its cells set
+    to NaN and 2% each to +inf and -inf when ``nonfinite``."""
+    workloads.setup(workload, 0, directory)
     ds, _ = dataio.load_csv(directory / workloads.TABLE, directory / workloads.SCHEMA)
-    fit = evaluation.rf_fit(evaluation.one_hot_features(ds.values, ds.schema), ds.targets,
-                            seed=cli._stage_seed_int(0, "forest"))
+    x = evaluation.one_hot_features(ds.values, ds.schema)
+    if nonfinite:
+        draw = np.random.default_rng(0).random(x.shape)
+        x[draw < 0.05] = np.nan
+        x[(0.05 <= draw) & (draw < 0.07)] = np.inf
+        x[(0.07 <= draw) & (draw < 0.09)] = -np.inf
+    fit = evaluation.rf_fit(x, ds.targets, seed=cli._stage_seed_int(0, "forest"))
     trees = [_preorder(tree) for tree in fit.trees]
     return {"trees": _json_sha(trees), "nodes": sum(map(len, trees))}
+
+
+def forest(directory):
+    return _forest("kegg-grid", directory)
+
+
+def forest_nonfinite(directory):
+    return _forest("egg-impute", directory, nonfinite=True)
 
 
 def main():
@@ -218,7 +236,8 @@ def main():
         for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute),
                           ("kegg-steps", kegg_steps), ("knn-steps", knn_steps),
                           ("report-seeds", report_seeds), ("datasets", datasets),
-                          ("blank-cells", blank_cells), ("forest", forest)):
+                          ("blank-cells", blank_cells), ("forest", forest),
+                          ("forest-nonfinite", forest_nonfinite)):
             for key, value in run(Path(tmp) / name).items():
                 fingerprint[f"{name}/{key}"] = value
     print(json.dumps(fingerprint, indent=1, sort_keys=True))
