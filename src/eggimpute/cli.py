@@ -426,6 +426,9 @@ def cmd_benchmark(args):
         if ds.n_rows < 2:
             raise ValueError(f"{key[0]}: a train/validation split needs at least 2 rows, "
                              f"got {ds.n_rows}")
+    for job in jobs:  # a table too narrow for a MAR job's rate fails before any job runs
+        if job["mechanism"] == "mar":
+            missingness.mar_observed(tables[job["dataset"], job["schema"]][0].n_cols, job["rate"])
     out_root = Path(cfg["out"])
     out_root.mkdir(parents=True, exist_ok=True)
     work = [tables[job["dataset"], job["schema"]] for job in jobs]

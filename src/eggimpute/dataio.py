@@ -144,17 +144,24 @@ def load_csv(path, schema_path):
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(f"row {i + 2} has {len(row)} cells, but the header has {len(header)}")
-    cells = {name: [row[pos].strip() for row in rows] for pos, name in enumerate(header)}
+    transposed = zip(*rows) if rows else [()] * len(header)
+    cells = {name: list(map(str.strip, column)) for name, column in zip(header, transposed)}
     feature_cols = [c for c in columns if c.name != target_name]
 
     values = np.full((len(rows), len(feature_cols)), np.nan)
     for j, col in enumerate(feature_cols):
-        present = [i for i, cell in enumerate(cells[col.name]) if cell]
+        present = np.flatnonzero(list(map(bool, cells[col.name])))
+        given = list(filter(None, cells[col.name]))
         if col.kind == NUMERICAL:
-            values[present, j] = [_number(cells[col.name][i], i + 2, col.name) for i in present]
+            try:  # a cell float() rejects leaves the column NaN
+                values[present, j] = list(map(float, given))
+            except ValueError:
+                pass
+            if not np.isfinite(values[present, j]).all():  # _number names the first bad cell
+                for i, cell in zip(present.tolist(), given):
+                    _number(cell, i + 2, col.name)
         else:
-            col.categories, values[present, j] = _first_appearance(
-                cells[col.name][i] for i in present)
+            col.categories, values[present, j] = _first_appearance(given)
             col.cardinality = max(len(col.categories), 1)
     if "" in cells[target_name]:
         raise ValueError(f"missing target at row {cells[target_name].index('') + 2}")
@@ -236,22 +243,23 @@ def make_two_cluster(n=600, d=6, seed=0, separation=3.0):
 def write_csv(ds: TabularDataset, mask, path, schema_path=None):
     """Export a dataset (optionally with missing cells blanked) to CSV, its
     label in a last column named ``target``."""
+    blank = np.zeros(ds.values.shape, bool) if mask is None else np.asarray(mask) == 0
+    columns = []
+    for j, col in enumerate(ds.schema):
+        cells = ds.values[~blank[:, j], j].tolist()
+        if col.kind == NUMERICAL:
+            text = list(map(repr, cells))
+        else:  # int() of a NaN cell left unblanked raises ValueError
+            text = [col.categories[int(v)] if col.categories else str(int(v)) for v in cells]
+        columns.append(np.full(ds.n_rows, "", dtype=object))
+        columns[-1][~blank[:, j]] = text
+    labels = ds.targets.astype(np.int64).tolist()
+    columns.append([ds.target_categories[t] for t in labels] if ds.target_categories
+                   else list(map(str, labels)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([c.name for c in ds.schema] + ["target"])
-        for i in range(ds.n_rows):
-            row = []
-            for j, col in enumerate(ds.schema):
-                if mask is not None and mask[i, j] == 0:
-                    row.append("")
-                elif col.kind == NUMERICAL:
-                    row.append(repr(float(ds.values[i, j])))
-                else:
-                    idx = int(ds.values[i, j])
-                    row.append(col.categories[idx] if col.categories else str(idx))
-            label = int(ds.targets[i])
-            row.append(ds.target_categories[label] if ds.target_categories else str(label))
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
     if schema_path is not None:
         payload = {"columns": [{"name": c.name, "kind": c.kind} for c in ds.schema],
                    "target": "target"}

@@ -66,21 +66,28 @@ def _logistic_bits(scores, rate, rng):
     return (rng.random(scores.shape) >= _sigmoid(scores + b)).astype(np.int8)
 
 
+def mar_observed(n_cols, rate):
+    """How many of ``n_cols`` columns MAR keeps observed (30%, at least one); a
+    ValueError when the table is too narrow or the rest cannot reach ``rate``."""
+    if n_cols < 2:
+        raise ValueError("MAR needs at least 2 columns")
+    n_obs = max(1, int(round(0.3 * n_cols)))
+    if rate * n_cols / (n_cols - n_obs) >= 1.0:
+        raise ValueError(f"rate {rate} unreachable with {n_cols - n_obs} corruptible columns")
+    return n_obs
+
+
 def corrupt_mar(ds, rate, seed) -> np.ndarray:
     """A fixed 30% column subset stays observed; missingness of the rest
     follows a logistic model on that subset, intercept calibrated so the
     overall missing fraction hits ``rate``."""
-    if ds.n_cols < 2:
-        raise ValueError("MAR needs at least 2 columns")
+    n_obs = mar_observed(ds.n_cols, rate)
     rng = np.random.default_rng(seed)
-    n_obs = max(1, int(round(0.3 * ds.n_cols)))
     obs_cols = np.sort(rng.choice(ds.n_cols, size=n_obs, replace=False))
     rest = np.setdiff1d(np.arange(ds.n_cols), obs_cols)
     scores = _standardized(ds.values[:, obs_cols]) @ rng.normal(size=n_obs)
     # overall rate counts fully-observed columns too
     target = rate * ds.n_cols / rest.size
-    if target >= 1.0:
-        raise ValueError(f"rate {rate} unreachable with {rest.size} corruptible columns")
     bits = np.ones((ds.n_rows, ds.n_cols), dtype=np.int8)
     bits[:, rest] = _logistic_bits(np.repeat(scores[:, None], rest.size, axis=1), target, rng)
     return bits

@@ -9,7 +9,9 @@ kEGG) through a Gumbel-sigmoid relaxation, and runs a degree-normalized
 graph convolution with residual and row layer norm.  Learnable prototype
 rows are appended to every batch graph and stripped before the output
 heads.  The hard adjacency is used in the forward pass; gradients flow
-through the relaxed edge values via a straight-through estimator.
+through the relaxed edge values via a straight-through estimator.  Each
+sample is two tape nodes with hand-written rules, and each linear layer's
+bias rides in its matmul's node.
 ``forward`` is two stages: ``encode``, row by row up to block 0's
 projector, then ``propagate``, over the batch graph.
 """
@@ -72,7 +74,7 @@ class Linear:
         self.w, self.b = w, b
 
     def __call__(self, x):
-        return T.matmul(x, self.w) + self.b
+        return T.matmul(x, self.w, bias=self.b)
 
 
 class MlpBlock:
@@ -171,6 +173,9 @@ def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSam
     independently, with probability 1 - exp(-P_ij) whatever ``tau`` is.  With
     ``k``, they are each node's k top perturbed logits (Gumbel-top-k, the
     restricted kEGG sampler), all kept.
+    Two tape nodes: ``relaxed``, sigma((log P + Gumbel) / tau) on the candidates,
+    gives ``log_probs`` g * candidates * sigma * (1 - sigma) / tau; ``adjacency``
+    holds ``hard`` (straight-through) and gives ``relaxed`` g, then g.T.
     """
     if tau <= 0:
         raise ValueError("temperature must be positive")
@@ -180,17 +185,20 @@ def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSam
     if k is not None and not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < m, got k={k}, m={m}")
     eye = np.eye(m)
-    logits = T.scale(log_probs + Tensor(_gumbel(rng, (m, m))), 1.0 / tau)
+    c = 1.0 / tau
+    logits = (log_probs.data + _gumbel(rng, (m, m))) * c
     if k is None:
-        candidates = np.triu(np.ones((m, m)), k=1)
+        candidates = np.triu(np.ones((m, m), dtype=bool), k=1)
     else:
-        top = np.argpartition(-np.where(eye, -np.inf, logits.data), k - 1, axis=1)[:, :k]
-        candidates = np.zeros((m, m))
-        candidates[np.repeat(np.arange(m), k), top.ravel()] = 1.0
-    relaxed = T.mul(T.sigmoid(logits), Tensor(candidates))
-    chosen = (relaxed.data > 0.5) * candidates if k is None else candidates
+        top = np.argpartition(-np.where(eye, -np.inf, logits), k - 1, axis=1)[:, :k]
+        candidates = np.zeros((m, m), dtype=bool)
+        candidates[np.repeat(np.arange(m), k), top.ravel()] = True
+    sig = 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500)))  # T.sigmoid's values
+    relaxed = T._make(sig * candidates,
+                      (log_probs, lambda g: g * candidates * sig * (1.0 - sig) * c))
+    chosen = (relaxed.data > 0.5) & candidates if k is None else candidates
     hard = np.minimum(chosen + chosen.T + eye, 1.0)
-    adjacency = T.straight_through(relaxed + T.transpose(relaxed), hard)
+    adjacency = T._make(hard, (relaxed, lambda g: g), (relaxed, lambda g: g.T))
     return GraphSample(relaxed, adjacency, hard)
 
 

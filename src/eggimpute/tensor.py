@@ -140,10 +140,17 @@ def _check_broadcast(a, b):
 
 # -- arithmetic ---------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b``, plus a 1 x n ``bias`` row in the same node when given."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    return _make(a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
+    rules = (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)
+    if bias is None:
+        return _make(a.data @ b.data, *rules)
+    if bias.shape != (1, b.shape[1]):
+        raise ValueError(f"matmul bias must be 1 x {b.shape[1]}, got {bias.shape}")
+    return _make(a.data @ b.data + bias.data, *rules,
+                 (bias, lambda g: g.sum(axis=0, keepdims=True)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -359,6 +359,8 @@ def test_criterion_10_aggregation_matches_hand_computation():
 # -- criterion 11: benchmark determinism --------------------------------
 
 def test_criterion_11_same_seed_benchmarks_are_byte_identical(tmp_path, monkeypatch):
+    """Byte-identical on the same numpy/BLAS build and BLAS thread count; at
+    another thread count matrix products round differently."""
     monkeypatch.chdir(tmp_path)
     assert cli.main(["make-synthetic", "--rows", "80", "--cols", "4",
                      "--output", "data/synth.csv"]) == 0

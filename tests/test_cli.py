@@ -412,16 +412,39 @@ def test_benchmark_table_flags_beat_the_datasets_list(mixed_config):
 
 
 def test_a_failed_job_names_its_run_path(mixed_config, capsys):
-    """MAR keeps one of the 4 columns observed, so a rate of 0.95 is unreachable."""
+    """A learning rate of 1e300 makes the egg job's first step non-finite, a
+    failure that only training can find; the knn job runs."""
     root, cfg = mixed_config
     config = json.loads((root / cfg).read_text())
-    config.update(grid={"mechanisms": ["mar"], "rates": [0.2, 0.95], "methods": ["knn"]},
-                  datasets=[{"name": "a", "csv": "mixed.csv", "schema": "mixed.schema.json"}])
+    config.update(grid={"mechanisms": ["mar"], "methods": ["knn", "egg"]},
+                  datasets=[{"name": "a", "csv": "mixed.csv", "schema": "mixed.schema.json"}],
+                  train={**config["train"], "learning_rate": 1e300})
     (root / cfg).write_text(json.dumps(config))
     assert cli.main(["benchmark", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: run a/mar/0.95/knn/0 failed: ")
-    assert "unreachable" in err[0]
+    assert len(err) == 1 and err[0].startswith("error: run a/mar/0.2/egg/0 failed: ")
+    assert "non-finite" in err[0]
+
+
+@pytest.mark.parametrize("cols,rates,message", [
+    (1, [0.2], "MAR needs at least 2 columns"),
+    (4, [0.2, 0.95], "rate 0.95 unreachable with 3 corruptible columns")],
+    ids=["one-column", "rate-0.95"])
+def test_a_table_mar_cannot_corrupt_fails_before_any_job(tmp_path, monkeypatch, capsys, cols,
+                                                         rates, message):
+    """MAR keeps 30% of the columns (at least one) observed: a one-column table
+    has none to corrupt, and on four columns the other three cannot carry a
+    rate of 0.95.  The table decides this, so no MCAR job runs first."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["make-synthetic", "--rows", "60", "--cols", str(cols),
+                     "--output", "t.csv"]) == 0
+    (tmp_path / "config.json").write_text(json.dumps({
+        "dataset": "t.csv", "schema": "t.schema.json", "out": "out", "method": "mean",
+        "grid": {"mechanisms": ["mcar", "mar"], "rates": rates, "methods": ["mean"]}}))
+    capsys.readouterr()
+    assert cli.main(["benchmark", "--config", "config.json"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -567,17 +590,17 @@ def test_benchmark_workers_match_serial_run(mixed_config):
 
 
 def test_benchmark_workers_record_failures_and_keep_going(mixed_config, capsys):
-    """MAR keeps one of the 4 columns observed, so a rate of 0.95 is unreachable."""
+    """A learning rate of 1e300 makes each egg job's first step non-finite."""
     root, cfg = mixed_config
     config = json.loads((root / cfg).read_text())
-    config["grid"] = {"mechanisms": ["mar"], "rates": [0.2, 0.95], "methods": ["mean"],
-                      "seeds": [0, 1]}
+    config["grid"] = {"mechanisms": ["mar"], "methods": ["mean", "egg"], "seeds": [0, 1]}
+    config["train"] = {**config["train"], "learning_rate": 1e300}
     (root / cfg).write_text(json.dumps(config))
     assert cli.main(["benchmark", "--config", cfg, "--workers", "2"]) == 1
     err = capsys.readouterr().err
-    assert err.count("error: run") == 2 and err.count("unreachable") == 2
+    assert err.count("error: run") == 2 and err.count("non-finite") == 2
     rows = _results(root / "runs/results.csv")[1:]
-    assert sorted((r[2], r[4]) for r in rows) == [("0.2", "0"), ("0.2", "1")]
+    assert sorted((r[3], r[4]) for r in rows) == [("mean", "0"), ("mean", "1")]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -607,20 +630,19 @@ def test_benchmark_records_a_rate_that_is_not_a_number(mixed_config, monkeypatch
 
 
 def test_benchmark_where_every_run_fails_says_it_wrote_no_results(workspace, capsys):
-    """MAR keeps one of the 6 columns observed, so a rate of 0.95 is unreachable
-    in every job; the stale results file goes and none takes its place."""
+    """A learning rate of 1e300 makes every job's first step non-finite; the
+    stale results file goes and none takes its place."""
     root, cfg = workspace
-    assert cli.main(["make-synthetic", "--rows", "40", "--cols", "6",
-                     "--output", "data/synth.csv"]) == 0
     config = json.loads(Path(cfg).read_text())
-    config.update(method="mean", grid={"mechanisms": ["mar"], "rates": [0.95]})
+    config.update(method="egg", grid={"mechanisms": ["mcar", "mar"]},
+                  train={**config["train"], "learning_rate": 1e300})
     Path(cfg).write_text(json.dumps(config))
     (root / "runs").mkdir()
     (root / "runs/results.csv").write_text("stale\n")
     capsys.readouterr()
     assert cli.main(["benchmark", "--config", cfg]) == 1
     out, err = capsys.readouterr()
-    assert "unreachable" in err
+    assert err.count("error: run") == 2 and err.count("non-finite") == 2
     assert "wrote runs" not in out and "wrote no results" in out
     assert not (root / "runs/results.csv").exists()
 

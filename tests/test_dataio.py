@@ -191,14 +191,14 @@ CATEGORY_CELLS = st.sampled_from(["", "a", "b", " b ", "red", "blue", "a b"])
 
 
 @st.composite
-def csv_tables(draw):
+def csv_tables(draw, numeric_cells=NUMERIC_CELLS):
     """Header, rows and schema of a small table: numeric and categorical
     columns with blank cells, and target labels."""
     kinds = draw(st.lists(st.sampled_from([dataio.NUMERICAL, dataio.CATEGORICAL]),
                           min_size=1, max_size=4))
     n = draw(st.integers(1, 12))
     names = [f"c{j}" for j in range(len(kinds))]
-    columns = [[draw(NUMERIC_CELLS if kind == dataio.NUMERICAL else CATEGORY_CELLS)
+    columns = [[draw(numeric_cells if kind == dataio.NUMERICAL else CATEGORY_CELLS)
                 for _ in range(n)] for kind in kinds]
     labels = [draw(st.sampled_from(["x", "y", " y", "z z"])) for _ in range(n)]
     schema = {"columns": [{"name": f"c{j}", "kind": k} for j, k in enumerate(kinds)],
@@ -228,6 +228,146 @@ def test_load_csv_matches_the_row_by_row_reader(tmp_path_factory, table):
     assert (ds.num_classes, ds.target_categories) == (want.num_classes, want.target_categories)
     assert [(c.name, c.kind, c.cardinality, c.categories) for c in ds.schema] == \
         [(c.name, c.kind, c.cardinality, c.categories) for c in want.schema]
+
+
+def _cell_by_cell_load_csv(path, schema_path):
+    """The reader before it mapped float over each column (oracle)."""
+    columns, target_name = dataio.load_schema(schema_path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path} is empty; it needs a header row")
+    header, rows = rows[0], rows[1:]
+    names = [c.name for c in columns]
+    expected = names + [target_name] if target_name not in names else names
+    if header != expected:
+        raise ValueError(f"header {header} does not match schema columns {expected}")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"row {i + 2} has {len(row)} cells, but the header has {len(header)}")
+    cells = {name: [row[pos].strip() for row in rows] for pos, name in enumerate(header)}
+    feature_cols = [c for c in columns if c.name != target_name]
+    values = np.full((len(rows), len(feature_cols)), np.nan)
+    for j, col in enumerate(feature_cols):
+        present = [i for i, cell in enumerate(cells[col.name]) if cell]
+        if col.kind == dataio.NUMERICAL:
+            values[present, j] = [dataio._number(cells[col.name][i], i + 2, col.name)
+                                   for i in present]
+        else:
+            col.categories, values[present, j] = dataio._first_appearance(
+                cells[col.name][i] for i in present)
+            col.cardinality = max(len(col.categories), 1)
+    if "" in cells[target_name]:
+        raise ValueError(f"missing target at row {cells[target_name].index('') + 2}")
+    target_categories, targets = dataio._first_appearance(cells[target_name])
+    ds = dataio.TabularDataset(feature_cols, values, np.array(targets, dtype=np.int64),
+                               max(len(target_categories), 1), target_categories)
+    return ds, np.isfinite(values).astype(np.int8)
+
+
+def _cell_by_cell_write_csv(ds, mask, path):
+    """The writer before it went column by column (oracle)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([c.name for c in ds.schema] + ["target"])
+        for i in range(ds.n_rows):
+            row = []
+            for j, col in enumerate(ds.schema):
+                if mask is not None and mask[i, j] == 0:
+                    row.append("")
+                elif col.kind == dataio.NUMERICAL:
+                    row.append(repr(float(ds.values[i, j])))
+                else:
+                    idx = int(ds.values[i, j])
+                    row.append(col.categories[idx] if col.categories else str(idx))
+            label = int(ds.targets[i])
+            row.append(ds.target_categories[label] if ds.target_categories else str(label))
+            writer.writerow(row)
+
+
+def _outcome(load, *paths):
+    """What ``load`` makes of a table: its error message, or every array and label it read."""
+    try:
+        ds, mask = load(*paths)
+    except ValueError as err:
+        return str(err)
+    return (ds.values.tobytes(), mask.tobytes(), ds.targets.tobytes(), ds.num_classes,
+            ds.target_categories, [(c.name, c.kind, c.cardinality, c.categories)
+                                   for c in ds.schema])
+
+
+BAD_NUMERIC_CELLS = st.sampled_from(["nan", "inf", " -inf", "1e999", "x1", "1,5", "--2"])
+
+
+@settings(max_examples=150)
+@given(csv_tables(NUMERIC_CELLS | BAD_NUMERIC_CELLS))
+def test_load_csv_matches_the_cell_by_cell_reader(tmp_path_factory, table):
+    """Values, masks, categories and targets, or the message naming the first
+    bad numeric cell."""
+    names, rows, schema = table
+    directory = tmp_path_factory.mktemp("table")
+    with open(directory / "t.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([names, *rows])
+    (directory / "t.json").write_text(json.dumps(schema))
+    paths = directory / "t.csv", directory / "t.json"
+    assert _outcome(dataio.load_csv, *paths) == _outcome(_cell_by_cell_load_csv, *paths)
+
+
+@st.composite
+def datasets_and_masks(draw):
+    """A small table of numeric columns (any float, NaN and inf too) and
+    categorical ones (named classes, some with a comma or a quote, or bare
+    indices), a NaN in a categorical column only where the mask blanks it,
+    and a 0/1 mask, a bool one or none."""
+    n = draw(st.integers(1, 10))
+    kinds = draw(st.lists(st.sampled_from([dataio.NUMERICAL, dataio.CATEGORICAL]),
+                          min_size=1, max_size=4))
+    mask = draw(st.none() | st.lists(st.booleans(), min_size=n * len(kinds),
+                                     max_size=n * len(kinds)))
+    mask = None if mask is None else np.array(mask).reshape(n, len(kinds))
+    if mask is not None and draw(st.booleans()):
+        mask = mask.astype(np.int8)
+    schema, values = [], np.zeros((n, len(kinds)))
+    for j, kind in enumerate(kinds):
+        if kind == dataio.NUMERICAL:
+            schema.append(dataio.ColumnSchema(f"n{j}", kind))
+            values[:, j] = draw(st.lists(st.floats(), min_size=n, max_size=n))
+            continue
+        card = draw(st.integers(1, 3))
+        names = draw(st.sampled_from([[], ["a", "b,c", 'd"e'][:card]]))
+        schema.append(dataio.ColumnSchema(f"c{j}", kind, card, names))
+        values[:, j] = draw(st.lists(st.integers(0, card - 1), min_size=n, max_size=n))
+        if mask is not None:
+            values[(mask[:, j] == 0) & draw(st.booleans()), j] = np.nan
+    classes = draw(st.integers(1, 3))
+    targets = np.array(draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n)))
+    labels = draw(st.sampled_from([[], ["x", "y z", "w,v"][:classes]]))
+    return dataio.TabularDataset(schema, values, targets, classes, labels), mask
+
+
+@settings(max_examples=150)
+@given(datasets_and_masks())
+def test_write_csv_matches_the_cell_by_cell_writer(tmp_path_factory, drawn):
+    """The same bytes; and both readers read the file the same way."""
+    ds, mask = drawn
+    directory = tmp_path_factory.mktemp("table")
+    dataio.write_csv(ds, mask, directory / "t.csv", directory / "t.json")
+    _cell_by_cell_write_csv(ds, mask, directory / "want.csv")
+    assert (directory / "t.csv").read_bytes() == (directory / "want.csv").read_bytes()
+    paths = directory / "t.csv", directory / "t.json"
+    assert _outcome(dataio.load_csv, *paths) == _outcome(_cell_by_cell_load_csv, *paths)
+
+
+def test_write_csv_rejects_a_nan_categorical_cell_left_unblanked(tmp_path):
+    schema = [dataio.ColumnSchema("x", dataio.NUMERICAL),
+              dataio.ColumnSchema("c", dataio.CATEGORICAL, 2, ["a", "b"])]
+    ds = dataio.TabularDataset(schema, np.array([[1.0, 0.0], [2.0, np.nan]]),
+                               np.array([0, 1]), 2)
+    for write in (dataio.write_csv, _cell_by_cell_write_csv):
+        with pytest.raises(ValueError, match="NaN"):
+            write(ds, np.ones((2, 2)), tmp_path / "t.csv")
+    dataio.write_csv(ds, np.array([[1, 1], [1, 0]]), tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_text().splitlines()[2] == "2.0,,1"
 
 
 def _two_path_split(ds, train_fraction, seed):

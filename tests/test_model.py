@@ -208,17 +208,36 @@ def bits(a):
        spread=st.sampled_from([1.0, 1e18]), seed=st.integers(0, 2 ** 32 - 1))
 def test_merged_sampler_matches_both_oracles(data, m, tau, spread, seed):
     """Log-probabilities rounded to one decimal repeat across pairs; scaled
-    by 1e18 they swamp the Gumbel noise, so the top-k logits tie."""
+    by 1e18 they swamp the Gumbel noise, so the top-k logits tie.  The loss
+    may also read ``relaxed`` through a homophily-style weighted sum, added
+    before or after the adjacency term, which pins the order in which
+    ``relaxed``'s gradient gets its terms; under ``no_tape()`` the values
+    still match and nothing is recorded."""
     k = data.draw(st.none() | st.integers(1, m - 1), label="k")
+    reader = data.draw(st.sampled_from(["adjacency", "homophily first", "homophily last",
+                                        "no_tape"]), label="reader")
     gen = np.random.default_rng(seed)
     log_p = np.round(-gen.uniform(0, 4, size=(m, m)), 1) * spread
     weights = Tensor(gen.normal(size=(m, m)))
+    interclass = Tensor(gen.integers(0, 2, size=(m, m)).astype(np.float64))
 
     def run(sampler):
         inputs = Tensor(log_p, requires_grad=True)
         rng = np.random.default_rng(seed)
+        if reader == "no_tape":
+            with T.no_tape():
+                relaxed, adjacency, hard = sampler(inputs, rng)
+            assert not (relaxed.requires_grad or adjacency.requires_grad)
+            assert relaxed._parents == adjacency._parents == ()
+            return [bits(v) for v in (hard, relaxed.data, adjacency.data, rng.random())]
         relaxed, adjacency, hard = sampler(inputs, rng)
-        T.reduce_sum(T.mul(adjacency, weights)).backward()
+        loss = T.reduce_sum(T.mul(adjacency, weights))
+        homophily = T.scale(T.reduce_sum(T.mul(relaxed, interclass)), 1.0 / (m * m))
+        if reader == "homophily first":
+            loss = homophily + loss
+        elif reader == "homophily last":
+            loss = loss + homophily
+        loss.backward()
         return [bits(v) for v in (hard, relaxed.data, adjacency.data, inputs.grad,
                                   rng.random())]
 
@@ -231,6 +250,17 @@ def test_merged_sampler_matches_both_oracles(data, m, tau, spread, seed):
     else:
         want = run(lambda inputs, rng: oracle_kegg(inputs, tau, k, rng))
     assert run(merged) == want
+
+
+def test_sampler_records_two_nodes_and_shares_its_hard_graph():
+    """``relaxed`` reads ``log_probs``; ``adjacency`` reads ``relaxed`` twice
+    (g, then g.T) and holds the very array ``hard``."""
+    log_p = Tensor(np.random.default_rng(0).normal(size=(6, 6)), requires_grad=True)
+    for k in (None, 2):
+        s = model.sample_adjacency_egg(log_p, 0.3, np.random.default_rng(1), k)
+        assert s.relaxed._parents == (log_p,)
+        assert s.adjacency._parents == (s.relaxed, s.relaxed)
+        assert s.adjacency.data is s.hard
 
 
 def test_identity_sample():

@@ -128,11 +128,44 @@ def test_unary_gradients_over_random_shapes(name, rows, cols, seed):
 @given(m=st.integers(1, 4), k=st.integers(1, 4), n=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_matmul_gradients_over_random_shapes(m, k, n, seed):
+    """Each operand, without a bias and with one."""
     gen = np.random.default_rng(seed)
     b_data = gen.normal(size=(k, n))
     check_unary(lambda t: T.matmul(t, Tensor(b_data)), gen.normal(size=(m, k)), gen)
     a_data = gen.normal(size=(m, k))
     check_unary(lambda t: T.matmul(Tensor(a_data), t), b_data, gen)
+    bias_data = gen.normal(size=(1, n))
+    check_unary(lambda t: T.matmul(t, Tensor(b_data), bias=Tensor(bias_data)), a_data, gen)
+    check_unary(lambda t: T.matmul(Tensor(a_data), t, bias=Tensor(bias_data)), b_data, gen)
+    check_unary(lambda t: T.matmul(Tensor(a_data), Tensor(b_data), bias=t), bias_data, gen)
+
+
+@settings(max_examples=60)
+@given(m=st.integers(1, 6), k=st.integers(1, 6), n=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_matmul_with_bias_is_matmul_then_add_bit_for_bit(m, k, n, seed):
+    """The value and every gradient, with ``a`` read by a second op as well
+    (so its gradient sums two shares) and the bias shared by two rows of calls."""
+    gen = np.random.default_rng(seed)
+    data = [gen.normal(size=s) for s in ((m, k), (k, n), (1, n), (m, n), (m, k))]
+
+    def run(linear):
+        a, b, bias = (Tensor(x, requires_grad=True) for x in data[:3])
+        out = linear(a, b, bias)
+        again = linear(T.relu(a), b, bias)
+        loss = T.reduce_sum(T.mul(out, Tensor(data[3]))) + T.reduce_sum(T.mul(a, Tensor(data[4])))
+        (loss + T.reduce_sum(T.mul(again, again))).backward()
+        return [x.tobytes() for x in (out.data, again.data, a.grad, b.grad, bias.grad)]
+
+    assert run(lambda a, b, bias: T.matmul(a, b, bias=bias)) == \
+        run(lambda a, b, bias: T.matmul(a, b) + bias)
+
+
+def test_matmul_rejects_a_bias_that_is_not_one_row_of_its_width():
+    a, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+    for shape in ((2, 4), (1, 3), (4, 1)):
+        with pytest.raises(ValueError, match="bias must be 1 x 4"):
+            T.matmul(a, b, bias=Tensor(np.zeros(shape)))
 
 
 def test_matmul_identity():

@@ -262,3 +262,42 @@ def test_kegg_handles_tail_batches_of_at_most_k_nodes(prototypes):
         res = ensemble.ensemble_impute(ds.subset(rows), mask[rows], trained.params, 2, 0,
                                        batch_size=40)
         assert np.isfinite(res).all()
+
+
+def tape_footprint(loss):
+    """The recorded nodes reachable from ``loss``, and the bytes of the distinct
+    arrays the tape keeps alive with them: the data of every reachable tensor
+    but a trainable leaf, and every array a gradient rule closes over."""
+    nodes, arrays, stack, seen = 0, {}, [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes += bool(node._grad_fns)
+        if node._grad_fns or not node.requires_grad:
+            arrays[id(node.data)] = node.data
+        for fn in node._grad_fns:
+            arrays.update((id(c.cell_contents), c.cell_contents) for c in fn.__closure__ or ()
+                          if isinstance(c.cell_contents, np.ndarray))
+        stack.extend(node._parents)
+    return nodes, sum(a.nbytes for a in arrays.values())
+
+
+def test_one_training_step_records_a_small_tape():
+    """One egg step on 40 rows (hidden 16, 4 prototypes, so 44 graph nodes).
+    The edge sampler records two nodes and each linear layer one; when the
+    sampler was seven ops on two constant tensors and each bias a separate
+    add, the same step recorded 54 nodes holding 347848 bytes."""
+    ds = dataio.make_two_cluster(n=40, d=4, seed=0)
+    ds = dataio.normalize(ds, dataio.compute_stats(ds))
+    params = model.ParameterSet(model.ModelConfig(hidden=16, prototypes=4), ds.schema,
+                                ds.num_classes, seed=0)
+    mask = np.ones(ds.values.shape, dtype=np.int8)
+    surr = missingness.surrogate_mask(mask, 0.2, np.random.default_rng(1))
+    weights = objectives.LossWeights()
+    parts = training._batch_loss(ds, np.arange(40), mask, surr, params, 0.5, "train",
+                                 np.random.default_rng(2), weights)
+    nodes, nbytes = tape_footprint(objectives.total_loss(parts, weights))
+    assert nodes <= 43
+    assert nbytes <= 233432

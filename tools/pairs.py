@@ -1,19 +1,24 @@
-"""Alternating-pairs comparison of this checkout against a base git ref.
+"""Alternating-pairs comparison of two commits of this repository.
 
 Usage, from anywhere inside the repository:
 
-    python3 tools/pairs.py --base <git ref> --workload W --pairs 10 --seed S [--seconds 45]
+    python3 tools/pairs.py --base <git ref> [--change <git ref>] --workload W --pairs 10 \
+        --seed S [--seconds 45]
 
-The base ref is checked out in a temporary ``git worktree``.  Pair i runs
+The tool measures commits, not uncommitted edits: commit a change before
+comparing it.  ``--change`` defaults to ``HEAD``.  Each ref is checked out
+the same way, by ``git worktree add`` into a sibling directory of one
+temporary directory, so neither side runs from a path laid out differently
+from the other's.  Pair i runs
 ``perfbench/run.py --workload W --seed S+i --seconds ... --trace 0`` once on
-each side, the base first on even pairs and this checkout first on odd
+each side, the base first on even pairs and the change first on odd
 ones, so drift in the host's speed falls on both sides alike.  Standard
 output is one JSON object: for each end-to-end metric of ``BENCHMARK.json``,
-each side's median and quartiles, how many pairs this checkout won (by the
+each side's median and quartiles, how many pairs the change won (by the
 metric's ``better`` direction) and whether the gap between the medians
 exceeds the base's interquartile range; and, for each side, the failed
 operations the runs reported and the runs that printed no result line.
-The worktree is removed on every exit.
+Both worktrees are removed on every exit.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ SIDES = ("base", "change")
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="git ref to compare against")
+    p.add_argument("--change", default="HEAD", help="git ref to measure (default HEAD)")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
@@ -108,28 +114,31 @@ def main(argv=None):
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    base_commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    commits = {side: _git("rev-parse", "--verify", f"{ref}^{{commit}}")
+               for side, ref in zip(SIDES, (args.base, args.change))}
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # so the finally below runs
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        base_root = Path(tmp) / "base"
-        _git("worktree", "add", "--detach", str(base_root), base_commit)
+        roots = {side: Path(tmp) / side for side in SIDES}
         try:
+            for side in SIDES:
+                _git("worktree", "add", "--detach", str(roots[side]), commits[side])
             pairs = []
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                roots = {"base": base_root, "change": ROOT}
                 pair = {side: run_side(roots[side], args.workload, seed, args.seconds)
                         for side in order}
                 pairs.append(pair)
                 print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
         finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(base_root)], capture_output=True)
+            for root in roots.values():
+                subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                                str(root)], capture_output=True)
             subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
     summary = summarize(pairs, better)
-    print(json.dumps({"workload": args.workload, "base": args.base,
-                      "base_commit": base_commit, "pairs": args.pairs,
+    print(json.dumps({"workload": args.workload, "base": args.base, "change": args.change,
+                      "base_commit": commits["base"], "change_commit": commits["change"],
+                      "pairs": args.pairs,
                       "seeds": [args.seed, args.seed + args.pairs - 1], **summary}, indent=1))
     return 0
 
