@@ -62,7 +62,12 @@ def load_config(path, overrides=None):
     cfg = {key: default for key, (default, _, _) in SETTINGS.items()}
     if path:
         with open(path) as fh:
-            cfg.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            found = {list: "an array", str: "a string", bool: "a boolean",
+                     type(None): "null"}.get(type(loaded), "a number")
+            raise ValueError(f"config {path} must hold a JSON object, found {found}")
+        cfg.update(loaded)
     unknown = sorted(set(cfg) - set(SETTINGS))
     if unknown:
         raise ValueError(f"unknown setting(s): {', '.join(unknown)}")
@@ -539,7 +544,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, FloatingPointError) as err:
+    except (OSError, ValueError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -242,7 +242,13 @@ def make_two_cluster(n=600, d=6, seed=0, separation=3.0):
 
 def write_csv(ds: TabularDataset, mask, path, schema_path=None):
     """Export a dataset (optionally with missing cells blanked) to CSV, its
-    label in a last column named ``target``."""
+    label in a last column named ``target``; a header that would repeat a
+    name is a ValueError, raised before any file is written."""
+    header = [c.name for c in ds.schema] + ["target"]
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise ValueError(f"cannot write {path}: its header {header} would repeat "
+                         f"{', '.join(map(repr, repeated))} (the label column is 'target')")
     blank = np.zeros(ds.values.shape, bool) if mask is None else np.asarray(mask) == 0
     columns = []
     for j, col in enumerate(ds.schema):
@@ -258,7 +264,7 @@ def write_csv(ds: TabularDataset, mask, path, schema_path=None):
                    else list(map(str, labels)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([c.name for c in ds.schema] + ["target"])
+        writer.writerow(header)
         writer.writerows(zip(*columns))
     if schema_path is not None:
         payload = {"columns": [{"name": c.name, "kind": c.kind} for c in ds.schema],

@@ -5,9 +5,10 @@ one stochastic eval-mode pass of the batch graph per batch, so E passes
 give every row exactly E predictions.  The row-wise encoder gives a row
 the same output in any batch, so each call encodes every row and the
 prototypes once; passes differ only in the batch partition and the
-Gumbel noise of the sampled edges.  Numeric imputations average the head
-outputs; categorical imputations take the argmax of averaged softmax
-probabilities.  Only initially-missing cells are replaced.
+Gumbel noise of the sampled edges.  The whole call records no tape.
+Numeric imputations average the head outputs; categorical imputations
+take the argmax of averaged softmax probabilities.  Only
+initially-missing cells are replaced.
 """
 
 from __future__ import annotations
@@ -21,37 +22,13 @@ from . import tensor as T
 TAU = 0.01
 
 
-def _batch(ds, rows, initial_mask):
-    """The model input for ``rows`` with no surrogate masking."""
-    surr = np.ones((len(rows), ds.n_cols), dtype=np.int8)
-    return missingness.preprocess_batch(ds, rows, initial_mask, surr)
-
-
-def impute_once(ds, rows, initial_mask, params, rng):
-    """One stochastic eval-mode forward for a set of rows, recording no tape."""
-    with T.no_tape():
-        return model.forward(_batch(ds, rows, initial_mask), params, TAU, "eval", rng)
-
-
-def encode_rows(ds, rows, initial_mask, params):
-    """The eval-mode encoding of ``rows``, in that order, then of the
-    prototypes, recording no tape."""
-    with T.no_tape():
-        return model.encode(_batch(ds, rows, initial_mask), params, "eval")
-
-
-def impute_batch(encoding, positions, params, rng):
-    """``impute_once`` for the batch rows at ``positions`` of ``encoding``,
-    recording no tape."""
-    with T.no_tape():
-        return model.propagate(encoding.take(positions), params, TAU, "eval", rng)
-
-
 def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size):
     """The N x d table with each initially-missing cell replaced by the
     average of ``n_passes`` stochastic predictions (z-scored scale)."""
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)
     n = ds.n_rows
     num_idx = ds.numeric_idx
@@ -59,20 +36,23 @@ def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size):
     num_sum = np.zeros((n, len(num_idx)))
     cat_sum = [np.zeros((n, ds.schema[j].cardinality)) for j in cat_idx]
 
-    for p in range(n_passes):
-        order = rng.permutation(n)
-        if p == 0:
-            # BLAS rounds a row by its place in the product, so encoding in the
-            # first pass's order keeps one pass of one batch equal to impute_once
-            encoding = encode_rows(ds, order, initial_mask, params)
-            position = np.argsort(order)  # table row -> encoded row
-        for start in range(0, n, batch_size):
-            rows = order[start:start + batch_size]
-            out = impute_batch(encoding, position[rows], params, rng)
-            num_sum[rows] += out.numeric_pred.data[:, :len(num_idx)]
-            for c, logits in enumerate(out.cat_logits):
-                e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
-                cat_sum[c][rows] += e / e.sum(axis=1, keepdims=True)
+    with T.no_tape():
+        for p in range(n_passes):
+            order = rng.permutation(n)
+            if p == 0:
+                # BLAS rounds a row by its place in the product, so encoding in the
+                # first pass's order keeps one pass of one batch equal to one forward
+                surr = np.ones((n, ds.n_cols), dtype=np.int8)  # mask no observed cell
+                batch = missingness.preprocess_batch(ds, order, initial_mask, surr)
+                encoding = model.encode(batch, params, "eval")
+                position = np.argsort(order)  # table row -> encoded row
+            for start in range(0, n, batch_size):
+                rows = order[start:start + batch_size]
+                out = model.propagate(encoding.take(position[rows]), params, TAU, "eval", rng)
+                num_sum[rows] += out.numeric_pred.data[:, :len(num_idx)]
+                for c, logits in enumerate(out.cat_logits):
+                    e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+                    cat_sum[c][rows] += e / e.sum(axis=1, keepdims=True)
 
     imputed = ds.values.copy()
     for pos, j in enumerate(num_idx):

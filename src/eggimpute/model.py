@@ -13,7 +13,8 @@ through the relaxed edge values via a straight-through estimator.  Each
 sample is two tape nodes with hand-written rules, and each linear layer's
 bias rides in its matmul's node.
 ``forward`` is two stages: ``encode``, row by row up to block 0's
-projector, then ``propagate``, over the batch graph.
+projector, then ``propagate``, over the batch graph; ensembled imputation
+calls the two itself, so it encodes each row once per call.
 """
 
 from __future__ import annotations
@@ -252,12 +253,12 @@ def _training(mode):
     return mode == "train"
 
 
-def encode(batch, params: ParameterSet, mode, frozen=False) -> Encoding:
+def encode(batch, params: ParameterSet, mode) -> Encoding:
     """The row-wise stage: the numeric columns and each categorical column's
     embedding row (a masked cell's is its missing token's, index C_d) into
     the input MLP, the prototype rows appended, and block 0's projector
-    unless its graph is the identity or ``frozen``.  In 'eval' mode each
-    row's output depends on that row alone."""
+    unless its graph is the identity.  In 'eval' mode each row's output
+    depends on that row alone."""
     training = _training(mode)
     parts = [Tensor(batch.inputs[:, batch.numeric_cols])] if batch.numeric_cols else []
     for pos, j in enumerate(batch.categorical_cols):
@@ -270,7 +271,7 @@ def encode(batch, params: ParameterSet, mode, frozen=False) -> Encoding:
     h = params.mlp_fp(x, training)
     if params.prototypes is not None:
         h = T.concat_rows([h, params.prototypes])
-    project = not frozen and params.config.sampler != "identity"
+    project = params.config.sampler != "identity"
     return Encoding(h, params.mlp_proj[0](h, training) if project else None, x.shape[0])
 
 
@@ -311,10 +312,10 @@ def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None
     ``mode`` selects batch-norm statistics ('train' uses batch stats,
     'eval' the running ones); edge sampling stays stochastic in both.
     ``adjacency_override`` freezes each block's adjacency to a constant
-    (no gradient through the sampler).
+    (no gradient through the sampler); block 0's projector still runs, and
+    the fixed graph does not read its output.
     """
-    enc = encode(batch, params, mode, frozen=adjacency_override is not None)
-    return propagate(enc, params, tau, mode, rng, adjacency_override)
+    return propagate(encode(batch, params, mode), params, tau, mode, rng, adjacency_override)
 
 
 # -- checkpointing ------------------------------------------------------

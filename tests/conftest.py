@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from eggimpute import dataio, missingness
+from eggimpute import dataio, ensemble, missingness, model
+from eggimpute import tensor as T
 
 # fixed examples and no per-example deadline: every run tries the same
 # cases, and a busy host cannot fail one on timing
@@ -63,3 +64,13 @@ def make_batch(ds, rows, initial_mask, surr_rate, seed=0):
     surr = missingness.surrogate_mask(initial_mask[rows], surr_rate,
                                      np.random.default_rng(seed))
     return missingness.preprocess_batch(ds, rows, initial_mask, surr)
+
+
+def impute_once(ds, rows, initial_mask, params, rng):
+    """One stochastic eval-mode forward for ``rows``, no cell surrogate-masked
+    and no tape recorded: what ``ensemble.ensemble_impute`` with one pass of
+    one batch must equal."""
+    surr = np.ones((len(rows), ds.n_cols), dtype=np.int8)
+    with T.no_tape():
+        batch = missingness.preprocess_batch(ds, rows, initial_mask, surr)
+        return model.forward(batch, params, ensemble.TAU, "eval", rng)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rel_error
+from conftest import impute_once, rel_error
 from eggimpute import (baselines, cli, dataio, ensemble, evaluation, missingness,
                        model, objectives, training)
 from eggimpute import tensor as T
@@ -262,7 +262,7 @@ def test_criterion_8_ensemble_identity_and_trend(synthetic_run):
                                       batch_size=n)
     rng = np.random.default_rng(seed)
     rows = rng.permutation(n)
-    out = ensemble.impute_once(dsn, rows, bits, params, rng)
+    out = impute_once(dsn, rows, bits, params, rng)
     manual = dsn.values.copy()
     pred = np.empty((n, len(dsn.numeric_idx)))
     pred[rows] = out.numeric_pred.data

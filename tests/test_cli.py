@@ -205,6 +205,25 @@ def test_benchmark_deterministic_results_csv(workspace):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("content, found", [("[1, 2]", "found an array"),
+                                            ("null", "found null"),
+                                            ('"x"', "found a string"),
+                                            (None, "Is a directory")])
+def test_a_config_that_is_not_a_json_object_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                                               content, found):
+    """``None`` names a directory, which ``open`` refuses with an OSError."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    assert cli.main(["corrupt", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and found in err
+
+
 def test_config_flag_overrides_file(workspace):
     _, cfg = workspace
     loaded = cli.load_config(cfg, {"rate": 0.4, "seed": None})

@@ -370,6 +370,19 @@ def test_write_csv_rejects_a_nan_categorical_cell_left_unblanked(tmp_path):
     assert (tmp_path / "t.csv").read_text().splitlines()[2] == "2.0,,1"
 
 
+def test_write_csv_refuses_a_header_that_repeats_a_name(tmp_path):
+    """A feature column named ``target`` would clash with the label column,
+    and the file would not load back; nothing is written."""
+    (tmp_path / "in.csv").write_text("target,b,y\n1.0,2.0,0\n3.0,4.0,1\n")
+    (tmp_path / "in.json").write_text(json.dumps(
+        {"columns": [{"name": "target", "kind": "numerical"},
+                     {"name": "b", "kind": "numerical"}], "target": "y"}))
+    ds, mask = dataio.load_csv(tmp_path / "in.csv", tmp_path / "in.json")
+    with pytest.raises(ValueError, match="would repeat 'target'"):
+        dataio.write_csv(ds, mask, tmp_path / "out.csv", tmp_path / "out.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "in.json"]
+
+
 def _two_path_split(ds, train_fraction, seed):
     """The split before the fallback became the loop over one group (oracle)."""
     rng = np.random.default_rng(seed)

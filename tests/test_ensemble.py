@@ -1,9 +1,12 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import mixed_dataset
+from conftest import impute_once, mixed_dataset
 from eggimpute import dataio, ensemble, missingness, model, objectives, training
+from eggimpute import tensor as T
 
 
 def setup_model(n=40, seed=0, prototypes=2):
@@ -20,16 +23,16 @@ def predictions_per_row(ds, mask, params, n_passes, batch_size):
     """How many batch passes each row took part in, and how many batch passes ran."""
     counts = np.zeros(ds.n_rows, dtype=np.int64)
     calls = []
-    original = ensemble.impute_batch
+    original = model.Encoding.take
 
-    def counting(encoding, positions, *rest):
+    def counting(encoding, positions):
         assert encoding.n == ds.n_rows  # one encoded row per table row
         counts[positions] += 1  # a batch holds each row once
         calls.append(len(positions))
-        return original(encoding, positions, *rest)
+        return original(encoding, positions)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ensemble, "impute_batch", counting)
+        mp.setattr(model.Encoding, "take", counting)
         ensemble.ensemble_impute(ds, mask, params, n_passes=n_passes, seed=0,
                                  batch_size=batch_size)
     assert calls
@@ -104,26 +107,39 @@ def test_rejects_zero_passes():
                                  batch_size=8)
 
 
-def test_impute_once_records_no_tape():
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_rejects_a_batch_size_below_one(batch_size):
+    """A batch size below 1 is refused before any work."""
+    ds, mask, params = setup_model(n=8)
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+        ensemble.ensemble_impute(ds, mask, params, n_passes=1, seed=0, batch_size=batch_size)
+
+
+def propagated(run):
+    """Each (encoding, output) that ``model.propagate`` saw while ``run()`` ran."""
+    seen = []
+    original = model.propagate
+
+    def keeping(enc, *rest):
+        seen.append((enc, original(enc, *rest)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "propagate", keeping)
+        run()
+    assert seen
+    return seen
+
+
+def test_ensemble_impute_records_no_tape():
     ds, mask, params = setup_model()
     assert all(p.requires_grad for p in params.named_parameters().values())
-    out = ensemble.impute_once(ds, np.arange(10), mask, params, np.random.default_rng(0))
-    assert out.numeric_pred._parents == () and out.task_logits._parents == ()
-    assert out.numeric_pred._grad_fns == () and not out.numeric_pred.requires_grad
-
-
-def taped_encode_rows(ds, rows, initial_mask, params):
-    """``ensemble.encode_rows`` recording a tape, as evaluation did before it dropped it."""
-    enc = model.encode(ensemble._batch(ds, rows, initial_mask), params, "eval")
-    assert enc.h._parents  # the oracle really records a tape
-    return enc
-
-
-def taped_impute_batch(encoding, positions, params, rng):
-    """``ensemble.impute_batch`` recording a tape."""
-    out = model.propagate(encoding.take(positions), params, 0.01, "eval", rng)
-    assert out.numeric_pred._parents
-    return out
+    seen = propagated(lambda: ensemble.ensemble_impute(ds, mask, params, n_passes=2,
+                                                        seed=0, batch_size=16))
+    for enc, out in seen:
+        assert enc.h._parents == () and enc.projection._parents == ()
+        assert out.numeric_pred._parents == () and out.task_logits._parents == ()
+        assert out.numeric_pred._grad_fns == () and not out.numeric_pred.requires_grad
 
 
 def taped_validation_loss(ds, initial_mask, val_surrogate, params, config, rng):
@@ -153,20 +169,17 @@ def test_tape_free_evaluation_is_bit_equal_to_the_taped_oracles(sampler, blocks,
                             sampler=sampler, k=k)
     params = model.ParameterSet(cfg, ds.schema, ds.num_classes, seed=seed)
     fast = ensemble.ensemble_impute(ds, mask, params, 2, seed, batch_size)
-    called = set()
+    taped = []
 
-    def recording(name, fn):
-        def wrapper(*args):
-            called.add(name)
-            return fn(*args)
-        return wrapper
+    def run_taped():
+        with pytest.MonkeyPatch.context() as mp:
+            # the ensemble as it ran before it dropped the tape
+            mp.setattr(T, "no_tape", contextlib.nullcontext)
+            taped.append(ensemble.ensemble_impute(ds, mask, params, 2, seed, batch_size))
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ensemble, "encode_rows", recording("encode_rows", taped_encode_rows))
-        mp.setattr(ensemble, "impute_batch", recording("impute_batch", taped_impute_batch))
-        taped = ensemble.ensemble_impute(ds, mask, params, 2, seed, batch_size)
-    assert called == {"encode_rows", "impute_batch"}
-    assert np.array_equal(fast, taped)
+    for enc, out in propagated(run_taped):
+        assert enc.h._parents and out.numeric_pred._parents  # the oracle records a tape
+    assert np.array_equal(fast, taped[0])
 
     config = training.TrainConfig(batch_size=batch_size, model=cfg,
                                   weights=objectives.LossWeights(triplet=triplet))
@@ -178,7 +191,7 @@ def test_tape_free_evaluation_is_bit_equal_to_the_taped_oracles(sampler, blocks,
 
 def per_batch_forward_ensemble(ds, initial_mask, params, n_passes, seed, batch_size):
     """``ensemble.ensemble_impute`` as written before it kept each row's
-    encoding: one full ``impute_once`` forward per batch of each pass."""
+    encoding: one full forward (``impute_once``) per batch of each pass."""
     rng = np.random.default_rng(seed)
     n = ds.n_rows
     num_idx, cat_idx = ds.numeric_idx, ds.categorical_idx
@@ -188,7 +201,7 @@ def per_batch_forward_ensemble(ds, initial_mask, params, n_passes, seed, batch_s
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             rows = order[start:start + batch_size]
-            out = ensemble.impute_once(ds, rows, initial_mask, params, rng)
+            out = impute_once(ds, rows, initial_mask, params, rng)
             num_sum[rows] += out.numeric_pred.data[:, :len(num_idx)]
             for c, logits in enumerate(out.cat_logits):
                 e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))

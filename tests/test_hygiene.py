@@ -1,5 +1,5 @@
 """Source hygiene: every library module uses each name it imports and
-reads nothing from the environment, something in the repository reads
+reads nothing from the environment, something outside the tests reads
 every name the library defines, the library itself reads every field of
 its records, and the README names every top-level setting."""
 
@@ -68,10 +68,9 @@ def test_module_reads_no_environment_variable(module):
 
 
 ROOT = SRC.parents[1]
-# every file that may use a library name; this one is left out, because
-# its checker fixtures spell names as strings
-READERS = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
-           if p != Path(__file__).resolve()]
+# every file whose use of a library name keeps it: tests do not count, so
+# library code that only a test calls is flagged
+READERS = [p for d in ("src", "tools", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

@@ -15,8 +15,10 @@ each side, the base first on even pairs and the change first on odd
 ones, so drift in the host's speed falls on both sides alike.  Standard
 output is one JSON object: for each end-to-end metric of ``BENCHMARK.json``,
 each side's median and quartiles, how many pairs the change won (by the
-metric's ``better`` direction) and whether the gap between the medians
-exceeds the base's interquartile range; and, for each side, the failed
+metric's ``better`` direction), whether the gap between the medians
+exceeds the base's interquartile range, and whether the change's median is
+worse than the base's by more than the metric's ``bound`` times the base's
+median (``worse_beyond_bound``); and, for each side, the failed
 operations the runs reported and the runs that printed no result line.
 Both worktrees are removed on every exit.
 """
@@ -65,10 +67,10 @@ def quartiles(values):
     return q1, median, q3
 
 
-def summarize(pairs, better):
+def summarize(pairs, better, bounds):
     """The summary of ``pairs``, a list of {"base": result, "change": result}
     where a result is a parsed result line or None; ``better`` maps each
-    metric to "lower" or "higher"."""
+    metric to "lower" or "higher", and ``bounds`` to its bound fraction."""
     failed = {side: {"operations": sum(p[side]["failed"] for p in pairs if p[side]),
                      "runs_without_result": sum(1 for p in pairs if not p[side])}
               for side in SIDES}
@@ -90,6 +92,7 @@ def summarize(pairs, better):
         entry["pairs_compared"] = len(both)
         gap = sign * (entry["base"]["median"] - entry["change"]["median"])
         entry["median_gap_beyond_base_iqr"] = gap > entry["base"]["q3"] - entry["base"]["q1"]
+        entry["worse_beyond_bound"] = -gap > bounds[name] * abs(entry["base"]["median"])
         metrics[name] = entry
     return {"metrics": metrics, "failed": failed}
 
@@ -114,6 +117,7 @@ def main(argv=None):
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     commits = {side: _git("rev-parse", "--verify", f"{ref}^{{commit}}")
                for side, ref in zip(SIDES, (args.base, args.change))}
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # so the finally below runs
@@ -135,7 +139,7 @@ def main(argv=None):
                 subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                                 str(root)], capture_output=True)
             subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
-    summary = summarize(pairs, better)
+    summary = summarize(pairs, better, bounds)
     print(json.dumps({"workload": args.workload, "base": args.base, "change": args.change,
                       "base_commit": commits["base"], "change_commit": commits["change"],
                       "pairs": args.pairs,
