@@ -161,9 +161,13 @@ def log_edge_probabilities(h_graph: Tensor) -> Tensor:
 
 
 def _gumbel(rng, shape):
+    """-log(-log(u)) for u uniform, clipped to [1e-12, 1 - 1e-12]; one array."""
     u = rng.random(shape)
-    u = np.clip(u, 1e-12, 1 - 1e-12)
-    return -np.log(-np.log(u))
+    np.clip(u, 1e-12, 1 - 1e-12, out=u)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
+    return np.negative(u, out=u)
 
 
 def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSample:
@@ -174,9 +178,11 @@ def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSam
     independently, with probability 1 - exp(-P_ij) whatever ``tau`` is.  With
     ``k``, they are each node's k top perturbed logits (Gumbel-top-k, the
     restricted kEGG sampler), all kept.
-    Two tape nodes: ``relaxed``, sigma((log P + Gumbel) / tau) on the candidates,
-    gives ``log_probs`` g * candidates * sigma * (1 - sigma) / tau; ``adjacency``
-    holds ``hard`` (straight-through) and gives ``relaxed`` g, then g.T.
+    Two tape nodes: ``relaxed``, s = sigma((log P + Gumbel) / tau) on the
+    candidates and 0 elsewhere, gives ``log_probs`` g * s * (1 - s) / tau;
+    ``adjacency`` holds ``hard`` (straight-through) and gives ``relaxed`` g,
+    then g.T.  The logits, s and the hard graph are each built in one m x m
+    array, and the tape keeps s alone.
     """
     if tau <= 0:
         raise ValueError("temperature must be positive")
@@ -185,20 +191,29 @@ def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSam
         raise ValueError("log_probs must be square")
     if k is not None and not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < m, got k={k}, m={m}")
-    eye = np.eye(m)
     c = 1.0 / tau
-    logits = (log_probs.data + _gumbel(rng, (m, m))) * c
+    s = _gumbel(rng, (m, m))
+    np.add(log_probs.data, s, out=s)
+    s *= c  # the logits
     if k is None:
         candidates = np.triu(np.ones((m, m), dtype=bool), k=1)
     else:
-        top = np.argpartition(-np.where(eye, -np.inf, logits), k - 1, axis=1)[:, :k]
+        order = np.negative(s)
+        np.fill_diagonal(order, np.inf)
+        top = np.argpartition(order, k - 1, axis=1)[:, :k]
+        del order
         candidates = np.zeros((m, m), dtype=bool)
         candidates[np.repeat(np.arange(m), k), top.ravel()] = True
-    sig = 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500)))  # T.sigmoid's values
-    relaxed = T._make(sig * candidates,
-                      (log_probs, lambda g: g * candidates * sig * (1.0 - sig) * c))
-    chosen = (relaxed.data > 0.5) & candidates if k is None else candidates
-    hard = np.minimum(chosen + chosen.T + eye, 1.0)
+    np.clip(s, -500, 500, out=s)  # T.sigmoid's values, in place
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    s *= candidates
+    relaxed = T._make(s, (log_probs, lambda g: g * s * (1.0 - s) * c))
+    chosen = s > 0.5 if k is None else candidates
+    hard = (chosen | chosen.T).astype(np.float64)
+    np.fill_diagonal(hard, 1.0)
     adjacency = T._make(hard, (relaxed, lambda g: g), (relaxed, lambda g: g.T))
     return GraphSample(relaxed, adjacency, hard)
 

@@ -32,26 +32,48 @@ def no_tape():
         _recording = previous
 
 
+class _Node:
+    """One tensor's place on the tape: the operands' nodes (None for a constant),
+    one rule each (None for a constant's), the incoming gradient and the shape.
+    A node holds no values; each rule closes over just the arrays it reads."""
+
+    __slots__ = ("parents", "rules", "grad", "shape")
+
+    def __init__(self, shape, parents=(), rules=()):
+        self.parents, self.rules, self.grad, self.shape = parents, rules, None, shape
+
+
 class Tensor:
     """A 2-D float64 matrix, optionally tracked on the autodiff tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fns")
+    __slots__ = ("data", "_node")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _grad_fns=()):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ValueError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = _parents
-        self._grad_fns = _grad_fns
+        self._node = _Node(arr.shape) if requires_grad else None
 
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is None:
+            raise ValueError("a tensor without requires_grad holds no gradient")
+        self._node.grad = value
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -71,14 +93,17 @@ class Tensor:
     def backward(self):
         """Accumulate gradients of this scalar into all reachable leaves,
         unlinking each interior node (and dropping its gradient) once its rules have run;
-        an operand without ``requires_grad`` has its rule skipped."""
+        a constant operand has no rule to run, and a constant loss reaches no leaf."""
         if self.data.shape != (1, 1):
             raise ValueError(f"backward needs a scalar (1x1) loss, got {self.data.shape}")
         if not _recording:
             raise ValueError("backward inside no_tape(): nothing was recorded")
+        root = self._node
+        if root is None:
+            return
         order = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -88,34 +113,37 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
+            for p in node.parents:
+                if p is not None and id(p) not in seen:
                     stack.append((p, False))
         for node in order:
             node.grad = None
-        self.grad = np.ones((1, 1))
+        root.grad = np.ones((1, 1))
         while order:
             node = order.pop()
-            parents, grad_fns, grad = node._parents, node._grad_fns, node.grad
-            if not grad_fns:
+            parents, rules, grad = node.parents, node.rules, node.grad
+            if not rules:
                 continue
-            node._parents, node._grad_fns, node.grad = (), (), None
-            for parent, grad_fn in zip(parents, grad_fns):
-                if not parent.requires_grad:
+            node.parents, node.rules, node.grad = (), (), None
+            for parent, rule in zip(parents, rules):
+                if parent is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += grad_fn(grad)
+                    parent.grad = np.zeros(parent.shape)
+                parent.grad += rule(grad)
 
 
 def _make(data, *rules):
-    """``data`` as a tensor that keeps one ``(parent, grad_fn)`` rule per operand,
-    ``grad_fn`` mapping its gradient to that operand's share; untracked unless
-    recording and some operand needs a gradient."""
-    if _recording and any(parent.requires_grad for parent, _ in rules):
-        parents, grad_fns = zip(*rules)
-        return Tensor(data, requires_grad=True, _parents=parents, _grad_fns=grad_fns)
-    return Tensor(data)
+    """``data`` as a tensor whose node keeps one ``(parent, rule)`` pair per
+    operand, ``rule`` mapping its gradient to that operand's share; a constant
+    operand keeps neither.  Untracked unless recording and some operand needs
+    a gradient."""
+    out = Tensor(data)
+    if _recording and any(parent._node is not None for parent, _ in rules):
+        out._node = _Node(out.data.shape, tuple(parent._node for parent, _ in rules),
+                          tuple(rule if parent._node is not None else None
+                                for parent, rule in rules))
+    return out
 
 
 def _unbroadcast(grad, shape):
@@ -144,32 +172,35 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """``a @ b``, plus a 1 x n ``bias`` row in the same node when given."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    rules = (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)
+    x, w = a.data, b.data
+    rules = (a, lambda g: g @ w.T), (b, lambda g: x.T @ g)
     if bias is None:
-        return _make(a.data @ b.data, *rules)
+        return _make(x @ w, *rules)
     if bias.shape != (1, b.shape[1]):
         raise ValueError(f"matmul bias must be 1 x {b.shape[1]}, got {bias.shape}")
-    return _make(a.data @ b.data + bias.data, *rules,
-                 (bias, lambda g: g.sum(axis=0, keepdims=True)))
+    return _make(x @ w + bias.data, *rules, (bias, lambda g: g.sum(axis=0, keepdims=True)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b)
-    return _make(a.data + b.data, (a, lambda g: _unbroadcast(g, a.shape)),
-                 (b, lambda g: _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _make(a.data + b.data, (a, lambda g: _unbroadcast(g, sa)),
+                 (b, lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b)
-    return _make(a.data - b.data, (a, lambda g: _unbroadcast(g, a.shape)),
-                 (b, lambda g: _unbroadcast(-g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _make(a.data - b.data, (a, lambda g: _unbroadcast(g, sa)),
+                 (b, lambda g: _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product (with row/column-vector broadcasting)."""
     _check_broadcast(a, b)
-    return _make(a.data * b.data, (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
+    x, y, sa, sb = a.data, b.data, a.shape, b.shape
+    return _make(x * y, (a, lambda g: _unbroadcast(g * y, sa)),
+                 (b, lambda g: _unbroadcast(g * x, sb)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -187,9 +218,10 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
+    x = a.data
+    if np.any(x <= 0):
         raise ValueError("log of non-positive value; mask the input first")
-    return _make(np.log(a.data), (a, lambda g: g / a.data))
+    return _make(np.log(x), (a, lambda g: g / x))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -209,7 +241,8 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
         out_data = a.data.sum().reshape(1, 1)
     else:
         out_data = a.data.sum(axis=axis, keepdims=True)
-    return _make(out_data, (a, lambda g: np.broadcast_to(g, a.shape).copy()))
+    shape = a.shape
+    return _make(out_data, (a, lambda g: np.broadcast_to(g, shape).copy()))
 
 
 def _standardize(a: Tensor, axis: int, eps: float):
@@ -217,12 +250,16 @@ def _standardize(a: Tensor, axis: int, eps: float):
     mean = a.data.mean(axis=axis, keepdims=True)
     var = a.data.var(axis=axis, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mean) * inv_std
+    xhat = a.data - mean
+    xhat *= inv_std
 
     def grad_a(g):
         gm = g.mean(axis=axis, keepdims=True)
         gx = (g * xhat).mean(axis=axis, keepdims=True)
-        return inv_std * (g - gm - xhat * gx)
+        out = g - gm
+        out -= xhat * gx
+        out *= inv_std
+        return out
 
     return _make(xhat, (a, grad_a)), mean, var
 
@@ -234,14 +271,22 @@ def layer_norm_row(a: Tensor, eps: float = 1e-5) -> Tensor:
 
 def pairwise_sq_dist(a: Tensor) -> Tensor:
     """D[i, j] = squared Euclidean distance between rows i and j."""
-    sq = (a.data ** 2).sum(axis=1, keepdims=True)
-    d = sq + sq.T - 2.0 * (a.data @ a.data.T)
+    x = a.data
+    sq = (x ** 2).sum(axis=1, keepdims=True)
+    gram = x @ x.T
+    gram *= 2.0
+    d = sq + sq.T
+    d -= gram
+    del gram
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
 
     def grad_a(g):
         s = g + g.T
-        return 2.0 * (s.sum(axis=1, keepdims=True) * a.data - s @ a.data)
+        out = s.sum(axis=1, keepdims=True) * x
+        out -= s @ x
+        out *= 2.0
+        return out
 
     return _make(d, (a, grad_a))
 
@@ -277,8 +322,10 @@ def concat_rows(tensors) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    shape = a.shape
+
     def grad_a(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[start:stop, :] = g
         return full
 
@@ -290,9 +337,10 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ValueError(f"index out of range for table with {table.shape[0]} rows")
+    shape = table.shape
 
     def grad_table(g):
-        full = np.zeros_like(table.data)
+        full = np.zeros(shape)
         np.add.at(full, idx, g)
         return full
 

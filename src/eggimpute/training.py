@@ -79,8 +79,14 @@ def rmsprop_step(params, acc, lr):
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         s = acc[name]
         s *= RHO
-        s += (1 - RHO) * g * g
-        p.data -= lr * g / (np.sqrt(s) + EPS)
+        step = (1 - RHO) * g
+        step *= g
+        s += step
+        np.multiply(lr, g, out=step)
+        denom = np.sqrt(s)
+        denom += EPS
+        step /= denom
+        p.data -= step
         if not np.all(np.isfinite(p.data)):
             raise FloatingPointError(f"non-finite values in parameter {name!r}")
 

@@ -137,9 +137,9 @@ def test_ensemble_impute_records_no_tape():
     seen = propagated(lambda: ensemble.ensemble_impute(ds, mask, params, n_passes=2,
                                                         seed=0, batch_size=16))
     for enc, out in seen:
-        assert enc.h._parents == () and enc.projection._parents == ()
-        assert out.numeric_pred._parents == () and out.task_logits._parents == ()
-        assert out.numeric_pred._grad_fns == () and not out.numeric_pred.requires_grad
+        assert enc.h._node is None and enc.projection._node is None
+        assert out.numeric_pred._node is None and out.task_logits._node is None
+        assert not out.numeric_pred.requires_grad
 
 
 def taped_validation_loss(ds, initial_mask, val_surrogate, params, config, rng):
@@ -150,7 +150,7 @@ def taped_validation_loss(ds, initial_mask, val_surrogate, params, config, rng):
         parts = training._batch_loss(ds, rows, initial_mask, val_surrogate[rows], params,
                                      config.tau_end, "eval", rng, config.weights)
         total = objectives.total_loss(parts, config.weights)
-        assert total._parents
+        assert total._node.parents
         losses.append(total.item())
         counts.append(len(rows))
     return float(np.average(losses, weights=counts))
@@ -178,7 +178,7 @@ def test_tape_free_evaluation_is_bit_equal_to_the_taped_oracles(sampler, blocks,
             taped.append(ensemble.ensemble_impute(ds, mask, params, 2, seed, batch_size))
 
     for enc, out in propagated(run_taped):
-        assert enc.h._parents and out.numeric_pred._parents  # the oracle records a tape
+        assert enc.h._node.parents and out.numeric_pred._node.parents  # the oracle records a tape
     assert np.array_equal(fast, taped[0])
 
     config = training.TrainConfig(batch_size=batch_size, model=cfg,

@@ -228,7 +228,7 @@ def test_merged_sampler_matches_both_oracles(data, m, tau, spread, seed):
             with T.no_tape():
                 relaxed, adjacency, hard = sampler(inputs, rng)
             assert not (relaxed.requires_grad or adjacency.requires_grad)
-            assert relaxed._parents == adjacency._parents == ()
+            assert relaxed._node is None and adjacency._node is None
             return [bits(v) for v in (hard, relaxed.data, adjacency.data, rng.random())]
         relaxed, adjacency, hard = sampler(inputs, rng)
         loss = T.reduce_sum(T.mul(adjacency, weights))
@@ -258,8 +258,8 @@ def test_sampler_records_two_nodes_and_shares_its_hard_graph():
     log_p = Tensor(np.random.default_rng(0).normal(size=(6, 6)), requires_grad=True)
     for k in (None, 2):
         s = model.sample_adjacency_egg(log_p, 0.3, np.random.default_rng(1), k)
-        assert s.relaxed._parents == (log_p,)
-        assert s.adjacency._parents == (s.relaxed, s.relaxed)
+        assert s.relaxed._node.parents == (log_p._node,)
+        assert s.adjacency._node.parents == (s.relaxed._node, s.relaxed._node)
         assert s.adjacency.data is s.hard
 
 

@@ -75,3 +75,23 @@ def test_worse_beyond_bound_compares_the_median_gap_with_bound_times_the_base_me
         entry = pairs.summarize(median_pair("m", base, change), {"m": better},
                                 {"m": bound})["metrics"]["m"]
         assert entry["worse_beyond_bound"] is worse, (better, bound, base, change)
+
+
+def test_per_pair_gives_each_pairs_seed_order_and_values():
+    """Both orders, a run without a result line, and a metric one side lacks."""
+    runs = [{"seed": 300, "first": "base", "base": pairs.result_line(_line(3.0, 10.0)),
+             "change": pairs.result_line(_line(2.5, 12.0))},
+            {"seed": 301, "first": "change", "base": pairs.result_line(_line(3.1, 11.0)),
+             "change": None},
+            {"seed": 302, "first": "base",
+             "base": {"failed": 0, "metrics": {"cell_s": {"value": 2.9}}},
+             "change": pairs.result_line(_line(2.7, 9.0))}]
+    assert pairs.per_pair(runs, BETTER) == [
+        {"seed": 300, "first": "base", "base": {"cell_s": 3.0, "impute_rows_per_s": 10.0},
+         "change": {"cell_s": 2.5, "impute_rows_per_s": 12.0}},
+        {"seed": 301, "first": "change", "base": {"cell_s": 3.1, "impute_rows_per_s": 11.0},
+         "change": None},
+        {"seed": 302, "first": "base", "base": {"cell_s": 2.9},
+         "change": {"cell_s": 2.7, "impute_rows_per_s": 9.0}}]
+    summary = pairs.summarize(runs, BETTER, BOUNDS)  # the extra keys change nothing
+    assert summary["metrics"]["cell_s"]["change_wins"] == 2

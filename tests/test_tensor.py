@@ -253,6 +253,18 @@ def test_second_backward_reaches_no_leaf(rng):
     assert x.grad is None
 
 
+def test_backward_on_a_constant_loss_is_a_no_op():
+    """A loss no recorded op made (a zero term, or ops on constants only)
+    has no node: backward returns and reaches no leaf."""
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    for loss in (Tensor(np.zeros((1, 1))), T.reduce_sum(T.exp(Tensor(np.ones((2, 2)))))):
+        loss.backward()
+        assert not loss.requires_grad
+    assert x.grad is None
+    with pytest.raises(ValueError, match="scalar"):
+        Tensor(np.zeros((2, 1))).backward()
+
+
 def recording_rule(calls, name, factor):
     """A gradient rule that logs ``name`` to ``calls`` and returns ``factor * g``."""
     def rule(g):
@@ -267,7 +279,7 @@ def test_backward_never_runs_the_rule_of_an_operand_that_needs_no_gradient():
     calls = []
     out = T._make(x.data + const.data, (x, recording_rule(calls, "x", 2.0)),
                   (const, recording_rule(calls, "const", 1.0)))
-    assert out._parents == (x, const) and len(out._grad_fns) == 2
+    assert out._node.parents == (x._node, None) and len(out._node.rules) == 2
     T.reduce_sum(out).backward()
     assert calls == ["x"] and const.grad is None
     assert np.array_equal(x.grad, np.full((2, 3), 2.0))
@@ -283,7 +295,7 @@ def test_an_operand_used_twice_receives_both_shares_in_operand_order(rng):
     calls = []
     out = T._make(y.data, (y, recording_rule(calls, "left", 2.0)),
                   (y, recording_rule(calls, "right", 3.0)))
-    assert out._parents == (y, y)
+    assert out._node.parents == (y._node, y._node)
     T.reduce_sum(out).backward()
     assert calls == ["left", "right"] and y.grad[0, 0] == 5.0
 
@@ -292,7 +304,7 @@ def test_no_tape_ops_record_no_parents():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with T.no_tape():
         y = T.exp(T.matmul(x, x)) + x
-    assert y._parents == () and y._grad_fns == () and not y.requires_grad
+    assert y._node is None and not y.requires_grad and y.grad is None
     assert np.array_equal(y.data, np.exp(np.full((2, 2), 2.0)) + 1)
 
 
@@ -302,9 +314,9 @@ def test_no_tape_restores_recording_after_nesting_and_exceptions():
         with T.no_tape():
             with T.no_tape():
                 pass
-            assert T.exp(x)._parents == ()  # the inner block restored "off"
+            assert T.exp(x)._node is None  # the inner block restored "off"
             raise RuntimeError("inside the block")
-    assert T.exp(x)._parents == (x,)
+    assert T.exp(x)._node.parents == (x._node,)
 
 
 def test_backward_inside_no_tape_raises():

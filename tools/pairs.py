@@ -18,8 +18,11 @@ each side's median and quartiles, how many pairs the change won (by the
 metric's ``better`` direction), whether the gap between the medians
 exceeds the base's interquartile range, and whether the change's median is
 worse than the base's by more than the metric's ``bound`` times the base's
-median (``worse_beyond_bound``); and, for each side, the failed
-operations the runs reported and the runs that printed no result line.
+median (``worse_beyond_bound``); for each side, the failed operations
+the runs reported and the runs that printed no result line; and ``pairs``,
+one entry per pair with its seed, the side that ran ``first`` and each
+side's value of every end-to-end metric (null for a run with no result
+line), so a gap can be traced to the pairs that made it.
 Both worktrees are removed on every exit.
 """
 
@@ -97,6 +100,17 @@ def summarize(pairs, better, bounds):
     return {"metrics": metrics, "failed": failed}
 
 
+def per_pair(pairs, names):
+    """One entry per pair of ``pairs`` (each holding "seed", "first" and a result
+    per side, as in ``summarize``): the seed, the side that ran first, and each
+    side's value of every metric in ``names`` it reported, or None without a result."""
+    return [{"seed": p["seed"], "first": p["first"],
+             **{side: p[side] and {name: p[side]["metrics"][name]["value"]
+                                   for name in names if name in p[side]["metrics"]}
+                for side in SIDES}}
+            for p in pairs]
+
+
 def run_side(root, workload, seed, seconds):
     done = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"),
                            "--workload", workload, "--seed", str(seed),
@@ -130,8 +144,9 @@ def main(argv=None):
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pair = {side: run_side(roots[side], args.workload, seed, args.seconds)
-                        for side in order}
+                pair = {"seed": seed, "first": order[0]}
+                pair.update((side, run_side(roots[side], args.workload, seed, args.seconds))
+                            for side in order)
                 pairs.append(pair)
                 print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
         finally:
@@ -142,8 +157,8 @@ def main(argv=None):
     summary = summarize(pairs, better, bounds)
     print(json.dumps({"workload": args.workload, "base": args.base, "change": args.change,
                       "base_commit": commits["base"], "change_commit": commits["change"],
-                      "pairs": args.pairs,
-                      "seeds": [args.seed, args.seed + args.pairs - 1], **summary}, indent=1))
+                      "seeds": [args.seed, args.seed + args.pairs - 1], **summary,
+                      "pairs": per_pair(pairs, better)}, indent=1))
     return 0
 
 
