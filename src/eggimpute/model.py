@@ -10,8 +10,10 @@ graph convolution with residual and row layer norm.  Learnable prototype
 rows are appended to every batch graph and stripped before the output
 heads.  The hard adjacency is used in the forward pass; gradients flow
 through the relaxed edge values via a straight-through estimator.  Each
-sample is two tape nodes with hand-written rules, and each linear layer's
-bias rides in its matmul's node.
+sample is two tape nodes with hand-written rules, built in place: the
+logits, the relaxed values and the hard graph are one m x m array each,
+and the tape keeps the relaxed values alone.  Each linear layer's bias
+rides in its matmul's node.
 ``forward`` is two stages: ``encode``, row by row up to block 0's
 projector, then ``propagate``, over the batch graph; ensembled imputation
 calls the two itself, so it encodes each row once per call.

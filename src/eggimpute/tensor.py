@@ -1,12 +1,16 @@
 """Dense 2-D tensors with a reverse-mode autodiff tape.
 
-Every tensor is a row-major float64 matrix.  An operation records on the
-implicit tape (the parent graph) one gradient rule per operand, which maps
-the result's gradient to that operand's share.  Calling ``backward`` on a
-scalar loss topologically sorts the reachable graph, runs the rules of the
-operands that need a gradient (a constant's share is never computed),
-accumulates into every ``requires_grad`` leaf and frees the tape it walked,
-so a second ``backward`` on the same loss reaches no leaf.
+Every tensor is a row-major float64 matrix.  A tensor that needs a gradient
+also holds a node on the implicit tape; a recorded operation's node keeps
+its operands' nodes and one gradient rule per operand, which maps the
+result's gradient to that operand's share.  Nodes hold no values: each rule
+closes over the arrays it reads (never over a tensor), and a constant
+operand keeps no rule, so an output that no rule reads is freed as soon as
+the forward drops it.  Calling ``backward`` on a scalar loss topologically
+sorts the reachable nodes, runs the rules of the operands that need a
+gradient, accumulates into every ``requires_grad`` leaf's ``grad`` and
+frees the tape it walked, so a second ``backward`` on the same loss reaches
+no leaf; on a constant loss it does nothing.
 Inside ``with no_tape():`` operations record nothing, which is how
 evaluation runs.  Broadcasting is restricted to row vectors (1 x n),
 column vectors (m x 1) and scalars.
@@ -71,8 +75,6 @@ class Tensor:
 
     @grad.setter
     def grad(self, value):
-        if self._node is None:
-            raise ValueError("a tensor without requires_grad holds no gradient")
         self._node.grad = value
 
     def __repr__(self):
@@ -277,7 +279,6 @@ def pairwise_sq_dist(a: Tensor) -> Tensor:
     gram *= 2.0
     d = sq + sq.T
     d -= gram
-    del gram
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
 

@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eggimpute import cli, dataio, evaluation, missingness, training
 
@@ -1039,3 +1042,75 @@ def test_a_categorical_column_of_one_category_imputes_that_category(tmp_path, mo
     lines = Path("runs/one/mcar/0.4/egg/0/imputed.csv").read_text().splitlines()
     column = lines[0].split(",").index("c")
     assert {line.split(",")[column] for line in lines[1:]} == {"only"}
+
+
+PROPERTY_TRAIN = {"batch_size": 16, "max_epochs": 1, "patience": 0, "learning_rate": 1e-3,
+                  "model": {"hidden": 4, "prototypes": 1, "embed_width": 2, "k": 2}}
+
+
+@st.composite
+def tiny_benchmarks(draw):
+    """A tiny table (its header, rows and schema) and a benchmark grid for it.
+
+    2-30 rows, 0-3 numeric and 0-2 categorical columns, each column either
+    constant or drawn cell by cell, blanks included, and labels that may
+    all be one class; the grid draws from every method and mechanism and
+    a few rates, and trains one epoch at hidden 4."""
+    n = draw(st.integers(2, 30))
+    kinds = ([dataio.NUMERICAL] * draw(st.integers(0, 3))
+             + [dataio.CATEGORICAL] * draw(st.integers(0, 2)))
+    cells = {dataio.NUMERICAL: st.sampled_from(["", "-1.5", "0", "0.25", "2", "7.5"]),
+             dataio.CATEGORICAL: st.sampled_from(["", "a", "b", "c"])}
+    columns = []
+    for kind in kinds:
+        if draw(st.booleans()):
+            columns.append([draw(cells[kind])] * n)
+        else:
+            columns.append(draw(st.lists(cells[kind], min_size=n, max_size=n)))
+    classes = draw(st.sampled_from([["x"], ["x", "y"], ["x", "y", "z"]]))
+    columns.append(draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n)))
+    names = [f"c{j}" for j in range(len(kinds))] + ["label"]
+    schema = {"columns": [{"name": f"c{j}", "kind": k} for j, k in enumerate(kinds)],
+              "target": "label"}
+    grid = {"methods": draw(st.lists(st.sampled_from(cli.ALL_METHODS), min_size=1,
+                                     max_size=2, unique=True)),
+            "mechanisms": draw(st.lists(st.sampled_from(sorted(missingness.MECHANISMS)),
+                                        min_size=1, max_size=2, unique=True)),
+            "rates": draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9]), min_size=1,
+                                   max_size=2, unique=True))}
+    return names, list(zip(*columns)), schema, grid
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # empty columns, single-class splits
+@settings(max_examples=60, deadline=None)
+@given(tiny_benchmarks())
+def test_benchmark_on_any_tiny_table_succeeds_or_fails_up_front(case):
+    """Every job writes its row, or one error line says why before any job
+    runs: no traceback, and nothing under ``out``."""
+    names, rows, schema, grid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        with open(root / "t.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([names, *rows])
+        (root / "t.schema.json").write_text(json.dumps(schema))
+        (root / "config.json").write_text(json.dumps({
+            "dataset": str(root / "t.csv"), "schema": str(root / "t.schema.json"),
+            "out": str(root / "out"), "ensemble": 2, "knn_k": 2, "grid": grid,
+            "train": PROPERTY_TRAIN}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["benchmark", "--config", str(root / "config.json")])
+        lines = err.getvalue().splitlines()
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: ") and \
+                not lines[0].startswith("error: run "), lines
+            assert not (root / "out").exists()
+        else:
+            assert code == 0, lines
+            jobs = len(grid["methods"]) * len(grid["mechanisms"]) * len(grid["rates"])
+            reports = cli._read_results(root / "out" / "results.csv")
+            assert len(reports) == jobs
+            for rep in reports:
+                for field in ("rmse", "mae", "cat_accuracy", "downstream_accuracy"):
+                    value = getattr(rep, field)
+                    assert value is None or np.isfinite(value), (field, value)

@@ -266,15 +266,6 @@ def test_kegg_handles_tail_batches_of_at_most_k_nodes(prototypes):
         assert np.isfinite(res).all()
 
 
-def closed_over(fn):
-    """Every value ``fn``'s closure holds, and those of the functions it holds."""
-    for cell in fn.__closure__ or ():
-        value = cell.cell_contents
-        yield value
-        if callable(value) and hasattr(value, "__closure__"):
-            yield from closed_over(value)
-
-
 def tape_footprint(loss):
     """The recorded nodes reachable from ``loss``, and the bytes of the distinct
     arrays the tape keeps alive with them: every array a gradient rule closes
@@ -287,7 +278,8 @@ def tape_footprint(loss):
         seen.add(id(node))
         nodes += bool(node.rules)
         for rule in filter(None, node.rules):
-            for value in closed_over(rule):
+            for cell in rule.__closure__ or ():
+                value = cell.cell_contents
                 value = value.data if isinstance(value, Tensor) else value
                 if isinstance(value, np.ndarray):
                     arrays[id(value)] = value
