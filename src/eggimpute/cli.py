@@ -244,6 +244,9 @@ def _evaluate(cfg, prep, imputed_z):
 # -- subcommands --------------------------------------------------------
 
 def cmd_make_synthetic(args):
+    for flag, value in (("--rows", args.rows), ("--cols", args.cols)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     ds = dataio.make_two_cluster(n=args.rows, d=args.cols, seed=args.seed)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)

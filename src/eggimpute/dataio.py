@@ -225,7 +225,7 @@ def split(ds: TabularDataset, train_fraction: float, seed: int):
     return np.sort(np.asarray(train_rows)), np.sort(np.asarray(val_rows))
 
 
-def make_two_cluster(n=600, d=6, seed=0, separation=3.0):
+def make_two_cluster(n=600, d=6, seed=0):
     """Synthetic numeric 2-cluster dataset with correlated features.
 
     Rows in the same cluster share a mean, so observed coordinates are
@@ -233,7 +233,7 @@ def make_two_cluster(n=600, d=6, seed=0, separation=3.0):
     """
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, size=n)
-    centers = np.stack([np.full(d, -separation / 2), np.full(d, separation / 2)])
+    centers = np.stack([np.full(d, -1.5), np.full(d, 1.5)])
     shared = rng.normal(size=(n, 1))  # within-cluster correlation
     values = centers[labels] + 0.8 * shared + 0.6 * rng.normal(size=(n, d))
     schema = [ColumnSchema(f"f{j}", NUMERICAL) for j in range(d)]

@@ -271,11 +271,10 @@ def rf_predict(forest: RandomForest, x):
     return votes.argmax(axis=1)
 
 
-def downstream_accuracy(imputed_train, y_train, imputed_test, y_test, schema, n_trees=100,
-                        seed=0):
+def downstream_accuracy(imputed_train, y_train, imputed_test, y_test, schema, seed=0):
     x_train = one_hot_features(imputed_train, schema)
     x_test = one_hot_features(imputed_test, schema)
-    forest = rf_fit(x_train, y_train, n_trees, seed)
+    forest = rf_fit(x_train, y_train, 100, seed)
     return float((rf_predict(forest, x_test) == np.asarray(y_test)).mean())
 
 

@@ -31,9 +31,10 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 
 
-def _calibrate_intercept(scores, rate, lo=-60.0, hi=60.0, iters=80):
-    """Bisection on b so that mean(sigmoid(scores + b)) == rate."""
-    for _ in range(iters):
+def _calibrate_intercept(scores, rate):
+    """Bisection on b in [-60, 60] so that mean(sigmoid(scores + b)) == rate."""
+    lo, hi = -60.0, 60.0
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         if _sigmoid(scores + mid).mean() > rate:
             hi = mid
@@ -157,5 +158,12 @@ def save_mask(bits, mechanism, rate, path):
 
 
 def load_mask(path) -> np.ndarray:
-    """The N x d bits of a mask written by ``save_mask``; its header is a comment."""
-    return np.loadtxt(path, dtype=np.int8, delimiter=",", comments="#", ndmin=2)
+    """The N x d bits of a mask written by ``save_mask``; its header is a comment.
+    A ValueError names the first cell, by 0-based row and column, that is not 0 or 1."""
+    bits = np.loadtxt(path, dtype=np.int8, delimiter=",", comments="#", ndmin=2)
+    bad = np.argwhere((bits != 0) & (bits != 1))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"{path} holds {bits[row, col]} at row {row}, column {col}, but a "
+                         "mask cell is 0 (missing) or 1 (observed)")
+    return bits

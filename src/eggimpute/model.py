@@ -22,6 +22,7 @@ calls the two itself, so it encodes each row once per call.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -292,7 +293,7 @@ def encode(batch, params: ParameterSet, mode) -> Encoding:
     return Encoding(h, params.mlp_proj[0](h, training) if project else None, x.shape[0])
 
 
-def propagate(enc: Encoding, params: ParameterSet, tau, mode, rng, adjacency_override=None):
+def propagate(enc: Encoding, params: ParameterSet, tau, mode, rng):
     """The batch-graph stage: each block's sampler and graph convolution over
     all of ``enc``'s rows, then the heads on its batch rows."""
     training = _training(mode)
@@ -300,9 +301,7 @@ def propagate(enc: Encoding, params: ParameterSet, tau, mode, rng, adjacency_ove
     h, n, m = enc.h, enc.n, enc.h.shape[0]
     samples, block_outs = [], []
     for blk in range(cfg.blocks):
-        if adjacency_override is not None:
-            sample = constant_sample(adjacency_override[blk])
-        elif cfg.sampler == "identity":
+        if cfg.sampler == "identity":
             sample = constant_sample(np.eye(m))
         else:
             hg = enc.projection if blk == 0 else params.mlp_proj[blk](h, training)
@@ -323,16 +322,13 @@ def propagate(enc: Encoding, params: ParameterSet, tau, mode, rng, adjacency_ove
     return ForwardOutput(numeric_pred, cat_logits, task_logits, samples, enc.projection)
 
 
-def forward(batch, params: ParameterSet, tau, mode, rng, adjacency_override=None):
+def forward(batch, params: ParameterSet, tau, mode, rng):
     """Full forward pass for one batch: ``propagate(encode(...))``.
 
     ``mode`` selects batch-norm statistics ('train' uses batch stats,
     'eval' the running ones); edge sampling stays stochastic in both.
-    ``adjacency_override`` freezes each block's adjacency to a constant
-    (no gradient through the sampler); block 0's projector still runs, and
-    the fixed graph does not read its output.
     """
-    return propagate(encode(batch, params, mode), params, tau, mode, rng, adjacency_override)
+    return propagate(encode(batch, params, mode), params, tau, mode, rng)
 
 
 # -- checkpointing ------------------------------------------------------
@@ -346,14 +342,21 @@ def save_checkpoint(path, params: ParameterSet):
 
 
 def load_checkpoint(path, schema):
-    """The parameters a checkpoint holds, each array checked against ``schema``'s table."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        config = ModelConfig(**meta["config"])
-        params = ParameterSet(config, schema, meta["num_classes"], seed=0)
-        arrays = {k: data[k] for k in data.files if k != "__meta__"}
+    """The parameters a checkpoint holds, each array checked against ``schema``'s table;
+    a ValueError naming ``path`` when ``save_checkpoint`` did not write it."""
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            arrays = {k: data[k] for k in data.files if k != "__meta__"}
+        version = meta["version"]
+        if version == CHECKPOINT_VERSION:
+            params = ParameterSet(ModelConfig(**meta["config"]), schema, meta["num_classes"],
+                                  seed=0)
+    except (AttributeError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
+        raise ValueError(f"{path} is not an eggimpute checkpoint ({type(err).__name__}: {err}); "
+                         "rerun `eggimpute train`") from err
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
     needed = {k: v.shape for k, v in params.state_arrays().items()}
     for name in [*needed, *arrays]:
         found = arrays[name].shape if name in arrays else None

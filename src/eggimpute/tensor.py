@@ -266,9 +266,9 @@ def _standardize(a: Tensor, axis: int, eps: float):
     return _make(xhat, (a, grad_a)), mean, var
 
 
-def layer_norm_row(a: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm_row(a: Tensor) -> Tensor:
     """Per-row standardization without learnable affine parameters."""
-    return _standardize(a, 1, eps)[0]
+    return _standardize(a, 1, 1e-5)[0]
 
 
 def pairwise_sq_dist(a: Tensor) -> Tensor:

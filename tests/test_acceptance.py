@@ -69,7 +69,7 @@ def _wireless_setup(rate=0.2, seed=0):
 
 # -- criterion 1: gradient integrity ------------------------------------
 
-def test_criterion_1_full_model_gradients_match_finite_differences():
+def test_criterion_1_full_model_gradients_match_finite_differences(monkeypatch):
     gen = np.random.default_rng(0)
     n = 8
     schema = [dataio.ColumnSchema("a", dataio.NUMERICAL),
@@ -89,11 +89,12 @@ def test_criterion_1_full_model_gradients_match_finite_differences():
     adj = np.minimum(adj + adj.T, 1.0)
     np.fill_diagonal(adj, 1.0)
     weights = objectives.LossWeights()
+    # the graph is frozen: no gradient reaches the sampler
+    monkeypatch.setattr(model, "sample_adjacency_egg", lambda *_: model.constant_sample(adj))
 
     def loss_fn():
         batch = missingness.preprocess_batch(ds, np.arange(n), init, surr)
-        out = model.forward(batch, params, 0.3, "train", np.random.default_rng(0),
-                            adjacency_override=[adj])
+        out = model.forward(batch, params, 0.3, "train", np.random.default_rng(0))
         parts = objectives.compute_losses(batch, out, weights)
         return objectives.total_loss(parts, weights)
 

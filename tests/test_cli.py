@@ -43,10 +43,11 @@ def test_make_synthetic_writes_loadable_dataset(workspace):
 
 def test_make_synthetic_rejects_zero_feature_columns(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["make-synthetic", "--rows", "20", "--cols", "0",
-                     "--output", "data/flat.csv"]) == 1
-    assert capsys.readouterr().err == \
-        "error: dataset needs at least one feature column besides the target\n"
+    for rows, cols, flag, value in (("20", "0", "--cols", "0"), ("0", "4", "--rows", "0"),
+                                    ("-1", "4", "--rows", "-1"), ("20", "-2", "--cols", "-2")):
+        assert cli.main(["make-synthetic", "--rows", rows, "--cols", cols,
+                         "--output", "data/flat.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -87,6 +88,22 @@ def test_corrupt_writes_mask(workspace):
     bits = missingness.load_mask(mask_path)
     assert bits.dtype == np.int8 and bits.shape == (60, 4)
     assert 0.1 < 1 - bits.mean() < 0.3
+
+
+def test_a_mask_cell_other_than_0_or_1_is_refused_by_file_and_cell(workspace, capsys):
+    """Such a cell was neither imputed nor scored, and the run still exited 0."""
+    _, cfg = workspace
+    assert cli.main(["corrupt", "--config", cfg]) == 0
+    mask_path = Path("runs/synth/mcar/0.2/egg/0/mask.csv")
+    bits = missingness.load_mask(mask_path)
+    bits[0, 0], bits[1, 1] = 2, -1
+    missingness.save_mask(bits, "mcar", 0.2, mask_path)
+    capsys.readouterr()
+    for command in ("train", "impute", "evaluate"):
+        assert cli.main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == (f"error: {mask_path} holds 2 at row 0, column 0, "
+                                           "but a mask cell is 0 (missing) or 1 (observed)\n")
+    assert sorted(p.name for p in mask_path.parent.iterdir()) == ["mask.csv"]
 
 
 def test_train_requires_mask(workspace):
@@ -1000,6 +1017,36 @@ def test_impute_rejects_the_checkpoint_of_another_table(mixed_config, capsys, ki
     err = capsys.readouterr().err
     assert f"error: {message}; rerun `eggimpute train` on this table" in err
     assert not (root / "runs/mixed/mcar/0.2/egg/0/imputed.csv").exists()
+
+
+def _save_meta(path, meta):
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+
+
+def _save_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize("write, cause", [
+    (lambda path: np.savez(path, w=np.zeros(2)), "KeyError"),
+    (lambda path: _save_meta(path, {"version": 1, "config": {"extra": 1}, "num_classes": 2}),
+     "TypeError"),
+    (_save_npy, "TypeError"),
+    (lambda path: _save_meta(path, {"version": 1, "config": {}}), "KeyError"),
+], ids=["no_meta", "unknown_config_key", "npy_file", "no_class_count"])
+def test_impute_rejects_a_file_that_is_not_a_checkpoint(workspace, capsys, write, cause):
+    _, cfg = workspace
+    assert cli.main(["corrupt", "--config", cfg]) == 0
+    rd = Path("runs/synth/mcar/0.2/egg/0")
+    write(rd / "checkpoint.npz")
+    capsys.readouterr()
+    assert cli.main(["impute", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rd / 'checkpoint.npz'} is not an eggimpute checkpoint "
+                          f"({cause}")
+    assert err.endswith("; rerun `eggimpute train`\n") and err.count("\n") == 1
+    assert sorted(p.name for p in rd.iterdir()) == ["checkpoint.npz", "mask.csv"]
 
 
 def test_cli_import_leaves_out_worker_pool_modules():

@@ -426,8 +426,7 @@ def test_one_hot_features_mixed():
 def test_downstream_accuracy_end_to_end():
     ds = dataio.make_two_cluster(n=200, d=4, seed=0)
     acc = evaluation.downstream_accuracy(ds.values[:150], ds.targets[:150],
-                                         ds.values[150:], ds.targets[150:],
-                                         ds.schema, n_trees=20)
+                                         ds.values[150:], ds.targets[150:], ds.schema)
     assert acc > 0.9
 
 

@@ -1,7 +1,8 @@
 """Source hygiene: every library module uses each name it imports and
 reads nothing from the environment, something outside the tests reads
-every name the library defines, the library itself reads every field of
-its records, and the README names every top-level setting."""
+every name the library defines and passes every optional parameter it
+declares, the library itself reads every field of its records, and the
+README names every top-level setting."""
 
 import ast
 import re
@@ -146,6 +147,87 @@ def test_every_library_definition_is_referenced():
     library = [(SRC / module).read_text() for module in MODULES]
     readers = [path.read_text() for path in READERS]
     assert unreferenced_definitions(library, readers) == []
+
+
+def optional_parameters(source):
+    """(qualified name, call name, positional index or None, parameter) of every
+    parameter with a default; a method's index leaves out ``self``, and a
+    constructor is called by its class name."""
+    found = []
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                if cls is not None and not static:
+                    positional = positional[1:]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                call_name = cls if child.name == "__init__" else child.name
+                qual = f"{prefix}{child.name}"
+                found.extend((qual, call_name, positional.index(a), a.arg) for a in defaulted)
+                found.extend((qual, call_name, None, a.arg)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(child, f"{qual}.", None)
+            else:
+                visit(child, prefix, cls)
+
+    visit(ast.parse(source), "", None)
+    return found
+
+
+def calls(source):
+    """(called name, positional count, keyword names, unpacks) of every call
+    made through a name or an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            found.append((name, len(node.args), {k.arg for k in node.keywords}, unpacks))
+    return found
+
+
+def unpassed_parameters(library_sources, reader_sources):
+    """``qualified(parameter)`` of every optional parameter that no reader's call
+    passes by keyword, by position or through ``*``/``**``."""
+    made = [call for source in reader_sources for call in calls(source)]
+
+    def passed(call_name, index, param):
+        return any(name == call_name and (unpacks or param in keywords
+                                          or (index is not None and n_positional > index))
+                   for name, n_positional, keywords, unpacks in made)
+
+    return sorted(f"{qual}({param})" for source in library_sources
+                  for qual, call_name, index, param in optional_parameters(source)
+                  if not passed(call_name, index, param))
+
+
+def test_parameter_checker_counts_keyword_position_constructor_and_unpacking():
+    library = ("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+               "def g(a, b=1): pass\n"
+               "def h(a=1): pass\n"
+               "class K:\n"
+               "    def __init__(self, x, y=0, z=0): pass\n"
+               "    def m(self, p=1, q=2): pass\n"
+               "    @staticmethod\n"
+               "    def s(p=1, q=2): pass\n")
+    reader = ("f(0, 1, e=5)\nmod.g(*args)\nh(**kw)\nK(1, 2)\nK(1).m(3)\nK.s(3)\n"
+              "never = f\n")
+    assert unpassed_parameters([library], [reader]) == [
+        "K.__init__(z)", "K.m(q)", "K.s(q)", "f(c)", "f(d)"]
+
+
+def test_every_optional_parameter_is_passed():
+    """A default that nothing outside the tests overrides is a constant, not a setting."""
+    library = [(SRC / module).read_text() for module in MODULES]
+    readers = [path.read_text() for path in READERS]
+    assert unpassed_parameters(library, readers) == []
 
 
 def _is_dataclass_decorator(node):

@@ -358,17 +358,17 @@ def test_forward_rejects_bad_mode(small_mixed_dataset, rng):
         model.forward(batch, params, 0.3, "test", rng)
 
 
-def test_forward_adjacency_override_is_deterministic(small_mixed_dataset):
+def test_forward_on_a_constant_sample_is_deterministic(small_mixed_dataset, monkeypatch):
     ds = small_mixed_dataset
     params = small_params(ds)
     init = np.ones((ds.n_rows, 4), dtype=np.int8)
     batch = make_batch(ds, np.arange(6), init, 0.2)
     m = 6 + params.config.prototypes
     adj = np.eye(m)
+    monkeypatch.setattr(model, "sample_adjacency_egg", lambda *_: model.constant_sample(adj))
     outs = []
     for seed in (1, 2):
-        out = model.forward(batch, params, 0.3, "eval", np.random.default_rng(seed),
-                            adjacency_override=[adj])
+        out = model.forward(batch, params, 0.3, "eval", np.random.default_rng(seed))
         outs.append(out.numeric_pred.data.copy())
     assert np.array_equal(outs[0], outs[1])
 

@@ -13,7 +13,9 @@ writes; ``kegg-steps`` runs ``corrupt``, ``train`` and ``impute`` with
 ``blocks: 2`` on the ``kegg-grid`` table, whose two categorical columns
 give the checkpoint every array family (embeddings, categorical heads, a
 second projector and GCN block) and the imputation a two-block ensemble
-with categorical picks; ``knn-steps`` runs ``corrupt`` under MAR and
+with categorical picks; ``ablation-steps`` runs the same three steps
+with method ``nn_ablation`` on that table, so the identity graph of
+the ablation is checked; ``knn-steps`` runs ``corrupt`` under MAR and
 ``impute`` with method ``knn`` on the 2000-row ``egg-impute`` table, so
 the KNN donors of a large numeric table are checked byte for byte;
 ``report-seeds`` runs ``benchmark`` with methods ``mean`` and ``knn`` and
@@ -164,6 +166,16 @@ def kegg_steps(directory):
             "imputed_z.npy": _sha((rd / "imputed_z.npy").read_bytes())}
 
 
+def ablation_steps(directory):
+    workloads.setup("kegg-grid", 0, directory)
+    flags = ["--method", "nn_ablation"]
+    _run(directory, *(_step(c) + flags for c in ("corrupt", "train", "impute")))
+    rd = (directory / "out" / "table" / "mnar" / "0.2" / "nn_ablation"
+          / str(workloads.PIPELINE_SEED))
+    return {**_checkpoint(rd / "checkpoint.npz"),
+            "imputed_z.npy": _sha((rd / "imputed_z.npy").read_bytes())}
+
+
 def knn_steps(directory):
     workloads.setup("egg-impute", 0, directory)
     flags = ["--mechanism", "mar", "--method", "knn"]
@@ -234,7 +246,8 @@ def main():
     fingerprint = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute),
-                          ("kegg-steps", kegg_steps), ("knn-steps", knn_steps),
+                          ("kegg-steps", kegg_steps), ("ablation-steps", ablation_steps),
+                          ("knn-steps", knn_steps),
                           ("report-seeds", report_seeds), ("datasets", datasets),
                           ("blank-cells", blank_cells), ("forest", forest),
                           ("forest-nonfinite", forest_nonfinite)):
