@@ -155,25 +155,28 @@ def egg_impute(directory):
     return out
 
 
+def _model_artifacts(directory, method):
+    """The checkpoint arrays and ``imputed_z.npy`` of ``method``'s MNAR run on the
+    ``kegg-grid`` table."""
+    rd = directory / "out" / "table" / "mnar" / "0.2" / method / str(workloads.PIPELINE_SEED)
+    return {**_checkpoint(rd / "checkpoint.npz"),
+            "imputed_z.npy": _sha((rd / "imputed_z.npy").read_bytes())}
+
+
 def kegg_steps(directory):
     workloads.setup("kegg-grid", 0, directory)
     config = json.loads((directory / workloads.CONFIG).read_text())
     config["train"]["model"]["blocks"] = 2
     (directory / workloads.CONFIG).write_text(json.dumps(config))
     _run(directory, _step("corrupt"), _step("train"), _step("impute"))
-    rd = directory / "out" / "table" / "mnar" / "0.2" / "kegg" / str(workloads.PIPELINE_SEED)
-    return {**_checkpoint(rd / "checkpoint.npz"),
-            "imputed_z.npy": _sha((rd / "imputed_z.npy").read_bytes())}
+    return _model_artifacts(directory, "kegg")
 
 
 def ablation_steps(directory):
     workloads.setup("kegg-grid", 0, directory)
     flags = ["--method", "nn_ablation"]
     _run(directory, *(_step(c) + flags for c in ("corrupt", "train", "impute")))
-    rd = (directory / "out" / "table" / "mnar" / "0.2" / "nn_ablation"
-          / str(workloads.PIPELINE_SEED))
-    return {**_checkpoint(rd / "checkpoint.npz"),
-            "imputed_z.npy": _sha((rd / "imputed_z.npy").read_bytes())}
+    return _model_artifacts(directory, "nn_ablation")
 
 
 def knn_steps(directory):
