@@ -343,13 +343,32 @@ def cmd_impute(args):
     return 0
 
 
-def cmd_evaluate(args):
-    cfg = _step_config(args)
-    rd, prep = _load_run(cfg)
-    imputed_z = np.load(_require(rd / "imputed_z.npy", "eggimpute impute"))
+def _load_imputed(path, prep):
+    """The z-scored table ``impute`` saved at ``path``: a float array of ``prep``'s shape,
+    finite at every cell its mask hides; a ValueError naming ``path`` otherwise."""
+    try:
+        with open(path, "rb") as fh:
+            imputed_z = np.lib.format.read_array(fh, allow_pickle=False)
+    except ValueError as err:  # not an .npy file (an npz, text), truncated, or of objects
+        raise ValueError(f"{path} is not a saved array ({err}); rerun `eggimpute impute`") from err
     if imputed_z.shape != prep.ds.values.shape:
         raise ValueError(f"imputed_z.npy has shape {imputed_z.shape} but the table has shape "
                          f"{prep.ds.values.shape}; rerun `eggimpute impute` on this table")
+    if imputed_z.dtype.kind != "f":
+        raise ValueError(f"{path} holds {imputed_z.dtype} values, not floats; "
+                         "rerun `eggimpute impute`")
+    bad = np.argwhere(~np.isfinite(imputed_z) & (prep.mask == 0))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"{path} holds {imputed_z[row, col]} at row {row}, column {col}, but "
+                         "an imputed cell is finite; rerun `eggimpute impute`")
+    return imputed_z
+
+
+def cmd_evaluate(args):
+    cfg = _step_config(args)
+    rd, prep = _load_run(cfg)
+    imputed_z = _load_imputed(_require(rd / "imputed_z.npy", "eggimpute impute"), prep)
     report = _evaluate(cfg, prep, imputed_z)
     with open(rd / "report.json", "w") as fh:
         json.dump(asdict(report), fh, indent=2)
@@ -381,8 +400,17 @@ def _read_results(path):
         rows = list(reader)
     if any(None in row or None in row.values() for row in rows):  # a short or long row
         raise ValueError(f"{path} has a row whose cells do not match its header")
-    return [evaluation.MetricReport(**{c: types[c](v) if v or types[c] is str else None
-                                       for c, v in row.items()}) for row in rows]
+    reports = []
+    for i, row in enumerate(rows):
+        cells = {}
+        for c, v in row.items():
+            try:
+                cells[c] = types[c](v) if v or types[c] is str else None
+            except ValueError:
+                raise ValueError(f"{path} holds {v!r} at row {i}, column {c}, but that column "
+                                 f"holds {types[c].__name__} values") from None
+        reports.append(evaluation.MetricReport(**cells))
+    return reports
 
 
 def run_single(cfg, table):
@@ -402,15 +430,6 @@ def run_single(cfg, table):
     return rep
 
 
-def _run_job(cfg, table):
-    """A grid job's report, or the error that stopped it (module level, so
-    worker processes can unpickle it)."""
-    try:
-        return run_single(cfg, table), None
-    except Exception as err:  # record, keep going
-        return None, str(err)
-
-
 def _benchmark_grid(cfg):
     """Each job's config: the tables outermost, then the grid's axes in ``GRID`` order, an axis
     the grid leaves out holding its top-level setting alone."""
@@ -424,8 +443,6 @@ def _benchmark_grid(cfg):
 
 
 def cmd_benchmark(args):
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config, _overrides(args))
     jobs = _benchmark_grid(cfg)
     tables = dict.fromkeys((job["dataset"], job["schema"]) for job in jobs)
@@ -439,24 +456,19 @@ def cmd_benchmark(args):
             missingness.mar_observed(tables[job["dataset"], job["schema"]][0].n_cols, job["rate"])
     out_root = Path(cfg["out"])
     out_root.mkdir(parents=True, exist_ok=True)
-    work = [tables[job["dataset"], job["schema"]] for job in jobs]
-    if args.workers > 1:
-        import concurrent.futures  # only worker pools need these; keeps CLI start-up short
-        import multiprocessing
-        spawn = multiprocessing.get_context("spawn")  # fork may copy held BLAS locks
-        with concurrent.futures.ProcessPoolExecutor(args.workers, spawn) as pool:
-            outcomes = list(pool.map(_run_job, jobs, work))
-    else:
-        outcomes = list(map(_run_job, jobs, work))
     results_path = out_root / "results.csv"
     results_path.unlink(missing_ok=True)
-    for rep, _ in outcomes:
-        if rep is not None:
-            _append_result(results_path, rep)
-    failures = [(j, err) for j, (rep, err) in zip(jobs, outcomes) if rep is None]
-    for job, err in failures:
-        print(f"error: run {run_dir(job).relative_to(out_root)} failed: {err}", file=sys.stderr)
-    rows = len(jobs) - len(failures)
+    failures = 0
+    for job in jobs:
+        try:
+            rep = run_single(job, tables[job["dataset"], job["schema"]])
+        except Exception as err:  # record, keep going
+            failures += 1
+            print(f"error: run {run_dir(job).relative_to(out_root)} failed: {err}",
+                  file=sys.stderr)
+            continue
+        _append_result(results_path, rep)
+    rows = len(jobs) - failures
     print(f"wrote {results_path} ({rows} rows)" if rows else "no run succeeded; wrote no results")
     return 0 if not failures else 1
 
@@ -533,7 +545,6 @@ def build_parser():
 
     p = sub.add_parser("benchmark", help="run the full config grid")
     _add_common(p)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("report", help="aggregate a results CSV")

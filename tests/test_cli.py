@@ -3,9 +3,6 @@ import contextlib
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -366,6 +363,53 @@ def test_evaluate_rejects_the_imputation_of_another_table(workspace, capsys, row
     assert not (root / "runs" / "results.csv").exists()
 
 
+def _save_npz(path, imputed_z, mask):
+    with open(path, "wb") as fh:
+        np.savez(fh, imputed_z)
+    return "is not a saved array ("
+
+
+def _truncate(path, imputed_z, mask):
+    path.write_bytes(path.read_bytes()[:-8])
+    return "is not a saved array ("
+
+
+def _save_strings(path, imputed_z, mask):
+    np.save(path, np.full(imputed_z.shape, "x"))
+    return "holds <U1 values, not floats"
+
+
+def _save_integers(path, imputed_z, mask):
+    np.save(path, imputed_z.astype(np.int64))
+    return "holds int64 values, not floats"
+
+
+def _hide_nan(path, imputed_z, mask):
+    imputed_z[mask == 0] = np.nan
+    np.save(path, imputed_z)
+    row, col = np.argwhere(mask == 0)[0]
+    return f"holds nan at row {row}, column {col}, but an imputed cell is finite"
+
+
+@pytest.mark.parametrize("damage", [_save_npz, _truncate, _save_strings, _save_integers,
+                                    _hide_nan])
+def test_evaluate_rejects_an_imputation_that_impute_did_not_write(workspace, capsys, damage):
+    """One error line naming the file, and no report written or appended."""
+    root, cfg = workspace
+    flags = ["--config", cfg, "--method", "mean"]
+    for command in ("corrupt", "impute"):
+        assert cli.main([command, *flags]) == 0
+    rd = Path("runs/synth/mcar/0.2/mean/0")
+    path = rd / "imputed_z.npy"
+    expected = damage(path, np.load(path), missingness.load_mask(rd / "mask.csv"))
+    capsys.readouterr()
+    assert cli.main(["evaluate", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} {expected}"), err
+    assert err.endswith("; rerun `eggimpute impute`\n") and err.count("\n") == 1
+    assert not (rd / "report.json").exists() and not (root / "runs/results.csv").exists()
+
+
 def test_a_one_row_table_corrupts_but_fails_to_split(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["make-synthetic", "--rows", "1", "--output", "data/one.csv"]) == 0
@@ -617,40 +661,18 @@ def test_stepwise_commands_and_benchmark_agree(mixed_config):
             {k: getattr(grid[method], k) for k in metrics}, method
 
 
-def test_benchmark_workers_match_serial_run(mixed_config):
-    root, cfg = mixed_config
-    config = json.loads((root / cfg).read_text())
-    (root / cfg).write_text(json.dumps({**config, "grid": {**config["grid"], "seeds": [0, 1]}}))
-    assert cli.main(["benchmark", "--config", cfg, "--out", "serial"]) == 0
-    assert cli.main(["benchmark", "--config", cfg, "--out", "pool", "--workers", "2"]) == 0
-    serial = _results(root / "serial/results.csv")
-    assert len(serial) == 1 + 4 * 2
-    assert _results(root / "pool/results.csv") == serial
-
-
-def test_benchmark_workers_record_failures_and_keep_going(mixed_config, capsys):
+def test_benchmark_records_failures_and_keeps_going(mixed_config, capsys):
     """A learning rate of 1e300 makes each egg job's first step non-finite."""
     root, cfg = mixed_config
     config = json.loads((root / cfg).read_text())
     config["grid"] = {"mechanisms": ["mar"], "methods": ["mean", "egg"], "seeds": [0, 1]}
     config["train"] = {**config["train"], "learning_rate": 1e300}
     (root / cfg).write_text(json.dumps(config))
-    assert cli.main(["benchmark", "--config", cfg, "--workers", "2"]) == 1
+    assert cli.main(["benchmark", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.count("error: run") == 2 and err.count("non-finite") == 2
     rows = _results(root / "runs/results.csv")[1:]
     assert sorted((r[3], r[4]) for r in rows) == [("mean", "0"), ("mean", "1")]
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_benchmark_rejects_fewer_than_one_worker(mixed_config, monkeypatch, capsys, workers):
-    root, cfg = mixed_config
-    calls = []
-    monkeypatch.setattr(cli, "run_single", lambda *args: calls.append(args))
-    assert cli.main(["benchmark", "--config", cfg, "--workers", workers]) == 1
-    assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
-    assert calls == []
-    assert not (root / "runs").exists()
 
 
 def test_benchmark_records_a_rate_that_is_not_a_number(mixed_config, monkeypatch, capsys):
@@ -757,13 +779,18 @@ def test_benchmark_and_report_with_a_comma_in_the_dataset_name(workspace, capsys
      "has columns ['dataset', 'mechanism', 'rate', 'method', 'seed', 'rmse'], "
      f"expected {cli.RESULTS_COLUMNS}"),
     (",".join(cli.RESULTS_COLUMNS) + "\nd,mcar,0.2,mean\n", "cells do not match its header"),
-], ids=["missing_columns", "short_row"])
+    (",".join(cli.RESULTS_COLUMNS) + "\nd,mcar,0.2,mean,0,,,,,,\nd,mcar,abc,mean,0,,,,,,\n",
+     "holds 'abc' at row 1, column rate, but that column holds float values"),
+    (",".join(cli.RESULTS_COLUMNS) + "\nd,mcar,0.2,mean,1.5,,,,,,\n",
+     "holds '1.5' at row 0, column seed, but that column holds int values"),
+], ids=["missing_columns", "short_row", "rate_cell", "seed_cell"])
 def test_report_rejects_a_results_file_that_does_not_match_the_columns(tmp_path, capsys, text,
                                                                        message):
     path = tmp_path / "results.csv"
     path.write_text(text)
     assert cli.main(["report", "--results", str(path)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "summary.json").exists()
 
 
@@ -884,9 +911,8 @@ def test_config_commands_take_the_same_flags(command):
     other than None would override the config file on every run."""
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    extra = [(["--workers"], int, None, 1, None)] if command == "benchmark" else []
     assert [(a.option_strings, a.type, a.choices, a.default, a.help)
-            for a in sub.choices[command]._actions] == COMMON_FLAGS + extra
+            for a in sub.choices[command]._actions] == COMMON_FLAGS
 
 
 @pytest.mark.parametrize("change, message", [
@@ -1047,16 +1073,6 @@ def test_impute_rejects_a_file_that_is_not_a_checkpoint(workspace, capsys, write
                           f"({cause}")
     assert err.endswith("; rerun `eggimpute train`\n") and err.count("\n") == 1
     assert sorted(p.name for p in rd.iterdir()) == ["checkpoint.npz", "mask.csv"]
-
-
-def test_cli_import_leaves_out_worker_pool_modules():
-    """Only ``benchmark --workers N`` needs a process pool, so importing the
-    CLI does not pay for ``concurrent.futures``."""
-    code = "import sys, eggimpute.cli; print('concurrent.futures' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
 
 
 def test_an_integer_rate_names_the_run_directory_its_flag_names(workspace):

@@ -2,8 +2,9 @@
 reads nothing from the environment, something outside the tests reads
 every name the library defines and passes every optional parameter it
 declares, the library itself reads every field of its records, and the
-README names every top-level setting."""
+README names every top-level setting and gives each command only flags it takes."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -310,3 +311,31 @@ def test_readme_names_every_setting():
     readme = (ROOT / "README.md").read_text()
     sentence = re.search(r"The top-level settings are (.*?)\.", readme, re.S).group(1)
     assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted(cli.SETTINGS)
+
+
+def unknown_flags(code):
+    """Each ``eggimpute <command> ... --flag`` in shell ``code``, its backslash continuations
+    joined and its comments dropped, whose command the parser lacks or does not give that flag."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = []
+    for line in code.replace("\\\n", " ").splitlines():
+        words = line.split("#")[0].split()
+        if words[:1] == ["eggimpute"] and len(words) > 1:
+            parser = sub.choices.get(words[1])
+            known = parser._option_string_actions if parser else {}
+            found += [f"{words[1]} {w}" for w in words[2:]
+                      if w.startswith("--") and w.split("=")[0] not in known]
+    return found
+
+
+def test_flag_checker_joins_continuations_and_sees_an_unknown_flag():
+    code = "eggimpute benchmark --config c.json \\\n    --threads 2 --out=runs  # --seeds\n"
+    assert unknown_flags(code) == ["benchmark --threads"]
+
+
+def test_readme_commands_take_the_flags_they_show():
+    readme = (ROOT / "README.md").read_text()
+    code = "".join(re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S))
+    assert "eggimpute benchmark" in code
+    assert unknown_flags(code) == []
