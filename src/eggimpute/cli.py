@@ -331,8 +331,11 @@ def cmd_impute(args):
     if cfg["method"] in MODEL_METHODS:
         params = model.load_checkpoint(_require(rd / "checkpoint.npz", "eggimpute train"),
                                        ds.schema)
-    imputed_z = _impute_all(cfg, cfg["method"], ds, prep.ds_norm, prep.mask, prep.train_rows,
-                            prep.val_rows, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        imputed_z = _impute_all(cfg, cfg["method"], ds, prep.ds_norm, prep.mask,
+                                prep.train_rows, prep.val_rows, params)
+    if not np.isfinite(imputed_z).all():  # weights that overflow, or a negative variance
+        raise ValueError(f"{rd / 'checkpoint.npz'} imputes NaN or inf; rerun `eggimpute train`")
     np.save(rd / "imputed_z.npy", imputed_z)
     export, num = imputed_z.copy(), ds.numeric_idx
     export[:, num] = imputed_z[:, num] * prep.stats.scale[num] + prep.stats.fill[num]
@@ -369,11 +372,15 @@ def cmd_evaluate(args):
     cfg = _step_config(args)
     rd, prep = _load_run(cfg)
     imputed_z = _load_imputed(_require(rd / "imputed_z.npy", "eggimpute impute"), prep)
-    report = _evaluate(cfg, prep, imputed_z)
+    with np.errstate(over="ignore"):  # reported by the check below
+        report = _evaluate(cfg, prep, imputed_z)
+    metrics = {k: getattr(report, k) for k in evaluation.LOWER_IS_BETTER}
+    if not all(v is None or np.isfinite(v) for v in metrics.values()):  # e.g. an overflow
+        raise ValueError(f"{rd / 'imputed_z.npy'} scores {metrics}; rerun `eggimpute impute`")
     with open(rd / "report.json", "w") as fh:
         json.dump(asdict(report), fh, indent=2)
     _append_result(Path(cfg["out"]) / "results.csv", report)
-    print(json.dumps({k: getattr(report, k) for k in evaluation.LOWER_IS_BETTER}))
+    print(json.dumps(metrics))
     return 0
 
 
@@ -406,6 +413,8 @@ def _read_results(path):
         for c, v in row.items():
             try:
                 cells[c] = types[c](v) if v or types[c] is str else None
+                if types[c] is float and not np.isfinite(cells[c] or 0):
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"{path} holds {v!r} at row {i}, column {c}, but that column "
                                  f"holds {types[c].__name__} values") from None

@@ -281,9 +281,9 @@ def downstream_accuracy(imputed_train, y_train, imputed_test, y_test, schema, se
 # -- aggregation --------------------------------------------------------
 
 def _scored_cells(reports):
-    """Yield (mechanism, rate, metric, [(method, value)]) for every dataset/mechanism/rate/seed
-    group (one corruption and split) and metric that scores two methods or more; a
-    ValueError if a method appears twice in a group."""
+    """Yield (mechanism, rate, metric, [(method, value)], their ``_average_ranks``) for every
+    dataset/mechanism/rate/seed group (one corruption and split) and metric that scores two
+    methods or more; a ValueError if a method appears twice in a group."""
     groups = {}
     for r in reports:
         group = groups.setdefault((r.dataset, r.mechanism, r.rate, r.seed), {})
@@ -296,18 +296,18 @@ def _scored_cells(reports):
             scored = [(r.method, getattr(r, metric)) for r in group.values()
                       if getattr(r, metric) is not None]
             if len(scored) >= 2:
-                yield mechanism, rate, metric, scored
+                yield mechanism, rate, metric, scored, _average_ranks(
+                    [v for _, v in scored], LOWER_IS_BETTER[metric])
 
 
 def count_of_wins(reports):
     """Per-method tally of best-metric finishes across dataset/mechanism/
-    rate/seed groups; ties credit every tied method."""
+    rate/seed groups: the methods that hold a group's best ``_average_ranks``
+    rank, which ties credit alike, and whose value is not NaN."""
     wins = {}
-    for _, _, metric, scored in _scored_cells(reports):
-        values = [v for _, v in scored]
-        best = min(values) if LOWER_IS_BETTER[metric] else max(values)
-        for method, v in scored:
-            wins[method] = wins.get(method, 0) + int(v == best)
+    for _, _, _, scored, ranks in _scored_cells(reports):
+        for (method, v), rank in zip(scored, ranks):
+            wins[method] = wins.get(method, 0) + int(rank == ranks.min() and not np.isnan(v))
     return wins
 
 
@@ -330,8 +330,7 @@ def unified_average_ranking(reports):
     noise levels.  Methods absent from a group are excluded from it.
     """
     per_cell = {}  # (metric, mechanism, rate) -> {method: [ranks]}
-    for mechanism, rate, metric, scored in _scored_cells(reports):
-        ranks = _average_ranks([v for _, v in scored], LOWER_IS_BETTER[metric])
+    for mechanism, rate, metric, scored, ranks in _scored_cells(reports):
         cell = per_cell.setdefault((metric, mechanism, rate), {})
         for (method, _), rank in zip(scored, ranks):
             cell.setdefault(method, []).append(rank)

@@ -8,6 +8,7 @@ targets, while initially-missing cells are always marked observed in it.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +161,9 @@ def save_mask(bits, mechanism, rate, path):
 def load_mask(path) -> np.ndarray:
     """The N x d bits of a mask written by ``save_mask``; its header is a comment.
     A ValueError names the first cell, by 0-based row and column, that is not 0 or 1."""
-    bits = np.loadtxt(path, dtype=np.int8, delimiter=",", comments="#", ndmin=2)
+    with warnings.catch_warnings():  # an empty file fails on its shape, not with a warning
+        warnings.simplefilter("ignore", UserWarning)
+        bits = np.loadtxt(path, dtype=np.int8, delimiter=",", comments="#", ndmin=2)
     bad = np.argwhere((bits != 0) & (bits != 1))
     if len(bad):
         row, col = bad[0]

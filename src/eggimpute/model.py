@@ -345,7 +345,7 @@ def load_checkpoint(path, schema):
     """The parameters a checkpoint holds, each array checked against ``schema``'s table;
     a ValueError naming ``path`` when ``save_checkpoint`` did not write it."""
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:  # closed when np.load fails
             meta = json.loads(bytes(data["__meta__"]).decode())
             arrays = {k: data[k] for k in data.files if k != "__meta__"}
         version = meta["version"]
@@ -363,5 +363,8 @@ def load_checkpoint(path, schema):
         if found != needed.get(name):
             raise ValueError(f"checkpoint array {name!r} has shape {found}, but this table "
                              f"needs {needed.get(name)}; rerun `eggimpute train` on this table")
+        if arrays[name].dtype.kind != "f" or not np.isfinite(arrays[name]).all():
+            raise ValueError(f"checkpoint array {name!r} holds a value that is not a finite "
+                             "float; rerun `eggimpute train`")
     params.load_state_arrays(arrays)
     return params

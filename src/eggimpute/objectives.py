@@ -1,7 +1,8 @@
 """Loss terms and their weighted combination.
 
 Imputation losses run over cells the surrogate mask removed (mask value
-0); the homophily penalty runs over relaxed edge values between
+0), and are 0 on the tape when a batch removes none, so their head takes a
+zero step; the homophily penalty runs over relaxed edge values between
 differently-labelled batch rows, normalized by the squared node count so
 its weight is batch-size independent.
 """
@@ -33,11 +34,10 @@ class LossWeights:
 
 
 def numeric_imputation_loss(truth, pred: Tensor, numeric_mask) -> Tensor:
-    """Mean squared error over surrogate-masked numeric cells."""
+    """Mean squared error over surrogate-masked numeric cells; 0 on the tape when
+    there is none, so the numeric head takes a zero step."""
     weight = ((numeric_mask == 0) & np.isfinite(truth)).astype(np.float64)
-    count = weight.sum()
-    if count == 0:
-        return Tensor(np.zeros((1, 1)))
+    count = max(weight.sum(), 1)
     diff = pred - Tensor(np.nan_to_num(truth))
     return T.scale(T.reduce_sum(T.mul(T.mul(diff, diff), Tensor(weight))), 1.0 / count)
 
@@ -56,18 +56,14 @@ def _masked_log_likelihood(logits: Tensor, targets, weight):
 
 
 def categorical_imputation_loss(truth_cat, cat_logits, cat_mask) -> Tensor:
-    """Mean cross-entropy over surrogate-masked categorical cells."""
-    total = None
-    count = 0
-    for col, logits in enumerate(cat_logits):
-        targets = truth_cat[:, col]
-        weight = ((cat_mask[:, col] == 0) & (targets >= 0)).astype(np.float64)
-        count += weight.sum()
-        term = _masked_log_likelihood(logits, targets, weight)
-        total = term if total is None else total + term
-    if total is None or count == 0:
+    """Mean cross-entropy over surrogate-masked categorical cells; 0 on the tape
+    when there is none, so the categorical heads take a zero step."""
+    if not cat_logits:  # no categorical column, so no head
         return Tensor(np.zeros((1, 1)))
-    return T.scale(total, -1.0 / count)
+    weights = ((cat_mask == 0) & (truth_cat >= 0)).astype(np.float64)
+    terms = [_masked_log_likelihood(logits, truth_cat[:, col], weights[:, col])
+             for col, logits in enumerate(cat_logits)]
+    return T.scale(sum(terms[1:], terms[0]), -1.0 / max(weights.sum(), 1))
 
 
 def task_loss(task_logits: Tensor, labels) -> Tensor:
@@ -86,15 +82,12 @@ def homophily_loss(samples, labels) -> Tensor:
     Summed over blocks; each block normalized by its node count squared.
     """
     labels = np.asarray(labels)
-    n = len(labels)
-    total = None
-    for sample in samples:
-        m = sample.relaxed.shape[0]
-        interclass = np.zeros((m, m))
-        interclass[:n, :n] = (labels[:, None] != labels[None, :]).astype(np.float64)
-        term = T.scale(T.reduce_sum(T.mul(sample.relaxed, Tensor(interclass))), 1.0 / (m * m))
-        total = term if total is None else total + term
-    return total if total is not None else Tensor(np.zeros((1, 1)))
+    n, m = len(labels), samples[0].relaxed.shape[0]  # every block has the same m nodes
+    interclass = np.zeros((m, m))
+    interclass[:n, :n] = labels[:, None] != labels[None, :]
+    terms = [T.scale(T.reduce_sum(T.mul(s.relaxed, Tensor(interclass))), 1.0 / (m * m))
+             for s in samples]
+    return sum(terms[1:], terms[0])
 
 
 def _draw_triplets(dist, labels, rng):

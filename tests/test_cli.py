@@ -3,7 +3,9 @@ import contextlib
 import csv
 import io
 import json
+import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1177,3 +1179,196 @@ def test_benchmark_on_any_tiny_table_succeeds_or_fails_up_front(case):
                 for field in ("rmse", "mae", "cat_accuracy", "downstream_accuracy"):
                     value = getattr(rep, field)
                     assert value is None or np.isfinite(value), (field, value)
+
+
+# -- damaged artifacts --------------------------------------------------
+
+STEP_RUN = Path("out/t/mcar/0.2/egg/0")
+READERS = {"config.json": ["corrupt", "train", "impute", "evaluate"],  # and who reads each
+           "t.schema.json": ["corrupt", "train", "impute", "evaluate"],
+           str(STEP_RUN / "mask.csv"): ["train", "impute", "evaluate"],
+           str(STEP_RUN / "checkpoint.npz"): ["impute"],
+           str(STEP_RUN / "imputed_z.npy"): ["evaluate"],
+           "out/results.csv": ["report"]}
+NON_FINITE = {"nan", "inf", "-inf", "infinity", "-infinity"}
+
+
+@contextlib.contextmanager
+def _inside(directory):
+    previous = Path.cwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+def _tree(root):
+    """Each file's bytes, and None for each directory, by its path under ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.fixture(scope="module")
+def step_run(tmp_path_factory):
+    """Every file of an egg run on a 40-row mixed table, after corrupt, train,
+    impute and evaluate, by its path under the working directory."""
+    root = tmp_path_factory.mktemp("step_run")
+    ds = dataio.make_two_cluster(n=40, d=3, seed=1)
+    ds.values[:, 2] = np.digitize(ds.values[:, 2], [-1.0, 1.0])
+    ds.schema[2] = dataio.ColumnSchema("f2", dataio.CATEGORICAL, 3, ["lo", "mid", "hi"])
+    dataio.write_csv(ds, None, root / "t.csv", root / "t.schema.json")
+    (root / "config.json").write_text(json.dumps(
+        {"dataset": "t.csv", "schema": "t.schema.json", "out": "out", "ensemble": 2,
+         "train": PROPERTY_TRAIN}))
+    with _inside(root), contextlib.redirect_stdout(io.StringIO()):
+        for step in ("corrupt", "train", "impute", "evaluate"):
+            assert cli.main([step, "--config", "config.json"]) == 0, step
+    return _tree(root)
+
+
+_LEAVES = st.sampled_from([None, True, -1, 0, 2, 0.5, 1.5, float("nan"), float("inf"), "x",
+                           [], {}])
+_CELLS_OF_DAMAGE = st.sampled_from(["", "x", "2", "-1", "0.5", "1e308", "nan", "inf", "-inf"])
+
+
+def _damage_json(data, value):
+    """``value`` with one leaf, found by walking down its objects and lists, replaced
+    or deleted."""
+    if not isinstance(value, (dict, list)) or not value or data.draw(st.booleans()):
+        return data.draw(_LEAVES)
+    keys = list(value) if isinstance(value, dict) else list(range(len(value)))
+    key = data.draw(st.sampled_from(keys))
+    value = value.copy()
+    if data.draw(st.integers(0, 4)) == 0:
+        del value[key]
+    else:
+        value[key] = _damage_json(data, value[key])
+    return value
+
+
+def _damage_csv(data, text):
+    """``text`` with a cell replaced, a row or the last column dropped, or a row repeated."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    how = data.draw(st.sampled_from(["cell", "drop_row", "drop_column", "repeat_row"]))
+    if how == "drop_column":
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    elif how in ("drop_row", "repeat_row"):
+        lines[i:i + 1] = [lines[i]] * (2 if how == "repeat_row" else 0)
+    else:
+        cells = lines[i].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_CELLS_OF_DAMAGE)
+        lines[i] = ",".join(cells)
+    return "".join(line + "\n" for line in lines)
+
+
+def _damage_array(data, array):
+    """``array`` with a row or column dropped, another dtype, or one cell set to a
+    non-finite or out-of-range value."""
+    how = data.draw(st.sampled_from(["shape", "dtype", "cell"]))
+    if how == "shape":
+        axis = data.draw(st.integers(0, array.ndim - 1))
+        return np.delete(array, 0, axis=axis) if array.shape[axis] else array[..., None]
+    if how == "dtype":
+        return array.astype(data.draw(st.sampled_from([np.int64, np.bool_, np.float32, "U3",
+                                                       np.complex128])))
+    array = array.astype(np.float64)  # a copy
+    if array.size:
+        array.flat[data.draw(st.integers(0, array.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1.0, 7.0, 0.5]))
+    return array
+
+
+def _save(writer, *args, **kwargs):
+    fh = io.BytesIO()
+    writer(fh, *args, **kwargs)
+    return fh.getvalue()
+
+
+def _damage(data, name, raw):
+    """The bytes of artifact ``name`` (``raw`` when intact) after one drawn damage."""
+    if data.draw(st.integers(0, 3)) == 0:
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    if name.endswith(".json"):
+        return json.dumps(_damage_json(data, json.loads(raw))).encode()
+    if name.endswith(".csv"):
+        return _damage_csv(data, raw.decode()).encode()
+    if name.endswith(".npy"):
+        if data.draw(st.integers(0, 4)) == 0:
+            return _save(np.savez, z=np.load(io.BytesIO(raw)))
+        return _save(np.save, _damage_array(data, np.load(io.BytesIO(raw))))
+    with np.load(io.BytesIO(raw)) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    key = data.draw(st.sampled_from(sorted(arrays)))
+    if key == "__meta__":
+        meta = _damage_json(data, json.loads(bytes(arrays[key]).decode()))
+        arrays[key] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    elif data.draw(st.integers(0, 4)) == 0:
+        del arrays[key]
+    else:
+        arrays[key] = _damage_array(data, arrays[key])
+    return _save(np.savez, **arrays)
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise AssertionError(f"non-finite {constant} in JSON output")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _assert_finite(name, raw):
+    """A file a command wrote holds no non-finite number."""
+    if name.endswith(".json"):
+        _strict_json(raw)
+    elif name.endswith(".npy"):
+        assert np.isfinite(np.load(io.BytesIO(raw))).all(), name
+    elif name.endswith(".npz"):
+        with np.load(io.BytesIO(raw)) as archive:
+            assert all(np.isfinite(archive[k]).all() for k in archive.files), name
+    else:
+        rows = csv.reader(line for line in raw.decode().splitlines() if not line.startswith("#"))
+        assert not any(cell.strip().lower() in NON_FINITE for row in rows for cell in row), name
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # empty columns, single-class splits
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(READERS)))
+def test_a_command_reading_a_damaged_artifact_succeeds_finitely_or_fails_cleanly(step_run,
+                                                                                 data, name):
+    """One artifact a command reads is truncated, reshaped, retyped or given a
+    non-finite or out-of-range value.  The command then exits 0 and writes only
+    finite numbers, or exits 1 with one ``error:`` line and no file written or
+    appended."""
+    command = data.draw(st.sampled_from(READERS[name]))
+    damaged = _damage(data, name, step_run[name])
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for path, raw in step_run.items():
+            if raw is None:
+                (root / path).mkdir(parents=True, exist_ok=True)
+            else:
+                (root / path).parent.mkdir(parents=True, exist_ok=True)
+                (root / path).write_bytes(damaged if path == name else raw)
+        before = _tree(root)
+        argv = ["report", "--results", name] if command == "report" else \
+            [command, "--config", "config.json"]
+        out, err = io.StringIO(), io.StringIO()
+        with _inside(root), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # each would print to stderr
+            code = cli.main(argv)
+        after = _tree(root)
+    lines = err.getvalue().splitlines() + [f"{w.category.__name__}: {w.message}"
+                                           for w in caught]
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert after == before
+    else:
+        assert code == 0, lines
+        for line in out.getvalue().splitlines():
+            if line.startswith("{"):
+                _strict_json(line)
+        for path, raw in after.items():
+            if raw is not None and raw != before.get(path):
+                _assert_finite(path, raw)

@@ -457,6 +457,19 @@ def test_count_of_wins_skips_single_method_groups():
     assert evaluation.count_of_wins(reports) == {}
 
 
+def test_a_nan_never_wins_in_either_row_order():
+    """``mean`` scores NaN rmse and mae, ``knn`` 0.4 and 0.3, at equal downstream
+    accuracy, so knn wins all three metrics whichever row comes first; when the
+    best came from ``min``, a NaN first was the minimum and nobody won rmse or mae.
+    A metric every method scores NaN has no winner."""
+    rows = [make_report("mean", rmse=np.nan, mae=np.nan, acc=0.8),
+            make_report("knn", rmse=0.4, mae=0.3, acc=0.8)]
+    for reports in (rows, rows[::-1]):
+        assert evaluation.count_of_wins(reports) == {"mean": 1, "knn": 3}
+    assert evaluation.count_of_wins([make_report("mean", rmse=np.nan),
+                                     make_report("knn", rmse=np.nan)]) == {"mean": 0, "knn": 0}
+
+
 def test_report_compares_methods_within_each_seed():
     """A beats B on seed 0 (rmse 0.5 < 0.6) and B beats A on seed 1 (0.7 < 0.9):
     one win each, ranks 1 and 2 per seed, so a mean rank of 1.5 each.  Pooling

@@ -95,3 +95,26 @@ def test_per_pair_gives_each_pairs_seed_order_and_values():
          "change": {"cell_s": 2.7, "impute_rows_per_s": 9.0}}]
     summary = pairs.summarize(runs, BETTER, BOUNDS)  # the extra keys change nothing
     assert summary["metrics"]["cell_s"]["change_wins"] == 2
+
+
+def test_unresolved_when_the_base_spreads_wider_than_the_bound_unless_the_change_wins_every_run():
+    """Ten self-pairs of one commit read ``setup_s`` from 0.224 to 0.472 s, an
+    interquartile range wider than a quarter of the median, so a 0.25 bound cannot
+    tell a change from noise; it can when every change run beats every base run."""
+    def runs(name, base, change):
+        return [{"base": {"failed": 0, "metrics": {name: {"value": b}}},
+                 "change": {"failed": 0, "metrics": {name: {"value": c}}}}
+                for b, c in zip(base, change)]
+
+    wide = [0.224, 0.30, 0.36, 0.405, 0.472]  # iqr 0.105 > 0.25 * 0.36
+    narrow = [0.34, 0.35, 0.36, 0.37, 0.38]  # iqr 0.02
+    cases = [("lower", wide, [0.25, 0.35, 0.40, 0.45, 0.30], True),
+             ("lower", wide, [0.20, 0.21, 0.22, 0.21, 0.20], False),  # each below 0.224
+             ("lower", wide, [0.20, 0.21, 0.23, 0.21, 0.20], True),  # 0.23 > 0.224
+             ("lower", narrow, [0.50, 0.51, 0.52, 0.50, 0.51], False),  # resolved, and worse
+             ("higher", [100.0, 40.0, 160.0, 70.0, 130.0], [170.0] * 5, False),  # iqr 60
+             ("higher", [100.0, 40.0, 160.0, 70.0, 130.0], [120.0] * 5, True)]
+    for better, base, change, unresolved in cases:
+        entry = pairs.summarize(runs("m", base, change), {"m": better},
+                                {"m": 0.25})["metrics"]["m"]
+        assert entry["unresolved"] is unresolved, (better, base, change)

@@ -18,8 +18,11 @@ each side's median and quartiles, how many pairs the change won (by the
 metric's ``better`` direction), whether the gap between the medians
 exceeds the base's interquartile range, and whether the change's median is
 worse than the base's by more than the metric's ``bound`` times the base's
-median (``worse_beyond_bound``); for each side, the failed operations
-the runs reported and the runs that printed no result line; and ``pairs``,
+median (``worse_beyond_bound``), and whether the base's own interquartile
+range is wider than that bound times its median, so that a gap within it
+says nothing, unless every change run beats every base run
+(``unresolved``); for each side, the failed operations the runs reported
+and the runs that printed no result line; and ``pairs``,
 one entry per pair with its seed, the side that ran ``first`` and each
 side's value of every end-to-end metric (null for a run with no result
 line), so a gap can be traced to the pairs that made it.
@@ -96,6 +99,9 @@ def summarize(pairs, better, bounds):
         gap = sign * (entry["base"]["median"] - entry["change"]["median"])
         entry["median_gap_beyond_base_iqr"] = gap > entry["base"]["q3"] - entry["base"]["q1"]
         entry["worse_beyond_bound"] = -gap > bounds[name] * abs(entry["base"]["median"])
+        entry["unresolved"] = (
+            entry["base"]["q3"] - entry["base"]["q1"] > bounds[name] * abs(entry["base"]["median"])
+            and not all(sign * (b - c) > 0 for b in values["base"] for c in values["change"]))
         metrics[name] = entry
     return {"metrics": metrics, "failed": failed}
 
