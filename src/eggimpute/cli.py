@@ -264,7 +264,7 @@ def cmd_fetch_wireless(args):
 
     url = "https://archive.ics.uci.edu/static/public/422/wireless+indoor+localization.zip"
     if args.from_txt:
-        text = Path(args.from_txt).read_text()
+        source, text = args.from_txt, Path(args.from_txt).read_text()
     else:
         try:
             payload = urllib.request.urlopen(url, timeout=60).read()
@@ -273,26 +273,36 @@ def cmd_fetch_wireless(args):
                   f"convert with `eggimpute fetch-wireless --from-txt <path>`", file=sys.stderr)
             return 1
         with zipfile.ZipFile(io.BytesIO(payload)) as zf:
-            name = next(n for n in zf.namelist() if n.endswith(".txt"))
-            text = zf.read(name).decode()
+            source = next(n for n in zf.namelist() if n.endswith(".txt"))
+            text = zf.read(source).decode()
+    ds = _wireless_table(text, source)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_wireless_csv(text, out)
+    dataio.write_csv(ds, None, out, out.with_suffix(".schema.json"))
     print(f"wrote {out}")
     return 0
 
 
-def _write_wireless_csv(text, out: Path):
-    """Write the whitespace-separated signal strengths, the room last, as a table."""
-    rows = np.array([line.split() for line in text.strip().splitlines()])
-    if rows.ndim != 2 or rows.shape[1] < 2:
-        raise ValueError("the wireless table needs signal strengths and a room on each line")
+def _wireless_table(text, source):
+    """The whitespace-separated signal strengths of ``text``, the room last, as a table;
+    a line without finite signals and a room, as many fields as line 1, raises naming it."""
+    rows = [line.split() for line in text.rstrip().splitlines()] or [[]]
+    width = max(len(rows[0]), 2)
+    for number, fields in enumerate(rows, 1):
+        try:
+            ok = len(fields) == width and np.isfinite(np.array(fields[:-1], dtype=float)).all()
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{source} line {number}: the wireless table needs signal strengths "
+                             f"and a room on each line, as many as on line 1, all finite; "
+                             f"got {' '.join(fields)!r}")
+    rows = np.array(rows)
     rooms, targets = np.unique(rows[:, -1], return_inverse=True)
     schema = [dataio.ColumnSchema(f"wifi{i + 1}", dataio.NUMERICAL)
               for i in range(rows.shape[1] - 1)]
-    ds = dataio.TabularDataset(schema, rows[:, :-1].astype(float), targets, len(rooms),
-                               rooms.tolist())
-    dataio.write_csv(ds, None, out, out.with_suffix(".schema.json"))
+    return dataio.TabularDataset(schema, rows[:, :-1].astype(float), targets, len(rooms),
+                                 rooms.tolist())
 
 
 def cmd_corrupt(args):

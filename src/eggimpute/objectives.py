@@ -4,7 +4,9 @@ Imputation losses run over cells the surrogate mask removed (mask value
 0), and are 0 on the tape when a batch removes none, so their head takes a
 zero step; the homophily penalty runs over relaxed edge values between
 differently-labelled batch rows, normalized by the squared node count so
-its weight is batch-size independent.
+its weight is batch-size independent.  The triplet regularizer draws its
+triplets in three generator calls and picks each positive and negative by
+inverting a cumulative weight along its anchor's row.
 """
 
 from __future__ import annotations
@@ -91,47 +93,24 @@ def homophily_loss(samples, labels) -> Tensor:
 
 
 def _draw_triplets(dist, labels, rng):
-    """Anchors, positives and negatives of up to n triplets, as a per-anchor loop draws them.
-
-    That loop draws an anchor with ``rng.integers(n)`` and, when the anchor's
-    class has s > 0 other members, a positive with ``rng.choice`` over them
-    and a negative with ``rng.choice(other, p=w / w.sum())``, where
-    ``w = 1 / clip(sqrt(d), 0.1, 10)``.  Here the generator sees the same calls
-    in the same order (those ``choice`` calls draw ``integers(0, s)`` and
-    ``random()``), so its stream carries on across batches as before; the
-    picks then follow in array passes.  The positive skips the anchor's own
-    slot in its class's member list, and the negative counts the entries of
-    ``choice``'s normalized cumulative weights at or below the uniform, in one
-    2-D pass per anchor class.
-    """
-    n = len(labels)
+    """Anchors, positives and negatives of up to n triplets, from three draws:
+    n anchors, less those of a class with no other member, then one offset and
+    one uniform per kept anchor.  Each pick is the first column of the anchor's
+    row whose cumulative weight exceeds its draw: for the positive, the count of
+    the anchor's other class members against the offset; for the negative, the
+    weight ``1 / clip(sqrt(d), 0.1, 10)`` of the other classes' rows against the
+    uniform's share of its total.  ``labels`` hold two classes or more."""
     label = np.unique(labels, return_inverse=True)[1]
-    members = np.argsort(label, kind="stable")  # each class's rows, in order
-    size = np.bincount(label)
-    start = np.cumsum(size) - size
-    slot = np.empty(n, dtype=np.int64)
-    slot[members] = np.arange(n) - start[label[members]]
-    peers = (size[label] - 1).tolist()  # other members of each row's class
-    integers, random = rng.integers, rng.random
-    anchors, offsets, uniforms = [], [], []
-    for _ in range(n):
-        a = int(integers(n))
-        if peers[a]:
-            anchors.append(a)
-            offsets.append(int(integers(0, peers[a])))
-            uniforms.append(random())
-    anchors, offsets = np.array(anchors, dtype=np.int64), np.array(offsets, dtype=np.int64)
-    uniforms = np.array(uniforms)
-    cls = label[anchors]
-    positives = members[start[cls] + offsets + (offsets >= slot[anchors])]
-    negatives = np.empty(len(anchors), dtype=np.int64)
-    for c in np.unique(cls):
-        mine = np.flatnonzero(cls == c)
-        other = np.flatnonzero(label != c)
-        w = 1.0 / np.clip(np.sqrt(dist[np.ix_(anchors[mine], other)]), 0.1, 10.0)
-        cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
-        cdf /= cdf[:, -1:]
-        negatives[mine] = other[(cdf <= uniforms[mine, None]).sum(axis=1)]
+    n = len(label)
+    anchors = rng.integers(n, size=n)
+    anchors = anchors[np.bincount(label)[label[anchors]] > 1]
+    same = label[anchors, None] == label
+    peer = same & (anchors[:, None] != np.arange(n))
+    offsets = rng.integers(0, peer.sum(axis=1))
+    uniforms = rng.random(len(anchors))
+    cdf = np.cumsum(np.where(same, 0.0, 1.0 / np.clip(np.sqrt(dist[anchors]), 0.1, 10.0)), axis=1)
+    positives = (np.cumsum(peer, axis=1) <= offsets[:, None]).sum(axis=1)
+    negatives = (cdf <= (uniforms * cdf[:, -1])[:, None]).sum(axis=1)
     return anchors, positives, negatives
 
 

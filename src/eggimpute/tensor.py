@@ -8,9 +8,10 @@ closes over the arrays it reads (never over a tensor), and a constant
 operand keeps no rule, so an output that no rule reads is freed as soon as
 the forward drops it.  Calling ``backward`` on a scalar loss topologically
 sorts the reachable nodes, runs the rules of the operands that need a
-gradient, accumulates into every ``requires_grad`` leaf's ``grad`` and
-frees the tape it walked, so a second ``backward`` on the same loss reaches
-no leaf; on a constant loss it does nothing.
+gradient, replaces the ``grad`` of each ``requires_grad`` leaf it reaches
+(a leaf it does not reach keeps its old one) and frees the tape it walked,
+so a second ``backward`` on the same loss reaches no leaf; on a constant
+loss it does nothing.
 Inside ``with no_tape():`` operations record nothing, which is how
 evaluation runs.  Broadcasting is restricted to row vectors (1 x n),
 column vectors (m x 1) and scalars.
@@ -93,9 +94,10 @@ class Tensor:
         return sub(self, other)
 
     def backward(self):
-        """Accumulate gradients of this scalar into all reachable leaves,
+        """Replace the ``grad`` of each leaf this scalar reaches with its gradient,
         unlinking each interior node (and dropping its gradient) once its rules have run;
-        a constant operand has no rule to run, and a constant loss reaches no leaf."""
+        a leaf it does not reach keeps its old ``grad`` (``training.train`` clears them
+        first), a constant operand has no rule to run, and a constant loss reaches no leaf."""
         if self.data.shape != (1, 1):
             raise ValueError(f"backward needs a scalar (1x1) loss, got {self.data.shape}")
         if not _recording:

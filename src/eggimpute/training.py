@@ -176,6 +176,8 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
                     parts = _batch_loss(train_ds, rows, train_mask, surr, params, tau,
                                         "train", gumbel_rng, config.weights, trip_rng)
                     loss = objectives.total_loss(parts, config.weights)
+                    for p in named.values():  # a parameter this step misses takes a zero step
+                        p.grad = None
                     loss.backward()
                     rmsprop_step(named, acc, config.learning_rate)
             except FloatingPointError as err:

@@ -68,13 +68,21 @@ def test_fetch_wireless_from_txt(tmp_path):
     assert [ds.target_categories[t] for t in ds.targets] == ["1", "2"]
 
 
-@pytest.mark.parametrize("text", ["", "\n", "1\n2\n"], ids=["empty", "blank", "no_signal"])
-def test_fetch_wireless_rejects_a_table_without_signals_and_rooms(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, line", [
+    ("", 1), ("\n", 1), ("1\n2\n", 1), ("-64 -56 1\n-68 2\n", 2),
+    ("-64 -56 1\n\n-68 -57 2\n", 2), ("-64 -56 1\n-68 x 2\n", 2), ("-64 -56 1\n-68 nan 2\n", 2)],
+    ids=["empty", "blank", "no_signal", "ragged", "blank_between", "not_a_number", "nan"])
+def test_fetch_wireless_rejects_a_table_without_signals_and_rooms(tmp_path, capsys, text, line):
+    """A bad line is one error naming the file and the line, before any file is
+    written: a ragged line or a blank one failed inside numpy, and a ``nan``
+    signal wrote a table that ``corrupt`` then refused."""
     txt = tmp_path / "wifi_localization.txt"
     txt.write_text(text)
     out = tmp_path / "wireless.csv"
     assert cli.main(["fetch-wireless", "--from-txt", str(txt), "--output", str(out)]) == 1
-    assert "needs signal strengths and a room on each line" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "needs signal strengths and a room on each line" in err
+    assert err.startswith(f"error: {txt} line {line}: ") and err.count("\n") == 1
     assert not out.exists()
 
 

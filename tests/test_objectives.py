@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import central_difference, make_batch, rel_error
 from eggimpute import model, objectives
@@ -174,20 +174,82 @@ def test_triplet_gradient(rng):
     assert rel_error(h.grad, fd, floor=1e-4) < 1e-2
 
 
+def _within_five_errors(count, trials, p):
+    """Each count is within 5 binomial standard errors of ``trials * p`` (exact at p 0 or 1)."""
+    return np.all(np.abs(count - trials * p) <= 5 * np.sqrt(trials * p * (1 - p)))
+
+
+def test_triplet_draws_match_their_exact_probabilities():
+    """Anchors are uniform over the rows, less a singleton class's; each positive is
+    uniform over the anchor's other class members, and each negative is drawn in
+    proportion to ``1 / clip(distance, 0.1, 10)`` over the other classes' rows."""
+    labels = np.array([0, 0, 0, 1, 1, 2, 2, 3])  # class 3 is a singleton
+    x = np.array([0.0, 0.05, 1.0, 2.0, 3.5, 5.0, 20.0, 0.5])  # distances span both clips
+    dist = (x[:, None] - x) ** 2
+    n, calls = len(labels), 10000
+    pos, neg = np.zeros((n, n)), np.zeros((n, n))  # counts by anchor, then pick
+    rng = np.random.default_rng(0)
+    for _ in range(calls):
+        anchors, positives, negatives = objectives._draw_triplets(dist, labels, rng)
+        np.add.at(pos, (anchors, positives), 1)
+        np.add.at(neg, (anchors, negatives), 1)
+    same = labels[:, None] == labels
+    peer = same & ~np.eye(n, dtype=bool)
+    weight = np.where(same, 0.0, 1.0 / np.clip(np.abs(x[:, None] - x), 0.1, 10.0))
+    drawn = pos.sum(axis=1)
+    assert _within_five_errors(drawn, n * calls, np.where(peer.any(axis=1), 1 / n, 0.0))
+    keep = drawn > 0
+    assert _within_five_errors(pos[keep], drawn[keep, None],
+                               peer[keep] / peer[keep].sum(axis=1, keepdims=True))
+    assert _within_five_errors(neg[keep], drawn[keep, None],
+                               weight[keep] / weight[keep].sum(axis=1, keepdims=True))
+
+
+class _CountingGenerator:
+    """A generator that records the name of each method read from it, so of each call."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 60), n_classes=st.integers(2, 4), singles=st.integers(0, 3),
+       spread=st.floats(0.01, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_each_triplet_pairs_an_anchor_with_a_peer_and_another_class(n, n_classes, singles,
+                                                                    spread, seed):
+    """At most n triplets, from three generator calls; no anchor of a singleton class."""
+    gen = np.random.default_rng(seed)
+    labels = gen.integers(0, n_classes, size=n)
+    labels[:min(singles, n)] = n_classes + np.arange(min(singles, n))
+    assume(len(np.unique(labels)) > 1)
+    h = gen.normal(size=(n, 2)) * spread
+    rng = _CountingGenerator(np.random.default_rng(seed))
+    a, p, ng = objectives._draw_triplets(((h[:, None] - h) ** 2).sum(axis=2), labels, rng)
+    assert rng.calls == ["integers", "integers", "random"]
+    assert len(a) == len(p) == len(ng) <= n
+    assert np.all(labels[a] == labels[p]) and np.all(a != p)
+    assert np.all(labels[ng] != labels[a])
+    assert np.all((labels[a, None] == labels).sum(axis=1) > 1)
+
+
 def _looped_triplets(dist, labels, rng):
-    """One anchor at a time: two ``flatnonzero`` scans and two ``rng.choice``
-    draws each (oracle for ``objectives._draw_triplets``)."""
+    """The three draws of ``objectives._draw_triplets``, then one anchor at a time:
+    two ``flatnonzero`` scans and an inverted cumulative weight (its oracle)."""
     n = len(labels)
+    anchors = [int(a) for a in rng.integers(n, size=n) if (labels == labels[a]).sum() > 1]
+    peers = np.array([(labels == labels[a]).sum() - 1 for a in anchors], dtype=np.int64)
+    offsets = rng.integers(0, peers)
+    uniforms = rng.random(len(anchors))
     triplets = []
-    for _ in range(n):
-        a = int(rng.integers(n))
+    for a, k, u in zip(anchors, offsets, uniforms):
         same = np.flatnonzero((labels == labels[a]) & (np.arange(n) != a))
         other = np.flatnonzero(labels != labels[a])
-        if same.size == 0 or other.size == 0:
-            continue
-        pos = int(rng.choice(same))
-        w = 1.0 / np.clip(np.sqrt(dist[a, other]), 0.1, 10.0)
-        triplets.append((a, pos, int(rng.choice(other, p=w / w.sum()))))
+        cdf = np.cumsum(1.0 / np.clip(np.sqrt(dist[a, other]), 0.1, 10.0))
+        triplets.append((a, int(same[k]), int(other[np.searchsorted(cdf, u * cdf[-1], "right")])))
     return triplets
 
 

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import mixed_dataset
 from eggimpute import dataio, ensemble, missingness, model, objectives, training
@@ -367,18 +367,22 @@ def test_a_head_whose_batch_masks_none_of_its_cells_takes_a_zero_step(small_mixe
 
 @settings(max_examples=20)
 @given(sampler=st.sampled_from(["egg", "kegg", "identity"]), mixed=st.booleans(),
-       batch_size=st.integers(1, 16), triplet=st.sampled_from([0.0, 0.1]))
-def test_no_step_applies_the_gradient_of_another_step(sampler, mixed, batch_size, triplet):
+       batch_size=st.integers(1, 16), triplet=st.sampled_from([0.0, 0.1]),
+       prototypes=st.sampled_from([0, 2]), train_rows=st.integers(16, 17))
+@example(sampler="kegg", mixed=False, batch_size=16, triplet=0.0, prototypes=0, train_rows=17)
+def test_no_step_applies_the_gradient_of_another_step(sampler, mixed, batch_size, triplet,
+                                                      prototypes, train_rows):
     """Each step's RMSprop update reads only gradients that step's ``backward``
     wrote: a leaf the backward does not reach keeps the array of an earlier step,
     so a non-None ``grad`` that is still the array recorded just before the
-    backward is a stale one."""
+    backward is a stale one.  The example ends each epoch on a one-row kegg
+    batch with no prototype, whose identity graph never reaches the projector."""
     ds = mixed_dataset() if mixed else dataio.make_two_cluster(n=24, d=3, seed=1)
     mask = missingness.corrupt_mcar(ds, 0.2, seed=2)
     cfg = training.TrainConfig(batch_size=batch_size, max_epochs=2, patience=5,
                                learning_rate=1e-3, weights=objectives.LossWeights(triplet=triplet),
-                               model=model.ModelConfig(hidden=8, prototypes=2, embed_width=2,
-                                                       sampler=sampler, k=3))
+                               model=model.ModelConfig(hidden=8, prototypes=prototypes,
+                                                       embed_width=2, sampler=sampler, k=3))
     named, before = {}, {}  # the parameters, and each one's grad just before a backward
     real_backward, real_step = Tensor.backward, training.rmsprop_step
 
@@ -397,5 +401,5 @@ def test_no_step_applies_the_gradient_of_another_step(sampler, mixed, batch_size
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Tensor, "backward", backward)
         mp.setattr(training, "rmsprop_step", step)
-        training.train(cfg, ds.subset(np.arange(16)), ds.subset(np.arange(16, 24)),
-                       mask[:16], mask[16:])
+        training.train(cfg, ds.subset(np.arange(train_rows)),
+                       ds.subset(np.arange(train_rows, 24)), mask[:train_rows], mask[train_rows:])

@@ -19,7 +19,12 @@ the ablation is checked; ``small-batch`` runs the same three steps with
 method ``egg`` on that table at ``train.batch_size`` ``SMALL_BATCH``,
 ``max_epochs`` 2 and ``hidden`` 16, where many training steps mask no
 categorical cell and some no numeric one, so a loss term that scores no
-cell is checked to give its head a zero step; ``knn-steps`` runs
+cell is checked to give its head a zero step; ``kegg-tail`` runs the same
+three steps with method ``kegg``, no prototype, ``hidden`` 16 and
+``max_epochs`` 2 at ``train.batch_size`` ``TAIL_BATCH``, so each epoch ends
+on a one-row batch whose identity graph reaches no projector, and a
+parameter that a step does not reach is checked to take a zero step;
+``knn-steps`` runs
 ``corrupt`` under MAR and ``impute`` with method ``knn`` on the 2000-row
 ``egg-impute`` table, so
 the KNN donors of a large numeric table are checked byte for byte;
@@ -71,6 +76,7 @@ from eggimpute import cli, dataio, evaluation, missingness  # noqa: E402
 
 TIMING = ("train_seconds", "inference_seconds", "seconds")
 SMALL_BATCH = 4  # 41 of the 140 steps mask no categorical cell, 3 no numeric one
+TAIL_BATCH = 279  # of the 280 training rows, so each epoch ends on a one-row batch
 
 
 def _sha(data):
@@ -161,39 +167,38 @@ def egg_impute(directory):
     return out
 
 
-def _model_artifacts(directory, method):
-    """The checkpoint arrays and ``imputed_z.npy`` of ``method``'s MNAR run on the
-    ``kegg-grid`` table."""
+def _model_steps(directory, method, train=None, **model):
+    """``corrupt``, ``train`` and ``impute`` with ``method`` on the ``kegg-grid`` table,
+    its train settings updated by ``train`` and its model settings by ``model``: the
+    checkpoint arrays and ``imputed_z.npy`` of the MNAR run."""
+    workloads.setup("kegg-grid", 0, directory)
+    config = json.loads((directory / workloads.CONFIG).read_text())
+    config["train"].update(train or {})
+    config["train"]["model"].update(model)
+    (directory / workloads.CONFIG).write_text(json.dumps(config))
+    flags = ["--method", method]
+    _run(directory, *(_step(c) + flags for c in ("corrupt", "train", "impute")))
     rd = directory / "out" / "table" / "mnar" / "0.2" / method / str(workloads.PIPELINE_SEED)
     return {**_checkpoint(rd / "checkpoint.npz"),
             "imputed_z.npy": _sha((rd / "imputed_z.npy").read_bytes())}
 
 
 def kegg_steps(directory):
-    workloads.setup("kegg-grid", 0, directory)
-    config = json.loads((directory / workloads.CONFIG).read_text())
-    config["train"]["model"]["blocks"] = 2
-    (directory / workloads.CONFIG).write_text(json.dumps(config))
-    _run(directory, _step("corrupt"), _step("train"), _step("impute"))
-    return _model_artifacts(directory, "kegg")
+    return _model_steps(directory, "kegg", blocks=2)
 
 
 def small_batch(directory):
-    workloads.setup("kegg-grid", 0, directory)
-    config = json.loads((directory / workloads.CONFIG).read_text())
-    config["train"].update(batch_size=SMALL_BATCH, max_epochs=2)
-    config["train"]["model"]["hidden"] = 16
-    (directory / workloads.CONFIG).write_text(json.dumps(config))
-    flags = ["--method", "egg"]
-    _run(directory, *(_step(c) + flags for c in ("corrupt", "train", "impute")))
-    return _model_artifacts(directory, "egg")
+    return _model_steps(directory, "egg", {"batch_size": SMALL_BATCH, "max_epochs": 2},
+                        hidden=16)
+
+
+def kegg_tail(directory):
+    return _model_steps(directory, "kegg", {"batch_size": TAIL_BATCH, "max_epochs": 2},
+                        hidden=16, prototypes=0)
 
 
 def ablation_steps(directory):
-    workloads.setup("kegg-grid", 0, directory)
-    flags = ["--method", "nn_ablation"]
-    _run(directory, *(_step(c) + flags for c in ("corrupt", "train", "impute")))
-    return _model_artifacts(directory, "nn_ablation")
+    return _model_steps(directory, "nn_ablation")
 
 
 def knn_steps(directory):
@@ -267,7 +272,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute),
                           ("kegg-steps", kegg_steps), ("ablation-steps", ablation_steps),
-                          ("small-batch", small_batch),
+                          ("small-batch", small_batch), ("kegg-tail", kegg_tail),
                           ("knn-steps", knn_steps),
                           ("report-seeds", report_seeds), ("datasets", datasets),
                           ("blank-cells", blank_cells), ("forest", forest),
