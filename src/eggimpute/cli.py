@@ -18,7 +18,7 @@ import json
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,8 +247,13 @@ def cmd_make_synthetic(args):
     for flag, value in (("--rows", args.rows), ("--cols", args.cols)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
-    ds = dataio.make_two_cluster(n=args.rows, d=args.cols, seed=args.seed)
-    out = Path(args.output)
+    return _write_table(dataio.make_two_cluster(n=args.rows, d=args.cols, seed=args.seed),
+                        args.output)
+
+
+def _write_table(ds, output):
+    """Write ``ds`` to the CSV ``output`` and its schema beside it, making the directory."""
+    out = Path(output)
     out.parent.mkdir(parents=True, exist_ok=True)
     schema_path = out.with_suffix(".schema.json")
     dataio.write_csv(ds, None, out, schema_path)
@@ -275,12 +280,7 @@ def cmd_fetch_wireless(args):
         with zipfile.ZipFile(io.BytesIO(payload)) as zf:
             source = next(n for n in zf.namelist() if n.endswith(".txt"))
             text = zf.read(source).decode()
-    ds = _wireless_table(text, source)
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dataio.write_csv(ds, None, out, out.with_suffix(".schema.json"))
-    print(f"wrote {out}")
-    return 0
+    return _write_table(_wireless_table(text, source), args.output)
 
 
 def _wireless_table(text, source):
@@ -349,16 +349,16 @@ def cmd_impute(args):
     np.save(rd / "imputed_z.npy", imputed_z)
     export, num = imputed_z.copy(), ds.numeric_idx
     export[:, num] = imputed_z[:, num] * prep.stats.scale[num] + prep.stats.fill[num]
-    out_ds = dataio.TabularDataset(ds.schema, export, ds.targets, ds.num_classes,
-                                   ds.target_categories)
-    dataio.write_csv(out_ds, None, rd / "imputed.csv")
+    dataio.write_csv(replace(ds, values=export), None, rd / "imputed.csv")
     print(f"wrote {rd / 'imputed.csv'}")
     return 0
 
 
 def _load_imputed(path, prep):
-    """The z-scored table ``impute`` saved at ``path``: a float array of ``prep``'s shape,
-    finite at every cell its mask hides; a ValueError naming ``path`` otherwise."""
+    """The z-scored table ``impute`` saved at ``path`` at the cells the mask hides, and
+    ``prep.ds_norm`` at the rest.  A ValueError names ``path`` unless the saved table is a
+    float array of ``prep``'s shape, finite at each hidden numeric cell and a class index
+    at each hidden categorical one."""
     try:
         with open(path, "rb") as fh:
             imputed_z = np.lib.format.read_array(fh, allow_pickle=False)
@@ -370,12 +370,18 @@ def _load_imputed(path, prep):
     if imputed_z.dtype.kind != "f":
         raise ValueError(f"{path} holds {imputed_z.dtype} values, not floats; "
                          "rerun `eggimpute impute`")
-    bad = np.argwhere(~np.isfinite(imputed_z) & (prep.mask == 0))
+    cardinality = np.array([col.cardinality for col in prep.ds.schema])  # 0: numeric
+    with np.errstate(invalid="ignore"):
+        is_class = (imputed_z >= 0) & (imputed_z < cardinality) & (imputed_z % 1 == 0)
+    valid = np.where(cardinality > 0, is_class, np.isfinite(imputed_z))
+    bad = np.argwhere(~valid & (prep.mask == 0))
     if len(bad):
         row, col = bad[0]
+        rule = (f"of categorical column {prep.ds.schema[col].name!r} is a class index "
+                f"from 0 to {cardinality[col] - 1}" if cardinality[col] else "is finite")
         raise ValueError(f"{path} holds {imputed_z[row, col]} at row {row}, column {col}, but "
-                         "an imputed cell is finite; rerun `eggimpute impute`")
-    return imputed_z
+                         f"an imputed cell {rule}; rerun `eggimpute impute`")
+    return np.where(prep.mask == 0, imputed_z, prep.ds_norm.values)
 
 
 def cmd_evaluate(args):

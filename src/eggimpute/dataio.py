@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,8 +72,7 @@ class TabularDataset:
 
     def subset(self, rows):
         rows = np.asarray(rows)
-        return TabularDataset(self.schema, self.values[rows].copy(), self.targets[rows].copy(),
-                              self.num_classes, self.target_categories)
+        return replace(self, values=self.values[rows], targets=self.targets[rows])
 
 
 @dataclass
@@ -128,8 +127,9 @@ def load_csv(path, schema_path):
     """Read a CSV (UTF-8, header row, empty cell = missing) into a dataset.
 
     Returns ``(dataset, initial_mask)`` where the mask marks cells that
-    were present in the file (1 = observed).  An empty file, a ragged row
-    and a numeric ``nan`` or ``inf`` cell are errors; the header is row 1.
+    were present in the file (1 = observed).  An empty file, a ragged row,
+    a numeric ``nan`` or ``inf`` cell and a numeric column whose mean or
+    standard deviation overflows are errors; the header is row 1.
     """
     columns, target_name = load_schema(schema_path)
     with open(path, newline="") as fh:
@@ -160,6 +160,11 @@ def load_csv(path, schema_path):
             if not np.isfinite(values[present, j]).all():  # _number names the first bad cell
                 for i, cell in zip(present.tolist(), given):
                     _number(cell, i + 2, col.name)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+                spread = [values[present, j].mean(), values[present, j].std()] if given else []
+            if not np.isfinite(spread).all():
+                raise ValueError(f"{path}: numeric column {col.name!r} is too large to z-score: "
+                                 f"the mean or standard deviation of its cells overflows")
         else:
             col.categories, values[present, j] = _first_appearance(given)
             col.cardinality = max(len(col.categories), 1)
@@ -195,7 +200,7 @@ def normalize(ds: TabularDataset, stats: ColumnStats) -> TabularDataset:
     num = ds.numeric_idx
     values = ds.values.copy()
     values[:, num] = (values[:, num] - stats.fill[num]) / stats.scale[num]
-    return TabularDataset(ds.schema, values, ds.targets.copy(), ds.num_classes, ds.target_categories)
+    return replace(ds, values=values, targets=ds.targets.copy())
 
 
 def is_real(value):

@@ -46,8 +46,7 @@ def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size):
                 batch = missingness.preprocess_batch(ds, order, initial_mask, surr)
                 encoding = model.encode(batch, params, "eval")
                 position = np.argsort(order)  # table row -> encoded row
-            for start in range(0, n, batch_size):
-                rows = order[start:start + batch_size]
+            for rows in missingness.batches(order, batch_size):
                 out = model.propagate(encoding.take(position[rows]), params, TAU, "eval", rng)
                 num_sum[rows] += out.numeric_pred.data[:, :len(num_idx)]
                 for c, logits in enumerate(out.cat_logits):

@@ -32,33 +32,26 @@ class MetricReport:
     inference_seconds: float = None
 
 
-def _support(truth, imputed, eval_mask, idx):
-    """Truth and imputation of the scored cells of columns ``idx`` (initially
-    missing, truth known), column by column."""
+def _score(truth, imputed, eval_mask, idx, score):
+    """``score(t, p)`` of the truth ``t`` and imputation ``p`` of the scored cells of
+    columns ``idx`` (initially missing, truth known), column by column; None without one."""
     t, p = truth[:, idx].T, imputed[:, idx].T
     missing = (eval_mask[:, idx].T == 0) & np.isfinite(t)
-    return t[missing], p[missing]
+    return score(t[missing], p[missing]) if missing.any() else None
 
 
 def rmse(truth, imputed, eval_mask, numeric_idx):
-    t, p = _support(truth, imputed, eval_mask, numeric_idx)
-    if t.size == 0:
-        return None
-    return float(np.sqrt(((t - p) ** 2).mean()))
+    return _score(truth, imputed, eval_mask, numeric_idx,
+                  lambda t, p: float(np.sqrt(((t - p) ** 2).mean())))
 
 
 def mae(truth, imputed, eval_mask, numeric_idx):
-    t, p = _support(truth, imputed, eval_mask, numeric_idx)
-    if t.size == 0:
-        return None
-    return float(np.abs(t - p).mean())
+    return _score(truth, imputed, eval_mask, numeric_idx, lambda t, p: float(np.abs(t - p).mean()))
 
 
 def cat_accuracy(truth, imputed, eval_mask, categorical_idx):
-    t, p = _support(truth, imputed, eval_mask, categorical_idx)
-    if t.size == 0:
-        return None
-    return int((p == t).sum()) / t.size
+    return _score(truth, imputed, eval_mask, categorical_idx,
+                  lambda t, p: int((p == t).sum()) / t.size)
 
 
 # -- random forest ------------------------------------------------------

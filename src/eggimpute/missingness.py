@@ -55,8 +55,8 @@ def _standardized(values):
 
 
 def corrupt_mcar(ds, rate, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return (rng.random((ds.n_rows, ds.n_cols)) >= rate).astype(np.int8)
+    all_observed = np.ones((ds.n_rows, ds.n_cols), np.int8)
+    return surrogate_mask(all_observed, rate, np.random.default_rng(seed))
 
 
 def _logistic_bits(scores, rate, rng):
@@ -119,9 +119,12 @@ def surrogate_mask(initial_mask_slice, rate, rng) -> np.ndarray:
     if not 0 <= rate < 1:
         raise ValueError("surrogate rate must be in [0, 1)")
     draws = rng.random(initial_mask_slice.shape)
-    m = np.ones_like(initial_mask_slice, dtype=np.int8)
-    m[(initial_mask_slice == 1) & (draws < rate)] = 0
-    return m
+    return ((draws >= rate) | (initial_mask_slice != 1)).astype(np.int8)
+
+
+def batches(order, batch_size):
+    """``order`` cut into consecutive runs of ``batch_size`` rows, the last one shorter."""
+    return [order[start:start + batch_size] for start in range(0, len(order), batch_size)]
 
 
 def preprocess_batch(ds, rows, initial_mask, surr_mask) -> MiniBatch:

@@ -109,11 +109,6 @@ class TrainedModel:
     stop_reason: str  # "patience", "max_epochs" or "non_finite" (rolled back to the best)
 
 
-def _epoch_batches(n_rows, batch_size, rng):
-    order = rng.permutation(n_rows)
-    return [order[i:i + batch_size] for i in range(0, n_rows, batch_size)]
-
-
 def _batch_loss(ds, rows, initial_mask, surr, params, tau, mode, rng, weights, trip_rng=None):
     batch = missingness.preprocess_batch(ds, rows, initial_mask, surr)
     out = model.forward(batch, params, tau, mode, rng)
@@ -124,8 +119,7 @@ def validation_loss(ds, initial_mask, val_surrogate, params, config, rng):
     """Total loss over the validation set under a fixed surrogate mask; records no tape."""
     losses, counts = [], []
     with T.no_tape():
-        for start in range(0, ds.n_rows, config.batch_size):
-            rows = np.arange(start, min(start + config.batch_size, ds.n_rows))
+        for rows in missingness.batches(np.arange(ds.n_rows), config.batch_size):
             parts = _batch_loss(ds, rows, initial_mask, val_surrogate[rows], params,
                                 config.tau_end, "eval", rng, config.weights)
             losses.append(objectives.total_loss(parts, config.weights).item())
@@ -167,7 +161,8 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
         epoch_parts = {}  # "total", then objectives.TERMS
-        for rows in _epoch_batches(train_ds.n_rows, config.batch_size, order_rng):
+        for rows in missingness.batches(order_rng.permutation(train_ds.n_rows),
+                                        config.batch_size):
             tau = temperature(step, total_steps, config.tau_start, config.tau_end)
             surr = missingness.surrogate_mask(train_mask[rows], config.surrogate_rate, surr_rng)
             try:

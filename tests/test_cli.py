@@ -50,13 +50,14 @@ def test_make_synthetic_rejects_zero_feature_columns(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
-def test_fetch_wireless_from_txt(tmp_path):
+def test_fetch_wireless_from_txt(tmp_path, capsys):
     txt = tmp_path / "wifi_localization.txt"
     txt.write_text("-64 -56 -61 -66 -71 -82 -81 1\n"
                    "-68 -57 -61 -65 -71 -85 -85 2\n")
     out = tmp_path / "wireless.csv"
     assert cli.main(["fetch-wireless", "--from-txt", str(txt),
                      "--output", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} and {out.with_suffix('.schema.json')}\n"
     ds, mask = dataio.load_csv(out, out.with_suffix(".schema.json"))
     assert ds.n_rows == 2 and ds.n_cols == 7
     assert all(c.kind == "numerical" for c in ds.schema)
@@ -418,6 +419,138 @@ def test_evaluate_rejects_an_imputation_that_impute_did_not_write(workspace, cap
     assert err.startswith(f"error: {path} {expected}"), err
     assert err.endswith("; rerun `eggimpute impute`\n") and err.count("\n") == 1
     assert not (rd / "report.json").exists() and not (root / "runs/results.csv").exists()
+
+
+def _main_and_warnings(argv, capsys):
+    """Run ``argv``: its exit code, its standard output, and every line it printed to
+    stderr or warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # each would print to stderr
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err.splitlines() + [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("big", [1.5e308, 1e200])
+def test_a_numeric_column_whose_z_scoring_overflows_is_refused_when_the_table_loads(
+        tmp_path, monkeypatch, capsys, big):
+    """Column ``a`` holds +-big: its mean (1.5e308) or its standard deviation (1e200)
+    overflows, so every command that reads the table refuses it in one line naming the
+    file and the column, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    a = np.where(rng.random(40) < 0.5, big, -big)
+    rows = [f"{x!r},{y!r},c{t}\n" for x, y, t in zip(a.tolist(), rng.normal(size=40).tolist(),
+                                                     rng.integers(0, 2, 40).tolist())]
+    Path("t.csv").write_text("a,b,target\n" + "".join(rows))
+    Path("t.schema.json").write_text(json.dumps(
+        {"columns": [{"name": "a", "kind": "numerical"}, {"name": "b", "kind": "numerical"}],
+         "target": "target"}))
+    Path("config.json").write_text(json.dumps(
+        {"dataset": "t.csv", "schema": "t.schema.json", "out": "runs", "train": FAST_TRAIN,
+         "grid": {"methods": ["mean", "knn"]}}))
+    for method in ("egg", "mean", "knn"):  # the masks train, impute and evaluate read
+        rd = Path(f"runs/t/mcar/0.2/{method}/0")
+        rd.mkdir(parents=True)
+        missingness.save_mask(np.tile([[0, 1], [1, 1]], (20, 1)), "mcar", 0.2, rd / "mask.csv")
+    before = _tree(tmp_path)
+    for argv in (["corrupt", "--mechanism", "mcar"], ["corrupt", "--mechanism", "mnar"],
+                 ["train"], ["impute", "--method", "mean"], ["evaluate", "--method", "knn"],
+                 ["benchmark"]):
+        code, _, lines = _main_and_warnings([*argv, "--config", "config.json"], capsys)
+        assert code == 1 and lines == [
+            "error: t.csv: numeric column 'a' is too large to z-score: the mean or standard "
+            "deviation of its cells overflows"], (argv, lines)
+        assert _tree(tmp_path) == before, argv
+
+
+@pytest.fixture
+def categorical_run(tmp_path, monkeypatch):
+    """A mean run on a 40-row table whose column f2 has 3 classes, after corrupt and
+    impute: the path of its ``imputed_z.npy``, its bits and its mask."""
+    monkeypatch.chdir(tmp_path)
+    ds = dataio.make_two_cluster(n=40, d=3, seed=1)
+    ds.values[:, 2] = np.digitize(ds.values[:, 2], [-1.0, 1.0])
+    ds.schema[2] = dataio.ColumnSchema("f2", dataio.CATEGORICAL, 3, ["lo", "mid", "hi"])
+    dataio.write_csv(ds, None, "t.csv", "t.schema.json")
+    Path("config.json").write_text(json.dumps(
+        {"dataset": "t.csv", "schema": "t.schema.json", "out": "runs", "method": "mean"}))
+    for step in ("corrupt", "impute"):
+        assert cli.main([step, "--config", "config.json"]) == 0
+    rd = Path("runs/t/mcar/0.2/mean/0")
+    return rd / "imputed_z.npy", np.load(rd / "imputed_z.npy"), \
+        missingness.load_mask(rd / "mask.csv")
+
+
+@pytest.mark.parametrize("value", [7.0, -3.5, 0.5, 3.0, np.nan])
+def test_evaluate_refuses_a_hidden_categorical_cell_that_is_not_a_class(
+        categorical_run, capsys, value):
+    path, imputed_z, mask = categorical_run
+    hidden = mask[:, 2] == 0
+    imputed_z[hidden, 2] = value
+    np.save(path, imputed_z)
+    before = _tree(Path.cwd())
+    capsys.readouterr()
+    code, _, lines = _main_and_warnings(["evaluate", "--config", "config.json"], capsys)
+    row = np.flatnonzero(hidden)[0]
+    assert code == 1 and lines == [
+        f"error: {path} holds {value} at row {row}, column 2, but an imputed cell of "
+        f"categorical column 'f2' is a class index from 0 to 2; rerun `eggimpute impute`"]
+    assert _tree(Path.cwd()) == before
+
+
+def test_evaluate_scores_the_run_itself_at_the_cells_the_mask_keeps(categorical_run, capsys):
+    """Only the hidden cells of ``imputed_z.npy`` are the imputation's: any value at a
+    kept cell scores as the intact file does, bit for bit."""
+    path, imputed_z, mask = categorical_run
+    assert cli.main(["evaluate", "--config", "config.json"]) == 0
+    intact = capsys.readouterr().out
+    imputed_z[mask == 1] = np.nan
+    imputed_z[(mask == 1) & (np.arange(3) == 2)] = 9.0  # no class of f2
+    np.save(path, imputed_z)
+    code, out, lines = _main_and_warnings(["evaluate", "--config", "config.json"], capsys)
+    assert code == 0 and lines == [] and out == intact
+    results = Path("runs/results.csv").read_text().splitlines()
+    assert len(results) == 3 and results[1].split(",")[:-2] == results[2].split(",")[:-2]
+
+
+def test_impute_refuses_a_checkpoint_that_imputes_nan(workspace, capsys):
+    """A negative running variance makes the encoder's batch norm take a NaN root."""
+    root, cfg = workspace
+    for step in ("corrupt", "train"):
+        assert cli.main([step, "--config", cfg]) == 0
+    rd = root / "runs/synth/mcar/0.2/egg/0"
+    with np.load(rd / "checkpoint.npz") as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    arrays["bn.mlp_fp.var"] = np.full_like(arrays["bn.mlp_fp.var"], -1.0)
+    np.savez(rd / "checkpoint.npz", **arrays)
+    before = _tree(root)
+    capsys.readouterr()
+    code, _, lines = _main_and_warnings(["impute", "--config", cfg], capsys)
+    assert code == 1 and lines == [f"error: {Path('runs/synth/mcar/0.2/egg/0/checkpoint.npz')} "
+                                   "imputes NaN or inf; rerun `eggimpute train`"]
+    assert _tree(root) == before
+
+
+def test_evaluate_refuses_an_imputation_whose_score_overflows(workspace, capsys):
+    """One hidden validation cell of 1e300 is finite, but its squared error is not."""
+    root, cfg = workspace
+    flags = ["--config", cfg, "--method", "mean"]
+    for step in ("corrupt", "impute"):
+        assert cli.main([step, *flags]) == 0
+    rd = Path("runs/synth/mcar/0.2/mean/0")
+    _, prep = cli._load_run(cli.load_config(cfg, {"method": "mean"}))
+    row = next(r for r in prep.val_rows if (prep.mask[r] == 0).any())
+    imputed_z = np.load(rd / "imputed_z.npy")
+    imputed_z[row, np.flatnonzero(prep.mask[row] == 0)[0]] = 1e300
+    np.save(rd / "imputed_z.npy", imputed_z)
+    before = _tree(root)
+    capsys.readouterr()
+    code, _, lines = _main_and_warnings(["evaluate", *flags], capsys)
+    assert code == 1 and len(lines) == 1, lines
+    assert lines[0].startswith(f"error: {rd / 'imputed_z.npy'} scores {{'rmse': inf, ")
+    assert lines[0].endswith("; rerun `eggimpute impute`")
+    assert _tree(root) == before
 
 
 def test_a_one_row_table_corrupts_but_fails_to_split(tmp_path, monkeypatch, capsys):

@@ -149,6 +149,15 @@ def test_split_single_member_class_falls_back():
     assert len(tr) + len(va) == 6
 
 
+def _refuse_unscalable(path, col, cells):
+    """The reader refuses a numeric column whose present ``cells`` have a mean or a
+    standard deviation that overflows (oracle)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(cells) and not (np.isfinite(np.mean(cells)) and np.isfinite(np.std(cells))):
+            raise ValueError(f"{path}: numeric column {col.name!r} is too large to z-score: "
+                             f"the mean or standard deviation of its cells overflows")
+
+
 def _row_by_row_load_csv(path, schema_path):
     """The reader before it went column by column (oracle)."""
     columns, target_name = dataio.load_schema(schema_path)
@@ -180,6 +189,8 @@ def _row_by_row_load_csv(path, schema_path):
         if col.kind == dataio.CATEGORICAL:
             col.categories = sorted(cat_maps[j], key=cat_maps[j].get)
             col.cardinality = max(len(col.categories), 1)
+        else:
+            _refuse_unscalable(path, col, values[mask[:, j] == 1, j])
     ds = dataio.TabularDataset(feature_cols, values, targets, max(len(target_map), 1),
                                sorted(target_map, key=target_map.get))
     return ds, mask
@@ -220,8 +231,14 @@ def test_load_csv_matches_the_row_by_row_reader(tmp_path_factory, table):
     with open(directory / "t.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([names, *rows])
     (directory / "t.json").write_text(json.dumps(schema))
+    try:
+        want, want_mask = _row_by_row_load_csv(directory / "t.csv", directory / "t.json")
+    except ValueError as err:  # a column too large to z-score
+        with pytest.raises(ValueError) as raised:
+            dataio.load_csv(directory / "t.csv", directory / "t.json")
+        assert str(raised.value) == str(err)
+        return
     ds, mask = dataio.load_csv(directory / "t.csv", directory / "t.json")
-    want, want_mask = _row_by_row_load_csv(directory / "t.csv", directory / "t.json")
     assert np.array_equal(ds.values, want.values, equal_nan=True)
     assert np.array_equal(mask, want_mask) and mask.dtype == want_mask.dtype
     assert np.array_equal(ds.targets, want.targets) and ds.targets.dtype == want.targets.dtype
@@ -253,6 +270,7 @@ def _cell_by_cell_load_csv(path, schema_path):
         if col.kind == dataio.NUMERICAL:
             values[present, j] = [dataio._number(cells[col.name][i], i + 2, col.name)
                                    for i in present]
+            _refuse_unscalable(path, col, values[present, j])
         else:
             col.categories, values[present, j] = dataio._first_appearance(
                 cells[col.name][i] for i in present)

@@ -24,7 +24,12 @@ three steps with method ``kegg``, no prototype, ``hidden`` 16 and
 ``max_epochs`` 2 at ``train.batch_size`` ``TAIL_BATCH``, so each epoch ends
 on a one-row batch whose identity graph reaches no projector, and a
 parameter that a step does not reach is checked to take a zero step;
-``knn-steps`` runs
+``all-categorical`` runs ``corrupt``, ``train``, ``impute`` and
+``evaluate`` with method ``egg``, ``hidden`` 16 and ``max_epochs`` 2 on
+the ``kegg-grid`` table with all of its columns binned into 4 levels, so
+a table with no numeric column is checked (the 1-wide numeric head, the
+empty numeric slice of the ensemble and loss, and the empty ``rmse``
+and ``mae``); ``knn-steps`` runs
 ``corrupt`` under MAR and ``impute`` with method ``knn`` on the 2000-row
 ``egg-impute`` table, so
 the KNN donors of a large numeric table are checked byte for byte;
@@ -167,11 +172,13 @@ def egg_impute(directory):
     return out
 
 
-def _model_steps(directory, method, train=None, **model):
-    """``corrupt``, ``train`` and ``impute`` with ``method`` on the ``kegg-grid`` table,
-    its train settings updated by ``train`` and its model settings by ``model``: the
-    checkpoint arrays and ``imputed_z.npy`` of the MNAR run."""
+def _model_steps(directory, method, train=None, table=None, **model):
+    """``corrupt``, ``train`` and ``impute`` with ``method`` on the ``kegg-grid`` table, or
+    on ``table`` written in its place, its train settings updated by ``train`` and its model
+    settings by ``model``: the checkpoint arrays and ``imputed_z.npy`` of the MNAR run."""
     workloads.setup("kegg-grid", 0, directory)
+    if table is not None:
+        dataio.write_csv(table, None, directory / workloads.TABLE, directory / workloads.SCHEMA)
     config = json.loads((directory / workloads.CONFIG).read_text())
     config["train"].update(train or {})
     config["train"]["model"].update(model)
@@ -195,6 +202,21 @@ def small_batch(directory):
 def kegg_tail(directory):
     return _model_steps(directory, "kegg", {"batch_size": TAIL_BATCH, "max_epochs": 2},
                         hidden=16, prototypes=0)
+
+
+def all_categorical(directory):
+    table = workloads.make_table("kegg-grid", 0)
+    for j in table.numeric_idx:  # binned as make_table bins its categorical columns
+        column = table.values[:, j]
+        table.values[:, j] = np.digitize(column, np.quantile(column, [0.25, 0.5, 0.75]))
+        table.schema[j] = dataio.ColumnSchema(f"f{j}", dataio.CATEGORICAL, 4,
+                                              ["q0", "q1", "q2", "q3"])
+    out = _model_steps(directory, "egg", {"max_epochs": 2}, table, hidden=16)
+    _run(directory, _step("evaluate") + ["--method", "egg"])
+    rd = directory / "out" / "table" / "mnar" / "0.2" / "egg" / str(workloads.PIPELINE_SEED)
+    out["imputed.csv"] = _sha((rd / "imputed.csv").read_bytes())
+    out["results.csv"] = _results(directory / "out" / "results.csv")
+    return out
 
 
 def ablation_steps(directory):
@@ -273,6 +295,7 @@ def main():
         for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute),
                           ("kegg-steps", kegg_steps), ("ablation-steps", ablation_steps),
                           ("small-batch", small_batch), ("kegg-tail", kegg_tail),
+                          ("all-categorical", all_categorical),
                           ("knn-steps", knn_steps),
                           ("report-seeds", report_seeds), ("datasets", datasets),
                           ("blank-cells", blank_cells), ("forest", forest),
