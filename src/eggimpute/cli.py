@@ -154,7 +154,6 @@ def _require(path, hint):
 @dataclass
 class Prepared:
     """One table ready for a method: loaded, masked, split and z-scored."""
-    ds: dataio.TabularDataset
     ds_norm: dataio.TabularDataset  # z-scored with the training-split stats
     mask: np.ndarray  # corruption mask times the cells present in the file
     stats: dataio.ColumnStats  # raw-scale stats of the training split
@@ -180,7 +179,7 @@ def _prepare(cfg, table, mask_bits=None):
     train_rows, val_rows = dataio.split(ds, cfg["train_fraction"],
                                         _stage_seed_int(cfg["seed"], "split"))
     stats = dataio.compute_stats(ds.subset(train_rows), mask[train_rows])
-    return Prepared(ds, dataio.normalize(ds, stats), mask, stats, train_rows, val_rows)
+    return Prepared(dataio.normalize(ds, stats), mask, stats, train_rows, val_rows)
 
 
 def _load_run(cfg):
@@ -273,13 +272,16 @@ def cmd_fetch_wireless(args):
     else:
         try:
             payload = urllib.request.urlopen(url, timeout=60).read()
-        except OSError as err:
-            print(f"error: download failed ({err}); fetch wifi_localization.txt manually and "
-                  f"convert with `eggimpute fetch-wireless --from-txt <path>`", file=sys.stderr)
+            with zipfile.ZipFile(io.BytesIO(payload)) as zf:
+                source = next((n for n in zf.namelist() if n.endswith(".txt")), None)
+                if source is None:
+                    raise zipfile.BadZipFile("the archive holds no .txt file")
+                text = zf.read(source).decode()
+        except (OSError, zipfile.BadZipFile) as err:
+            print(f"error: could not read {url} ({err}); fetch wifi_localization.txt manually "
+                  f"and convert with `eggimpute fetch-wireless --from-txt <path>`",
+                  file=sys.stderr)
             return 1
-        with zipfile.ZipFile(io.BytesIO(payload)) as zf:
-            source = next(n for n in zf.namelist() if n.endswith(".txt"))
-            text = zf.read(source).decode()
     return _write_table(_wireless_table(text, source), args.output)
 
 
@@ -336,13 +338,13 @@ def cmd_train(args):
 def cmd_impute(args):
     cfg = _step_config(args)
     rd, prep = _load_run(cfg)
-    ds = prep.ds
+    ds = prep.ds_norm
     params = None
     if cfg["method"] in MODEL_METHODS:
         params = model.load_checkpoint(_require(rd / "checkpoint.npz", "eggimpute train"),
                                        ds.schema)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
-        imputed_z = _impute_all(cfg, cfg["method"], ds, prep.ds_norm, prep.mask,
+        imputed_z = _impute_all(cfg, cfg["method"], ds, ds, prep.mask,
                                 prep.train_rows, prep.val_rows, params)
     if not np.isfinite(imputed_z).all():  # weights that overflow, or a negative variance
         raise ValueError(f"{rd / 'checkpoint.npz'} imputes NaN or inf; rerun `eggimpute train`")
@@ -364,20 +366,20 @@ def _load_imputed(path, prep):
             imputed_z = np.lib.format.read_array(fh, allow_pickle=False)
     except ValueError as err:  # not an .npy file (an npz, text), truncated, or of objects
         raise ValueError(f"{path} is not a saved array ({err}); rerun `eggimpute impute`") from err
-    if imputed_z.shape != prep.ds.values.shape:
+    if imputed_z.shape != prep.ds_norm.values.shape:
         raise ValueError(f"imputed_z.npy has shape {imputed_z.shape} but the table has shape "
-                         f"{prep.ds.values.shape}; rerun `eggimpute impute` on this table")
+                         f"{prep.ds_norm.values.shape}; rerun `eggimpute impute` on this table")
     if imputed_z.dtype.kind != "f":
         raise ValueError(f"{path} holds {imputed_z.dtype} values, not floats; "
                          "rerun `eggimpute impute`")
-    cardinality = np.array([col.cardinality for col in prep.ds.schema])  # 0: numeric
+    cardinality = np.array([col.cardinality for col in prep.ds_norm.schema])  # 0: numeric
     with np.errstate(invalid="ignore"):
         is_class = (imputed_z >= 0) & (imputed_z < cardinality) & (imputed_z % 1 == 0)
     valid = np.where(cardinality > 0, is_class, np.isfinite(imputed_z))
     bad = np.argwhere(~valid & (prep.mask == 0))
     if len(bad):
         row, col = bad[0]
-        rule = (f"of categorical column {prep.ds.schema[col].name!r} is a class index "
+        rule = (f"of categorical column {prep.ds_norm.schema[col].name!r} is a class index "
                 f"from 0 to {cardinality[col] - 1}" if cardinality[col] else "is finite")
         raise ValueError(f"{path} holds {imputed_z[row, col]} at row {row}, column {col}, but "
                          f"an imputed cell {rule}; rerun `eggimpute impute`")
@@ -447,8 +449,8 @@ def run_single(cfg, table):
         trained, train_seconds = _fit(cfg, prep)
         params = trained.params
     t0 = time.perf_counter()
-    imputed_z = _impute_all(cfg, cfg["method"], prep.ds, prep.ds_norm, prep.mask, prep.train_rows,
-                            prep.val_rows, params)
+    imputed_z = _impute_all(cfg, cfg["method"], prep.ds_norm, prep.ds_norm, prep.mask,
+                            prep.train_rows, prep.val_rows, params)
     inference_seconds = time.perf_counter() - t0
     rep = _evaluate(cfg, prep, imputed_z)
     rep.train_seconds, rep.inference_seconds = train_seconds, inference_seconds

@@ -53,11 +53,8 @@ def ensemble_impute(ds, initial_mask, params, n_passes, seed, batch_size):
                     e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
                     cat_sum[c][rows] += e / e.sum(axis=1, keepdims=True)
 
-    imputed = ds.values.copy()
-    for pos, j in enumerate(num_idx):
-        missing = initial_mask[:, j] == 0
-        imputed[missing, j] = num_sum[missing, pos] / n_passes
+    prediction = np.empty_like(ds.values)
+    prediction[:, num_idx] = num_sum / n_passes
     for pos, j in enumerate(cat_idx):
-        missing = initial_mask[:, j] == 0
-        imputed[missing, j] = (cat_sum[pos][missing] / n_passes).argmax(axis=1)
-    return imputed
+        prediction[:, j] = (cat_sum[pos] / n_passes).argmax(axis=1)
+    return np.where(initial_mask == 0, prediction, ds.values)

@@ -72,11 +72,9 @@ RHO, EPS = 0.99, 1e-8  # RMSprop accumulator decay, and the floor of its denomin
 
 def rmsprop_step(params, acc, lr):
     """s <- rho s + (1 - rho) g^2;  theta <- theta - lr g / (sqrt(s) + eps), with
-    ``acc`` holding each parameter's s; a non-finite gradient or update raises."""
+    ``acc`` holding each parameter's s (a non-finite gradient leaves its parameter NaN)."""
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         s = acc[name]
         s *= RHO
         step = (1 - RHO) * g
@@ -87,8 +85,6 @@ def rmsprop_step(params, acc, lr):
         denom += EPS
         step /= denom
         p.data -= step
-        if not np.all(np.isfinite(p.data)):
-            raise FloatingPointError(f"non-finite values in parameter {name!r}")
 
 
 def temperature(step, total_steps, tau_start, tau_end):
@@ -134,7 +130,8 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
     (1 = observed).  Datasets must already be normalized with training
     statistics.  Every epoch's validation draws the same surrogate mask and
     Gumbel noise, so its losses differ only by the parameters they score.
-    A non-finite step rolls back to the best epoch, or raises
+    A non-finite loss term, parameter, batch-norm statistic or validation loss
+    ends training: it rolls back to the best epoch, or raises
     ``FloatingPointError`` when no epoch has completed yet.
     """
     config.validate()
@@ -154,20 +151,21 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
 
     batches_per_epoch = int(np.ceil(train_ds.n_rows / config.batch_size))
     total_steps = config.max_epochs * batches_per_epoch
-    best = {"loss": np.inf, "epoch": -1, "state": params.snapshot()}
+    best = {"loss": np.inf, "epoch": -1}
     history = []
     step = 0
-    stale = 0
+    stop_reason = "max_epochs"
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
         epoch_parts = {}  # "total", then objectives.TERMS
-        for rows in missingness.batches(order_rng.permutation(train_ds.n_rows),
-                                        config.batch_size):
-            tau = temperature(step, total_steps, config.tau_start, config.tau_end)
-            surr = missingness.surrogate_mask(train_mask[rows], config.surrogate_rate, surr_rng)
-            try:
-                # a diverging step is reported by the finite checks, not by numpy's warnings
-                with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            # a diverging run is reported by the finite checks, not by numpy's warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                for rows in missingness.batches(order_rng.permutation(train_ds.n_rows),
+                                                config.batch_size):
+                    tau = temperature(step, total_steps, config.tau_start, config.tau_end)
+                    surr = missingness.surrogate_mask(train_mask[rows], config.surrogate_rate,
+                                                      surr_rng)
                     parts = _batch_loss(train_ds, rows, train_mask, surr, params, tau,
                                         "train", gumbel_rng, config.weights, trip_rng)
                     loss = objectives.total_loss(parts, config.weights)
@@ -175,20 +173,24 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
                         p.grad = None
                     loss.backward()
                     rmsprop_step(named, acc, config.learning_rate)
-            except FloatingPointError as err:
-                if not history:
-                    raise FloatingPointError(f"training failed before its first epoch "
-                                             f"completed: {err}") from err
-                params.load_state_arrays(best["state"])
-                return TrainedModel(params, config, best["loss"], best["epoch"], history,
-                                    "non_finite")
-            for name, term in {"total": loss, **parts}.items():
-                epoch_parts[name] = epoch_parts.get(name, 0.0) + term.item()
-            step += 1
+                    for name, array in params.state_arrays().items():
+                        if not np.isfinite(array).all():
+                            raise FloatingPointError(f"non-finite values in {name!r}")
+                    for name, term in {"total": loss, **parts}.items():
+                        epoch_parts[name] = epoch_parts.get(name, 0.0) + term.item()
+                    step += 1
+                val_loss = validation_loss(val_ds, val_mask, val_surrogate, params, config,
+                                           np.random.default_rng(val_gumbel_seed))
+                if not np.isfinite(val_loss):
+                    raise FloatingPointError(f"non-finite validation loss {val_loss}")
+        except FloatingPointError as err:
+            if not history:
+                raise FloatingPointError(f"training failed before its first epoch "
+                                         f"completed: {err}") from err
+            stop_reason = "non_finite"
+            break
         for key in epoch_parts:
             epoch_parts[key] /= batches_per_epoch
-        val_loss = validation_loss(val_ds, val_mask, val_surrogate, params, config,
-                                   np.random.default_rng(val_gumbel_seed))
         record = {"epoch": epoch, "tau": temperature(step, total_steps, config.tau_start,
                                                      config.tau_end),
                   "val_loss": val_loss, "seconds": time.perf_counter() - t0}
@@ -196,11 +198,8 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
         history.append(record)
         if val_loss < best["loss"]:
             best = {"loss": val_loss, "epoch": epoch, "state": params.snapshot()}
-            stale = 0
-        else:
-            stale += 1
-            if stale > config.patience:
-                break
+        elif epoch - best["epoch"] > config.patience:  # epochs since the best one
+            stop_reason = "patience"
+            break
     params.load_state_arrays(best["state"])
-    return TrainedModel(params, config, best["loss"], best["epoch"], history,
-                        "patience" if stale > config.patience else "max_epochs")
+    return TrainedModel(params, config, best["loss"], best["epoch"], history, stop_reason)

@@ -5,7 +5,9 @@ import io
 import json
 import os
 import tempfile
+import urllib.request
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +87,45 @@ def test_fetch_wireless_rejects_a_table_without_signals_and_rooms(tmp_path, caps
     assert "needs signal strengths and a room on each line" in err
     assert err.startswith(f"error: {txt} line {line}: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def _zip_of(files):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as zf:
+        for name, text in files.items():
+            zf.writestr(name, text)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("payload, reason", [
+    (b"<html>not found</html>", "File is not a zip file"),
+    (_zip_of({"readme.md": "no table here"}), "the archive holds no .txt file")],
+    ids=["not_a_zip", "no_txt_member"])
+def test_fetch_wireless_rejects_a_download_it_cannot_read(tmp_path, monkeypatch, capsys,
+                                                         payload, reason):
+    """A download that is not the zip of a text table is one error naming the
+    URL and ``--from-txt``, before any file is written; a payload that is not a
+    zip ended in a ``BadZipFile`` traceback, a zip without a ``.txt`` member in a
+    bare ``StopIteration``."""
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda url, timeout: io.BytesIO(payload))
+    out = tmp_path / "wireless.csv"
+    assert cli.main(["fetch-wireless", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not read https://archive.ics.uci.edu/") and \
+        err.count("\n") == 1
+    assert reason in err and "eggimpute fetch-wireless --from-txt <path>" in err
+    assert not out.exists() and not out.with_suffix(".schema.json").exists()
+
+
+def test_fetch_wireless_converts_the_downloaded_table(tmp_path, monkeypatch, capsys):
+    payload = _zip_of({"wifi_localization.txt": "-64 -56 1\n-68 -57 2\n"})
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda url, timeout: io.BytesIO(payload))
+    out = tmp_path / "wireless.csv"
+    assert cli.main(["fetch-wireless", "--output", str(out)]) == 0
+    ds, _ = dataio.load_csv(out, out.with_suffix(".schema.json"))
+    assert ds.values.tolist() == [[-64, -56], [-68, -57]]
 
 
 def test_corrupt_writes_mask(workspace):
@@ -691,6 +732,34 @@ def test_train_with_a_triplet_term_fails_through_the_non_finite_path(tmp_path, m
     err = capsys.readouterr().err
     assert err.startswith("error: training failed before its first epoch completed: "
                           "non-finite loss term")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("batch_size, learning_rate, reason", [
+    (40, 1e100, "non-finite values in 'bn.mlp_proj.0.var'"),
+    (84, 1e40, "non-finite loss term 'homophily'")],
+    ids=["batch_norm_statistic", "first_validation"])
+def test_a_run_that_diverges_before_its_first_epoch_fails_in_one_line(
+        tmp_path, monkeypatch, capsys, batch_size, learning_rate, reason):
+    """Two diverging runs on a 120-row table: a learning rate of 1e100 leaves a
+    running variance infinite while the parameters stay finite (a checkpoint that
+    ``impute`` refused was saved), and 1e40 with one step per epoch makes epoch
+    0's validation meet a non-finite loss term.  Each is one line, no numpy
+    warning and no checkpoint."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["make-synthetic", "--rows", "120", "--cols", "4",
+                     "--output", "data/s.csv"]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "dataset": "data/s.csv", "schema": "data/s.schema.json",
+        "train": {"batch_size": batch_size, "learning_rate": learning_rate, "max_epochs": 4,
+                  "model": {"hidden": 8, "prototypes": 2}}}))
+    assert cli.main(["corrupt", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == ("error: training failed before its first epoch "
+                                       f"completed: {reason}\n")
+    assert not (tmp_path / "runs/s/mcar/0.2/egg/0/checkpoint.npz").exists()
 
 
 def test_stage_seeds_are_distinct():

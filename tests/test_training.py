@@ -45,26 +45,6 @@ def test_rmsprop_accumulator_persists():
     assert acc["w"][0, 0] == pytest.approx(4.0 * (1 - training.RHO ** 2))
 
 
-def test_rmsprop_rejects_nonfinite_gradient():
-    w = Tensor(np.array([[0.0]]), requires_grad=True)
-    w.grad = np.array([[np.nan]])
-    params = {"w": w}
-    with pytest.raises(FloatingPointError, match="'w'"):
-        training.rmsprop_step(params, {"w": np.zeros((1, 1))}, 0.1)
-
-
-def test_rmsprop_rejects_an_update_that_overflows():
-    """A finite gradient can still step a parameter to inf; the step that
-    does so raises, naming the parameter, before the next one is updated."""
-    w, v = (Tensor(np.array([[1e308]]), requires_grad=True) for _ in range(2))
-    w.grad = v.grad = np.array([[-1.0]])
-    params = {"w": w, "v": v}
-    with np.errstate(over="ignore"), \
-            pytest.raises(FloatingPointError, match="non-finite values in parameter 'w'"):
-        training.rmsprop_step(params, {"w": np.zeros((1, 1)), "v": np.zeros((1, 1))}, 1e308)
-    assert v.data[0, 0] == 1e308
-
-
 def test_rmsprop_minimizes_quadratic():
     """Optimizer oracle: f(w) = (w - 3)^2 must approach its minimum."""
     w = Tensor(np.array([[0.0]]), requires_grad=True)
@@ -204,11 +184,39 @@ def test_train_stop_reason_max_epochs():
     assert result.stop_reason == "max_epochs"
 
 
+def _validated_states(monkeypatch, failure=None):
+    """Record the state each validation scores; with ``failure``, the third
+    validation (epoch 2's) raises a non-finite loss term or returns NaN."""
+    real_validation = training.validation_loss
+    states = []
+
+    def validation(ds, initial_mask, val_surrogate, params, config, rng):
+        if failure and len(states) == 2:
+            if failure == "raises":
+                raise FloatingPointError("non-finite loss term 'homophily'")
+            return np.nan
+        states.append(params.snapshot())
+        return real_validation(ds, initial_mask, val_surrogate, params, config, rng)
+
+    monkeypatch.setattr(training, "validation_loss", validation)
+    return states
+
+
+def _assert_rolled_back_to_the_best_epoch(result, states):
+    assert result.stop_reason == "non_finite"
+    assert len(result.history) == len(states) == 2
+    best = states[result.best_epoch]
+    restored = result.params.state_arrays()
+    assert restored.keys() == best.keys()
+    for name in best:
+        assert np.array_equal(restored[name], best[name]), name
+
+
 def test_train_non_finite_step_rolls_back_to_best_snapshot(monkeypatch):
     """A step that raises FloatingPointError ends training: the reason says
     so and the parameters are those of the best validated epoch."""
-    real_step, real_validation = training.rmsprop_step, training.validation_loss
-    steps, snapshots = [], []
+    real_step = training.rmsprop_step
+    steps = []
 
     def failing_step(params, state, lr):
         steps.append(len(steps))
@@ -216,20 +224,75 @@ def test_train_non_finite_step_rolls_back_to_best_snapshot(monkeypatch):
             raise FloatingPointError("non-finite gradient for parameter 'w'")
         real_step(params, state, lr)
 
-    def recording_validation(ds, initial_mask, val_surrogate, params, config, rng):
-        snapshots.append(params.snapshot())
-        return real_validation(ds, initial_mask, val_surrogate, params, config, rng)
-
     monkeypatch.setattr(training, "rmsprop_step", failing_step)
-    monkeypatch.setattr(training, "validation_loss", recording_validation)
+    states = _validated_states(monkeypatch)
     result = training.train(tiny_config(max_epochs=6), *tiny_setup())
-    assert result.stop_reason == "non_finite"
-    assert len(result.history) == len(snapshots) == 2
-    best = snapshots[result.best_epoch]
-    restored = result.params.state_arrays()
-    assert restored.keys() == best.keys()
-    for name in best:
-        assert np.array_equal(restored[name], best[name]), name
+    _assert_rolled_back_to_the_best_epoch(result, states)
+
+
+DIVERGENCES = {  # how a step diverges -> the array the scan after it names
+    "nan_gradient": "head_num.w", "overflowing_update": "head_num.w",
+    "batch_norm_variance": "bn.mlp_proj.0.var"}
+
+
+def _diverge_at(monkeypatch, fail_step, divergence):
+    """Make training step ``fail_step`` (from 1) leave the array ``DIVERGENCES``
+    names non-finite: a NaN gradient, a finite gradient whose update overflows
+    (the parameter at 1e308, the gradient -1, the learning rate 1e308), or an
+    infinite running variance after the forward.  Every other parameter of
+    that step takes a zero step, so only the named array diverges."""
+    real_step, real_batch_loss = training.rmsprop_step, training._batch_loss
+    steps = []
+
+    def batch_loss(ds, rows, initial_mask, surr, params, tau, mode, *rest):
+        parts = real_batch_loss(ds, rows, initial_mask, surr, params, tau, mode, *rest)
+        if mode == "train":
+            steps.append(len(steps))
+            if len(steps) == fail_step and divergence == "batch_norm_variance":
+                params.table["bn.mlp_proj.0"].running_var[0, 0] = np.inf
+        return parts
+
+    def step(params, acc, lr):
+        if len(steps) == fail_step and divergence != "batch_norm_variance":
+            for p in params.values():
+                p.grad = None
+            w = params["head_num.w"]
+            w.data[...] = 1e308
+            w.grad = np.full_like(w.data, np.nan if divergence == "nan_gradient" else -1.0)
+            lr = 1e308
+        real_step(params, acc, lr)
+
+    monkeypatch.setattr(training, "_batch_loss", batch_loss)
+    monkeypatch.setattr(training, "rmsprop_step", step)
+
+
+@pytest.mark.parametrize("divergence", DIVERGENCES)
+def test_train_fails_naming_the_array_a_step_leaves_non_finite_before_its_first_epoch(
+        monkeypatch, divergence):
+    """One scan of the parameters and batch-norm statistics after each step
+    finds the divergence; with no epoch completed there is nothing to keep."""
+    _diverge_at(monkeypatch, 1, divergence)
+    with pytest.raises(FloatingPointError) as info:
+        training.train(tiny_config(max_epochs=6), *tiny_setup())
+    assert str(info.value) == ("training failed before its first epoch completed: "
+                               f"non-finite values in {DIVERGENCES[divergence]!r}")
+
+
+@pytest.mark.parametrize("divergence", DIVERGENCES)
+def test_train_rolls_back_when_a_step_leaves_an_array_non_finite(monkeypatch, divergence):
+    _diverge_at(monkeypatch, 5, divergence)  # epoch 2, first step
+    states = _validated_states(monkeypatch)
+    result = training.train(tiny_config(max_epochs=6), *tiny_setup())
+    _assert_rolled_back_to_the_best_epoch(result, states)
+
+
+@pytest.mark.parametrize("failure", ["raises", "nan"])
+def test_train_rolls_back_when_validation_fails_after_an_epoch(monkeypatch, failure):
+    """A validation that meets a non-finite loss term, or returns a non-finite
+    loss, ends training like a failed step: back to the best epoch."""
+    states = _validated_states(monkeypatch, failure)
+    result = training.train(tiny_config(max_epochs=6), *tiny_setup())
+    _assert_rolled_back_to_the_best_epoch(result, states)
 
 
 def test_train_kegg_sampler_runs():

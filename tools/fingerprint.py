@@ -6,50 +6,60 @@ Usage, from anywhere:
     PYTHONPATH=<other checkout>/src python3 tools/fingerprint.py
 
 The tables come from ``perfbench/workloads.setup(..., 0, ...)`` and are
-written to a temporary directory.  ``kegg-grid`` runs ``benchmark`` and
-``report``; ``egg-impute`` runs ``corrupt``, ``train``, ``impute`` and
-``evaluate``, and then ``corrupt`` under MAR, whose mask no workload
-writes; ``kegg-steps`` runs ``corrupt``, ``train`` and ``impute`` with
-``blocks: 2`` on the ``kegg-grid`` table, whose two categorical columns
-give the checkpoint every array family (embeddings, categorical heads, a
-second projector and GCN block) and the imputation a two-block ensemble
-with categorical picks; ``ablation-steps`` runs the same three steps
-with method ``nn_ablation`` on that table, so the identity graph of
-the ablation is checked; ``small-batch`` runs the same three steps with
-method ``egg`` on that table at ``train.batch_size`` ``SMALL_BATCH``,
-``max_epochs`` 2 and ``hidden`` 16, where many training steps mask no
-categorical cell and some no numeric one, so a loss term that scores no
-cell is checked to give its head a zero step; ``kegg-tail`` runs the same
-three steps with method ``kegg``, no prototype, ``hidden`` 16 and
-``max_epochs`` 2 at ``train.batch_size`` ``TAIL_BATCH``, so each epoch ends
-on a one-row batch whose identity graph reaches no projector, and a
-parameter that a step does not reach is checked to take a zero step;
-``all-categorical`` runs ``corrupt``, ``train``, ``impute`` and
-``evaluate`` with method ``egg``, ``hidden`` 16 and ``max_epochs`` 2 on
-the ``kegg-grid`` table with all of its columns binned into 4 levels, so
-a table with no numeric column is checked (the 1-wide numeric head, the
-empty numeric slice of the ensemble and loss, and the empty ``rmse``
-and ``mae``); ``knn-steps`` runs
-``corrupt`` under MAR and ``impute`` with method ``knn`` on the 2000-row
-``egg-impute`` table, so
-the KNN donors of a large numeric table are checked byte for byte;
-``report-seeds`` runs ``benchmark`` with methods ``mean`` and ``knn`` and
-``grid.seeds: [0, 1]`` on the ``kegg-grid`` table, then ``report``, so
-the ranking of several seeds is checked; ``datasets`` runs ``benchmark``
-with methods ``mean`` and ``knn`` over two ``datasets`` entries, ``a`` and
-``b``, that both name the ``kegg-grid`` table, then ``report``, so the
-jobs' expansion over tables, their order and their names are checked;
-``blank-cells`` runs ``corrupt`` under MAR and under MNAR on the
-``egg-impute`` table with a fixed 5% of its cells left blank, so the
-masks drawn where the file's own missing cells meet the corruption are
-checked; each runs through ``eggimpute.cli.main``.  ``forest`` fits
-``evaluation.rf_fit`` on the ``kegg-grid`` table's one-hot rows with the
-forest seed of master seed 0 and hashes every tree's preorder (depth,
-feature, threshold, prediction), which ``downstream_accuracy`` is too
-coarse to pin; ``forest-nonfinite`` does the same on the 2000-row
-``egg-impute`` table with a seeded 5% of its cells set to NaN and 2% each
-to +inf and -inf, so the routing of non-finite cells is checked over
-rounds that span several slices of the grower.
+written to a temporary directory.  Each run goes through
+``eggimpute.cli.main`` and writes under its own key prefix:
+
+- ``kegg-grid``: ``benchmark`` and ``report`` on the ``kegg-grid`` table.
+- ``egg-impute``: ``corrupt``, ``train``, ``impute`` and ``evaluate`` on
+  the ``egg-impute`` table, then ``corrupt`` under MAR, whose mask no
+  workload writes.
+- ``kegg-steps``: ``corrupt``, ``train`` and ``impute`` with ``blocks: 2``
+  on the ``kegg-grid`` table, whose two categorical columns give the
+  checkpoint every array family the all-numeric, one-block ``egg-impute``
+  checkpoint lacks (``embedding.*``, ``head_cat.*``, ``mlp_proj.1.*``,
+  ``gcn.1.w``, ``bn.mlp_proj.1.*``) and the imputation a two-block
+  ensemble with categorical picks.
+- ``ablation-steps``: the same three steps with method ``nn_ablation`` on
+  that table, so the identity graph of the ablation is checked.
+- ``small-batch``: the same three steps with method ``egg`` on that table
+  at ``train.batch_size`` ``SMALL_BATCH``, ``max_epochs`` 2 and ``hidden``
+  16, where many training steps mask no categorical cell and some no
+  numeric one, so a loss term that scores no cell is checked to give its
+  head a zero step.
+- ``kegg-tail``: the same three steps with method ``kegg``, no prototype,
+  ``hidden`` 16 and ``max_epochs`` 2 at ``train.batch_size``
+  ``TAIL_BATCH``, so each epoch ends on a one-row batch whose identity
+  graph reaches no projector, and a parameter that a step does not reach
+  is checked to take a zero step.
+- ``all-categorical``: ``corrupt``, ``train``, ``impute`` and ``evaluate``
+  with method ``egg``, ``hidden`` 16 and ``max_epochs`` 2 on the
+  ``kegg-grid`` table with all of its columns binned into 4 levels, so a
+  table with no numeric column is checked (the 1-wide numeric head, the
+  empty numeric slice of the ensemble and loss, and the empty ``rmse``
+  and ``mae``).
+- ``knn-steps``: ``corrupt`` under MAR and ``impute`` with method ``knn``
+  on the 2000-row ``egg-impute`` table, so the KNN donors of a large
+  numeric table are checked byte for byte.
+- ``report-seeds``: ``benchmark`` with methods ``mean`` and ``knn`` and
+  ``grid.seeds: [0, 1]`` on the ``kegg-grid`` table, then ``report``, so
+  the ranking of several seeds is checked.
+- ``datasets``: ``benchmark`` with methods ``mean`` and ``knn`` over two
+  ``datasets`` entries, ``a`` and ``b``, that both name the ``kegg-grid``
+  table, then ``report``, so the jobs' expansion over tables, their order
+  and their names are checked.
+- ``blank-cells``: ``corrupt`` under MAR and under MNAR on the
+  ``egg-impute`` table with a fixed 5% of its cells left blank, so the
+  masks drawn where the file's own missing cells meet the corruption are
+  checked.
+- ``forest``: ``evaluation.rf_fit`` on the ``kegg-grid`` table's one-hot
+  rows with the forest seed of master seed 0, hashing every tree's
+  preorder (depth, feature, threshold, prediction), which
+  ``downstream_accuracy`` is too coarse to pin.
+- ``forest-nonfinite``: the same on the 2000-row ``egg-impute`` table with
+  a seeded 5% of its cells set to NaN and 2% each to +inf and -inf, so the
+  routing of non-finite cells is checked over rounds that span several
+  slices of the grower.
+
 Standard output is one JSON object: the sha256 of each artifact's
 content with the timing fields left out, of each checkpoint array and
 of the forest's trees, the forest's node count, and the parsed
