@@ -270,6 +270,7 @@ def cmd_fetch_wireless(args):
     if args.from_txt:
         source, text = args.from_txt, Path(args.from_txt).read_text()
     else:
+        source = None
         try:
             payload = urllib.request.urlopen(url, timeout=60).read()
             with zipfile.ZipFile(io.BytesIO(payload)) as zf:
@@ -277,9 +278,10 @@ def cmd_fetch_wireless(args):
                 if source is None:
                     raise zipfile.BadZipFile("the archive holds no .txt file")
                 text = zf.read(source).decode()
-        except (OSError, zipfile.BadZipFile) as err:
-            print(f"error: could not read {url} ({err}); fetch wifi_localization.txt manually "
-                  f"and convert with `eggimpute fetch-wireless --from-txt <path>`",
+        except (OSError, zipfile.BadZipFile, UnicodeDecodeError) as err:
+            member = f" member {source}" if source else ""
+            print(f"error: could not read {url}{member} ({err}); fetch wifi_localization.txt "
+                  f"manually and convert with `eggimpute fetch-wireless --from-txt <path>`",
                   file=sys.stderr)
             return 1
     return _write_table(_wireless_table(text, source), args.output)

@@ -17,6 +17,14 @@ rides in its matmul's node.
 ``forward`` is two stages: ``encode``, row by row up to block 0's
 projector, then ``propagate``, over the batch graph; ensembled imputation
 calls the two itself, so it encodes each row once per call.
+
+The model computes in ``DTYPE`` (float32): ``ParameterSet`` holds its
+parameters and batch-norm statistics in it, and ``encode`` casts a batch's
+numeric inputs to it, so every activation, gradient and RMSprop
+accumulator follows.  Each constant a forward builds takes the
+dtype of the activation it meets, the Gumbel noise included, so the same
+forward on float64 parameters and inputs stays float64.  ``GraphSample.hard``
+is float64, and a checkpoint's arrays are cast to ``DTYPE`` on load.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 1
+DTYPE = np.float32  # the parameters and batch-norm statistics, and so the whole forward
 
 
 @dataclass
@@ -55,7 +64,7 @@ class ModelConfig:
 class GraphSample:
     relaxed: Tensor  # differentiable relaxed edge values (candidate set only)
     adjacency: Tensor  # straight-through hard adjacency, m x m
-    hard: np.ndarray  # binary adjacency with unit diagonal
+    hard: np.ndarray  # binary adjacency with unit diagonal, float64
 
 
 @dataclass
@@ -92,8 +101,8 @@ class MlpBlock:
 
 
 class ParameterSet:
-    """All trainable tensors plus batch-norm running statistics, each registered
-    in ``table`` under its checkpoint name by the statement that creates it."""
+    """All trainable tensors plus batch-norm running statistics, in ``DTYPE``, each
+    registered in ``table`` under its checkpoint name by the statement that creates it."""
 
     def __init__(self, config: ModelConfig, schema, num_classes, seed):
         config.validate()
@@ -124,7 +133,7 @@ class ParameterSet:
         self.head_task = self._linear("head_task", out_dim, num_classes, rng)
 
     def _tensor(self, name, data):
-        self.table[name] = Tensor(data, requires_grad=True)
+        self.table[name] = Tensor(data.astype(DTYPE), requires_grad=True)
         return self.table[name]
 
     def _linear(self, name, in_dim, out_dim, rng, weight_scale=1.0, suffix=""):
@@ -133,7 +142,7 @@ class ParameterSet:
 
     def _mlp(self, name, in_dim, h, rng, out_scale=1.0):
         lin1 = self._linear(name, in_dim, h, rng, suffix="1")
-        self.table[f"bn.{name}"] = bn = T.BatchNormState(h)
+        self.table[f"bn.{name}"] = bn = T.BatchNormState(h, DTYPE)
         return MlpBlock(lin1, bn, self._linear(name, h, h, rng, out_scale, suffix="2"))
 
     def named_parameters(self):
@@ -163,10 +172,11 @@ def log_edge_probabilities(h_graph: Tensor) -> Tensor:
     return T.scale(T.pairwise_sq_dist(h_graph), -1.0)
 
 
-def _gumbel(rng, shape):
-    """-log(-log(u)) for u uniform, clipped to [1e-12, 1 - 1e-12]; one array."""
-    u = rng.random(shape)
-    np.clip(u, 1e-12, 1 - 1e-12, out=u)
+def _gumbel(rng, shape, dtype):
+    """-log(-log(u)) for u uniform on [0, 1) in ``dtype``, raised to at least 1e-12; one
+    array.  ``rng.random`` stops a step short of 1 in either dtype, so no u is 0 or 1."""
+    u = rng.random(shape, dtype=dtype)
+    np.maximum(u, 1e-12, out=u)
     np.log(u, out=u)
     np.negative(u, out=u)
     np.log(u, out=u)
@@ -185,7 +195,9 @@ def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSam
     candidates and 0 elsewhere, gives ``log_probs`` g * s * (1 - s) / tau;
     ``adjacency`` holds ``hard`` (straight-through) and gives ``relaxed`` g,
     then g.T.  The logits, s and the hard graph are each built in one m x m
-    array, and the tape keeps s alone.
+    array, and the tape keeps s alone.  ``relaxed`` and ``adjacency`` take
+    ``log_probs``' dtype; ``hard`` is float64, and ``adjacency`` holds that very
+    array when the dtypes agree.
     """
     if tau <= 0:
         raise ValueError("temperature must be positive")
@@ -195,7 +207,7 @@ def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSam
     if k is not None and not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < m, got k={k}, m={m}")
     c = 1.0 / tau
-    s = _gumbel(rng, (m, m))
+    s = _gumbel(rng, (m, m), log_probs.data.dtype)
     np.add(log_probs.data, s, out=s)
     s *= c  # the logits
     if k is None:
@@ -207,7 +219,7 @@ def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSam
         del order
         candidates = np.zeros((m, m), dtype=bool)
         candidates[np.repeat(np.arange(m), k), top.ravel()] = True
-    np.clip(s, -500, 500, out=s)  # T.sigmoid's values, in place
+    np.clip(s, -T.LOGIT_CLIP, T.LOGIT_CLIP, out=s)  # T.sigmoid's values, in place
     np.negative(s, out=s)
     np.exp(s, out=s)
     s += 1.0
@@ -217,7 +229,8 @@ def sample_adjacency_egg(log_probs: Tensor, tau: float, rng, k=None) -> GraphSam
     chosen = s > 0.5 if k is None else candidates
     hard = (chosen | chosen.T).astype(np.float64)
     np.fill_diagonal(hard, 1.0)
-    adjacency = T._make(hard, (relaxed, lambda g: g), (relaxed, lambda g: g.T))
+    adjacency = T._make(hard.astype(s.dtype, copy=False), (relaxed, lambda g: g),
+                        (relaxed, lambda g: g.T))
     return GraphSample(relaxed, adjacency, hard)
 
 
@@ -228,9 +241,10 @@ def sample_adjacency_kegg(log_probs: Tensor, tau: float, k: int, rng) -> GraphSa
 
 
 def constant_sample(adjacency: np.ndarray) -> GraphSample:
-    """Frozen adjacency with no gradient path (for ablations and checks)."""
-    a = np.asarray(adjacency, dtype=np.float64)
-    return GraphSample(Tensor(np.zeros_like(a)), Tensor(a.copy()), a.copy())
+    """Frozen adjacency with no gradient path (for ablations and checks); its tensors
+    keep a floating ``adjacency``'s dtype."""
+    a = Tensor(adjacency).data
+    return GraphSample(Tensor(np.zeros_like(a)), Tensor(a.copy()), a.astype(np.float64))
 
 
 # -- graph convolution --------------------------------------------------
@@ -242,8 +256,7 @@ def gcn_update(h: Tensor, sample: GraphSample, weight: Tensor) -> Tensor:
         raise ValueError("adjacency must be symmetric")
     if not np.all(np.diag(hard) == 1):
         raise ValueError("adjacency must have a unit diagonal")
-    deg = hard.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(deg)
+    inv_sqrt = (1.0 / np.sqrt(hard.sum(axis=1))).astype(h.data.dtype)
     norm = Tensor(np.outer(inv_sqrt, inv_sqrt))
     msg = T.matmul(T.matmul(T.mul(sample.adjacency, norm), h), weight)
     return T.layer_norm_row(msg + h)
@@ -275,10 +288,11 @@ def encode(batch, params: ParameterSet, mode) -> Encoding:
     """The row-wise stage: the numeric columns and each categorical column's
     embedding row (a masked cell's is its missing token's, index C_d) into
     the input MLP, the prototype rows appended, and block 0's projector
-    unless its graph is the identity.  In 'eval' mode each row's output
-    depends on that row alone."""
+    unless its graph is the identity.  The numeric inputs are cast to ``DTYPE``.
+    In 'eval' mode each row's output depends on that row alone."""
     training = _training(mode)
-    parts = [Tensor(batch.inputs[:, batch.numeric_cols])] if batch.numeric_cols else []
+    parts = ([Tensor(batch.inputs[:, batch.numeric_cols].astype(DTYPE, copy=False))]
+             if batch.numeric_cols else [])
     for pos, j in enumerate(batch.categorical_cols):
         col, table = batch.schema[j], params.embeddings[pos]
         if table.shape != (col.cardinality + 1, params.config.embed_width):
@@ -302,14 +316,14 @@ def propagate(enc: Encoding, params: ParameterSet, tau, mode, rng):
     samples, block_outs = [], []
     for blk in range(cfg.blocks):
         if cfg.sampler == "identity":
-            sample = constant_sample(np.eye(m))
+            sample = constant_sample(np.eye(m, dtype=h.data.dtype))
         else:
             hg = enc.projection if blk == 0 else params.mlp_proj[blk](h, training)
             log_p = log_edge_probabilities(hg)
             # kegg caps k (>= 1 by validation) at m - 1 for short tail batches;
             # a one-node batch (k == 0) keeps the identity graph, no Gumbel noise
             k = min(cfg.k, m - 1) if cfg.sampler == "kegg" else None
-            sample = (constant_sample(np.eye(1)) if k == 0
+            sample = (constant_sample(np.eye(1, dtype=h.data.dtype)) if k == 0
                       else sample_adjacency_egg(log_p, tau, rng, k))
         samples.append(sample)
         h = gcn_update(h, sample, params.gcn_w[blk])
@@ -342,8 +356,9 @@ def save_checkpoint(path, params: ParameterSet):
 
 
 def load_checkpoint(path, schema):
-    """The parameters a checkpoint holds, each array checked against ``schema``'s table;
-    a ValueError naming ``path`` when ``save_checkpoint`` did not write it."""
+    """The parameters a checkpoint holds, each array checked against ``schema``'s table
+    and cast to ``DTYPE`` (a float64 checkpoint loads too); a ValueError naming ``path``
+    when ``save_checkpoint`` did not write it."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:  # closed when np.load fails
             meta = json.loads(bytes(data["__meta__"]).decode())
@@ -363,8 +378,11 @@ def load_checkpoint(path, schema):
         if found != needed.get(name):
             raise ValueError(f"checkpoint array {name!r} has shape {found}, but this table "
                              f"needs {needed.get(name)}; rerun `eggimpute train` on this table")
-        if arrays[name].dtype.kind != "f" or not np.isfinite(arrays[name]).all():
+        with np.errstate(over="ignore"):  # a float beyond DTYPE's range becomes inf
+            value = arrays[name].astype(DTYPE) if arrays[name].dtype.kind == "f" else None
+        if value is None or not np.isfinite(value).all():
             raise ValueError(f"checkpoint array {name!r} holds a value that is not a finite "
-                             "float; rerun `eggimpute train`")
+                             f"{np.dtype(DTYPE).name}; rerun `eggimpute train`")
+        arrays[name] = value
     params.load_state_arrays(arrays)
     return params

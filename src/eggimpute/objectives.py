@@ -6,7 +6,10 @@ zero step; the homophily penalty runs over relaxed edge values between
 differently-labelled batch rows, normalized by the squared node count so
 its weight is batch-size independent.  The triplet regularizer draws its
 triplets in three generator calls and picks each positive and negative by
-inverting a cumulative weight along its anchor's row.
+inverting a cumulative weight along its anchor's row.  Each term builds its
+constants (targets, masks, one-hots, the zero of a term with nothing to
+score) in the dtype of the activation they meet, so a float32 forward gives
+a float32 loss.
 """
 
 from __future__ import annotations
@@ -38,16 +41,17 @@ class LossWeights:
 def numeric_imputation_loss(truth, pred: Tensor, numeric_mask) -> Tensor:
     """Mean squared error over surrogate-masked numeric cells; 0 on the tape when
     there is none, so the numeric head takes a zero step."""
-    weight = ((numeric_mask == 0) & np.isfinite(truth)).astype(np.float64)
-    count = max(weight.sum(), 1)
-    diff = pred - Tensor(np.nan_to_num(truth))
-    return T.scale(T.reduce_sum(T.mul(T.mul(diff, diff), Tensor(weight))), 1.0 / count)
+    scored = (numeric_mask == 0) & np.isfinite(truth)
+    dtype = pred.data.dtype
+    diff = pred - Tensor(np.nan_to_num(truth).astype(dtype))
+    return T.scale(T.reduce_sum(T.mul(T.mul(diff, diff), Tensor(scored.astype(dtype)))),
+                   1.0 / max(scored.sum(), 1))
 
 
 def _masked_log_likelihood(logits: Tensor, targets, weight):
     """Sum of log softmax(logits)[target] over rows with weight 1 (callers negate it)."""
     n, c = logits.shape
-    onehot = np.zeros((n, c))
+    onehot = np.zeros((n, c), logits.data.dtype)
     active = weight > 0
     onehot[np.arange(n)[active], targets[active]] = 1.0
     shift = Tensor(logits.data.max(axis=1, keepdims=True))  # constant, for stability
@@ -58,14 +62,13 @@ def _masked_log_likelihood(logits: Tensor, targets, weight):
 
 
 def categorical_imputation_loss(truth_cat, cat_logits, cat_mask) -> Tensor:
-    """Mean cross-entropy over surrogate-masked categorical cells; 0 on the tape
-    when there is none, so the categorical heads take a zero step."""
-    if not cat_logits:  # no categorical column, so no head
-        return Tensor(np.zeros((1, 1)))
-    weights = ((cat_mask == 0) & (truth_cat >= 0)).astype(np.float64)
+    """Mean cross-entropy over surrogate-masked categorical cells of one head or
+    more; 0 on the tape when there is none, so the heads take a zero step."""
+    scored = (cat_mask == 0) & (truth_cat >= 0)
+    weights = scored.astype(cat_logits[0].data.dtype)
     terms = [_masked_log_likelihood(logits, truth_cat[:, col], weights[:, col])
              for col, logits in enumerate(cat_logits)]
-    return T.scale(sum(terms[1:], terms[0]), -1.0 / max(weights.sum(), 1))
+    return T.scale(sum(terms[1:], terms[0]), -1.0 / max(scored.sum(), 1))
 
 
 def task_loss(task_logits: Tensor, labels) -> Tensor:
@@ -85,7 +88,7 @@ def homophily_loss(samples, labels) -> Tensor:
     """
     labels = np.asarray(labels)
     n, m = len(labels), samples[0].relaxed.shape[0]  # every block has the same m nodes
-    interclass = np.zeros((m, m))
+    interclass = np.zeros((m, m), samples[0].relaxed.data.dtype)
     interclass[:n, :n] = labels[:, None] != labels[None, :]
     terms = [T.scale(T.reduce_sum(T.mul(s.relaxed, Tensor(interclass))), 1.0 / (m * m))
              for s in samples]
@@ -122,16 +125,18 @@ def triplet_regularizer(h_graph: Tensor, labels, margin, rng) -> Tensor:
     distance makes the loss NaN, for ``total_loss`` to report.
     """
     labels = np.asarray(labels)
+    dtype = h_graph.data.dtype
     if len(np.unique(labels)) < 2:
-        return Tensor(np.zeros((1, 1)))
+        return Tensor(np.zeros((1, 1), dtype))
     dist = T.pairwise_sq_dist(h_graph)
     if not np.isfinite(dist.data).all():
-        return Tensor(np.full((1, 1), np.nan))
+        return Tensor(np.full((1, 1), np.nan, dtype))
     anchors, positives, negatives = _draw_triplets(dist.data, labels, rng)
     t = len(anchors)
     if not t:
-        return Tensor(np.zeros((1, 1)))
-    sign = np.zeros((t, dist.shape[1]))  # +1 at each triplet's positive, -1 at its negative
+        return Tensor(np.zeros((1, 1), dtype))
+    # +1 at each triplet's positive, -1 at its negative
+    sign = np.zeros((t, dist.shape[1]), dtype)
     sign[np.arange(t), positives] = 1.0
     sign[np.arange(t), negatives] = -1.0
     gap = T.reduce_sum(T.mul(T.gather_rows(dist, anchors), Tensor(sign)), axis=1)
@@ -153,17 +158,18 @@ def total_loss(parts, weights: LossWeights) -> Tensor:
 
 def compute_losses(batch, out, weights: LossWeights, rng=None) -> dict:
     """Each loss term for one forward output, by its name in ``TERMS``."""
+    zero = Tensor(np.zeros((1, 1), out.task_logits.data.dtype))  # a term with no input
     num_mask = batch.surrogate_mask[:, batch.numeric_cols]
     numeric = numeric_imputation_loss(batch.truth_numeric, out.numeric_pred, num_mask)
     cat_mask = batch.surrogate_mask[:, batch.categorical_cols]
-    categorical = categorical_imputation_loss(batch.truth_categorical, out.cat_logits, cat_mask)
+    categorical = (categorical_imputation_loss(batch.truth_categorical, out.cat_logits, cat_mask)
+                   if out.cat_logits else zero)  # a table with no categorical column
     task = task_loss(out.task_logits, batch.labels)
     homophily = homophily_loss(out.samples, batch.labels)
+    triplet = zero
     if weights.triplet > 0 and out.projection is not None:
         trip_rng = rng if rng is not None else np.random.default_rng(0)
         n = len(batch.labels)
         triplet = triplet_regularizer(T.slice_rows(out.projection, 0, n),
                                       batch.labels, weights.margin, trip_rng)
-    else:
-        triplet = Tensor(np.zeros((1, 1)))
     return dict(zip(TERMS, (task, numeric, categorical, homophily, triplet)))

@@ -1,9 +1,13 @@
 """Dense 2-D tensors with a reverse-mode autodiff tape.
 
-Every tensor is a row-major float64 matrix.  A tensor that needs a gradient
-also holds a node on the implicit tape; a recorded operation's node keeps
-its operands' nodes and one gradient rule per operand, which maps the
-result's gradient to that operand's share.  Nodes hold no values: each rule
+Every tensor is a row-major matrix that keeps a floating array's dtype (any
+other array becomes float64), and an op's output and gradients follow its
+operands under numpy's promotion: float32 parameters and inputs give a
+float32 tape, and float64 arrays, as the gradient checks pass, a float64
+one; a node's first gradient takes the node's dtype.  A tensor that needs
+a gradient also holds a node on the implicit tape; a recorded operation's
+node keeps its operands' nodes and one gradient rule per operand, which maps
+the result's gradient to that operand's share.  Nodes hold no values: each rule
 closes over the arrays it reads (never over a tensor), and a constant
 operand keeps no rule, so an output that no rule reads is freed as soon as
 the forward drops it.  Calling ``backward`` on a scalar loss topologically
@@ -24,6 +28,10 @@ from contextlib import contextmanager
 import numpy as np
 
 _recording = True  # read by _make; switched off only by no_tape()
+# sigmoid clips its input to +-LOGIT_CLIP: exp stays finite in float32, and sigmoid(-30) =
+# 9.4e-14 keeps its values and gradients clear of float32's subnormal range, where a
+# product runs about ten times slower
+LOGIT_CLIP = 30.0
 
 
 @contextmanager
@@ -39,28 +47,32 @@ def no_tape():
 
 class _Node:
     """One tensor's place on the tape: the operands' nodes (None for a constant),
-    one rule each (None for a constant's), the incoming gradient and the shape.
-    A node holds no values; each rule closes over just the arrays it reads."""
+    one rule each (None for a constant's), the incoming gradient, and the shape
+    and dtype of the tensor's data.  A node holds no values; each rule closes over
+    just the arrays it reads."""
 
-    __slots__ = ("parents", "rules", "grad", "shape")
+    __slots__ = ("parents", "rules", "grad", "shape", "dtype")
 
-    def __init__(self, shape, parents=(), rules=()):
-        self.parents, self.rules, self.grad, self.shape = parents, rules, None, shape
+    def __init__(self, data, parents=(), rules=()):
+        self.parents, self.rules, self.grad = parents, rules, None
+        self.shape, self.dtype = data.shape, data.dtype
 
 
 class Tensor:
-    """A 2-D float64 matrix, optionally tracked on the autodiff tape."""
+    """A 2-D floating matrix, optionally tracked on the autodiff tape."""
 
     __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype.kind != "f":
+            arr = arr.astype(np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ValueError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
-        self._node = _Node(arr.shape) if requires_grad else None
+        self._node = _Node(arr) if requires_grad else None
 
     @property
     def shape(self):
@@ -122,7 +134,7 @@ class Tensor:
                     stack.append((p, False))
         for node in order:
             node.grad = None
-        root.grad = np.ones((1, 1))
+        root.grad = np.ones((1, 1), root.dtype)
         while order:
             node = order.pop()
             parents, rules, grad = node.parents, node.rules, node.grad
@@ -133,7 +145,7 @@ class Tensor:
                 if parent is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros(parent.shape)
+                    parent.grad = np.zeros(parent.shape, parent.dtype)
                 parent.grad += rule(grad)
 
 
@@ -144,7 +156,7 @@ def _make(data, *rules):
     a gradient."""
     out = Tensor(data)
     if _recording and any(parent._node is not None for parent, _ in rules):
-        out._node = _Node(out.data.shape, tuple(parent._node for parent, _ in rules),
+        out._node = _Node(out.data, tuple(parent._node for parent, _ in rules),
                           tuple(rule if parent._node is not None else None
                                 for parent, rule in rules))
     return out
@@ -234,7 +246,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-np.clip(a.data, -500, 500)))
+    out_data = 1.0 / (1.0 + np.exp(-np.clip(a.data, -LOGIT_CLIP, LOGIT_CLIP)))
     return _make(out_data, (a, lambda g: g * out_data * (1.0 - out_data)))
 
 
@@ -325,10 +337,10 @@ def concat_rows(tensors) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    shape = a.shape
+    shape, dtype = a.shape, a.data.dtype
 
     def grad_a(g):
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype)
         full[start:stop, :] = g
         return full
 
@@ -340,10 +352,10 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ValueError(f"index out of range for table with {table.shape[0]} rows")
-    shape = table.shape
+    shape, dtype = table.shape, table.data.dtype
 
     def grad_table(g):
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype)
         np.add.at(full, idx, g)
         return full
 
@@ -366,9 +378,9 @@ BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # weight of each training batch in the running 
 class BatchNormState:
     """Running per-column statistics for batch normalization."""
 
-    def __init__(self, width):
-        self.running_mean = np.zeros((1, width))
-        self.running_var = np.ones((1, width))
+    def __init__(self, width, dtype):
+        self.running_mean = np.zeros((1, width), dtype)
+        self.running_var = np.ones((1, width), dtype)
 
 
 def batch_norm_col(a: Tensor, state: BatchNormState, training: bool) -> Tensor:

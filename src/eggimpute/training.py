@@ -72,7 +72,8 @@ RHO, EPS = 0.99, 1e-8  # RMSprop accumulator decay, and the floor of its denomin
 
 def rmsprop_step(params, acc, lr):
     """s <- rho s + (1 - rho) g^2;  theta <- theta - lr g / (sqrt(s) + eps), with
-    ``acc`` holding each parameter's s (a non-finite gradient leaves its parameter NaN)."""
+    ``acc`` holding each parameter's s in the parameter's dtype (a non-finite gradient
+    leaves its parameter NaN, and one whose square overflows leaves s inf)."""
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         s = acc[name]
@@ -130,9 +131,11 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
     (1 = observed).  Datasets must already be normalized with training
     statistics.  Every epoch's validation draws the same surrogate mask and
     Gumbel noise, so its losses differ only by the parameters they score.
-    A non-finite loss term, parameter, batch-norm statistic or validation loss
-    ends training: it rolls back to the best epoch, or raises
-    ``FloatingPointError`` when no epoch has completed yet.
+    A non-finite loss term, parameter, batch-norm statistic, RMSprop
+    accumulator (``rmsprop.<parameter>``: a gradient whose square overflowed
+    would freeze the parameter) or validation loss ends training: it rolls
+    back to the best epoch, or raises ``FloatingPointError`` when no epoch has
+    completed yet.
     """
     config.validate()
     root = np.random.SeedSequence(config.seed)
@@ -173,7 +176,9 @@ def train(config: TrainConfig, train_ds, val_ds, train_mask, val_mask) -> Traine
                         p.grad = None
                     loss.backward()
                     rmsprop_step(named, acc, config.learning_rate)
-                    for name, array in params.state_arrays().items():
+                    scanned = {**params.state_arrays(),
+                               **{f"rmsprop.{name}": s for name, s in acc.items()}}
+                    for name, array in scanned.items():
                         if not np.isfinite(array).all():
                             raise FloatingPointError(f"non-finite values in {name!r}")
                     for name, term in {"total": loss, **parts}.items():

@@ -82,6 +82,8 @@ def test_criterion_1_full_model_gradients_match_finite_differences(monkeypatch):
     ds = dataio.TabularDataset(schema, values, gen.integers(0, 2, n), 2)
     init = (gen.random((n, 4)) > 0.15).astype(np.int8)
     cfg = model.ModelConfig(hidden=16, blocks=1, prototypes=2, embed_width=4)
+    # finite differences need float64: the parameters, statistics and inputs, and so the tape
+    monkeypatch.setattr(model, "DTYPE", np.float64)
     params = model.ParameterSet(cfg, schema, 2, seed=0)
     surr = missingness.surrogate_mask(init, 0.3, np.random.default_rng(1))
     m = n + cfg.prototypes

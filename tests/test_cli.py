@@ -118,6 +118,22 @@ def test_fetch_wireless_rejects_a_download_it_cannot_read(tmp_path, monkeypatch,
     assert not out.exists() and not out.with_suffix(".schema.json").exists()
 
 
+def test_fetch_wireless_names_a_member_that_is_not_utf8(tmp_path, monkeypatch, capsys):
+    """A ``.txt`` member whose bytes are not UTF-8 is the same one error line, naming the
+    member too; it was a bare ``error: 'utf-8' codec can't decode ...``."""
+    payload = _zip_of({"wifi_localization.txt": b"\xff\xfe-64 -56 1\n"})
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda url, timeout: io.BytesIO(payload))
+    out = tmp_path / "wireless.csv"
+    assert cli.main(["fetch-wireless", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not read https://archive.ics.uci.edu/") and \
+        err.count("\n") == 1
+    assert "member wifi_localization.txt ('utf-8' codec can't decode byte 0xff" in err
+    assert "eggimpute fetch-wireless --from-txt <path>" in err
+    assert not out.exists() and not out.with_suffix(".schema.json").exists()
+
+
 def test_fetch_wireless_converts_the_downloaded_table(tmp_path, monkeypatch, capsys):
     payload = _zip_of({"wifi_localization.txt": "-64 -56 1\n-68 -57 2\n"})
     monkeypatch.setattr(urllib.request, "urlopen",
@@ -717,14 +733,15 @@ def test_a_table_mar_cannot_corrupt_fails_before_any_job(tmp_path, monkeypatch, 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_with_a_triplet_term_fails_through_the_non_finite_path(tmp_path, monkeypatch,
                                                                      capsys):
-    """A learning rate of 1e300 makes the first step's projections NaN; the
-    triplet term then reports a non-finite loss like any other term."""
+    """A learning rate of 1e37 (near float32's top, as 1e300 is near float64's)
+    makes the first step's projections NaN; the triplet term then reports a
+    non-finite loss like any other term."""
     monkeypatch.chdir(tmp_path)
     assert cli.main(["make-synthetic", "--rows", "200", "--output", "data/synth.csv"]) == 0
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
         "dataset": "data/synth.csv", "schema": "data/synth.schema.json",
-        "train": {"batch_size": 64, "learning_rate": 1e300, "weights": {"triplet": 0.1},
+        "train": {"batch_size": 64, "learning_rate": 1e37, "weights": {"triplet": 0.1},
                   "model": {"hidden": 16, "prototypes": 2}}}))
     assert cli.main(["corrupt", "--config", str(cfg)]) == 0
     capsys.readouterr()
@@ -736,15 +753,16 @@ def test_train_with_a_triplet_term_fails_through_the_non_finite_path(tmp_path, m
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("batch_size, learning_rate, reason", [
-    (40, 1e100, "non-finite values in 'bn.mlp_proj.0.var'"),
-    (84, 1e40, "non-finite loss term 'homophily'")],
+    (40, 1e12, "non-finite values in 'bn.mlp_proj.0.var'"),
+    (84, 1e5, "non-finite loss term 'homophily'")],
     ids=["batch_norm_statistic", "first_validation"])
 def test_a_run_that_diverges_before_its_first_epoch_fails_in_one_line(
         tmp_path, monkeypatch, capsys, batch_size, learning_rate, reason):
-    """Two diverging runs on a 120-row table: a learning rate of 1e100 leaves a
+    """Two diverging runs on a 120-row table: a learning rate of 1e12 leaves a
     running variance infinite while the parameters stay finite (a checkpoint that
-    ``impute`` refused was saved), and 1e40 with one step per epoch makes epoch
-    0's validation meet a non-finite loss term.  Each is one line, no numpy
+    ``impute`` refused was saved), and 1e5 with one step per epoch makes epoch
+    0's validation meet a non-finite loss term.  The rates sit at the same share
+    of float32's exponent range as 1e100 and 1e40 did of float64's.  Each is one line, no numpy
     warning and no checkpoint."""
     monkeypatch.chdir(tmp_path)
     assert cli.main(["make-synthetic", "--rows", "120", "--cols", "4",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import central_difference, make_batch, mixed_dataset, rel_error
-from eggimpute import dataio, model
+from eggimpute import dataio, ensemble, model
 from eggimpute import tensor as T
 from eggimpute.tensor import Tensor
 
@@ -175,7 +175,7 @@ def test_sampler_determinism():
 def oracle_egg(log_probs, tau, rng):
     m = log_probs.shape[0]
     upper = np.triu(np.ones((m, m)), k=1)
-    noise = model._gumbel(rng, (m, m))
+    noise = model._gumbel(rng, (m, m), log_probs.data.dtype)
     logits = T.scale(log_probs + Tensor(noise), 1.0 / tau)
     relaxed = T.mul(T.sigmoid(logits), Tensor(upper))
     hard_upper = (relaxed.data > 0.5) * upper
@@ -187,7 +187,7 @@ def oracle_egg(log_probs, tau, rng):
 def oracle_kegg(log_probs, tau, k, rng):
     m = log_probs.shape[0]
     offdiag = 1.0 - np.eye(m)
-    noise = model._gumbel(rng, (m, m))
+    noise = model._gumbel(rng, (m, m), log_probs.data.dtype)
     logits = T.scale(log_probs + Tensor(noise), 1.0 / tau)
     perturbed = logits.data + np.where(offdiag == 1, 0.0, -np.inf)
     top = np.argpartition(-perturbed, k - 1, axis=1)[:, :k]
@@ -464,6 +464,62 @@ def test_checkpoint_version_guard(tmp_path, small_mixed_dataset):
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match="version"):
+        model.load_checkpoint(path, ds.schema)
+
+
+def test_a_float32_checkpoint_round_trip_is_bit_exact(tmp_path, small_mixed_dataset):
+    """Every parameter and batch-norm statistic is saved and loaded as float32, bit for bit."""
+    ds = small_mixed_dataset
+    params = small_params(ds, blocks=2)
+    for name, array in params.state_arrays().items():  # move the statistics off their init
+        array += np.random.default_rng(len(name)).normal(size=array.shape)
+    path = tmp_path / "ckpt.npz"
+    model.save_checkpoint(path, params)
+    with np.load(path) as data:
+        assert {data[k].dtype for k in data.files if k != "__meta__"} == {np.dtype(np.float32)}
+    loaded = model.load_checkpoint(path, ds.schema).state_arrays()
+    saved = params.state_arrays()
+    assert loaded.keys() == saved.keys()
+    for name in saved:
+        assert loaded[name].dtype == np.float32 and bits(loaded[name]) == bits(saved[name]), name
+
+
+def test_a_float64_checkpoint_loads_as_float32_and_imputes(tmp_path, small_mixed_dataset,
+                                                           monkeypatch):
+    """A checkpoint of float64 arrays, as the code before float32 training wrote it,
+    loads into float32 parameters (each array cast) and imputes finitely."""
+    ds = small_mixed_dataset
+    with monkeypatch.context() as mp:
+        mp.setattr(model, "DTYPE", np.float64)
+        wide = small_params(ds)
+    path = tmp_path / "ckpt.npz"
+    model.save_checkpoint(path, wide)
+    loaded = model.load_checkpoint(path, ds.schema)
+    for name, array in wide.state_arrays().items():
+        assert array.dtype == np.float64
+        assert bits(loaded.state_arrays()[name]) == bits(array.astype(np.float32)), name
+    mask = np.ones(ds.values.shape, dtype=np.int8)
+    mask[::3, 0] = mask[1::4, 3] = 0
+    imputed = ensemble.ensemble_impute(ds, mask, loaded, 2, 0, batch_size=10)
+    assert np.isfinite(imputed).all()
+    assert np.array_equal(imputed[mask == 1], ds.values[mask == 1])
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.nan, np.inf, 1e300],
+                         ids=["int", "nan", "inf", "beyond_float32"])
+def test_load_checkpoint_refuses_an_array_that_is_not_finite_float32(tmp_path, value,
+                                                                     small_mixed_dataset):
+    """An integer array, a non-finite value, or a float64 value that casting to
+    float32 would make inf."""
+    ds = small_mixed_dataset
+    path = tmp_path / "ckpt.npz"
+    model.save_checkpoint(path, small_params(ds))
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays["gcn.0.w"] = np.full_like(arrays["gcn.0.w"], value, dtype=np.asarray(value).dtype)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="checkpoint array 'gcn.0.w' holds a value that is "
+                                         "not a finite float32"):
         model.load_checkpoint(path, ds.schema)
 
 

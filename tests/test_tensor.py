@@ -411,7 +411,7 @@ def test_straight_through_forwards_hard_backwards_relaxed(rng):
 
 def test_batch_norm_train_statistics_and_gradient(rng):
     x_data = rng.normal(2.0, 3.0, size=(8, 4))
-    state = T.BatchNormState(4)
+    state = T.BatchNormState(4, np.float64)
     x = Tensor(x_data, requires_grad=True)
     out = T.batch_norm_col(x, state, training=True)
     assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-9)
@@ -420,7 +420,7 @@ def test_batch_norm_train_statistics_and_gradient(rng):
     T.reduce_sum(T.mul(out, Tensor(w))).backward()
 
     def f(x_raw):
-        s = T.BatchNormState(4)
+        s = T.BatchNormState(4, np.float64)
         return float((T.batch_norm_col(Tensor(x_raw), s, True).data * w).sum())
 
     fd = central_difference(f, x_data)
@@ -428,7 +428,7 @@ def test_batch_norm_train_statistics_and_gradient(rng):
 
 
 def test_batch_norm_eval_uses_running_statistics(rng):
-    state = T.BatchNormState(2)
+    state = T.BatchNormState(2, np.float64)
     # two training passes move the running stats off their init
     for _ in range(2):
         T.batch_norm_col(Tensor(rng.normal(5.0, 2.0, size=(16, 2))), state, training=True)

@@ -238,7 +238,8 @@ DIVERGENCES = {  # how a step diverges -> the array the scan after it names
 def _diverge_at(monkeypatch, fail_step, divergence):
     """Make training step ``fail_step`` (from 1) leave the array ``DIVERGENCES``
     names non-finite: a NaN gradient, a finite gradient whose update overflows
-    (the parameter at 1e308, the gradient -1, the learning rate 1e308), or an
+    (the parameter and the learning rate at the dtype's largest value, the gradient
+    -1), or an
     infinite running variance after the forward.  Every other parameter of
     that step takes a zero step, so only the named array diverges."""
     real_step, real_batch_loss = training.rmsprop_step, training._batch_loss
@@ -257,9 +258,8 @@ def _diverge_at(monkeypatch, fail_step, divergence):
             for p in params.values():
                 p.grad = None
             w = params["head_num.w"]
-            w.data[...] = 1e308
+            w.data[...] = lr = np.finfo(w.data.dtype).max
             w.grad = np.full_like(w.data, np.nan if divergence == "nan_gradient" else -1.0)
-            lr = 1e308
         real_step(params, acc, lr)
 
     monkeypatch.setattr(training, "_batch_loss", batch_loss)
@@ -284,6 +284,33 @@ def test_train_rolls_back_when_a_step_leaves_an_array_non_finite(monkeypatch, di
     states = _validated_states(monkeypatch)
     result = training.train(tiny_config(max_epochs=6), *tiny_setup())
     _assert_rolled_back_to_the_best_epoch(result, states)
+
+
+@pytest.mark.parametrize("dtype, huge", [(np.float32, 1e21), (np.float64, 1e200)])
+def test_train_fails_naming_an_accumulator_a_gradient_overflows(monkeypatch, dtype, huge):
+    """A finite gradient whose square overflows, (1 - rho) g^2 > the dtype's largest
+    value (1e20 is not enough in float32: 0.01 * 1e40 = 1e38), leaves ``head_num.w``'s
+    accumulator inf, so that gradient and every later one (-5 here) moves the parameter
+    by lr g / inf = 0.  The parameter stays finite and the run reported nothing; the
+    scan after the step names the accumulator."""
+    monkeypatch.setattr(model, "DTYPE", dtype)
+    real_step, steps = training.rmsprop_step, []
+
+    def step(params, acc, lr):
+        steps.append(len(steps))
+        for p in params.values():
+            p.grad = None
+        w = params["head_num.w"]
+        assert w.data.dtype == dtype and acc["head_num.w"].dtype == dtype
+        w.grad = np.full_like(w.data, huge if len(steps) == 1 else -5.0)
+        real_step(params, acc, lr)
+
+    monkeypatch.setattr(training, "rmsprop_step", step)
+    with pytest.raises(FloatingPointError) as info:
+        training.train(tiny_config(max_epochs=6), *tiny_setup())
+    assert str(info.value) == ("training failed before its first epoch completed: "
+                               "non-finite values in 'rmsprop.head_num.w'")
+    assert len(steps) == 1
 
 
 @pytest.mark.parametrize("failure", ["raises", "nan"])

@@ -4,6 +4,7 @@ Usage, from anywhere:
 
     python3 tools/fingerprint.py                            # this checkout's src/
     PYTHONPATH=<other checkout>/src python3 tools/fingerprint.py
+    python3 tools/fingerprint.py --write                    # rewrite LEDGER.json
 
 The tables come from ``perfbench/workloads.setup(..., 0, ...)`` and are
 written to a temporary directory.  Each run goes through
@@ -60,19 +61,28 @@ written to a temporary directory.  Each run goes through
   routing of non-finite cells is checked over rounds that span several
   slices of the grower.
 
-Standard output is one JSON object: the sha256 of each artifact's
-content with the timing fields left out, of each checkpoint array and
-of the forest's trees, the forest's node count, and the parsed
-checkpoint ``__meta__``.  Two outputs
-that diff clean mean the two programs wrote the same results; a
-refactor that must keep its outputs compares the fingerprint of the
-parent commit with its own.
+Standard output is one JSON object.  Its ``fingerprint`` holds the
+sha256 of each artifact's content with the timing fields left out, of
+each checkpoint array and of the forest's trees, the forest's node
+count, and the parsed checkpoint ``__meta__``.  Its ``environment`` holds
+what the fingerprints depend on besides the code: the numpy version, the
+BLAS's name, version and core type, and the BLAS thread count (the
+fingerprints are exact only at a fixed thread count).  Two outputs that
+diff clean mean the two programs wrote the same results.
+
+``--write`` writes that object to ``LEDGER.json`` at the repository root
+instead.  ``tests/test_ledger.py`` reruns this script pinned to the
+ledger's thread count and compares the fingerprints when the rest of the
+environment matches, so a change that moves results rewrites the ledger
+in the same commit.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -299,7 +309,39 @@ def forest_nonfinite(directory):
     return _forest("egg-impute", directory, nonfinite=True)
 
 
-def main():
+def _openblas(name, restype):
+    """What the loaded OpenBLAS's ``openblas_<name>`` returns (under its plain or its
+    scipy-openblas symbol), or None when no library answers."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], restype
+                return fn()
+    return None
+
+
+def environment():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = _openblas("get_corename", ctypes.c_char_p)
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "blas_core": core and core.decode(),
+            "blas_threads": _openblas("get_num_threads", ctypes.c_int)}
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--write", action="store_true", help="write LEDGER.json at the root")
+    args = p.parse_args(argv)
     fingerprint = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute),
@@ -312,7 +354,12 @@ def main():
                           ("forest-nonfinite", forest_nonfinite)):
             for key, value in run(Path(tmp) / name).items():
                 fingerprint[f"{name}/{key}"] = value
-    print(json.dumps(fingerprint, indent=1, sort_keys=True))
+    text = json.dumps({"environment": environment(), "fingerprint": fingerprint}, indent=1,
+                      sort_keys=True)
+    if args.write:
+        (ROOT / "LEDGER.json").write_text(text + "\n")
+    else:
+        print(text)
 
 
 if __name__ == "__main__":
