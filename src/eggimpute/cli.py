@@ -268,7 +268,12 @@ def cmd_fetch_wireless(args):
 
     url = "https://archive.ics.uci.edu/static/public/422/wireless+indoor+localization.zip"
     if args.from_txt:
-        source, text = args.from_txt, Path(args.from_txt).read_text()
+        source, data = args.from_txt, Path(args.from_txt).read_bytes()
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as err:
+            line = data.count(b"\n", 0, err.start) + 1
+            raise ValueError(f"{source} line {line}: not UTF-8 text ({err})") from None
     else:
         source = None
         try:

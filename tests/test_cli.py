@@ -89,6 +89,19 @@ def test_fetch_wireless_rejects_a_table_without_signals_and_rooms(tmp_path, caps
     assert not out.exists()
 
 
+def test_fetch_wireless_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    """A ``--from-txt`` file whose bytes are not UTF-8 is one error naming the file and
+    the line; it was a bare ``error: 'utf-8' codec can't decode ...``."""
+    txt = tmp_path / "wifi_localization.txt"
+    txt.write_bytes(b"-64 -56 1\n\xff\xfe -57 2\n")
+    out = tmp_path / "wireless.csv"
+    assert cli.main(["fetch-wireless", "--from-txt", str(txt), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {txt} line 2: not UTF-8 text ('utf-8' codec can't decode "
+                          "byte 0xff") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _zip_of(files):
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as zf:
@@ -762,8 +775,8 @@ def test_a_run_that_diverges_before_its_first_epoch_fails_in_one_line(
     running variance infinite while the parameters stay finite (a checkpoint that
     ``impute`` refused was saved), and 1e5 with one step per epoch makes epoch
     0's validation meet a non-finite loss term.  The rates sit at the same share
-    of float32's exponent range as 1e100 and 1e40 did of float64's.  Each is one line, no numpy
-    warning and no checkpoint."""
+    of float32's exponent range as 1e100 and 1e40 did of float64's (those two are
+    checked below).  Each is one line, no numpy warning and no checkpoint."""
     monkeypatch.chdir(tmp_path)
     assert cli.main(["make-synthetic", "--rows", "120", "--cols", "4",
                      "--output", "data/s.csv"]) == 0
@@ -778,6 +791,34 @@ def test_a_run_that_diverges_before_its_first_epoch_fails_in_one_line(
     assert capsys.readouterr().err == ("error: training failed before its first epoch "
                                        f"completed: {reason}\n")
     assert not (tmp_path / "runs/s/mcar/0.2/egg/0/checkpoint.npz").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("synthetic, train", [
+    (["--rows", "120", "--cols", "4"], {"batch_size": 40, "learning_rate": 1e100,
+                                        "max_epochs": 4, "model": {"hidden": 8, "prototypes": 2}}),
+    (["--rows", "120", "--cols", "4"], {"batch_size": 84, "learning_rate": 1e40,
+                                        "max_epochs": 4, "model": {"hidden": 8, "prototypes": 2}}),
+    (["--rows", "200"], {"batch_size": 64, "learning_rate": 1e300, "weights": {"triplet": 0.1},
+                         "model": {"hidden": 16, "prototypes": 2}})],
+    ids=["1e100", "1e40", "1e300_triplet"])
+def test_a_learning_rate_beyond_float32_fails_in_one_line(tmp_path, monkeypatch, capsys,
+                                                          synthetic, train):
+    """The two tests above at their float64 learning rates, which overflow float32:
+    the first step's update is infinite, and the run fails in one line naming the
+    parameter it left non-finite, with no numpy warning and no checkpoint."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["make-synthetic", *synthetic, "--output", "data/s.csv"]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"dataset": "data/s.csv", "schema": "data/s.schema.json",
+                               "train": train}))
+    assert cli.main(["corrupt", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training failed before its first epoch completed: "
+                          "non-finite values in '") and err.count("\n") == 1
+    assert not list(tmp_path.rglob("checkpoint.npz"))
 
 
 def test_stage_seeds_are_distinct():

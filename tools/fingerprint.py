@@ -4,7 +4,7 @@ Usage, from anywhere:
 
     python3 tools/fingerprint.py                            # this checkout's src/
     PYTHONPATH=<other checkout>/src python3 tools/fingerprint.py
-    python3 tools/fingerprint.py --write                    # rewrite LEDGER.json
+    python3 tools/fingerprint.py > LEDGER.json              # rewrite the ledger
 
 The tables come from ``perfbench/workloads.setup(..., 0, ...)`` and are
 written to a temporary directory.  Each run goes through
@@ -70,16 +70,15 @@ BLAS's name, version and core type, and the BLAS thread count (the
 fingerprints are exact only at a fixed thread count).  Two outputs that
 diff clean mean the two programs wrote the same results.
 
-``--write`` writes that object to ``LEDGER.json`` at the repository root
-instead.  ``tests/test_ledger.py`` reruns this script pinned to the
-ledger's thread count and compares the fingerprints when the rest of the
-environment matches, so a change that moves results rewrites the ledger
-in the same commit.
+``LEDGER.json`` at the repository root is this output, redirected there.
+``tests/test_ledger.py`` reruns this script pinned to the ledger's thread
+count and compares the fingerprints when the rest of the environment
+matches, so a change that moves results rewrites the ledger in the same
+commit.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import ctypes
@@ -338,10 +337,7 @@ def environment():
             "blas_threads": _openblas("get_num_threads", ctypes.c_int)}
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--write", action="store_true", help="write LEDGER.json at the root")
-    args = p.parse_args(argv)
+def main():
     fingerprint = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in (("kegg-grid", kegg_grid), ("egg-impute", egg_impute),
@@ -354,12 +350,8 @@ def main(argv=None):
                           ("forest-nonfinite", forest_nonfinite)):
             for key, value in run(Path(tmp) / name).items():
                 fingerprint[f"{name}/{key}"] = value
-    text = json.dumps({"environment": environment(), "fingerprint": fingerprint}, indent=1,
-                      sort_keys=True)
-    if args.write:
-        (ROOT / "LEDGER.json").write_text(text + "\n")
-    else:
-        print(text)
+    print(json.dumps({"environment": environment(), "fingerprint": fingerprint}, indent=1,
+                     sort_keys=True))
 
 
 if __name__ == "__main__":
